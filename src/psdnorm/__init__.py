@@ -24,12 +24,8 @@ from .errors import (  # noqa: F401
 )
 from .spectral import (  # noqa: F401
     WelchConfig,
-    center,
-    channel_mean,
-    circular_convolve,
     fourier_matrix,
     make_window,
-    segment,
     welch_psd,
 )
 from .geometry import (  # noqa: F401
@@ -50,6 +46,7 @@ from .layers import (  # noqa: F401
     PsdNormLayer,
     TmaAligner,
     batchnorm_forward,
+    centered_psd,
     instancenorm_forward,
     layernorm_forward,
     psdnorm_forward,

@@ -32,19 +32,19 @@ from .io import (
     load_state,
     read_signal,
     save_state,
-    state_to_dict,
     write_signal,
 )
 from .layers import (
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_forward,
+    centered_psd,
     instancenorm_forward,
     layernorm_forward,
     psdnorm_forward,
 )
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, n_segments, psd_floor, welch_psd, welch_psd_raw
+from .spectral import WelchConfig, n_segments, psd_floor, welch_psd_raw
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
 EXIT_OK = 0
@@ -130,23 +130,18 @@ def cmd_align(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     signals = [read_signal(p) for p in args.inputs]
-    means = [x.mean(axis=1) for x in signals]
-    psds = [
-        welch_psd(x - mu[:, None], cfg) for x, mu in zip(signals, means)
-    ]
+    psds = [centered_psd(x, cfg) for x in signals]
     target = _resolve_target(args, psds)
     records = []
-    for path, x, mu, p in zip(args.inputs, signals, means, psds):
-        filt = monge_filter(p, target)
-        y = apply_mapping(x, filt, mu)
+    for path, x, p in zip(args.inputs, signals, psds):
+        y = apply_mapping(x, monge_filter(p, target))
         out_path = out_dir / (Path(path).stem + ".aligned.psdn")
         write_signal(out_path, y)
-        p_post = welch_psd(y - y.mean(axis=1, keepdims=True), cfg)
         records.append({
             "input": str(path),
             "output": str(out_path),
             "pre_distance": bures_distance(p, target),
-            "post_distance": bures_distance(p_post, target),
+            "post_distance": bures_distance(centered_psd(y, cfg), target),
         })
     report = {
         "config": _run_config(args, {"target": args.target}),

@@ -60,19 +60,14 @@ class BarycenterState:
 
     ``value`` is None until the first update (lazy initialization: the first
     batch barycenter is adopted as-is, equivalent to momentum 1 on the first
-    step).  ``momentum`` is the geodesic step toward each new batch
-    barycenter; the layer default is 1e-2.
+    step).  The geodesic step size is owned by the layer and passed to
+    ``running_update``.
     """
 
-    momentum: float = 1e-2
     value: np.ndarray | None = None
     update_count: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ParameterOutOfRangeError(
-                f"momentum must be in [0, 1], got {self.momentum}"
-            )
         if (self.value is None) != (self.update_count == 0):
             raise ParameterOutOfRangeError(
                 "update_count must be 0 exactly when the state is empty"
@@ -83,7 +78,8 @@ class BarycenterState:
         return self.value is None
 
 
-def running_update(state: BarycenterState, batch_bary) -> BarycenterState:
+def running_update(state: BarycenterState, batch_bary,
+                   momentum: float) -> BarycenterState:
     """One exponential geodesic step of the running barycenter.
 
     Empty state adopts batch_bary.  Otherwise
@@ -94,5 +90,5 @@ def running_update(state: BarycenterState, batch_bary) -> BarycenterState:
     if state.is_empty:
         return replace(state, value=batch_bary.copy(), update_count=1)
     _check_same_shape(state.value, batch_bary)
-    new_value = geodesic_interpolate(state.value, batch_bary, state.momentum)
+    new_value = geodesic_interpolate(state.value, batch_bary, momentum)
     return replace(state, value=new_value, update_count=state.update_count + 1)

@@ -116,7 +116,6 @@ def state_from_dict(doc: dict):
     if kind == "psdnorm":
         bary_value = doc["barycenter"]
         state = BarycenterState(
-            momentum=doc["momentum"],
             value=None if bary_value is None else np.asarray(bary_value, dtype=float),
             update_count=doc["update_count"],
         )
@@ -148,7 +147,3 @@ def save_state(path, layer) -> None:
 def load_state(path):
     return state_from_dict(json.loads(Path(path).read_text()))
 
-
-def filter_to_csv(path, filt) -> None:
-    """Write a Monge filter bank as CSV, one row per channel."""
-    np.savetxt(path, np.atleast_2d(filt.coefficients), delimiter=",", fmt="%.17g")

@@ -7,7 +7,7 @@ alongside the normalized batch.  Eval-mode calls are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (
 )
 from .geometry import BarycenterState, running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, welch_psd
+from .spectral import WelchConfig, as_signal, welch_psd
 
 MODES = ("train", "eval")
 
@@ -42,6 +42,12 @@ def _check_mode(mode: str) -> None:
         raise ParameterOutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
+    """Welch PSD of a (c, l) signal after removing each channel's mean."""
+    x = as_signal(x)
+    return welch_psd(x - x.mean(axis=1, keepdims=True), cfg)
+
+
 # ---------------------------------------------------------------------------
 # PSD normalization layer
 # ---------------------------------------------------------------------------
@@ -61,22 +67,22 @@ class PsdNormLayer:
     filter_size: int = 5
     momentum: float = 1e-2
     welch: WelchConfig | None = None
-    barycenter: BarycenterState | None = None
+    barycenter: BarycenterState = BarycenterState()
     mode: str = "train"
 
     def __post_init__(self):
         if self.filter_size < 1:
             raise ParameterOutOfRangeError("filter_size must be >= 1")
+        if not 0.0 <= self.momentum <= 1.0:
+            raise ParameterOutOfRangeError(
+                f"momentum must be in [0, 1], got {self.momentum}"
+            )
         _check_mode(self.mode)
         if self.welch is None:
             object.__setattr__(self, "welch", WelchConfig(self.filter_size))
         if self.welch.filter_size != self.filter_size:
             raise ShapeMismatchError(
                 "welch.filter_size must equal the layer filter_size"
-            )
-        if self.barycenter is None:
-            object.__setattr__(
-                self, "barycenter", BarycenterState(momentum=self.momentum)
             )
 
     def train(self) -> "PsdNormLayer":
@@ -88,7 +94,6 @@ class PsdNormLayer:
     def with_barycenter(self, value) -> "PsdNormLayer":
         """Force the running barycenter (e.g. all-ones for whitening)."""
         state = BarycenterState(
-            momentum=self.momentum,
             value=np.asarray(value, dtype=float),
             update_count=max(1, self.barycenter.update_count),
         )
@@ -103,30 +108,15 @@ def psdnorm_forward(layer: PsdNormLayer, batch):
             "eval-mode forward requires an accumulated barycenter"
         )
 
-    means = b.mean(axis=2, keepdims=True)  # (N, c, 1)
-    centered = b - means
-    psds = [welch_psd(g, layer.welch) for g in centered]
-
+    psds = [centered_psd(g, layer.welch) for g in b]
     state = layer.barycenter
     if layer.mode == "train":
-        batch_bary = wasserstein_barycenter(psds)
-        state = running_update(state, batch_bary)
-    target = state.value
+        state = running_update(state, wasserstein_barycenter(psds), layer.momentum)
 
     out = np.empty_like(b)
-    for j, g in enumerate(centered):
-        filt = monge_filter(psds[j], target)
-        out[j] = apply_mapping(b[j], filt, means[j, :, 0])
+    for j, (g, p) in enumerate(zip(b, psds)):
+        out[j] = apply_mapping(g, monge_filter(p, state.value))
     return out, replace(layer, barycenter=state)
-
-
-def halved_filter_sizes(f: int, n_layers: int) -> list[int]:
-    """Filter-size schedule for a layer stack: floor-halved, minimum 1."""
-    sizes = []
-    for _ in range(n_layers):
-        sizes.append(max(1, f))
-        f = f // 2
-    return sizes
 
 
 def psdnorm_stack_forward(fs, batch, momentum: float = 1e-2,
@@ -136,7 +126,8 @@ def psdnorm_stack_forward(fs, batch, momentum: float = 1e-2,
 
     ``fs`` must be a non-increasing list of filter sizes (e.g. the
     floor-halving schedule 5 -> 2 -> 1).  Existing layers may be passed to
-    continue training or to run in eval mode.  Returns
+    continue training or to run in eval mode; their filter sizes must equal
+    ``fs``.  Returns
     (normalized batch, updated layers, per-stage barycenter snapshots).
     """
     fs = [int(f) for f in fs]
@@ -156,6 +147,11 @@ def psdnorm_stack_forward(fs, batch, momentum: float = 1e-2,
             )
             for f in fs
         ]
+    sizes = [layer.filter_size for layer in layers]
+    if sizes != fs:
+        raise ParameterOutOfRangeError(
+            f"layer filter sizes {sizes} differ from fs {fs}"
+        )
     out = as_batch(batch)
     new_layers, snapshots = [], []
     for layer in layers:
@@ -182,11 +178,7 @@ class TmaAligner:
 def tma_fit(domains, welch: WelchConfig) -> TmaAligner:
     """Estimate every signal's PSD across all domains and store their
     barycenter as the alignment target."""
-    psds = []
-    for batch in domains:
-        b = as_batch(batch)
-        for g in b:
-            psds.append(welch_psd(g - g.mean(axis=1, keepdims=True), welch))
+    psds = [centered_psd(g, welch) for batch in domains for g in as_batch(batch)]
     if not psds:
         raise EmptyInputError("tma_fit needs at least one signal")
     return TmaAligner(barycenter=wasserstein_barycenter(psds), welch=welch)
@@ -195,11 +187,8 @@ def tma_fit(domains, welch: WelchConfig) -> TmaAligner:
 def tma_transform(aligner: TmaAligner, x) -> np.ndarray:
     """Center x and apply the Monge mapping from its own PSD to the stored
     barycenter."""
-    x = np.asarray(x, dtype=float)
-    mean = x.mean(axis=-1)
-    p_src = welch_psd(x - x.mean(axis=-1, keepdims=True), aligner.welch)
-    filt = monge_filter(p_src, aligner.barycenter)
-    return apply_mapping(x, filt, mean)
+    filt = monge_filter(centered_psd(x, aligner.welch), aligner.barycenter)
+    return apply_mapping(x, filt)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ def monge_filter(p_src, p_tgt) -> MongeFilter:
     return MongeFilter(coefficients=h.real, max_imag_residual=residual)
 
 
-def apply_mapping(x, filt: MongeFilter, mean) -> np.ndarray:
-    """Subtract the per-channel mean and circularly convolve with the filter.
+def apply_mapping(x, filt: MongeFilter) -> np.ndarray:
+    """Subtract x's per-channel mean and circularly convolve with the filter.
 
     The filter taps are placed at circular lags 0..f/2 and -(f/2-1)..-1
     (zero-phase placement).  Causal placement of the same taps would carry an
@@ -97,11 +97,6 @@ def apply_mapping(x, filt: MongeFilter, mean) -> np.ndarray:
     f equals the signal length.
     """
     x = as_signal(x)
-    mean = np.asarray(mean, dtype=float).reshape(-1, 1)
-    if mean.shape[0] != x.shape[0]:
-        raise ShapeMismatchError(
-            f"mean has {mean.shape[0]} channels, signal has {x.shape[0]}"
-        )
     h = filt.coefficients
     if h.shape[0] != x.shape[0]:
         raise ChannelMismatchError(
@@ -116,7 +111,7 @@ def apply_mapping(x, filt: MongeFilter, mean) -> np.ndarray:
     h_pad[:, : half + 1] = h[:, : half + 1]
     if f - half - 1 > 0:
         h_pad[:, l - (f - half - 1):] = h[:, half + 1:]
-    centered = x - mean
+    centered = x - x.mean(axis=1, keepdims=True)
     return np.fft.ifft(
         np.fft.fft(centered, axis=1) * np.fft.fft(h_pad, axis=1), axis=1
     ).real

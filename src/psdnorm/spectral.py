@@ -1,5 +1,5 @@
-"""Signal-processing substrate: Fourier basis, windows, segmentation,
-Welch PSD estimation, circular convolution, and per-channel centering.
+"""Signal-processing substrate: Fourier basis, windows and Welch PSD
+estimation.
 
 Conventions
 -----------
@@ -13,14 +13,12 @@ PSD ratios, which are invariant to this global scale choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    ChannelMismatchError,
-    FilterLongerThanSignalError,
     LengthTooShortError,
     NonFiniteInputError,
     ParameterOutOfRangeError,
@@ -102,29 +100,17 @@ def make_window(kind: str, f: int) -> np.ndarray:
     raise ParameterOutOfRangeError(f"unknown window kind {kind!r}")
 
 
-def segment(x, cfg: WelchConfig) -> list[np.ndarray]:
-    """Split x into overlapping (c, f) segments; trailing samples are dropped.
-
-    Segment k covers columns [k*stride, k*stride + f).  The number of
-    segments is floor((l - f) / stride) + 1.
-    """
-    x = as_signal(x)
-    f, stride = cfg.filter_size, cfg.stride
-    if x.shape[1] < f:
-        raise LengthTooShortError(
-            f"signal length {x.shape[1]} < filter size {f}"
-        )
-    views = sliding_window_view(x, f, axis=1)[:, ::stride, :]
-    return [np.array(views[:, k, :]) for k in range(views.shape[1])]
-
-
 def psd_floor(p: np.ndarray) -> float:
     """Positivity floor applied to Welch estimates: 1e-10 * max(1, max(p))."""
     return 1e-10 * max(1.0, float(np.max(p)) if p.size else 1.0)
 
 
 def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
-    """Welch PSD without the positivity floor (may contain zeros)."""
+    """Welch PSD without the positivity floor (may contain zeros).
+
+    Segment k covers columns [k*stride, k*stride + f); trailing samples that
+    do not fill a segment are dropped (see ``n_segments``).
+    """
     x = check_finite(as_signal(x))
     f, stride = cfg.filter_size, cfg.stride
     if x.shape[1] < f:
@@ -153,37 +139,3 @@ def n_segments(length: int, cfg: WelchConfig) -> int:
             f"signal length {length} < filter size {cfg.filter_size}"
         )
     return (length - cfg.filter_size) // cfg.stride + 1
-
-
-def circular_convolve(x, h) -> np.ndarray:
-    """Row-wise circular convolution of a (c, l) signal with a (c, f) filter.
-
-    out[m, n] = sum_k h[m, k] * x[m, (n - k) mod l].  Implemented with
-    length-l FFTs of the signal and the zero-padded filter.
-    """
-    x = as_signal(x)
-    h = np.asarray(h, dtype=float)
-    if h.ndim == 1:
-        h = h[np.newaxis, :]
-    if h.shape[0] != x.shape[0]:
-        raise ChannelMismatchError(
-            f"filter has {h.shape[0]} channels, signal has {x.shape[0]}"
-        )
-    c, l = x.shape
-    f = h.shape[1]
-    if f > l:
-        raise FilterLongerThanSignalError(f"filter taps {f} > signal length {l}")
-    h_pad = np.zeros((c, l))
-    h_pad[:, :f] = h
-    return np.fft.ifft(np.fft.fft(x, axis=1) * np.fft.fft(h_pad, axis=1), axis=1).real
-
-
-def channel_mean(x) -> np.ndarray:
-    """Per-channel temporal mean, shape (c,)."""
-    return as_signal(x).mean(axis=1)
-
-
-def center(x) -> np.ndarray:
-    """Subtract the per-channel mean; each output row sums to ~0."""
-    x = as_signal(x)
-    return x - x.mean(axis=1, keepdims=True)

@@ -9,7 +9,7 @@ are produced serially or in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,11 +26,12 @@ from .layers import (
     instancenorm_forward,
     layernorm_forward,
     PsdNormLayer,
+    centered_psd,
     psdnorm_forward,
     tma_fit,
     tma_transform,
 )
-from .spectral import WelchConfig, welch_psd
+from .spectral import WelchConfig
 
 GENERATOR_NAME = "pcg64"
 
@@ -157,9 +158,7 @@ def _pairwise_bures(psds) -> np.ndarray:
 
 
 def _mean_psd(batch: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    return wasserstein_barycenter(
-        [welch_psd(g - g.mean(axis=1, keepdims=True), cfg) for g in batch]
-    )
+    return wasserstein_barycenter([centered_psd(g, cfg) for g in batch])
 
 
 def _offdiag_mean(d: np.ndarray) -> float:

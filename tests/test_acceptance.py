@@ -57,7 +57,7 @@ def test_oracle_equivalence():
         p_tgt = random_symmetric_psd(rng, c, f)
         x = rng.standard_normal((c, f))
         dense = dense_monge_oracle(p_src, p_tgt, x)
-        filtered = apply_mapping(x, monge_filter(p_src, p_tgt), x.mean(axis=1))
+        filtered = apply_mapping(x, monge_filter(p_src, p_tgt))
         worst = max(worst, np.max(np.abs(dense - filtered)) / np.max(np.abs(x)))
     dt = time.perf_counter() - t0
     report("oracle equivalence", worst < 1e-6 and dt < 10,
@@ -98,8 +98,8 @@ def test_geodesic_correctness():
         mid_err = max(mid_err,
                       abs(bures_distance(p, mid) - d / 2),
                       abs(bures_distance(mid, q) - d / 2))
-        state = running_update(BarycenterState(momentum=0.05), p)
-        fix_err = max(fix_err, np.max(np.abs(running_update(state, p).value - p)))
+        state = running_update(BarycenterState(), p, 0.05)
+        fix_err = max(fix_err, np.max(np.abs(running_update(state, p, 0.05).value - p)))
     dt = time.perf_counter() - t0
     ok = end_err < 1e-14 and mid_err < 1e-12 and fix_err < 1e-14 and dt < 1
     report("geodesic correctness", ok,
@@ -120,7 +120,7 @@ def test_spectral_transport():
             DomainSpec(p_src, n_signals=1, length=l, seed=seed)
         )[0]
         p_est = welch_psd(x - x.mean(axis=1, keepdims=True), cfg)
-        y = apply_mapping(x, monge_filter(p_est, p_tgt), x.mean(axis=1))
+        y = apply_mapping(x, monge_filter(p_est, p_tgt))
         p_out = welch_psd(y - y.mean(axis=1, keepdims=True), cfg)
         errs.append(np.mean(np.abs(p_out - p_tgt) / p_tgt))
     mean_err = float(np.mean(errs))

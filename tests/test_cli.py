@@ -113,6 +113,39 @@ class TestAlignCommand:
         for rec in report["signals"]:
             assert rec["post_distance"] < rec["pre_distance"]
 
+    def test_matches_inline_composition(self, tmp_path):
+        from psdnorm import (
+            WelchConfig,
+            apply_mapping,
+            bures_distance,
+            monge_filter,
+            wasserstein_barycenter,
+            welch_psd,
+        )
+
+        paths, signals = [], []
+        for seed, offset in ((9, 1.0), (10, -2.0)):
+            path = tmp_path / f"s{seed}.psdn"
+            write_signal(path, write_white_noise(path, seed=seed) * seed + offset)
+            paths.append(path)
+            signals.append(read_signal(path))
+        out = tmp_path / "aligned"
+        assert main(["align", *map(str, paths), "--f", "8", "--out", str(out)]) == EXIT_OK
+        cfg = WelchConfig(8)
+
+        def psd(x):
+            return welch_psd(x - x.mean(axis=1, keepdims=True), cfg)
+
+        psds = [psd(x) for x in signals]
+        target = wasserstein_barycenter(psds)
+        records = json.loads((out / "report.json").read_text())["signals"]
+        for path, x, p, rec in zip(paths, signals, psds, records):
+            y = apply_mapping(x, monge_filter(p, target))
+            written = read_signal(out / (path.stem + ".aligned.psdn"))
+            np.testing.assert_array_equal(written, y.astype(np.float32).astype(float))
+            assert rec["pre_distance"] == bures_distance(p, target)
+            assert rec["post_distance"] == bures_distance(psd(y), target)
+
     def test_shape_mismatch_exit_3(self, tmp_path, capsys):
         pa = tmp_path / "a.psdn"
         pb = tmp_path / "b.psdn"

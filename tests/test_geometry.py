@@ -105,21 +105,21 @@ class TestGeodesic:
 
 class TestRunningUpdate:
     def test_lazy_init(self):
-        state = BarycenterState(momentum=0.01)
+        state = BarycenterState()
         b = np.array([[2.0, 3.0]])
-        new = running_update(state, b)
+        new = running_update(state, b, 0.01)
         np.testing.assert_array_equal(new.value, b)
         assert new.update_count == 1
         assert state.is_empty  # input untouched
 
     def test_momentum_one_adopts_batch(self):
-        state = running_update(BarycenterState(momentum=1.0), np.array([[4.0]]))
-        new = running_update(state, np.array([[25.0]]))
+        state = running_update(BarycenterState(), np.array([[4.0]]), 1.0)
+        new = running_update(state, np.array([[25.0]]), 1.0)
         np.testing.assert_allclose(new.value, [[25.0]], atol=1e-12)
 
     def test_default_momentum_step(self):
-        state = running_update(BarycenterState(momentum=0.01), np.array([[4.0]]))
-        new = running_update(state, np.array([[16.0]]))
+        state = running_update(BarycenterState(), np.array([[4.0]]), 0.01)
+        new = running_update(state, np.array([[16.0]]), 0.01)
         assert new.value[0, 0] == pytest.approx((0.99 * 2 + 0.01 * 4) ** 2)
         assert new.value[0, 0] == pytest.approx(4.0804)
         assert new.update_count == 2
@@ -127,14 +127,14 @@ class TestRunningUpdate:
     def test_fixed_point(self):
         rng = np.random.default_rng(6)
         v = rng.uniform(0.1, 5.0, (2, 4))
-        state = running_update(BarycenterState(momentum=0.05), v)
-        new = running_update(state, v)
+        state = running_update(BarycenterState(), v, 0.05)
+        new = running_update(state, v, 0.05)
         np.testing.assert_allclose(new.value, v, atol=1e-14)
 
     def test_shape_mismatch(self):
-        state = running_update(BarycenterState(), np.ones((1, 2)))
+        state = running_update(BarycenterState(), np.ones((1, 2)), 0.01)
         with pytest.raises(ShapeMismatchError):
-            running_update(state, np.ones((1, 3)))
+            running_update(state, np.ones((1, 3)), 0.01)
 
 
 class TestBuresDistance:

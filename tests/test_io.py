@@ -9,11 +9,10 @@ from psdnorm import (
     PsdNormLayer,
     ShapeMismatchError,
     WelchConfig,
-    monge_filter,
+    psdnorm_forward,
 )
 from psdnorm.io import (
     SignalFileError,
-    filter_to_csv,
     load_state,
     read_signal,
     save_state,
@@ -74,9 +73,7 @@ class TestSignalContainer:
 
 class TestStateDocuments:
     def test_psdnorm_round_trip_byte_identical(self, tmp_path):
-        bary = BarycenterState(
-            momentum=0.01, value=np.array([[1.5, 2.25, 0.75]]), update_count=3
-        )
+        bary = BarycenterState(value=np.array([[1.5, 2.25, 0.75]]), update_count=3)
         layer = PsdNormLayer(filter_size=3, welch=WelchConfig(3), barycenter=bary)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
@@ -87,6 +84,20 @@ class TestStateDocuments:
         assert loaded.filter_size == 3
         np.testing.assert_array_equal(loaded.barycenter.value, bary.value)
         assert loaded.barycenter.update_count == 3
+
+    def test_momentum_round_trip_gives_identical_next_step(self, tmp_path):
+        rng = np.random.default_rng(1)
+        batch = rng.standard_normal((3, 2, 64))
+        bary = BarycenterState(value=np.full((2, 4), 2.0), update_count=1)
+        layer = PsdNormLayer(filter_size=4, momentum=0.5, barycenter=bary)
+        path = tmp_path / "s.json"
+        save_state(path, layer)
+        loaded = load_state(path)
+        assert loaded.momentum == 0.5
+        out_a, layer_a = psdnorm_forward(layer, batch)
+        out_b, layer_b = psdnorm_forward(loaded, batch)
+        np.testing.assert_array_equal(out_a, out_b)
+        np.testing.assert_array_equal(layer_a.barycenter.value, layer_b.barycenter.value)
 
     def test_fresh_psdnorm_state(self, tmp_path):
         path = tmp_path / "fresh.json"
@@ -121,11 +132,3 @@ class TestStateDocuments:
         assert keys == sorted(keys)
         assert text.endswith("\n")
 
-
-class TestFilterCsv:
-    def test_round_trips_through_loadtxt(self, tmp_path):
-        filt = monge_filter([[1.0, 2.0, 4.0, 2.0]], [[2.0, 1.0, 3.0, 1.0]])
-        path = tmp_path / "filt.csv"
-        filter_to_csv(path, filt)
-        back = np.loadtxt(path, delimiter=",", ndmin=2)
-        np.testing.assert_array_equal(back, filt.coefficients)

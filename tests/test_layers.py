@@ -10,17 +10,20 @@ from psdnorm import (
     ParameterOutOfRangeError,
     PsdNormLayer,
     WelchConfig,
+    apply_mapping,
     batchnorm_forward,
     bures_distance,
+    geodesic_interpolate,
     instancenorm_forward,
     layernorm_forward,
+    monge_filter,
     psdnorm_forward,
     psdnorm_stack_forward,
     tma_fit,
     tma_transform,
+    wasserstein_barycenter,
     welch_psd,
 )
-from psdnorm.layers import halved_filter_sizes
 
 
 def f1_layer():
@@ -96,19 +99,32 @@ class TestPsdNormForward:
         for _ in range(n_steps):
             _, layer = psdnorm_forward(layer, batch)
         # One extra train pass to measure the current batch barycenter.
-        from psdnorm import wasserstein_barycenter
-
         centered = batch - batch.mean(axis=2, keepdims=True)
         batch_bary = wasserstein_barycenter(
             [welch_psd(g, layer.welch) for g in centered]
         )
         assert bures_distance(layer.barycenter.value, batch_bary) < 1e-6
 
+    def test_matches_inline_composition(self):
+        rng = np.random.default_rng(15)
+        batch = rng.standard_normal((3, 2, 64)) + 1.5
+        start = np.full((2, 4), 2.0)
+        layer = PsdNormLayer(filter_size=4, momentum=0.3).with_barycenter(start)
+        out, new = psdnorm_forward(layer, batch)
+        means = batch.mean(axis=2, keepdims=True)
+        psds = [welch_psd(g, layer.welch) for g in batch - means]
+        target = geodesic_interpolate(start, wasserstein_barycenter(psds), 0.3)
+        expected = [apply_mapping(g, monge_filter(p, target)) for g, p in zip(batch, psds)]
+        np.testing.assert_array_equal(new.barycenter.value, target)
+        np.testing.assert_array_equal(out, np.stack(expected))
+
+    @pytest.mark.parametrize("momentum", [-0.1, 1.5])
+    def test_momentum_out_of_range(self, momentum):
+        with pytest.raises(ParameterOutOfRangeError):
+            PsdNormLayer(momentum=momentum)
+
 
 class TestStack:
-    def test_halved_sizes(self):
-        assert halved_filter_sizes(5, 3) == [5, 2, 1]
-
     def test_custom_schedule_runs(self):
         rng = np.random.default_rng(7)
         batch = rng.standard_normal((2, 2, 64))
@@ -123,6 +139,16 @@ class TestStack:
         layer = f1_layer().with_barycenter(np.ones((2, 1)))
         out, _, _ = psdnorm_stack_forward([1], batch, mode="eval", layers=[layer])
         np.testing.assert_allclose(out, instancenorm_forward(batch, eps=0.0), atol=1e-10)
+
+    def test_fs_must_match_layer_sizes(self):
+        batch = np.zeros((1, 1, 16))
+        with pytest.raises(ParameterOutOfRangeError):
+            psdnorm_stack_forward([8], batch, layers=[PsdNormLayer(filter_size=4)])
+
+    def test_fs_must_match_layer_count(self):
+        batch = np.zeros((1, 1, 16))
+        with pytest.raises(ParameterOutOfRangeError):
+            psdnorm_stack_forward([8, 4], batch, layers=[PsdNormLayer(filter_size=8)])
 
     def test_increasing_sizes_rejected(self):
         with pytest.raises(ParameterOutOfRangeError):
@@ -175,6 +201,16 @@ class TestTma:
         out = tma_transform(aligner, xa)
         scale = np.sqrt(((a + b) / 2) ** 2 / a ** 2)
         np.testing.assert_allclose(out, xa * scale, atol=1e-10)
+
+    def test_matches_inline_composition(self):
+        rng = np.random.default_rng(16)
+        corpus = rng.standard_normal((4, 2, 128))
+        cfg = WelchConfig(8)
+        aligner = tma_fit([corpus[:2], corpus[2:]], cfg)
+        x = rng.standard_normal((2, 128)) * 3.0 - 1.0
+        p_src = welch_psd(x - x.mean(axis=1, keepdims=True), cfg)
+        expected = apply_mapping(x, monge_filter(p_src, aligner.barycenter))
+        np.testing.assert_array_equal(tma_transform(aligner, x), expected)
 
     def test_reduces_domain_distance(self):
         from psdnorm import make_shifted_domains, sample_gaussian_with_psd

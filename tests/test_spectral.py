@@ -9,18 +9,17 @@ from psdnorm import (
     ChannelMismatchError,
     FilterLongerThanSignalError,
     LengthTooShortError,
+    MongeFilter,
     NonFiniteInputError,
     ParameterOutOfRangeError,
     WelchConfig,
-    center,
-    channel_mean,
-    circular_convolve,
+    apply_mapping,
+    centered_psd,
     fourier_matrix,
     make_window,
-    segment,
     welch_psd,
 )
-from psdnorm.spectral import psd_floor, welch_psd_raw
+from psdnorm.spectral import n_segments, psd_floor, welch_psd_raw
 
 
 def direct_welch(x, f, stride, window):
@@ -38,6 +37,12 @@ def direct_welch(x, f, stride, window):
                     acc += seg[k] * cmath.exp(-2j * cmath.pi * k * b / f)
                 p[m, b] += abs(acc) ** 2
     return p / n_seg
+
+
+def convolve(x, h):
+    """apply_mapping with raw filter taps in place of a synthesized filter."""
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    return apply_mapping(x, MongeFilter(coefficients=h, max_imag_residual=0.0))
 
 
 class TestFourierMatrix:
@@ -88,21 +93,30 @@ class TestWindows:
 
 class TestSegment:
     def test_counts_and_starts(self):
-        x = np.arange(10.0)[None, :]
-        segs = segment(x, WelchConfig(4, stride=2))
-        assert len(segs) == 4
-        for k, s in enumerate(segs):
-            np.testing.assert_array_equal(s[0], np.arange(2 * k, 2 * k + 4))
+        # Boxcar f=4, stride 2: segments start at 0, 2, 4, 6 and sample 10
+        # is dropped.  An impulse at n adds 1/4 to the DC bin of every
+        # segment that covers n.
+        cfg = WelchConfig(4, stride=2, window_kind="boxcar")
+        assert n_segments(11, cfg) == 4
+        covering = [1, 1, 2, 2, 2, 2, 2, 2, 1, 1, 0]
+        for n, count in enumerate(covering):
+            x = np.zeros((1, 11))
+            x[0, n] = 1.0
+            assert welch_psd_raw(x, cfg)[0, 0] == pytest.approx(0.25 * count / 4)
 
     def test_exact_fit(self):
+        cfg = WelchConfig(4, stride=2)
         x = np.arange(4.0)[None, :]
-        segs = segment(x, WelchConfig(4, stride=2))
-        assert len(segs) == 1
-        np.testing.assert_array_equal(segs[0], x)
+        assert n_segments(4, cfg) == 1
+        single = np.abs(np.fft.fft(x * make_window("hann", 4), axis=1)) ** 2
+        np.testing.assert_allclose(welch_psd_raw(x, cfg), single, atol=1e-12)
 
     def test_too_short(self):
+        cfg = WelchConfig(4, stride=2)
         with pytest.raises(LengthTooShortError):
-            segment(np.zeros((1, 3)), WelchConfig(4, stride=2))
+            welch_psd_raw(np.zeros((1, 3)), cfg)
+        with pytest.raises(LengthTooShortError):
+            n_segments(3, cfg)
 
 
 class TestWelch:
@@ -173,52 +187,71 @@ class TestCircularConvolve:
         x = rng.standard_normal((2, 16))
         h = np.zeros((2, 4))
         h[:, 0] = 1.0
-        np.testing.assert_allclose(circular_convolve(x, h), x, atol=1e-12)
+        np.testing.assert_allclose(
+            convolve(x, h), x - x.mean(axis=1, keepdims=True), atol=1e-12
+        )
 
     def test_shift_by_one(self):
-        out = circular_convolve([[1.0, 2.0, 3.0, 4.0]], [[0.0, 1.0]])
-        np.testing.assert_allclose(out, [[4.0, 1.0, 2.0, 3.0]], atol=1e-12)
+        out = convolve([[1.0, 2.0, 3.0, 4.0]], [[0.0, 1.0]])
+        np.testing.assert_allclose(out, [[1.5, -1.5, -0.5, 0.5]], atol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
+        # Zero-phase placement: tap k sits at lag k for k <= f // 2 and at
+        # lag k - f otherwise.
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 16))
-        h = rng.standard_normal((2, 4))
-        expected = np.zeros_like(x)
-        for m in range(2):
-            for n in range(16):
-                for k in range(4):
-                    expected[m, n] += h[m, k] * x[m, (n - k) % 16]
-        np.testing.assert_allclose(circular_convolve(x, h), expected, atol=1e-10)
+        x = rng.standard_normal((2, 16)) + 2.0
+        xc = x - x.mean(axis=1, keepdims=True)
+        for f in (4, 5):
+            h = rng.standard_normal((2, f))
+            expected = np.zeros_like(x)
+            for m in range(2):
+                for n in range(16):
+                    for k in range(f):
+                        lag = k if k <= f // 2 else k - f
+                        expected[m, n] += h[m, k] * xc[m, (n - lag) % 16]
+            np.testing.assert_allclose(convolve(x, h), expected, atol=1e-10)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         x, y = rng.standard_normal((2, 2, 32))
         h = rng.standard_normal((2, 6))
         a, b = 2.5, -1.25
-        lhs = circular_convolve(a * x + b * y, h)
-        rhs = a * circular_convolve(x, h) + b * circular_convolve(y, h)
+        lhs = convolve(a * x + b * y, h)
+        rhs = a * convolve(x, h) + b * convolve(y, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
-            circular_convolve(np.zeros((2, 8)), np.zeros((3, 2)))
+            convolve(np.zeros((2, 8)), np.zeros((3, 2)))
 
     def test_filter_too_long(self):
         with pytest.raises(FilterLongerThanSignalError):
-            circular_convolve(np.zeros((1, 4)), np.zeros((1, 8)))
+            convolve(np.zeros((1, 4)), np.zeros((1, 8)))
 
 
 class TestCentering:
+    # f = 1 with a boxcar window makes each PSD bin the channel's variance.
+    VARIANCE = WelchConfig(1, stride=1, window_kind="boxcar")
+
     def test_example(self):
         x = np.array([[1.0, 3.0], [-2.0, 2.0]])
-        np.testing.assert_allclose(channel_mean(x), [2.0, 0.0])
-        np.testing.assert_allclose(center(x), [[-1.0, 1.0], [-2.0, 2.0]])
+        np.testing.assert_allclose(centered_psd(x, self.VARIANCE), [[1.0], [4.0]])
+        np.testing.assert_allclose(
+            convolve(x, [[1.0], [1.0]]), [[-1.0, 1.0], [-2.0, 2.0]]
+        )
 
     def test_constant_rows(self):
         x = np.array([[3.0] * 5, [-1.0] * 5])
-        np.testing.assert_allclose(center(x), 0.0, atol=1e-15)
+        p = centered_psd(x, self.VARIANCE)
+        assert np.all(p == psd_floor(np.zeros((2, 1))))
+        np.testing.assert_allclose(convolve(x, [[1.0], [1.0]]), 0.0, atol=1e-15)
 
     def test_centered_row_sums(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 100)) + 5.0
-        assert np.all(np.abs(center(x).sum(axis=1)) < 1e-10)
+        out = convolve(x, rng.standard_normal((3, 7)))
+        assert np.all(np.abs(out.sum(axis=1)) < 1e-10)
+        np.testing.assert_array_equal(
+            centered_psd(x, WelchConfig(8)),
+            welch_psd(x - x.mean(axis=1, keepdims=True), WelchConfig(8)),
+        )
