@@ -29,7 +29,6 @@ from .spectral import (  # noqa: F401
     welch_psd,
 )
 from .geometry import (  # noqa: F401
-    BarycenterState,
     bures_distance,
     geodesic_interpolate,
     running_update,
@@ -44,7 +43,6 @@ from .monge import (  # noqa: F401
 from .layers import (  # noqa: F401
     BatchNormLayer,
     PsdNormLayer,
-    TmaAligner,
     batchnorm_forward,
     centered_psd,
     instancenorm_forward,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
 from .geometry import bures_distance, wasserstein_barycenter
 from .io import (
     SignalFileError,
+    StateFileError,
     dumps_json,
     load_state,
     read_signal,
@@ -112,17 +114,20 @@ def cmd_psd(args) -> int:
     return EXIT_OK
 
 
-def _resolve_target(args, psds) -> np.ndarray:
+def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     if args.target == "barycenter":
         return wasserstein_barycenter(psds)
     if args.target == "unit":
         return np.ones_like(psds[0])
-    layer = load_state(args.target)  # any other value is a state-file path
-    if not isinstance(layer, PsdNormLayer) or layer.barycenter.is_empty:
+    layer = load_state(args.target, kind="psdnorm")  # any other value is a path
+    if layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             f"state file {args.target} carries no barycenter"
         )
-    return layer.barycenter.value
+    if layer.welch != cfg:
+        raise StateFileError(f"state file {args.target} was estimated with"
+                             f" {layer.welch}, the flags give {cfg}")
+    return layer.barycenter
 
 
 def cmd_align(args) -> int:
@@ -131,7 +136,7 @@ def cmd_align(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     signals = [read_signal(p) for p in args.inputs]
     psds = [centered_psd(x, cfg) for x in signals]
-    target = _resolve_target(args, psds)
+    target = _resolve_target(args, psds, cfg)
     records = []
     for path, x, p in zip(args.inputs, signals, psds):
         y = apply_mapping(x, monge_filter(p, target))
@@ -162,18 +167,16 @@ def cmd_layer(args) -> int:
     elif args.kind == "layernorm":
         out = layernorm_forward(batch, eps=args.eps)
         layer = None
-    elif args.kind == "batchnorm":
-        layer = load_state(args.state_in) if args.state_in else BatchNormLayer(eps=args.eps)
-        layer = layer.train() if args.mode == "train" else layer.eval()
-        out, layer = batchnorm_forward(layer, batch)
-    else:  # psdnorm
+    else:
         if args.state_in:
-            layer = load_state(args.state_in)
+            layer = load_state(args.state_in, kind=args.kind)
+        elif args.kind == "batchnorm":
+            layer = BatchNormLayer(eps=args.eps)
         else:
             layer = PsdNormLayer(filter_size=args.f, momentum=args.momentum,
                                  welch=_welch_from_args(args))
-        layer = layer.train() if args.mode == "train" else layer.eval()
-        out, layer = psdnorm_forward(layer, batch)
+        forward = batchnorm_forward if args.kind == "batchnorm" else psdnorm_forward
+        out, layer = forward(replace(layer, mode=args.mode), batch)
 
     for path, y in zip(args.inputs, out):
         write_signal(out_dir / (Path(path).stem + ".out.psdn"), y)
@@ -294,7 +297,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (EvalWithoutBarycenterError, EvalWithoutStatsError) as e:
+    except (EvalWithoutBarycenterError, EvalWithoutStatsError, StateFileError) as e:
         return _fail("state", str(e), EXIT_STATE)
     except (SignalFileError, FileNotFoundError, json.JSONDecodeError, OSError) as e:
         return _fail("io", str(e), EXIT_IO)

@@ -9,8 +9,6 @@ l2 distance between square roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import EmptyInputError, ParameterOutOfRangeError, ShapeMismatchError
@@ -54,41 +52,14 @@ def bures_distance(p, q) -> float:
     return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)))
 
 
-@dataclass(frozen=True)
-class BarycenterState:
-    """Running barycenter with exponential geodesic averaging.
+def running_update(value, batch_bary, momentum: float) -> np.ndarray:
+    """One exponential geodesic step of a running barycenter.
 
-    ``value`` is None until the first update (lazy initialization: the first
-    batch barycenter is adopted as-is, equivalent to momentum 1 on the first
-    step).  The geodesic step size is owned by the layer and passed to
-    ``running_update``.
-    """
-
-    value: np.ndarray | None = None
-    update_count: int = 0
-
-    def __post_init__(self):
-        if (self.value is None) != (self.update_count == 0):
-            raise ParameterOutOfRangeError(
-                "update_count must be 0 exactly when the state is empty"
-            )
-
-    @property
-    def is_empty(self) -> bool:
-        return self.value is None
-
-
-def running_update(state: BarycenterState, batch_bary,
-                   momentum: float) -> BarycenterState:
-    """One exponential geodesic step of the running barycenter.
-
-    Empty state adopts batch_bary.  Otherwise
-    value <- ((1 - a) * sqrt(value) + a * sqrt(batch_bary))^2 with a = momentum.
-    Returns a new state; the input is not mutated.
+    ``value`` None (nothing accumulated yet) adopts a copy of batch_bary.
+    Otherwise returns ((1 - a) * sqrt(value) + a * sqrt(batch_bary))^2 with
+    a = momentum.  The inputs are not mutated.
     """
     batch_bary = np.asarray(batch_bary, dtype=float)
-    if state.is_empty:
-        return replace(state, value=batch_bary.copy(), update_count=1)
-    _check_same_shape(state.value, batch_bary)
-    new_value = geodesic_interpolate(state.value, batch_bary, momentum)
-    return replace(state, value=new_value, update_count=state.update_count + 1)
+    if value is None:
+        return batch_bary.copy()
+    return geodesic_interpolate(value, batch_bary, momentum)

@@ -22,8 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ParameterOutOfRangeError, PsdNormError, ShapeMismatchError
-from .geometry import BarycenterState
+from .errors import (
+    NonFiniteInputError,
+    ParameterOutOfRangeError,
+    PsdNormError,
+    ShapeMismatchError,
+)
 from .layers import BatchNormLayer, PsdNormLayer
 from .spectral import WelchConfig
 
@@ -35,6 +39,10 @@ _HEADER = struct.Struct("<4sHIQH")
 
 class SignalFileError(PsdNormError):
     """Malformed or truncated signal container."""
+
+
+class StateFileError(PsdNormError):
+    """State document that is malformed or does not fit the command."""
 
 
 def write_signal(path, x) -> None:
@@ -49,7 +57,10 @@ def write_signal(path, x) -> None:
 
 
 def read_signal(path) -> np.ndarray:
-    """Read a signal container; returns a float64 (c, l) array."""
+    """Read a signal container; returns a float64 (c, l) array.
+
+    Samples that are NaN or Inf raise ``NonFiniteInputError``.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise SignalFileError(f"{path}: truncated header")
@@ -66,6 +77,8 @@ def read_signal(path) -> np.ndarray:
             f"{path}: payload size {len(raw) - _HEADER.size} != {c * l * 4}"
         )
     data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
+    if not np.all(np.isfinite(data)):
+        raise NonFiniteInputError(f"{path}: non-finite samples (NaN or Inf)")
     return data.reshape(c, l).astype(float)
 
 
@@ -91,8 +104,8 @@ def state_to_dict(layer) -> dict:
                 "stride": layer.welch.stride,
                 "window_kind": layer.welch.window_kind,
             },
-            "barycenter": None if bary.is_empty else bary.value.tolist(),
-            "update_count": bary.update_count,
+            "barycenter": None if bary is None else bary.tolist(),
+            "update_count": layer.update_count,
         }
     if isinstance(layer, BatchNormLayer):
         return {
@@ -111,39 +124,65 @@ def state_to_dict(layer) -> dict:
     raise ParameterOutOfRangeError(f"unsupported layer type {type(layer).__name__}")
 
 
-def state_from_dict(doc: dict):
+def _get(doc: dict, key: str, *types):
+    """doc[key], which must be a JSON value of one of ``types``."""
+    if key not in doc:
+        raise StateFileError(f"no key {key!r}")
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise StateFileError(f"key {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _array(doc: dict, key: str, *types):
+    value = _get(doc, key, *types)
+    return None if value is None else np.asarray(value, dtype=float)
+
+
+def state_from_dict(doc, expected_kind: str | None = None):
+    """Build a layer from a state document of ``expected_kind`` (any kind
+    when None); any defect raises ``StateFileError``."""
+    if not isinstance(doc, dict):
+        raise StateFileError("state document must be a JSON object,"
+                             f" got {type(doc).__name__}")
     kind = doc.get("kind")
-    if kind == "psdnorm":
-        bary_value = doc["barycenter"]
-        state = BarycenterState(
-            value=None if bary_value is None else np.asarray(bary_value, dtype=float),
-            update_count=doc["update_count"],
-        )
-        return PsdNormLayer(
-            filter_size=doc["f"],
-            momentum=doc["momentum"],
-            welch=WelchConfig(**doc["welch"]),
-            barycenter=state,
-        )
-    if kind == "batchnorm":
+    if kind not in ("psdnorm", "batchnorm"):
+        raise StateFileError(f"unsupported state kind {kind!r}")
+    if expected_kind is not None and kind != expected_kind:
+        raise StateFileError(f"state kind {kind!r} is not {expected_kind!r}")
+    number, optional_list = (int, float), (list, type(None))
+    try:
+        if kind == "psdnorm":
+            welch = _get(doc, "welch", dict)
+            return PsdNormLayer(
+                filter_size=_get(doc, "f", int),
+                momentum=_get(doc, "momentum", *number),
+                welch=WelchConfig(_get(welch, "filter_size", int),
+                                  _get(welch, "stride", int),
+                                  _get(welch, "window_kind", str)),
+                barycenter=_array(doc, "barycenter", *optional_list),
+                update_count=_get(doc, "update_count", int),
+            )
         return BatchNormLayer(
-            gamma=np.asarray(doc["gamma"], dtype=float),
-            beta=np.asarray(doc["beta"], dtype=float),
-            eps=doc["eps"],
-            stat_momentum=doc["stat_momentum"],
-            running_mean=None if doc["running_mean"] is None
-            else np.asarray(doc["running_mean"], dtype=float),
-            running_var=None if doc["running_var"] is None
-            else np.asarray(doc["running_var"], dtype=float),
-            num_batches_tracked=doc["num_batches_tracked"],
+            gamma=_array(doc, "gamma", list, *number),
+            beta=_array(doc, "beta", list, *number),
+            eps=_get(doc, "eps", *number),
+            stat_momentum=_get(doc, "stat_momentum", *number),
+            running_mean=_array(doc, "running_mean", *optional_list),
+            running_var=_array(doc, "running_var", *optional_list),
+            num_batches_tracked=_get(doc, "num_batches_tracked", int),
         )
-    raise ParameterOutOfRangeError(f"unsupported state kind {kind!r}")
+    except (PsdNormError, TypeError, ValueError) as e:
+        raise StateFileError(f"{kind} state: {e}") from e
 
 
 def save_state(path, layer) -> None:
     Path(path).write_text(dumps_json(state_to_dict(layer)))
 
 
-def load_state(path):
-    return state_from_dict(json.loads(Path(path).read_text()))
-
+def load_state(path, kind: str | None = None):
+    """Read a state document; ``kind``, when given, must be its kind."""
+    try:
+        return state_from_dict(json.loads(Path(path).read_text()), kind)
+    except StateFileError as e:
+        raise StateFileError(f"{path}: {e}") from None

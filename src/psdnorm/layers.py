@@ -15,10 +15,12 @@ from .errors import (
     EmptyInputError,
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
+    NonFiniteInputError,
+    NonPositivePsdError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
 )
-from .geometry import BarycenterState, running_update, wasserstein_barycenter
+from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
 from .spectral import WelchConfig, as_signal, welch_psd
 
@@ -58,16 +60,19 @@ class PsdNormLayer:
 
     ``filter_size`` is the number of mapping-filter taps and PSD bins
     (default 5).  ``momentum`` is the geodesic step of the running barycenter
-    update (default 1e-2).  In train mode each forward pass updates the
-    running barycenter once from the batch barycenter, then maps every
-    centered sample toward the updated value; eval mode maps toward the
-    stored value without updating it.
+    update (default 1e-2).  ``barycenter`` is a positive (channels,
+    filter_size) PSD, None until the first train-mode pass adopts the batch
+    barycenter; ``update_count`` counts the updates.  In train mode each
+    forward pass updates the running barycenter once from the batch
+    barycenter, then maps every centered sample toward the updated value;
+    eval mode maps toward the stored value without updating it.
     """
 
     filter_size: int = 5
     momentum: float = 1e-2
     welch: WelchConfig | None = None
-    barycenter: BarycenterState = BarycenterState()
+    barycenter: np.ndarray | None = None
+    update_count: int = 0
     mode: str = "train"
 
     def __post_init__(self):
@@ -77,6 +82,20 @@ class PsdNormLayer:
             raise ParameterOutOfRangeError(
                 f"momentum must be in [0, 1], got {self.momentum}"
             )
+        empty = self.barycenter is None
+        if self.update_count < 0 or empty != (self.update_count == 0):
+            raise ParameterOutOfRangeError(f"update_count {self.update_count} must"
+                                           " be >= 0, and 0 iff barycenter is None")
+        if not empty:
+            bary = np.asarray(self.barycenter, dtype=float)
+            if bary.ndim != 2 or bary.shape[1] != self.filter_size:
+                raise ShapeMismatchError(f"barycenter shape {bary.shape} is not"
+                                         f" (channels, {self.filter_size})")
+            if not np.all(np.isfinite(bary)):
+                raise NonFiniteInputError("barycenter contains NaN or Inf")
+            if not np.all(bary > 0):
+                raise NonPositivePsdError("barycenter must be strictly positive")
+            object.__setattr__(self, "barycenter", bary)
         _check_mode(self.mode)
         if self.welch is None:
             object.__setattr__(self, "welch", WelchConfig(self.filter_size))
@@ -93,60 +112,46 @@ class PsdNormLayer:
 
     def with_barycenter(self, value) -> "PsdNormLayer":
         """Force the running barycenter (e.g. all-ones for whitening)."""
-        state = BarycenterState(
-            value=np.asarray(value, dtype=float),
-            update_count=max(1, self.barycenter.update_count),
-        )
-        return replace(self, barycenter=state)
+        return replace(self, barycenter=value,
+                       update_count=max(1, self.update_count))
 
 
 def psdnorm_forward(layer: PsdNormLayer, batch):
     """One forward pass; returns (normalized batch, updated layer)."""
     b = as_batch(batch)
-    if layer.mode == "eval" and layer.barycenter.is_empty:
+    if layer.mode == "eval" and layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             "eval-mode forward requires an accumulated barycenter"
         )
 
     psds = [centered_psd(g, layer.welch) for g in b]
-    state = layer.barycenter
     if layer.mode == "train":
-        state = running_update(state, wasserstein_barycenter(psds), layer.momentum)
+        bary = running_update(layer.barycenter, wasserstein_barycenter(psds),
+                              layer.momentum)
+        layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
 
     out = np.empty_like(b)
     for j, (g, p) in enumerate(zip(b, psds)):
-        out[j] = apply_mapping(g, monge_filter(p, state.value))
-    return out, replace(layer, barycenter=state)
+        out[j] = apply_mapping(g, monge_filter(p, layer.barycenter))
+    return out, layer
 
 
-def psdnorm_stack_forward(fs, batch, momentum: float = 1e-2,
-                          window_kind: str = "hann", mode: str = "train",
-                          layers=None):
+def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     """Sequential forward through a stack of PSD normalization layers.
 
     ``fs`` must be a non-increasing list of filter sizes (e.g. the
-    floor-halving schedule 5 -> 2 -> 1).  Existing layers may be passed to
-    continue training or to run in eval mode; their filter sizes must equal
-    ``fs``.  Returns
-    (normalized batch, updated layers, per-stage barycenter snapshots).
+    floor-halving schedule 5 -> 2 -> 1).  Fresh layers take the
+    ``PsdNormLayer`` defaults.  Existing layers may be passed to continue
+    training or to run in eval mode; their filter sizes must equal ``fs``.
+    Returns (normalized batch, updated layers, per-stage barycenter snapshots).
     """
     fs = [int(f) for f in fs]
     if not fs:
         raise EmptyInputError("stack needs at least one filter size")
-    if any(f < 1 for f in fs):
-        raise ParameterOutOfRangeError("filter sizes must be >= 1")
     if any(a < b for a, b in zip(fs, fs[1:])):
         raise ParameterOutOfRangeError("filter sizes must be non-increasing")
     if layers is None:
-        layers = [
-            PsdNormLayer(
-                filter_size=f,
-                momentum=momentum,
-                welch=WelchConfig(f, window_kind=window_kind),
-                mode=mode,
-            )
-            for f in fs
-        ]
+        layers = [PsdNormLayer(filter_size=f, mode=mode) for f in fs]
     sizes = [layer.filter_size for layer in layers]
     if sizes != fs:
         raise ParameterOutOfRangeError(
@@ -157,34 +162,27 @@ def psdnorm_stack_forward(fs, batch, momentum: float = 1e-2,
     for layer in layers:
         out, layer = psdnorm_forward(replace(layer, mode=mode), out)
         new_layers.append(layer)
-        value = layer.barycenter.value
-        snapshots.append(None if value is None else value.copy())
+        snapshots.append(layer.barycenter.copy())
     return out, new_layers, snapshots
 
 
 # ---------------------------------------------------------------------------
-# Temporal Monge alignment preprocessor
+# Temporal Monge alignment: a PSD normalization layer with a frozen barycenter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TmaAligner:
-    """Fixed-barycenter preprocessor: maps any signal's PSD onto the
-    barycenter of a reference corpus."""
-
-    barycenter: np.ndarray
-    welch: WelchConfig
-
-
-def tma_fit(domains, welch: WelchConfig) -> TmaAligner:
-    """Estimate every signal's PSD across all domains and store their
-    barycenter as the alignment target."""
+def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
+    """Estimate every signal's PSD across all domains and return an
+    eval-mode layer holding their barycenter: the first train-mode update
+    of a fresh layer fed all domains as one batch."""
     psds = [centered_psd(g, welch) for batch in domains for g in as_batch(batch)]
     if not psds:
         raise EmptyInputError("tma_fit needs at least one signal")
-    return TmaAligner(barycenter=wasserstein_barycenter(psds), welch=welch)
+    return PsdNormLayer(filter_size=welch.filter_size, welch=welch,
+                        barycenter=wasserstein_barycenter(psds),
+                        update_count=1, mode="eval")
 
 
-def tma_transform(aligner: TmaAligner, x) -> np.ndarray:
+def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
     """Center x and apply the Monge mapping from its own PSD to the stored
     barycenter."""
     filt = monge_filter(centered_psd(x, aligner.welch), aligner.barycenter)
@@ -269,7 +267,7 @@ def batchnorm_forward(layer: BatchNormLayer, batch):
             num_batches_tracked=layer.num_batches_tracked + 1,
         )
     else:
-        if layer.num_batches_tracked == 0:
+        if layer.running_mean is None or layer.running_var is None:
             raise EvalWithoutStatsError(
                 "eval-mode batchnorm requires trained running statistics"
             )

@@ -43,14 +43,6 @@ class MongeFilter:
     coefficients: np.ndarray
     max_imag_residual: float
 
-    @property
-    def channels(self) -> int:
-        return self.coefficients.shape[0]
-
-    @property
-    def taps(self) -> int:
-        return self.coefficients.shape[1]
-
     def dft_magnitudes(self) -> np.ndarray:
         """|f-point DFT| of each row; equals sqrt(p_tgt / p_src) by design."""
         return np.abs(np.fft.fft(self.coefficients, axis=1))
@@ -61,7 +53,7 @@ def _check_psd_pair(p_src: np.ndarray, p_tgt: np.ndarray) -> None:
         raise ShapeMismatchError(
             f"PSD shapes differ: {p_src.shape} vs {p_tgt.shape}"
         )
-    if np.any(p_src <= 0) or np.any(p_tgt <= 0):
+    if not (np.all(p_src > 0) and np.all(p_tgt > 0)):  # NaN fails too
         raise NonPositivePsdError("PSD entries must be strictly positive")
 
 

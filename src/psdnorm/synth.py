@@ -29,7 +29,6 @@ from .layers import (
     centered_psd,
     psdnorm_forward,
     tma_fit,
-    tma_transform,
 )
 from .spectral import WelchConfig
 
@@ -205,9 +204,7 @@ def evaluate_alignment(domains, method: str,
         out_batches = [batchnorm_forward(layer.eval(), b)[0] for b in batches]
     elif method == "tma":
         aligner = tma_fit(batches, welch)
-        out_batches = [
-            np.stack([tma_transform(aligner, g) for g in b]) for b in batches
-        ]
+        out_batches = [psdnorm_forward(aligner, b)[0] for b in batches]
     else:  # psdnorm
         layer = PsdNormLayer(filter_size=welch.filter_size, welch=welch)
         _, layer = psdnorm_forward(layer, np.concatenate(batches))

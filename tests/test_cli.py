@@ -7,7 +7,7 @@ import pytest
 
 from psdnorm import DomainSpec, sample_gaussian_with_psd
 from psdnorm.cli import EXIT_IO, EXIT_OK, EXIT_STATE, EXIT_VALIDATION, main
-from psdnorm.io import load_state, read_signal, write_signal
+from psdnorm.io import load_state, read_signal, save_state, write_signal
 
 
 def write_white_noise(path, c=2, length=2 ** 12, seed=0):
@@ -170,6 +170,148 @@ class TestAlignCommand:
         assert read_error(capsys)["kind"] == "state"
 
 
+    def test_tma_aligner_state_target(self, tmp_path):
+        from psdnorm import WelchConfig, tma_fit, tma_transform
+
+        paths, signals = [], []
+        for seed in (11, 12, 13):
+            path = tmp_path / f"s{seed}.psdn"
+            write_signal(path, write_white_noise(path, seed=seed) * (seed - 10))
+            signals.append(read_signal(path))
+            paths.append(path)
+        aligner = tma_fit([np.stack(signals[:2]), signals[2]], WelchConfig(8))
+        state = tmp_path / "tma.json"
+        save_state(state, aligner)
+        out = tmp_path / "aligned"
+        assert main(["align", *map(str, paths), "--f", "8", "--target", str(state),
+                     "--out", str(out)]) == EXIT_OK
+        for path, x in zip(paths, signals):
+            written = read_signal(out / (path.stem + ".aligned.psdn"))
+            expected = tma_transform(aligner, x).astype(np.float32).astype(float)
+            np.testing.assert_array_equal(written, expected)
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--window", "boxcar"], "window_kind='boxcar'"),
+        (["--stride", "1"], "stride=1"),
+        (["--f", "4"], "filter_size=4"),
+    ])
+    def test_state_target_with_other_welch_flags_exit_4(self, tmp_path, capsys,
+                                                         flags, named):
+        from psdnorm import PsdNormLayer
+
+        state = tmp_path / "state.json"
+        save_state(state, PsdNormLayer(filter_size=8).with_barycenter(np.ones((1, 8))))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, seed=14)
+        out = tmp_path / "out"
+        code = main(["align", str(sig), "--f", "8", *flags, "--target", str(state),
+                     "--out", str(out)])
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert "window_kind='hann'" in error["message"] and named in error["message"]
+        assert not (out / "x.aligned.psdn").exists()
+
+
+class TestMalformedState:
+    """Every defective state document ends in exit 4 with the JSON error."""
+
+    def run(self, tmp_path, command, doc):
+        state = tmp_path / "state.json"
+        state.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=15)
+        out = tmp_path / "out"
+        if command == "align":
+            argv = ["align", str(sig), "--f", "4", "--target", str(state)]
+        else:
+            argv = ["layer", str(sig), "--kind", "psdnorm", "--f", "4",
+                    "--state-in", str(state)]
+        return main(argv + ["--out", str(out)]), out
+
+    @staticmethod
+    def psdnorm_doc(tmp_path):
+        from psdnorm import PsdNormLayer
+
+        path = tmp_path / "good.json"
+        save_state(path, PsdNormLayer(filter_size=4).with_barycenter(np.ones((1, 4))))
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_missing_update_count(self, tmp_path, capsys, command):
+        doc = self.psdnorm_doc(tmp_path)
+        del doc["update_count"]
+        code, _ = self.run(tmp_path, command, doc)
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert "update_count" in error["message"]
+
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_json_list(self, tmp_path, capsys, command):
+        code, _ = self.run(tmp_path, command, [1, 2, 3])
+        assert code == EXIT_STATE
+        assert read_error(capsys)["kind"] == "state"
+
+    def test_batchnorm_state_for_psdnorm_layer(self, tmp_path, capsys):
+        from psdnorm import BatchNormLayer
+
+        state = tmp_path / "bn.json"
+        save_state(state, BatchNormLayer())
+        code, _ = self.run(tmp_path, "layer", state.read_text())
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert "'batchnorm' is not 'psdnorm'" in error["message"]
+
+    def test_psdnorm_state_for_batchnorm_layer(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(self.psdnorm_doc(tmp_path)))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=16)
+        code = main(["layer", str(sig), "--kind", "batchnorm", "--mode", "eval",
+                     "--state-in", str(state), "--out", str(tmp_path / "out")])
+        assert code == EXIT_STATE
+        assert read_error(capsys)["kind"] == "state"
+
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_nan_barycenter_writes_nothing(self, tmp_path, capsys, command):
+        doc = self.psdnorm_doc(tmp_path)
+        doc["barycenter"][0][1] = float("nan")
+        code, out = self.run(tmp_path, command, doc)
+        assert code == EXIT_STATE
+        assert read_error(capsys)["kind"] == "state"
+        assert list(out.glob("*.psdn")) == []
+
+
+    def test_batchnorm_state_without_statistics(self, tmp_path, capsys):
+        doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,
+               "stat_momentum": 0.1, "running_mean": None, "running_var": None,
+               "num_batches_tracked": 2}
+        state = tmp_path / "bn.json"
+        state.write_text(json.dumps(doc))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=17)
+        code = main(["layer", str(sig), "--kind", "batchnorm", "--mode", "eval",
+                     "--state-in", str(state), "--out", str(tmp_path / "out")])
+        assert code == EXIT_STATE
+        assert read_error(capsys)["kind"] == "state"
+
+
+class TestNonFiniteSignal:
+    @pytest.mark.parametrize("kind", ["psdnorm", "instancenorm", "batchnorm", "layernorm"])
+    def test_layer_rejects_nan_file(self, tmp_path, capsys, kind):
+        sig = tmp_path / "x.psdn"
+        x = np.ones((2, 64))
+        x[0, 5] = np.nan
+        write_signal(sig, x)
+        out = tmp_path / "out"
+        code = main(["layer", str(sig), "--kind", kind, "--f", "4", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert read_error(capsys)["kind"] == "validation"
+        assert not (out / "x.out.psdn").exists()
+
+
 class TestLayerCommand:
     def make_batch(self, tmp_path, n=3, seed=0):
         paths = []
@@ -187,7 +329,7 @@ class TestLayerCommand:
                      "--f", "4", "--state-out", str(state1), "--out", str(out1)])
         assert code == EXIT_OK
         layer = load_state(state1)
-        assert layer.barycenter.update_count == 1
+        assert layer.update_count == 1
 
         out2 = tmp_path / "eval_out"
         state2 = tmp_path / "state2.json"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from psdnorm import (
-    BarycenterState,
     EmptyInputError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
@@ -105,36 +104,36 @@ class TestGeodesic:
 
 class TestRunningUpdate:
     def test_lazy_init(self):
-        state = BarycenterState()
         b = np.array([[2.0, 3.0]])
-        new = running_update(state, b, 0.01)
-        np.testing.assert_array_equal(new.value, b)
-        assert new.update_count == 1
-        assert state.is_empty  # input untouched
+        new = running_update(None, b, 0.01)
+        np.testing.assert_array_equal(new, b)
+        assert new is not b
+        b[0, 0] = 7.0  # the adopted value is a copy
+        assert new[0, 0] == 2.0
 
     def test_momentum_one_adopts_batch(self):
-        state = running_update(BarycenterState(), np.array([[4.0]]), 1.0)
-        new = running_update(state, np.array([[25.0]]), 1.0)
-        np.testing.assert_allclose(new.value, [[25.0]], atol=1e-12)
+        value = running_update(None, np.array([[4.0]]), 1.0)
+        new = running_update(value, np.array([[25.0]]), 1.0)
+        np.testing.assert_allclose(new, [[25.0]], atol=1e-12)
 
     def test_default_momentum_step(self):
-        state = running_update(BarycenterState(), np.array([[4.0]]), 0.01)
-        new = running_update(state, np.array([[16.0]]), 0.01)
-        assert new.value[0, 0] == pytest.approx((0.99 * 2 + 0.01 * 4) ** 2)
-        assert new.value[0, 0] == pytest.approx(4.0804)
-        assert new.update_count == 2
+        value = running_update(None, np.array([[4.0]]), 0.01)
+        new = running_update(value, np.array([[16.0]]), 0.01)
+        assert new[0, 0] == pytest.approx((0.99 * 2 + 0.01 * 4) ** 2)
+        assert new[0, 0] == pytest.approx(4.0804)
+        assert value[0, 0] == 4.0  # input untouched
 
     def test_fixed_point(self):
         rng = np.random.default_rng(6)
         v = rng.uniform(0.1, 5.0, (2, 4))
-        state = running_update(BarycenterState(), v, 0.05)
-        new = running_update(state, v, 0.05)
-        np.testing.assert_allclose(new.value, v, atol=1e-14)
+        value = running_update(None, v, 0.05)
+        new = running_update(value, v, 0.05)
+        np.testing.assert_allclose(new, v, atol=1e-14)
 
     def test_shape_mismatch(self):
-        state = running_update(BarycenterState(), np.ones((1, 2)), 0.01)
+        value = running_update(None, np.ones((1, 2)), 0.01)
         with pytest.raises(ShapeMismatchError):
-            running_update(state, np.ones((1, 3)), 0.01)
+            running_update(value, np.ones((1, 3)), 0.01)
 
 
 class TestBuresDistance:

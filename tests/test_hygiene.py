@@ -1,6 +1,7 @@
 """Static checks on the library sources."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import psdnorm
 
 PACKAGE = Path(psdnorm.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +38,20 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def traced_names() -> list[str]:
+    """The ``module.function`` keys of ``TRACED`` in the benchmark's tracer,
+    read without importing the benchmark."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "TRACED" for t in targets):
+                return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError(f"no TRACED mapping in {TRACER}")
+
+
+@pytest.mark.parametrize("name", traced_names())
+def test_benchmark_traced_function_exists(name):
+    module, function = name.rsplit(".", 1)
+    assert callable(getattr(importlib.import_module(f"psdnorm.{module}"), function, None))

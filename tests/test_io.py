@@ -1,11 +1,13 @@
 """Tests for the binary signal container and JSON state documents."""
 
+import json
+
 import numpy as np
 import pytest
 
 from psdnorm import (
-    BarycenterState,
     BatchNormLayer,
+    NonFiniteInputError,
     PsdNormLayer,
     ShapeMismatchError,
     WelchConfig,
@@ -13,6 +15,7 @@ from psdnorm import (
 )
 from psdnorm.io import (
     SignalFileError,
+    StateFileError,
     load_state,
     read_signal,
     save_state,
@@ -70,11 +73,21 @@ class TestSignalContainer:
         with pytest.raises(ShapeMismatchError):
             write_signal(tmp_path / "x.psdn", np.zeros(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, tmp_path, bad):
+        path = tmp_path / "sig.psdn"
+        x = np.zeros((2, 8))
+        x[1, 3] = bad
+        write_signal(path, x)
+        with pytest.raises(NonFiniteInputError, match="sig.psdn"):
+            read_signal(path)
+
 
 class TestStateDocuments:
     def test_psdnorm_round_trip_byte_identical(self, tmp_path):
-        bary = BarycenterState(value=np.array([[1.5, 2.25, 0.75]]), update_count=3)
-        layer = PsdNormLayer(filter_size=3, welch=WelchConfig(3), barycenter=bary)
+        bary = np.array([[1.5, 2.25, 0.75]])
+        layer = PsdNormLayer(filter_size=3, welch=WelchConfig(3), barycenter=bary,
+                             update_count=3)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_state(p1, layer)
@@ -82,14 +95,14 @@ class TestStateDocuments:
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_state(p1)
         assert loaded.filter_size == 3
-        np.testing.assert_array_equal(loaded.barycenter.value, bary.value)
-        assert loaded.barycenter.update_count == 3
+        np.testing.assert_array_equal(loaded.barycenter, bary)
+        assert loaded.update_count == 3
 
     def test_momentum_round_trip_gives_identical_next_step(self, tmp_path):
         rng = np.random.default_rng(1)
         batch = rng.standard_normal((3, 2, 64))
-        bary = BarycenterState(value=np.full((2, 4), 2.0), update_count=1)
-        layer = PsdNormLayer(filter_size=4, momentum=0.5, barycenter=bary)
+        layer = PsdNormLayer(filter_size=4, momentum=0.5,
+                             barycenter=np.full((2, 4), 2.0), update_count=1)
         path = tmp_path / "s.json"
         save_state(path, layer)
         loaded = load_state(path)
@@ -97,14 +110,37 @@ class TestStateDocuments:
         out_a, layer_a = psdnorm_forward(layer, batch)
         out_b, layer_b = psdnorm_forward(loaded, batch)
         np.testing.assert_array_equal(out_a, out_b)
-        np.testing.assert_array_equal(layer_a.barycenter.value, layer_b.barycenter.value)
+        np.testing.assert_array_equal(layer_a.barycenter, layer_b.barycenter)
 
     def test_fresh_psdnorm_state(self, tmp_path):
         path = tmp_path / "fresh.json"
         save_state(path, PsdNormLayer(filter_size=4))
         loaded = load_state(path)
-        assert loaded.barycenter.is_empty
-        assert loaded.barycenter.update_count == 0
+        assert loaded.barycenter is None
+        assert loaded.update_count == 0
+
+    def test_earlier_document_gives_the_same_next_step(self, tmp_path):
+        # The layout written before the barycenter moved onto the layer.
+        path = tmp_path / "old.json"
+        path.write_text(
+            '{\n  "barycenter": [\n    [\n      1.5,\n      0.5,\n      0.25,\n'
+            '      0.5\n    ]\n  ],\n  "f": 4,\n  "kind": "psdnorm",\n'
+            '  "library_version": "0.1.0",\n  "momentum": 0.25,\n'
+            '  "update_count": 2,\n  "welch": {\n    "filter_size": 4,\n'
+            '    "stride": 2,\n    "window_kind": "hann"\n  }\n}\n'
+        )
+        loaded = load_state(path)
+        layer = PsdNormLayer(filter_size=4, momentum=0.25,
+                             barycenter=np.array([[1.5, 0.5, 0.25, 0.5]]),
+                             update_count=2)
+        batch = np.random.default_rng(2).standard_normal((3, 1, 64))
+        out_a, layer_a = psdnorm_forward(loaded, batch)
+        out_b, layer_b = psdnorm_forward(layer, batch)
+        np.testing.assert_array_equal(out_a, out_b)
+        np.testing.assert_array_equal(layer_a.barycenter, layer_b.barycenter)
+        assert layer_a.update_count == 3
+        save_state(tmp_path / "new.json", loaded)
+        assert (tmp_path / "new.json").read_bytes() == path.read_bytes()
 
     def test_batchnorm_round_trip_byte_identical(self, tmp_path):
         layer = BatchNormLayer(
@@ -132,3 +168,58 @@ class TestStateDocuments:
         assert keys == sorted(keys)
         assert text.endswith("\n")
 
+
+
+_DROP = object()
+
+
+def _psdnorm_doc(**changes) -> dict:
+    """A valid psdnorm state document with some keys changed or dropped."""
+    doc = {
+        "kind": "psdnorm", "library_version": "0.1.0", "f": 2, "momentum": 0.01,
+        "welch": {"filter_size": 2, "stride": 1, "window_kind": "hann"},
+        "barycenter": [[1.0, 2.0]], "update_count": 1,
+    }
+    doc.update(changes)
+    return {k: v for k, v in doc.items() if v is not _DROP}
+
+
+class TestMalformedStateDocuments:
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "JSON object"),
+        ("psdnorm", "JSON object"),
+        ({"kind": "zscore"}, "unsupported state kind"),
+        (_psdnorm_doc(update_count=_DROP), "no key 'update_count'"),
+        (_psdnorm_doc(f="2"), "'f' has type str"),
+        (_psdnorm_doc(update_count=True), "'update_count' has type bool"),
+        (_psdnorm_doc(barycenter={"a": 1}), "'barycenter' has type dict"),
+        (_psdnorm_doc(welch={"filter_size": 2, "stride": 1}), "no key 'window_kind'"),
+        (_psdnorm_doc(barycenter=[[1.0, "x"]]), "psdnorm state: could not convert"),
+        (_psdnorm_doc(barycenter=[[1.0, 2.0], [3.0]]), "psdnorm state: setting an array element"),
+        (_psdnorm_doc(barycenter=[[1.0, 2.0, 3.0]]), "shape"),
+        (_psdnorm_doc(barycenter=[[1.0, float("nan")]]), "NaN"),
+        (_psdnorm_doc(barycenter=[[1.0, 0.0]]), "positive"),
+        (_psdnorm_doc(update_count=0), "update_count"),
+        (_psdnorm_doc(update_count=-1), "update_count"),
+        (_psdnorm_doc(barycenter=None), "update_count"),
+        (_psdnorm_doc(momentum=2.0), "momentum"),
+        ({"kind": "batchnorm", "gamma": 1.0}, "no key 'beta'"),
+    ])
+    def test_rejected_with_state_file_error(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError, match=message) as info:
+            load_state(path)
+        assert str(path) in str(info.value)
+
+    def test_valid_document_loads(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(_psdnorm_doc()))
+        np.testing.assert_array_equal(load_state(path).barycenter, [[1.0, 2.0]])
+
+    def test_kind_must_match_when_given(self, tmp_path):
+        path = tmp_path / "bn.json"
+        save_state(path, BatchNormLayer())
+        assert isinstance(load_state(path, kind="batchnorm"), BatchNormLayer)
+        with pytest.raises(StateFileError, match="'batchnorm' is not 'psdnorm'"):
+            load_state(path, kind="psdnorm")

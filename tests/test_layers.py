@@ -7,8 +7,11 @@ from psdnorm import (
     BatchNormLayer,
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
+    NonFiniteInputError,
+    NonPositivePsdError,
     ParameterOutOfRangeError,
     PsdNormLayer,
+    ShapeMismatchError,
     WelchConfig,
     apply_mapping,
     batchnorm_forward,
@@ -40,7 +43,7 @@ class TestPsdNormForward:
         np.testing.assert_allclose(
             out[0], x - x.mean(axis=1, keepdims=True), atol=1e-10
         )
-        assert layer.barycenter.update_count == 1
+        assert layer.update_count == 1
 
     def test_instancenorm_special_case(self):
         rng = np.random.default_rng(1)
@@ -64,8 +67,8 @@ class TestPsdNormForward:
         out1, layer1 = psdnorm_forward(layer, batch)
         out2, layer2 = psdnorm_forward(layer, batch)
         np.testing.assert_array_equal(out1, out2)
-        np.testing.assert_array_equal(layer1.barycenter.value, layer.barycenter.value)
-        assert layer1.barycenter.update_count == layer.barycenter.update_count
+        np.testing.assert_array_equal(layer1.barycenter, layer.barycenter)
+        assert layer1.update_count == layer.update_count
 
     def test_eval_without_barycenter(self):
         with pytest.raises(EvalWithoutBarycenterError):
@@ -75,9 +78,9 @@ class TestPsdNormForward:
         rng = np.random.default_rng(4)
         batch = rng.standard_normal((3, 1, 32))
         _, layer = psdnorm_forward(PsdNormLayer(filter_size=4), batch)
-        assert layer.barycenter.update_count == 1
+        assert layer.update_count == 1
         _, layer = psdnorm_forward(layer, batch)
-        assert layer.barycenter.update_count == 2
+        assert layer.update_count == 2
 
     def test_scale_equivariance_with_fixed_barycenter(self):
         rng = np.random.default_rng(5)
@@ -103,7 +106,7 @@ class TestPsdNormForward:
         batch_bary = wasserstein_barycenter(
             [welch_psd(g, layer.welch) for g in centered]
         )
-        assert bures_distance(layer.barycenter.value, batch_bary) < 1e-6
+        assert bures_distance(layer.barycenter, batch_bary) < 1e-6
 
     def test_matches_inline_composition(self):
         rng = np.random.default_rng(15)
@@ -115,13 +118,36 @@ class TestPsdNormForward:
         psds = [welch_psd(g, layer.welch) for g in batch - means]
         target = geodesic_interpolate(start, wasserstein_barycenter(psds), 0.3)
         expected = [apply_mapping(g, monge_filter(p, target)) for g, p in zip(batch, psds)]
-        np.testing.assert_array_equal(new.barycenter.value, target)
+        np.testing.assert_array_equal(new.barycenter, target)
         np.testing.assert_array_equal(out, np.stack(expected))
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.5])
     def test_momentum_out_of_range(self, momentum):
         with pytest.raises(ParameterOutOfRangeError):
             PsdNormLayer(momentum=momentum)
+
+    @pytest.mark.parametrize("barycenter, update_count", [
+        (None, 2),
+        (np.ones((1, 4)), 0),
+        (np.ones((1, 4)), -1),
+    ])
+    def test_update_count_must_match_barycenter(self, barycenter, update_count):
+        with pytest.raises(ParameterOutOfRangeError):
+            PsdNormLayer(filter_size=4, barycenter=barycenter,
+                         update_count=update_count)
+
+    @pytest.mark.parametrize("barycenter, error", [
+        (np.ones(4), ShapeMismatchError),
+        (np.ones((1, 3)), ShapeMismatchError),
+        (np.array([[1.0, np.nan, 1.0, 1.0]]), NonFiniteInputError),
+        (np.array([[1.0, np.inf, 1.0, 1.0]]), NonFiniteInputError),
+        (np.array([[1.0, 0.0, 1.0, 1.0]]), NonPositivePsdError),
+    ])
+    def test_barycenter_must_be_a_positive_psd(self, barycenter, error):
+        with pytest.raises(error):
+            PsdNormLayer(filter_size=4, barycenter=barycenter, update_count=1)
+        with pytest.raises(error):
+            PsdNormLayer(filter_size=4).with_barycenter(barycenter)
 
 
 class TestStack:
@@ -149,6 +175,15 @@ class TestStack:
         batch = np.zeros((1, 1, 16))
         with pytest.raises(ParameterOutOfRangeError):
             psdnorm_stack_forward([8, 4], batch, layers=[PsdNormLayer(filter_size=8)])
+
+    def test_fresh_layers_take_the_layer_defaults(self):
+        batch = np.random.default_rng(17).standard_normal((2, 1, 64))
+        _, layers, _ = psdnorm_stack_forward([8, 4], batch)
+        for f, layer in zip([8, 4], layers):
+            assert layer.momentum == PsdNormLayer().momentum
+            assert layer.welch == WelchConfig(f)
+        with pytest.raises(TypeError):
+            psdnorm_stack_forward([8], batch, momentum=0.9)
 
     def test_increasing_sizes_rejected(self):
         with pytest.raises(ParameterOutOfRangeError):
@@ -183,6 +218,21 @@ class TestStack:
 
 
 class TestTma:
+    def test_aligner_is_an_eval_layer_with_the_first_train_update(self):
+        rng = np.random.default_rng(18)
+        domains = [rng.standard_normal((3, 2, 128)), rng.standard_normal((2, 2, 128))]
+        cfg = WelchConfig(8, window_kind="boxcar")
+        aligner = tma_fit(domains, cfg)
+        assert isinstance(aligner, PsdNormLayer)
+        assert (aligner.mode, aligner.update_count, aligner.welch) == ("eval", 1, cfg)
+        _, trained = psdnorm_forward(PsdNormLayer(filter_size=8, welch=cfg),
+                                     np.concatenate(domains))
+        assert np.array_equal(aligner.barycenter, trained.barycenter)
+        out, same = psdnorm_forward(aligner, domains[0])
+        assert same.update_count == 1
+        np.testing.assert_array_equal(
+            out, np.stack([tma_transform(aligner, g) for g in domains[0]]))
+
     def test_single_signal_corpus_is_centering(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 64)) + 1.0
