@@ -24,6 +24,8 @@ from . import __version__
 from .errors import (
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
+    NonFiniteInputError,
+    ParameterOutOfRangeError,
     PsdNormError,
 )
 from .geometry import bures_distance, wasserstein_barycenter
@@ -62,17 +64,15 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 def _run_config(args, extra=None) -> dict:
     """Resolved configuration embedded in every JSON report."""
-    cfg = {
+    return {
         "command": args.command,
         "f": getattr(args, "f", None),
         "momentum": getattr(args, "momentum", None),
         "window": getattr(args, "window", None),
         "stride": getattr(args, "stride", None),
         "library_version": __version__,
+        **(extra or {}),
     }
-    if extra:
-        cfg.update(extra)
-    return cfg
 
 
 def _welch_from_args(args) -> WelchConfig:
@@ -114,19 +114,27 @@ def cmd_psd(args) -> int:
     return EXIT_OK
 
 
+def _load_matching_state(path, kind: str, **flags):
+    """Load a ``kind`` state whose fields named in ``flags`` equal the values
+    the command-line flags give."""
+    layer = load_state(path, kind=kind)
+    for name, given in flags.items():
+        if getattr(layer, name) != given:
+            raise StateFileError(f"state file {path} holds {name}"
+                                 f" {getattr(layer, name)}, the flags give {given}")
+    return layer
+
+
 def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     if args.target == "barycenter":
         return wasserstein_barycenter(psds)
     if args.target == "unit":
         return np.ones_like(psds[0])
-    layer = load_state(args.target, kind="psdnorm")  # any other value is a path
+    layer = _load_matching_state(args.target, "psdnorm", welch=cfg)  # a path
     if layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             f"state file {args.target} carries no barycenter"
         )
-    if layer.welch != cfg:
-        raise StateFileError(f"state file {args.target} was estimated with"
-                             f" {layer.welch}, the flags give {cfg}")
     return layer.barycenter
 
 
@@ -158,26 +166,31 @@ def cmd_align(args) -> int:
 
 def cmd_layer(args) -> int:
     batch = np.stack([read_signal(p) for p in args.inputs])
+    layer = None
+    # A non-finite result is reported below as one error, not as warnings.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if args.kind == "instancenorm":
+            out = instancenorm_forward(batch, eps=args.eps)
+        elif args.kind == "layernorm":
+            out = layernorm_forward(batch, eps=args.eps)
+        else:
+            flags = ({"eps": args.eps} if args.kind == "batchnorm" else
+                     {"welch": _welch_from_args(args), "momentum": args.momentum})
+            if args.state_in:
+                layer = _load_matching_state(args.state_in, args.kind, **flags)
+            elif args.kind == "batchnorm":
+                layer = BatchNormLayer(**flags)
+            else:
+                layer = PsdNormLayer(filter_size=args.f, **flags)
+            forward = batchnorm_forward if args.kind == "batchnorm" else psdnorm_forward
+            out, layer = forward(replace(layer, mode=args.mode), batch)
+        out = out.astype(np.float32)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteInputError(f"{args.kind} output is not finite in float32;"
+                                  " nothing was written")
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    if args.kind == "instancenorm":
-        out = instancenorm_forward(batch, eps=args.eps)
-        layer = None
-    elif args.kind == "layernorm":
-        out = layernorm_forward(batch, eps=args.eps)
-        layer = None
-    else:
-        if args.state_in:
-            layer = load_state(args.state_in, kind=args.kind)
-        elif args.kind == "batchnorm":
-            layer = BatchNormLayer(eps=args.eps)
-        else:
-            layer = PsdNormLayer(filter_size=args.f, momentum=args.momentum,
-                                 welch=_welch_from_args(args))
-        forward = batchnorm_forward if args.kind == "batchnorm" else psdnorm_forward
-        out, layer = forward(replace(layer, mode=args.mode), batch)
-
     for path, y in zip(args.inputs, out):
         write_signal(out_dir / (Path(path).stem + ".out.psdn"), y)
     if layer is not None and args.state_out:
@@ -190,6 +203,8 @@ def cmd_layer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ParameterOutOfRangeError(f"--seeds must be >= 1, got {args.seeds}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     methods = args.methods.split(",")

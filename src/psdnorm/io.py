@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -91,34 +92,31 @@ def dumps_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _list(a):
+    return None if a is None else np.asarray(a, dtype=float).tolist()
+
+
 def state_to_dict(layer) -> dict:
     if isinstance(layer, PsdNormLayer):
-        bary = layer.barycenter
         return {
             "kind": "psdnorm",
             "library_version": __version__,
             "f": layer.filter_size,
             "momentum": layer.momentum,
-            "welch": {
-                "filter_size": layer.welch.filter_size,
-                "stride": layer.welch.stride,
-                "window_kind": layer.welch.window_kind,
-            },
-            "barycenter": None if bary is None else bary.tolist(),
+            "welch": asdict(layer.welch),
+            "barycenter": _list(layer.barycenter),
             "update_count": layer.update_count,
         }
     if isinstance(layer, BatchNormLayer):
         return {
             "kind": "batchnorm",
             "library_version": __version__,
-            "gamma": np.asarray(layer.gamma, dtype=float).tolist(),
-            "beta": np.asarray(layer.beta, dtype=float).tolist(),
+            "gamma": _list(layer.gamma),
+            "beta": _list(layer.beta),
             "eps": layer.eps,
             "stat_momentum": layer.stat_momentum,
-            "running_mean": None if layer.running_mean is None
-            else layer.running_mean.tolist(),
-            "running_var": None if layer.running_var is None
-            else layer.running_var.tolist(),
+            "running_mean": _list(layer.running_mean),
+            "running_var": _list(layer.running_var),
             "num_batches_tracked": layer.num_batches_tracked,
         }
     raise ParameterOutOfRangeError(f"unsupported layer type {type(layer).__name__}")
@@ -132,11 +130,6 @@ def _get(doc: dict, key: str, *types):
     if isinstance(value, bool) or not isinstance(value, types):
         raise StateFileError(f"key {key!r} has type {type(value).__name__}")
     return value
-
-
-def _array(doc: dict, key: str, *types):
-    value = _get(doc, key, *types)
-    return None if value is None else np.asarray(value, dtype=float)
 
 
 def state_from_dict(doc, expected_kind: str | None = None):
@@ -160,19 +153,19 @@ def state_from_dict(doc, expected_kind: str | None = None):
                 welch=WelchConfig(_get(welch, "filter_size", int),
                                   _get(welch, "stride", int),
                                   _get(welch, "window_kind", str)),
-                barycenter=_array(doc, "barycenter", *optional_list),
+                barycenter=_get(doc, "barycenter", *optional_list),
                 update_count=_get(doc, "update_count", int),
             )
         return BatchNormLayer(
-            gamma=_array(doc, "gamma", list, *number),
-            beta=_array(doc, "beta", list, *number),
+            gamma=_get(doc, "gamma", list, *number),
+            beta=_get(doc, "beta", list, *number),
             eps=_get(doc, "eps", *number),
             stat_momentum=_get(doc, "stat_momentum", *number),
-            running_mean=_array(doc, "running_mean", *optional_list),
-            running_var=_array(doc, "running_var", *optional_list),
+            running_mean=_get(doc, "running_mean", *optional_list),
+            running_var=_get(doc, "running_var", *optional_list),
             num_batches_tracked=_get(doc, "num_batches_tracked", int),
         )
-    except (PsdNormError, TypeError, ValueError) as e:
+    except (PsdNormError, TypeError, ValueError, OverflowError) as e:
         raise StateFileError(f"{kind} state: {e}") from e
 
 

@@ -104,16 +104,8 @@ class PsdNormLayer:
                 "welch.filter_size must equal the layer filter_size"
             )
 
-    def train(self) -> "PsdNormLayer":
-        return replace(self, mode="train")
-
     def eval(self) -> "PsdNormLayer":
         return replace(self, mode="eval")
-
-    def with_barycenter(self, value) -> "PsdNormLayer":
-        """Force the running barycenter (e.g. all-ones for whitening)."""
-        return replace(self, barycenter=value,
-                       update_count=max(1, self.update_count))
 
 
 def psdnorm_forward(layer: PsdNormLayer, batch):
@@ -193,20 +185,22 @@ def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
 # Baseline normalizers
 # ---------------------------------------------------------------------------
 
+def _standardize(batch, axis, eps: float) -> np.ndarray:
+    if eps < 0:
+        raise ParameterOutOfRangeError(f"eps must be >= 0, got {eps}")
+    b = as_batch(batch)
+    mu = b.mean(axis=axis, keepdims=True)
+    return (b - mu) / np.sqrt(b.var(axis=axis, keepdims=True) + eps)
+
+
 def instancenorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
     """Per-sample, per-channel standardization with biased variance."""
-    b = as_batch(batch)
-    mu = b.mean(axis=2, keepdims=True)
-    var = b.var(axis=2, keepdims=True)
-    return (b - mu) / np.sqrt(var + eps)
+    return _standardize(batch, 2, eps)
 
 
 def layernorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
     """Per-sample standardization over all channels and time steps."""
-    b = as_batch(batch)
-    mu = b.mean(axis=(1, 2), keepdims=True)
-    var = b.var(axis=(1, 2), keepdims=True)
-    return (b - mu) / np.sqrt(var + eps)
+    return _standardize(batch, (1, 2), eps)
 
 
 @dataclass(frozen=True)
@@ -217,7 +211,9 @@ class BatchNormLayer:
     variance.  Running statistics follow the exponential moving average
     new = (1 - m) * old + m * batch with ``stat_momentum`` m, starting from
     mean 0 / variance 1.  ``gamma`` and ``beta`` default to 1 and 0 and are
-    never trained here.
+    never trained here.  The running statistics are both None or two finite
+    1-D arrays of one length (the variance non-negative); ``gamma`` and
+    ``beta`` are finite scalars or arrays of that length.
     """
 
     gamma: np.ndarray | float = 1.0
@@ -234,19 +230,45 @@ class BatchNormLayer:
             raise ParameterOutOfRangeError("eps must be > 0")
         if not 0.0 <= self.stat_momentum <= 1.0:
             raise ParameterOutOfRangeError("stat_momentum must be in [0, 1]")
+        if self.num_batches_tracked < 0:
+            raise ParameterOutOfRangeError("num_batches_tracked must be >= 0")
+        if (self.running_mean is None) != (self.running_var is None):
+            raise ShapeMismatchError("set running_mean and running_var together")
+        for name in ("gamma", "beta", "running_mean", "running_var"):
+            if getattr(self, name) is None:
+                continue
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim > 1 or (value.ndim == 0 and name.startswith("running")):
+                raise ShapeMismatchError(f"{name} must be 1-D (gamma and beta may"
+                                         f" be scalars), got shape {value.shape}")
+            if not np.all(np.isfinite(value)):
+                raise NonFiniteInputError(f"{name} contains NaN or Inf")
+            object.__setattr__(self, name, value)
+        if len(_channel_counts(self)) > 1:
+            raise ShapeMismatchError("gamma, beta and the running statistics"
+                                     " differ in length")
+        if self.running_var is not None and np.any(self.running_var < 0):
+            raise ParameterOutOfRangeError("running_var must be >= 0")
         _check_mode(self.mode)
-
-    def train(self) -> "BatchNormLayer":
-        return replace(self, mode="train")
 
     def eval(self) -> "BatchNormLayer":
         return replace(self, mode="eval")
+
+
+def _channel_counts(layer: BatchNormLayer) -> set[int]:
+    """Lengths of the layer's 1-D parameters; a valid layer has at most one."""
+    return {np.size(a) for a in (layer.gamma, layer.beta, layer.running_mean,
+                                 layer.running_var) if np.ndim(a) == 1}
 
 
 def batchnorm_forward(layer: BatchNormLayer, batch):
     """One forward pass; returns (normalized batch, updated layer)."""
     b = as_batch(batch)
     n, c, l = b.shape
+    counts = _channel_counts(layer)
+    if counts - {c}:
+        raise ShapeMismatchError(f"batch has {c} channels,"
+                                 f" the layer has {counts.pop()}")
     gamma = np.broadcast_to(np.asarray(layer.gamma, dtype=float), (c,))
     beta = np.broadcast_to(np.asarray(layer.beta, dtype=float), (c,))
 

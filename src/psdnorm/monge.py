@@ -43,10 +43,6 @@ class MongeFilter:
     coefficients: np.ndarray
     max_imag_residual: float
 
-    def dft_magnitudes(self) -> np.ndarray:
-        """|f-point DFT| of each row; equals sqrt(p_tgt / p_src) by design."""
-        return np.abs(np.fft.fft(self.coefficients, axis=1))
-
 
 def _check_psd_pair(p_src: np.ndarray, p_tgt: np.ndarray) -> None:
     if p_src.shape != p_tgt.shape:

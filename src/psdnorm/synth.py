@@ -25,14 +25,11 @@ from .layers import (
     batchnorm_forward,
     instancenorm_forward,
     layernorm_forward,
-    PsdNormLayer,
     centered_psd,
     psdnorm_forward,
     tma_fit,
 )
 from .spectral import WelchConfig
-
-GENERATOR_NAME = "pcg64"
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
@@ -127,24 +124,12 @@ def make_shifted_domains(base, k: int, shift_strength: float,
 @dataclass(frozen=True)
 class AlignmentReport:
     """Pairwise inter-domain Bures distances before and after a
-    normalization method, plus per-domain mean output PSDs."""
+    normalization method."""
 
     method: str
     pre_distances: np.ndarray       # (K, K), symmetric, zero diagonal
     post_distances: np.ndarray      # (K, K)
     reduction_ratio: float          # mean post / mean pre (off-diagonal)
-    domain_psds: np.ndarray         # (K, c, f) per-domain mean output PSDs
-    generator: str = GENERATOR_NAME
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "generator": self.generator,
-            "pre_distances": self.pre_distances.tolist(),
-            "post_distances": self.post_distances.tolist(),
-            "reduction_ratio": self.reduction_ratio,
-            "domain_psds": self.domain_psds.tolist(),
-        }
 
 
 def _pairwise_bures(psds) -> np.ndarray:
@@ -181,16 +166,13 @@ def evaluate_alignment(domains, method: str,
         raise ParameterOutOfRangeError(
             f"method must be one of {METHODS}, got {method!r}"
         )
-    f = domains[0].psd.shape[1]
-    for d in domains[1:]:
-        if d.psd.shape != domains[0].psd.shape:
-            raise ShapeMismatchError("domains must share PSD shape")
+    if len({d.psd.shape for d in domains}) > 1:
+        raise ShapeMismatchError("domains must share PSD shape")
     if welch is None:
-        welch = WelchConfig(f)
+        welch = WelchConfig(domains[0].psd.shape[1])
 
     batches = [sample_gaussian_with_psd(d) for d in domains]
-    pre_psds = [_mean_psd(b, welch) for b in batches]
-    pre = _pairwise_bures(pre_psds)
+    pre = _pairwise_bures([_mean_psd(b, welch) for b in batches])
 
     if method == "none":
         out_batches = batches
@@ -202,23 +184,14 @@ def evaluate_alignment(domains, method: str,
         layer = BatchNormLayer()
         _, layer = batchnorm_forward(layer, np.concatenate(batches))
         out_batches = [batchnorm_forward(layer.eval(), b)[0] for b in batches]
-    elif method == "tma":
+    else:  # tma, psdnorm
+        # A fresh psdnorm layer's one train pass adopts exactly this barycenter.
         aligner = tma_fit(batches, welch)
         out_batches = [psdnorm_forward(aligner, b)[0] for b in batches]
-    else:  # psdnorm
-        layer = PsdNormLayer(filter_size=welch.filter_size, welch=welch)
-        _, layer = psdnorm_forward(layer, np.concatenate(batches))
-        out_batches = [psdnorm_forward(layer.eval(), b)[0] for b in batches]
 
-    post_psds = [_mean_psd(b, welch) for b in out_batches]
-    post = _pairwise_bures(post_psds)
+    post = _pairwise_bures([_mean_psd(b, welch) for b in out_batches])
 
     pre_mean = _offdiag_mean(pre)
     ratio = 1.0 if pre_mean == 0.0 else _offdiag_mean(post) / pre_mean
-    return AlignmentReport(
-        method=method,
-        pre_distances=pre,
-        post_distances=post,
-        reduction_ratio=ratio,
-        domain_psds=np.stack(post_psds),
-    )
+    return AlignmentReport(method=method, pre_distances=pre,
+                           post_distances=post, reduction_ratio=ratio)

@@ -71,9 +71,8 @@ def test_instancenorm_special_case():
     for _ in range(50):
         n, c, l = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(8, 64))
         batch = rng.standard_normal((n, c, l)) * rng.uniform(0.5, 3) + rng.uniform(-2, 2)
-        layer = PsdNormLayer(filter_size=1, welch=cfg).with_barycenter(
-            np.ones((c, 1))
-        ).eval()
+        layer = PsdNormLayer(filter_size=1, welch=cfg, barycenter=np.ones((c, 1)),
+                             update_count=1, mode="eval")
         out, _ = psdnorm_forward(layer, batch)
         ref = instancenorm_forward(batch, eps=0.0)
         worst = max(worst, np.max(np.abs(out - ref)))
@@ -168,22 +167,19 @@ def test_complexity_scaling():
     rng = np.random.default_rng(3)
     base = dict(n=8, c=4, l=2 ** 12)
     layer = PsdNormLayer(filter_size=8)
+    shapes = {"base": base, **{key: {**base, key: 2 * base[key]} for key in "ncl"}}
+    batches = {name: rng.standard_normal((s["n"], s["c"], s["l"]))
+               for name, s in shapes.items()}
 
-    def timed(n, c, l):
-        batch = rng.standard_normal((n, c, l))
-        best = np.inf
-        for _ in range(5):
+    # Interleaved rounds, best of k per shape: a drift in host speed between
+    # rounds slows every shape alike instead of reading as bad scaling.
+    best = dict.fromkeys(batches, np.inf)
+    for _ in range(9):
+        for name, batch in batches.items():
             t = time.perf_counter()
             psdnorm_forward(layer, batch)
-            best = min(best, time.perf_counter() - t)
-        return best
-
-    t_base = timed(**base)
-    factors = {}
-    for key in ("n", "c", "l"):
-        doubled = dict(base)
-        doubled[key] *= 2
-        factors[key] = timed(**doubled) / t_base
+            best[name] = min(best[name], time.perf_counter() - t)
+    factors = {key: best[key] / best["base"] for key in "ncl"}
     dt = time.perf_counter() - t0
     ok = all(v <= 2.5 for v in factors.values()) and dt < 60
     report("complexity scaling", ok,
@@ -209,13 +205,11 @@ def test_determinism_round_trip(tmp_path):
     domains = make_shifted_domains(
         np.ones((1, 8)), 2, 1.0, n_signals=4, length=2 ** 11, seed=0
     )
-    import json
-
-    from psdnorm.io import dumps_json
-
-    rep_a = dumps_json(evaluate_alignment(domains, "psdnorm").to_dict())
-    rep_b = dumps_json(evaluate_alignment(domains, "psdnorm").to_dict())
-    bench_ok = rep_a == rep_b and json.loads(rep_a)["method"] == "psdnorm"
+    rep_a, rep_b = (evaluate_alignment(domains, "psdnorm") for _ in range(2))
+    bench_ok = (rep_a.pre_distances.tobytes() == rep_b.pre_distances.tobytes()
+                and rep_a.post_distances.tobytes() == rep_b.post_distances.tobytes()
+                and rep_a.reduction_ratio == rep_b.reduction_ratio
+                and rep_a.method == "psdnorm")
 
     dt = time.perf_counter() - t0
     ok = state_ok and eval_ok and bench_ok and dt < 10

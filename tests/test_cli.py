@@ -200,7 +200,8 @@ class TestAlignCommand:
         from psdnorm import PsdNormLayer
 
         state = tmp_path / "state.json"
-        save_state(state, PsdNormLayer(filter_size=8).with_barycenter(np.ones((1, 8))))
+        save_state(state, PsdNormLayer(filter_size=8, barycenter=np.ones((1, 8)),
+                                       update_count=1))
         sig = tmp_path / "x.psdn"
         write_white_noise(sig, c=1, seed=14)
         out = tmp_path / "out"
@@ -234,7 +235,8 @@ class TestMalformedState:
         from psdnorm import PsdNormLayer
 
         path = tmp_path / "good.json"
-        save_state(path, PsdNormLayer(filter_size=4).with_barycenter(np.ones((1, 4))))
+        save_state(path, PsdNormLayer(filter_size=4, barycenter=np.ones((1, 4)),
+                                      update_count=1))
         return json.loads(path.read_text())
 
     @pytest.mark.parametrize("command", ["align", "layer"])
@@ -296,6 +298,104 @@ class TestMalformedState:
                      "--state-in", str(state), "--out", str(tmp_path / "out")])
         assert code == EXIT_STATE
         assert read_error(capsys)["kind"] == "state"
+
+
+class TestLayerStateFlags:
+    """``layer --state-in`` rejects flags that differ from the state, like
+    ``align --target``."""
+
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("psdnorm", ["--f", "8"], "filter_size=8"),
+        ("psdnorm", ["--stride", "1"], "stride=1"),
+        ("psdnorm", ["--window", "boxcar"], "window_kind='boxcar'"),
+        ("psdnorm", ["--momentum", "0.5"], "momentum 0.01, the flags give 0.5"),
+        ("batchnorm", ["--eps", "0.001"], "eps 1e-05, the flags give 0.001"),
+    ])
+    def test_other_flags_exit_4(self, tmp_path, capsys, kind, flags, named):
+        from psdnorm import BatchNormLayer, PsdNormLayer
+
+        state = tmp_path / "state.json"
+        save_state(state, PsdNormLayer(filter_size=4, barycenter=np.ones((1, 4)),
+                                       update_count=1) if kind == "psdnorm"
+                   else BatchNormLayer(running_mean=np.zeros(1),
+                                       running_var=np.ones(1), num_batches_tracked=1))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=18)
+        out = tmp_path / "out"
+        argv = ["layer", str(sig), "--kind", kind, "--mode", "eval", "--f", "4",
+                "--state-in", str(state), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        code = main(argv + flags)
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert named in error["message"]
+
+
+class TestBatchNormState:
+    def run(self, tmp_path, **changes):
+        doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,
+               "stat_momentum": 0.1, "running_mean": [0.0, 0.0],
+               "running_var": [1.0, 1.0], "num_batches_tracked": 1, **changes}
+        state = tmp_path / "bn.json"
+        state.write_text(json.dumps(doc))
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=2, length=2 ** 10, seed=19)
+        out = tmp_path / "out"
+        code = main(["layer", str(sig), "--kind", "batchnorm", "--mode", "eval",
+                     "--state-in", str(state), "--out", str(out)])
+        return code, out
+
+    def test_statistics_of_other_channel_count_exit_3(self, tmp_path, capsys):
+        code, out = self.run(tmp_path, running_mean=[0.0] * 3, running_var=[1.0] * 3)
+        assert code == EXIT_VALIDATION
+        assert "batch has 2 channels, the layer has 3" in read_error(capsys)["message"]
+        assert list(out.glob("*.psdn")) == []
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"running_var": [1.0]}, "differ in length"),
+        ({"running_var": [-1.0, 1.0]}, "running_var must be >= 0"),
+        ({"running_mean": [float("nan"), 0.0]}, "running_mean contains NaN"),
+    ])
+    def test_invalid_statistics_exit_4(self, tmp_path, capsys, changes, message):
+        code, out = self.run(tmp_path, **changes)
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state" and message in error["message"]
+        assert list(out.glob("*.psdn")) == []
+
+
+class TestNonFiniteResult:
+    """NaN never reaches a written file with exit 0."""
+
+    @pytest.mark.parametrize("kind", ["instancenorm", "layernorm"])
+    def test_zero_eps_on_constant_file_writes_nothing(self, tmp_path, capsys, kind):
+        sig = tmp_path / "x.psdn"
+        write_signal(sig, np.full((2, 64), 3.0))
+        out = tmp_path / "out"
+        code = main(["layer", str(sig), "--kind", kind, "--eps", "0",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "not finite" in read_error(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["instancenorm", "layernorm"])
+    def test_negative_eps_exit_3(self, tmp_path, capsys, kind):
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=20)
+        code = main(["layer", str(sig), "--kind", kind, "--eps", "-0.5",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "eps must be" in read_error(capsys)["message"]
+
+    def test_bench_without_seeds_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "b"
+        code = main(["bench", "--seeds", "0", "--signals", "2",
+                     "--length", str(2 ** 10), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "--seeds" in read_error(capsys)["message"]
+        assert not out.exists()
 
 
 class TestNonFiniteSignal:

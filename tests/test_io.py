@@ -204,6 +204,7 @@ class TestMalformedStateDocuments:
         (_psdnorm_doc(barycenter=None), "update_count"),
         (_psdnorm_doc(momentum=2.0), "momentum"),
         ({"kind": "batchnorm", "gamma": 1.0}, "no key 'beta'"),
+        (_psdnorm_doc(barycenter=[[10 ** 400, 2.0]]), "too large to convert"),
     ])
     def test_rejected_with_state_file_error(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
 """Tests for the stateful normalization layers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,9 +31,9 @@ from psdnorm import (
 )
 
 
-def f1_layer():
+def f1_layer(**fields):
     return PsdNormLayer(
-        filter_size=1, welch=WelchConfig(1, stride=1, window_kind="boxcar")
+        filter_size=1, welch=WelchConfig(1, stride=1, window_kind="boxcar"), **fields
     )
 
 
@@ -48,7 +50,7 @@ class TestPsdNormForward:
     def test_instancenorm_special_case(self):
         rng = np.random.default_rng(1)
         batch = rng.standard_normal((4, 3, 40)) * 2.0 + 1.0
-        layer = f1_layer().with_barycenter(np.ones((3, 1))).eval()
+        layer = f1_layer(barycenter=np.ones((3, 1)), update_count=1, mode="eval")
         out, _ = psdnorm_forward(layer, batch)
         ref = instancenorm_forward(batch, eps=0.0)
         np.testing.assert_allclose(out, ref, atol=1e-10)
@@ -86,7 +88,8 @@ class TestPsdNormForward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 2, 64))
         target = np.full((2, 4), 1.7)
-        layer = PsdNormLayer(filter_size=4).with_barycenter(target).eval()
+        layer = PsdNormLayer(filter_size=4, barycenter=target, update_count=1,
+                             mode="eval")
         out1, _ = psdnorm_forward(layer, x)
         out2, _ = psdnorm_forward(layer, 3.7 * x)
         np.testing.assert_allclose(out1, out2, atol=1e-8)
@@ -95,9 +98,8 @@ class TestPsdNormForward:
         rng = np.random.default_rng(6)
         batch = rng.standard_normal((2, 1, 64))
         alpha = 0.1
-        layer = PsdNormLayer(
-            filter_size=4, momentum=alpha
-        ).with_barycenter(np.full((1, 4), 0.9))
+        layer = PsdNormLayer(filter_size=4, momentum=alpha,
+                             barycenter=np.full((1, 4), 0.9), update_count=1)
         n_steps = int(np.ceil(np.log(1e-6) / np.log(1 - alpha)))
         for _ in range(n_steps):
             _, layer = psdnorm_forward(layer, batch)
@@ -112,7 +114,8 @@ class TestPsdNormForward:
         rng = np.random.default_rng(15)
         batch = rng.standard_normal((3, 2, 64)) + 1.5
         start = np.full((2, 4), 2.0)
-        layer = PsdNormLayer(filter_size=4, momentum=0.3).with_barycenter(start)
+        layer = PsdNormLayer(filter_size=4, momentum=0.3, barycenter=start,
+                             update_count=1)
         out, new = psdnorm_forward(layer, batch)
         means = batch.mean(axis=2, keepdims=True)
         psds = [welch_psd(g, layer.welch) for g in batch - means]
@@ -147,7 +150,7 @@ class TestPsdNormForward:
         with pytest.raises(error):
             PsdNormLayer(filter_size=4, barycenter=barycenter, update_count=1)
         with pytest.raises(error):
-            PsdNormLayer(filter_size=4).with_barycenter(barycenter)
+            replace(PsdNormLayer(filter_size=4), barycenter=barycenter, update_count=1)
 
 
 class TestStack:
@@ -162,7 +165,7 @@ class TestStack:
     def test_f1_unit_barycenter_matches_instancenorm(self):
         rng = np.random.default_rng(8)
         batch = rng.standard_normal((3, 2, 32)) + 2.0
-        layer = f1_layer().with_barycenter(np.ones((2, 1)))
+        layer = f1_layer(barycenter=np.ones((2, 1)), update_count=1)
         out, _, _ = psdnorm_stack_forward([1], batch, mode="eval", layers=[layer])
         np.testing.assert_allclose(out, instancenorm_forward(batch, eps=0.0), atol=1e-10)
 
@@ -299,6 +302,11 @@ class TestInstanceNorm:
         assert np.all(np.abs(out.mean(axis=2)) < 1e-10)
         assert np.all(np.abs(out.var(axis=2) - 1.0) < 1e-6)
 
+    @pytest.mark.parametrize("forward", [instancenorm_forward, layernorm_forward])
+    def test_negative_eps_rejected(self, forward):
+        with pytest.raises(ParameterOutOfRangeError):
+            forward(np.ones((1, 1, 8)), eps=-1e-5)
+
 
 class TestLayerNorm:
     def test_constant_sample_zeros(self):
@@ -359,3 +367,38 @@ class TestBatchNorm:
     def test_eval_without_stats(self):
         with pytest.raises(EvalWithoutStatsError):
             batchnorm_forward(BatchNormLayer().eval(), np.zeros((1, 1, 8)))
+
+    @pytest.mark.parametrize("fields, error", [
+        ({"running_mean": np.zeros(2)}, ShapeMismatchError),
+        ({"running_var": np.ones(2)}, ShapeMismatchError),
+        ({"running_mean": np.zeros((1, 2)), "running_var": np.ones((1, 2))},
+         ShapeMismatchError),
+        ({"running_mean": 0.0, "running_var": 1.0}, ShapeMismatchError),
+        ({"running_mean": np.zeros(2), "running_var": np.ones(1)}, ShapeMismatchError),
+        ({"running_mean": np.zeros(2), "running_var": np.array([-1.0, 1.0])},
+         ParameterOutOfRangeError),
+        ({"running_mean": np.array([np.nan, 0.0]), "running_var": np.ones(2)},
+         NonFiniteInputError),
+        ({"running_mean": np.zeros(2), "running_var": np.array([1.0, np.inf])},
+         NonFiniteInputError),
+        ({"gamma": np.inf}, NonFiniteInputError),
+        ({"beta": np.array([0.0, np.nan])}, NonFiniteInputError),
+        ({"gamma": np.ones(3), "running_mean": np.zeros(2), "running_var": np.ones(2)},
+         ShapeMismatchError),
+        ({"gamma": np.ones(2), "beta": np.zeros(3)}, ShapeMismatchError),
+        ({"beta": np.zeros((2, 1))}, ShapeMismatchError),
+        ({"num_batches_tracked": -1}, ParameterOutOfRangeError),
+    ])
+    def test_invalid_state_rejected(self, fields, error):
+        with pytest.raises(error):
+            BatchNormLayer(**fields)
+
+    @pytest.mark.parametrize("mode, fields", [
+        ("train", {"gamma": np.ones(3)}),
+        ("train", {"running_mean": np.zeros(3), "running_var": np.ones(3)}),
+        ("eval", {"running_mean": np.zeros(3), "running_var": np.ones(3)}),
+    ])
+    def test_batch_of_other_channel_count(self, mode, fields):
+        layer = BatchNormLayer(mode=mode, **fields)
+        with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
+            batchnorm_forward(layer, np.ones((2, 2, 8)))

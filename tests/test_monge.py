@@ -10,6 +10,7 @@ from psdnorm import (
     WelchConfig,
     apply_mapping,
     dense_monge_oracle,
+    fourier_matrix,
     monge_filter,
     welch_psd,
 )
@@ -20,6 +21,11 @@ def random_symmetric_psd(rng, c, f, lo=0.5, hi=2.0):
     """Strictly positive, conjugate-symmetric (c, f) PSD."""
     half = rng.uniform(lo, hi, (c, f // 2 + 1))
     return np.concatenate([half, half[:, -2 + (f % 2):0:-1]], axis=1)[:, :f]
+
+
+def dft_magnitudes(filt):
+    """|f-point DFT| of each filter row; equals sqrt(p_tgt / p_src) by design."""
+    return np.abs(np.fft.fft(filt.coefficients, axis=1))
 
 
 class TestMongeFilter:
@@ -41,7 +47,7 @@ class TestMongeFilter:
         p_tgt = random_symmetric_psd(rng, 2, 8)
         filt = monge_filter(p_src, p_tgt)
         np.testing.assert_allclose(
-            filt.dft_magnitudes(), np.sqrt(p_tgt / p_src), atol=1e-8
+            dft_magnitudes(filt), np.sqrt(p_tgt / p_src), atol=1e-8
         )
         assert filt.max_imag_residual < 1e-6
 
@@ -65,9 +71,9 @@ class TestMongeFilter:
         pa = random_symmetric_psd(rng, 2, 8)
         pb = random_symmetric_psd(rng, 2, 8)
         pc = random_symmetric_psd(rng, 2, 8)
-        mags_ab = monge_filter(pa, pb).dft_magnitudes()
-        mags_bc = monge_filter(pb, pc).dft_magnitudes()
-        mags_ac = monge_filter(pa, pc).dft_magnitudes()
+        mags_ab = dft_magnitudes(monge_filter(pa, pb))
+        mags_bc = dft_magnitudes(monge_filter(pb, pc))
+        mags_ac = dft_magnitudes(monge_filter(pa, pc))
         np.testing.assert_allclose(mags_ab * mags_bc, mags_ac, atol=1e-8)
 
 
@@ -129,6 +135,22 @@ class TestDenseOracle:
             dense = dense_monge_oracle(p_src, p_tgt, x)
             filtered = apply_mapping(x, monge_filter(p_src, p_tgt))
             assert np.max(np.abs(dense - filtered)) < 1e-6 * np.max(np.abs(x))
+
+    def test_matches_scipy_sqrtm(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(9)
+        for l in (4, 8, 16):
+            p_src = random_symmetric_psd(rng, 1, l)
+            p_tgt = random_symmetric_psd(rng, 1, l)
+            x = rng.standard_normal((1, l))
+            F = fourier_matrix(l)
+            sig_s, sig_t = ((F @ np.diag(p[0]) @ F.conj().T).real for p in (p_src, p_tgt))
+            root_s = linalg.sqrtm(sig_s).real
+            inv_root_s = np.linalg.inv(root_s)
+            a = inv_root_s @ linalg.sqrtm(root_s @ sig_t @ root_s).real @ inv_root_s
+            expected = a @ (x[0] - x[0].mean())
+            np.testing.assert_allclose(dense_monge_oracle(p_src, p_tgt, x)[0],
+                                       expected, rtol=0, atol=1e-12)
 
     def test_refuses_long_signals(self):
         with pytest.raises(TooLargeForDenseError):

@@ -180,6 +180,21 @@ class TestWelch:
             spec = seg @ f16.conj()
             assert abs(np.sum(np.abs(spec) ** 2) - np.sum(seg ** 2)) < 1e-10
 
+    def test_matches_scipy(self):
+        signal = pytest.importorskip("scipy.signal")
+        x = np.random.default_rng(30).standard_normal((2, 200))
+        worst = 0.0
+        for f in (1, 2, 5, 8, 16):
+            for kind in ("hann", "boxcar"):
+                for stride in sorted({1, max(1, f // 2), f}):
+                    cfg = WelchConfig(f, stride=stride, window_kind=kind)
+                    _, ref = signal.welch(x, fs=1, window=kind, nperseg=f,
+                                          noverlap=f - stride, detrend=False,
+                                          return_onesided=False, scaling="density")
+                    ours = welch_psd_raw(x, cfg)
+                    worst = max(worst, np.max(np.abs(ours - ref) / ref))
+        assert worst < 1e-12
+
 
 class TestCircularConvolve:
     def test_identity_filter(self):
