@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from .errors import (
     NonFiniteInputError,
     ParameterOutOfRangeError,
     PsdNormError,
+    ShapeMismatchError,
 )
 from .geometry import bures_distance, wasserstein_barycenter
 from .io import (
@@ -138,6 +138,16 @@ def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     return layer.barycenter
 
 
+def _write_finite(path, y, source) -> None:
+    """Write y as a float32 signal file, refusing a non-finite result."""
+    with np.errstate(over="ignore"):
+        y = y.astype(np.float32)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInputError(f"{source}: aligned output is not finite in"
+                                  " float32; align writes no output")
+    write_signal(path, y)
+
+
 def cmd_align(args) -> int:
     cfg = _welch_from_args(args)
     out_dir = Path(args.out)
@@ -145,22 +155,39 @@ def cmd_align(args) -> int:
     signals = [read_signal(p) for p in args.inputs]
     psds = [centered_psd(x, cfg) for x in signals]
     target = _resolve_target(args, psds, cfg)
-    records = []
-    for path, x, p in zip(args.inputs, signals, psds):
-        y = apply_mapping(x, monge_filter(p, target))
-        out_path = out_dir / (Path(path).stem + ".aligned.psdn")
-        write_signal(out_path, y)
-        records.append({
-            "input": str(path),
-            "output": str(out_path),
-            "pre_distance": bures_distance(p, target),
-            "post_distance": bures_distance(centered_psd(y, cfg), target),
-        })
-    report = {
-        "config": _run_config(args, {"target": args.target}),
-        "signals": records,
-    }
-    (out_dir / "report.json").write_text(dumps_json(report))
+    for path, p in zip(args.inputs, psds):
+        if p.shape != target.shape:
+            raise ShapeMismatchError(f"{path}: PSD shape {p.shape} differs from"
+                                     f" the target's {target.shape}")
+    # Files are written under temporary names and renamed once every output
+    # has passed, so a failure leaves none of this call's files behind.
+    staged, records = [], []
+    try:
+        for i, (path, x, p) in enumerate(zip(args.inputs, signals, psds)):
+            y = apply_mapping(x, monge_filter(p, target))
+            out_path = out_dir / (Path(path).stem + ".aligned.psdn")
+            part = out_dir / f".{i}.{out_path.name}.part"
+            staged.append((part, out_path))
+            _write_finite(part, y, path)
+            records.append({
+                "input": str(path),
+                "output": str(out_path),
+                "pre_distance": bures_distance(p, target),
+                "post_distance": bures_distance(centered_psd(y, cfg), target),
+            })
+        report = {
+            "config": _run_config(args, {"target": args.target}),
+            "signals": records,
+        }
+        part = out_dir / ".report.json.part"
+        staged.append((part, out_dir / "report.json"))
+        part.write_text(dumps_json(report))
+    except BaseException:
+        for part, _ in staged:
+            part.unlink(missing_ok=True)
+        raise
+    for part, final in staged:
+        part.replace(final)
     return EXIT_OK
 
 
@@ -183,7 +210,7 @@ def cmd_layer(args) -> int:
             else:
                 layer = PsdNormLayer(filter_size=args.f, **flags)
             forward = batchnorm_forward if args.kind == "batchnorm" else psdnorm_forward
-            out, layer = forward(replace(layer, mode=args.mode), batch)
+            out, layer = forward(layer, batch, args.mode)
         out = out.astype(np.float32)
     if not np.all(np.isfinite(out)):
         raise NonFiniteInputError(f"{args.kind} output is not finite in float32;"

@@ -1,12 +1,14 @@
 """Stateful normalization layers over batches of multichannel signals.
 
 A batch is an array of shape (N, c, l).  Forward passes are functional:
-layers are frozen dataclasses and train-mode calls return an updated copy
-alongside the normalized batch.  Eval-mode calls are pure.
+layers are frozen dataclasses holding only state, and the mode ("train" or
+"eval") is an argument of each forward call.  Train-mode calls return an
+updated copy alongside the normalized batch; eval-mode calls are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +46,21 @@ def _check_mode(mode: str) -> None:
         raise ParameterOutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _number(name: str, value, low: float, high: float = math.inf,
+            strict_low: bool = False) -> float:
+    """float(value), which must be finite and in [low, high] ((low, high]
+    when ``strict_low``)."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not (math.isfinite(v) and v <= high and (v > low if strict_low else v >= low)):
+        bound = "(" if strict_low else "["
+        raise ParameterOutOfRangeError(f"{name} must be a finite number in"
+                                       f" {bound}{low}, {high}], got {value!r:.40}")
+    return v
+
+
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD of a (c, l) signal after removing each channel's mean."""
     x = as_signal(x)
@@ -65,7 +82,8 @@ class PsdNormLayer:
     barycenter; ``update_count`` counts the updates.  In train mode each
     forward pass updates the running barycenter once from the batch
     barycenter, then maps every centered sample toward the updated value;
-    eval mode maps toward the stored value without updating it.
+    eval mode maps toward the stored value without updating it.  Every field
+    is stored in the layer's state document.
     """
 
     filter_size: int = 5
@@ -73,15 +91,11 @@ class PsdNormLayer:
     welch: WelchConfig | None = None
     barycenter: np.ndarray | None = None
     update_count: int = 0
-    mode: str = "train"
 
     def __post_init__(self):
         if self.filter_size < 1:
             raise ParameterOutOfRangeError("filter_size must be >= 1")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ParameterOutOfRangeError(
-                f"momentum must be in [0, 1], got {self.momentum}"
-            )
+        object.__setattr__(self, "momentum", _number("momentum", self.momentum, 0, 1))
         empty = self.barycenter is None
         if self.update_count < 0 or empty != (self.update_count == 0):
             raise ParameterOutOfRangeError(f"update_count {self.update_count} must"
@@ -96,7 +110,6 @@ class PsdNormLayer:
             if not np.all(bary > 0):
                 raise NonPositivePsdError("barycenter must be strictly positive")
             object.__setattr__(self, "barycenter", bary)
-        _check_mode(self.mode)
         if self.welch is None:
             object.__setattr__(self, "welch", WelchConfig(self.filter_size))
         if self.welch.filter_size != self.filter_size:
@@ -104,20 +117,18 @@ class PsdNormLayer:
                 "welch.filter_size must equal the layer filter_size"
             )
 
-    def eval(self) -> "PsdNormLayer":
-        return replace(self, mode="eval")
 
-
-def psdnorm_forward(layer: PsdNormLayer, batch):
+def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer)."""
+    _check_mode(mode)
     b = as_batch(batch)
-    if layer.mode == "eval" and layer.barycenter is None:
+    if mode == "eval" and layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             "eval-mode forward requires an accumulated barycenter"
         )
 
     psds = [centered_psd(g, layer.welch) for g in b]
-    if layer.mode == "train":
+    if mode == "train":
         bary = running_update(layer.barycenter, wasserstein_barycenter(psds),
                               layer.momentum)
         layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
@@ -143,7 +154,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     if any(a < b for a, b in zip(fs, fs[1:])):
         raise ParameterOutOfRangeError("filter sizes must be non-increasing")
     if layers is None:
-        layers = [PsdNormLayer(filter_size=f, mode=mode) for f in fs]
+        layers = [PsdNormLayer(filter_size=f) for f in fs]
     sizes = [layer.filter_size for layer in layers]
     if sizes != fs:
         raise ParameterOutOfRangeError(
@@ -152,7 +163,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     out = as_batch(batch)
     new_layers, snapshots = [], []
     for layer in layers:
-        out, layer = psdnorm_forward(replace(layer, mode=mode), out)
+        out, layer = psdnorm_forward(layer, out, mode)
         new_layers.append(layer)
         snapshots.append(layer.barycenter.copy())
     return out, new_layers, snapshots
@@ -163,22 +174,21 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
 # ---------------------------------------------------------------------------
 
 def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
-    """Estimate every signal's PSD across all domains and return an
-    eval-mode layer holding their barycenter: the first train-mode update
-    of a fresh layer fed all domains as one batch."""
+    """Estimate every signal's PSD across all domains and return a layer
+    holding their barycenter, for eval-mode forwards: the first train-mode
+    update of a fresh layer fed all domains as one batch."""
     psds = [centered_psd(g, welch) for batch in domains for g in as_batch(batch)]
     if not psds:
         raise EmptyInputError("tma_fit needs at least one signal")
     return PsdNormLayer(filter_size=welch.filter_size, welch=welch,
                         barycenter=wasserstein_barycenter(psds),
-                        update_count=1, mode="eval")
+                        update_count=1)
 
 
 def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
-    """Center x and apply the Monge mapping from its own PSD to the stored
-    barycenter."""
-    filt = monge_filter(centered_psd(x, aligner.welch), aligner.barycenter)
-    return apply_mapping(x, filt)
+    """The eval-mode forward of one (c, l) signal: center x and apply the
+    Monge mapping from its own PSD to the stored barycenter."""
+    return psdnorm_forward(aligner, as_signal(x), "eval")[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +196,7 @@ def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _standardize(batch, axis, eps: float) -> np.ndarray:
-    if eps < 0:
-        raise ParameterOutOfRangeError(f"eps must be >= 0, got {eps}")
+    eps = _number("eps", eps, 0)
     b = as_batch(batch)
     mu = b.mean(axis=axis, keepdims=True)
     return (b - mu) / np.sqrt(b.var(axis=axis, keepdims=True) + eps)
@@ -223,13 +232,11 @@ class BatchNormLayer:
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
     num_batches_tracked: int = 0
-    mode: str = "train"
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ParameterOutOfRangeError("eps must be > 0")
-        if not 0.0 <= self.stat_momentum <= 1.0:
-            raise ParameterOutOfRangeError("stat_momentum must be in [0, 1]")
+        object.__setattr__(self, "eps", _number("eps", self.eps, 0, strict_low=True))
+        object.__setattr__(self, "stat_momentum",
+                           _number("stat_momentum", self.stat_momentum, 0, 1))
         if self.num_batches_tracked < 0:
             raise ParameterOutOfRangeError("num_batches_tracked must be >= 0")
         if (self.running_mean is None) != (self.running_var is None):
@@ -249,10 +256,6 @@ class BatchNormLayer:
                                      " differ in length")
         if self.running_var is not None and np.any(self.running_var < 0):
             raise ParameterOutOfRangeError("running_var must be >= 0")
-        _check_mode(self.mode)
-
-    def eval(self) -> "BatchNormLayer":
-        return replace(self, mode="eval")
 
 
 def _channel_counts(layer: BatchNormLayer) -> set[int]:
@@ -261,8 +264,9 @@ def _channel_counts(layer: BatchNormLayer) -> set[int]:
                                  layer.running_var) if np.ndim(a) == 1}
 
 
-def batchnorm_forward(layer: BatchNormLayer, batch):
+def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer)."""
+    _check_mode(mode)
     b = as_batch(batch)
     n, c, l = b.shape
     counts = _channel_counts(layer)
@@ -272,7 +276,7 @@ def batchnorm_forward(layer: BatchNormLayer, batch):
     gamma = np.broadcast_to(np.asarray(layer.gamma, dtype=float), (c,))
     beta = np.broadcast_to(np.asarray(layer.beta, dtype=float), (c,))
 
-    if layer.mode == "train":
+    if mode == "train":
         if n * l < 2:
             raise ParameterOutOfRangeError(
                 "train-mode batchnorm needs at least 2 pooled samples"

@@ -183,11 +183,11 @@ def evaluate_alignment(domains, method: str,
     elif method == "batchnorm":
         layer = BatchNormLayer()
         _, layer = batchnorm_forward(layer, np.concatenate(batches))
-        out_batches = [batchnorm_forward(layer.eval(), b)[0] for b in batches]
+        out_batches = [batchnorm_forward(layer, b, "eval")[0] for b in batches]
     else:  # tma, psdnorm
         # A fresh psdnorm layer's one train pass adopts exactly this barycenter.
         aligner = tma_fit(batches, welch)
-        out_batches = [psdnorm_forward(aligner, b)[0] for b in batches]
+        out_batches = [psdnorm_forward(aligner, b, "eval")[0] for b in batches]
 
     post = _pairwise_bures([_mean_psd(b, welch) for b in out_batches])
 

@@ -72,8 +72,8 @@ def test_instancenorm_special_case():
         n, c, l = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(8, 64))
         batch = rng.standard_normal((n, c, l)) * rng.uniform(0.5, 3) + rng.uniform(-2, 2)
         layer = PsdNormLayer(filter_size=1, welch=cfg, barycenter=np.ones((c, 1)),
-                             update_count=1, mode="eval")
-        out, _ = psdnorm_forward(layer, batch)
+                             update_count=1)
+        out, _ = psdnorm_forward(layer, batch, "eval")
         ref = instancenorm_forward(batch, eps=0.0)
         worst = max(worst, np.max(np.abs(out - ref)))
     dt = time.perf_counter() - t0
@@ -198,8 +198,8 @@ def test_determinism_round_trip(tmp_path):
     save_state(p2, load_state(p1))
     state_ok = p1.read_bytes() == p2.read_bytes()
 
-    out_a, _ = psdnorm_forward(layer.eval(), batch)
-    out_b, _ = psdnorm_forward(load_state(p1).eval(), batch)
+    out_a, _ = psdnorm_forward(layer, batch, "eval")
+    out_b, _ = psdnorm_forward(load_state(p1), batch, "eval")
     eval_ok = np.array_equal(out_a, out_b)
 
     domains = make_shifted_domains(

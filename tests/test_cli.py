@@ -285,6 +285,15 @@ class TestMalformedState:
         assert read_error(capsys)["kind"] == "state"
         assert list(out.glob("*.psdn")) == []
 
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_nan_momentum_writes_nothing(self, tmp_path, capsys, command):
+        doc = self.psdnorm_doc(tmp_path)
+        doc["momentum"] = float("nan")
+        code, out = self.run(tmp_path, command, doc)
+        assert code == EXIT_STATE
+        assert "momentum must be a finite number" in read_error(capsys)["message"]
+        assert list(out.glob("*.psdn")) == []
+
 
     def test_batchnorm_state_without_statistics(self, tmp_path, capsys):
         doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,
@@ -333,6 +342,70 @@ class TestLayerStateFlags:
         assert named in error["message"]
 
 
+class TestAlignWritesAllOrNothing:
+    """align checks every output before it keeps any file: on exit 3 no
+    .aligned.psdn file and no report.json of the call is left."""
+
+    def state(self, tmp_path, barycenter):
+        from psdnorm import PsdNormLayer
+
+        path = tmp_path / "state.json"
+        save_state(path, PsdNormLayer(filter_size=4, barycenter=barycenter,
+                                      update_count=1))
+        return str(path)
+
+    def test_float32_overflow_exit_3(self, tmp_path, capsys):
+        ok, loud = tmp_path / "ok.psdn", tmp_path / "loud.psdn"
+        write_white_noise(ok, c=1, length=256, seed=24)
+        write_signal(loud, 1e36 * np.random.default_rng(24).standard_normal((1, 256)))
+        out = tmp_path / "out"
+        code = main(["align", str(ok), str(loud), "--f", "4", "--out", str(out),
+                     "--target", self.state(tmp_path, np.full((1, 4), 1e80))])
+        assert code == EXIT_VALIDATION
+        error = read_error(capsys)
+        assert error["kind"] == "validation" and "loud.psdn" in error["message"]
+        assert "not finite in float32" in error["message"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["unit", "state"])
+    def test_channel_count_differs_from_target_exit_3(self, tmp_path, capsys, target):
+        pa, pb = tmp_path / "a.psdn", tmp_path / "b.psdn"
+        write_white_noise(pa, c=2, length=256, seed=25)
+        write_white_noise(pb, c=3, length=256, seed=26)
+        if target == "state":
+            target = self.state(tmp_path, np.ones((2, 4)))
+        out = tmp_path / "out"
+        code = main(["align", str(pa), str(pb), "--f", "4", "--target", target,
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "b.psdn: PSD shape (3, 4) differs" in read_error(capsys)["message"]
+        assert list(out.iterdir()) == []
+
+    def test_failure_after_a_written_file_removes_it(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import psdnorm.cli
+
+        paths = [tmp_path / f"s{i}.psdn" for i in range(3)]
+        for i, path in enumerate(paths):
+            write_white_noise(path, c=1, length=256, seed=27 + i)
+        written = []
+        write = psdnorm.cli.write_signal
+
+        def write_then_fail(path, y):
+            write(path, y)
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(psdnorm.cli, "write_signal", write_then_fail)
+        out = tmp_path / "out"
+        (out / "old").mkdir(parents=True)
+        code = main(["align", *map(str, paths), "--f", "4", "--out", str(out)])
+        assert code == EXIT_IO and "disk full" in read_error(capsys)["message"]
+        assert len(written) == 2
+        assert [p.name for p in out.iterdir()] == ["old"]
+
+
 class TestBatchNormState:
     def run(self, tmp_path, **changes):
         doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,
@@ -357,6 +430,10 @@ class TestBatchNormState:
         ({"running_var": [1.0]}, "differ in length"),
         ({"running_var": [-1.0, 1.0]}, "running_var must be >= 0"),
         ({"running_mean": [float("nan"), 0.0]}, "running_mean contains NaN"),
+        ({"eps": float("nan")}, "eps must be a finite number"),
+        pytest.param({"eps": 10 ** 400}, "eps must be a finite number",
+                     id="changes4-eps 10**400"),
+        ({"stat_momentum": float("inf")}, "stat_momentum must be a finite number"),
     ])
     def test_invalid_statistics_exit_4(self, tmp_path, capsys, changes, message):
         code, out = self.run(tmp_path, **changes)
@@ -364,6 +441,7 @@ class TestBatchNormState:
         error = read_error(capsys)
         assert error["kind"] == "state" and message in error["message"]
         assert list(out.glob("*.psdn")) == []
+
 
 
 class TestNonFiniteResult:
@@ -388,6 +466,17 @@ class TestNonFiniteResult:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_VALIDATION
         assert "eps must be" in read_error(capsys)["message"]
+
+    @pytest.mark.parametrize("kind", ["instancenorm", "layernorm", "batchnorm"])
+    def test_nan_eps_exit_3(self, tmp_path, capsys, kind):
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=2 ** 10, seed=31)
+        out = tmp_path / "out"
+        code = main(["layer", str(sig), "--kind", kind, "--eps", "nan",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "eps must be a finite number" in read_error(capsys)["message"]
+        assert not out.exists()
 
     def test_bench_without_seeds_exit_3(self, tmp_path, capsys):
         out = tmp_path / "b"

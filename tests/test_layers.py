@@ -29,6 +29,11 @@ from psdnorm import (
     wasserstein_barycenter,
     welch_psd,
 )
+from psdnorm.io import dumps_json, load_state, save_state, state_to_dict
+
+
+# A JSON integer beyond the float range.
+HUGE = pytest.param(10 ** 400, id="10**400")
 
 
 def f1_layer(**fields):
@@ -50,8 +55,8 @@ class TestPsdNormForward:
     def test_instancenorm_special_case(self):
         rng = np.random.default_rng(1)
         batch = rng.standard_normal((4, 3, 40)) * 2.0 + 1.0
-        layer = f1_layer(barycenter=np.ones((3, 1)), update_count=1, mode="eval")
-        out, _ = psdnorm_forward(layer, batch)
+        layer = f1_layer(barycenter=np.ones((3, 1)), update_count=1)
+        out, _ = psdnorm_forward(layer, batch, "eval")
         ref = instancenorm_forward(batch, eps=0.0)
         np.testing.assert_allclose(out, ref, atol=1e-10)
 
@@ -65,16 +70,15 @@ class TestPsdNormForward:
         rng = np.random.default_rng(3)
         batch = rng.standard_normal((2, 2, 64))
         _, layer = psdnorm_forward(PsdNormLayer(filter_size=4), batch)
-        layer = layer.eval()
-        out1, layer1 = psdnorm_forward(layer, batch)
-        out2, layer2 = psdnorm_forward(layer, batch)
+        out1, layer1 = psdnorm_forward(layer, batch, "eval")
+        out2, layer2 = psdnorm_forward(layer, batch, "eval")
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(layer1.barycenter, layer.barycenter)
         assert layer1.update_count == layer.update_count
 
     def test_eval_without_barycenter(self):
         with pytest.raises(EvalWithoutBarycenterError):
-            psdnorm_forward(PsdNormLayer(filter_size=4).eval(), np.zeros((1, 1, 8)))
+            psdnorm_forward(PsdNormLayer(filter_size=4), np.zeros((1, 1, 8)), "eval")
 
     def test_train_updates_once_per_call(self):
         rng = np.random.default_rng(4)
@@ -88,10 +92,9 @@ class TestPsdNormForward:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((1, 2, 64))
         target = np.full((2, 4), 1.7)
-        layer = PsdNormLayer(filter_size=4, barycenter=target, update_count=1,
-                             mode="eval")
-        out1, _ = psdnorm_forward(layer, x)
-        out2, _ = psdnorm_forward(layer, 3.7 * x)
+        layer = PsdNormLayer(filter_size=4, barycenter=target, update_count=1)
+        out1, _ = psdnorm_forward(layer, x, "eval")
+        out2, _ = psdnorm_forward(layer, 3.7 * x, "eval")
         np.testing.assert_allclose(out1, out2, atol=1e-8)
 
     def test_repeated_batches_converge_to_batch_barycenter(self):
@@ -124,7 +127,8 @@ class TestPsdNormForward:
         np.testing.assert_array_equal(new.barycenter, target)
         np.testing.assert_array_equal(out, np.stack(expected))
 
-    @pytest.mark.parametrize("momentum", [-0.1, 1.5])
+    @pytest.mark.parametrize("momentum", [-0.1, 1.5, float("nan"), float("inf"),
+                                          HUGE, "fast"])
     def test_momentum_out_of_range(self, momentum):
         with pytest.raises(ParameterOutOfRangeError):
             PsdNormLayer(momentum=momentum)
@@ -213,7 +217,7 @@ class TestStack:
         out, layers, _ = psdnorm_stack_forward([8, 4], combined)
         for layer in layers:
             batches = [
-                psdnorm_forward(layer.eval(), b)[0] for b in batches
+                psdnorm_forward(layer, b, "eval")[0] for b in batches
             ]
             d_next = domain_distance(batches)
             assert d_next <= d_prev + 1e-9
@@ -227,11 +231,11 @@ class TestTma:
         cfg = WelchConfig(8, window_kind="boxcar")
         aligner = tma_fit(domains, cfg)
         assert isinstance(aligner, PsdNormLayer)
-        assert (aligner.mode, aligner.update_count, aligner.welch) == ("eval", 1, cfg)
+        assert (aligner.update_count, aligner.welch) == (1, cfg)
         _, trained = psdnorm_forward(PsdNormLayer(filter_size=8, welch=cfg),
                                      np.concatenate(domains))
         assert np.array_equal(aligner.barycenter, trained.barycenter)
-        out, same = psdnorm_forward(aligner, domains[0])
+        out, same = psdnorm_forward(aligner, domains[0], "eval")
         assert same.update_count == 1
         np.testing.assert_array_equal(
             out, np.stack([tma_transform(aligner, g) for g in domains[0]]))
@@ -357,7 +361,7 @@ class TestBatchNorm:
         rng = np.random.default_rng(14)
         batch = rng.standard_normal((3, 1, 16))
         _, layer = batchnorm_forward(BatchNormLayer(), batch)
-        out, layer2 = batchnorm_forward(layer.eval(), batch * 100)
+        out, layer2 = batchnorm_forward(layer, batch * 100, "eval")
         expected = (batch * 100 - layer.running_mean[None, :, None]) / np.sqrt(
             layer.running_var[None, :, None] + layer.eps
         )
@@ -366,7 +370,7 @@ class TestBatchNorm:
 
     def test_eval_without_stats(self):
         with pytest.raises(EvalWithoutStatsError):
-            batchnorm_forward(BatchNormLayer().eval(), np.zeros((1, 1, 8)))
+            batchnorm_forward(BatchNormLayer(), np.zeros((1, 1, 8)), "eval")
 
     @pytest.mark.parametrize("fields, error", [
         ({"running_mean": np.zeros(2)}, ShapeMismatchError),
@@ -388,6 +392,14 @@ class TestBatchNorm:
         ({"gamma": np.ones(2), "beta": np.zeros(3)}, ShapeMismatchError),
         ({"beta": np.zeros((2, 1))}, ShapeMismatchError),
         ({"num_batches_tracked": -1}, ParameterOutOfRangeError),
+        ({"eps": float("nan")}, ParameterOutOfRangeError),
+        ({"eps": float("inf")}, ParameterOutOfRangeError),
+        pytest.param({"eps": 10 ** 400}, ParameterOutOfRangeError,
+                     id="fields16-eps 10**400"),
+        ({"eps": 0.0}, ParameterOutOfRangeError),
+        ({"stat_momentum": float("nan")}, ParameterOutOfRangeError),
+        pytest.param({"stat_momentum": 10 ** 400}, ParameterOutOfRangeError,
+                     id="fields19-stat_momentum 10**400"),
     ])
     def test_invalid_state_rejected(self, fields, error):
         with pytest.raises(error):
@@ -399,6 +411,60 @@ class TestBatchNorm:
         ("eval", {"running_mean": np.zeros(3), "running_var": np.ones(3)}),
     ])
     def test_batch_of_other_channel_count(self, mode, fields):
-        layer = BatchNormLayer(mode=mode, **fields)
+        layer = BatchNormLayer(**fields)
         with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
-            batchnorm_forward(layer, np.ones((2, 2, 8)))
+            batchnorm_forward(layer, np.ones((2, 2, 8)), mode)
+
+
+class TestModeIsAnArgument:
+    """A layer holds only its state document; train or eval is chosen per call."""
+
+    @staticmethod
+    def layer_and_forward(kind, batch):
+        if kind == "psdnorm":
+            return psdnorm_forward(PsdNormLayer(filter_size=8), batch)[1], psdnorm_forward
+        if kind == "tma":
+            return tma_fit([batch[:2], batch[2:]], WelchConfig(8)), psdnorm_forward
+        return batchnorm_forward(BatchNormLayer(), batch)[1], batchnorm_forward
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("kind", ["psdnorm", "tma", "batchnorm"])
+    def test_saved_and_loaded_copy_behaves_the_same(self, tmp_path, kind, mode):
+        rng = np.random.default_rng(22)
+        layer, forward = self.layer_and_forward(kind, rng.standard_normal((4, 2, 128)))
+        save_state(tmp_path / "state.json", layer)
+        copy = load_state(tmp_path / "state.json")
+        held_out = rng.standard_normal((3, 2, 128)) * 2.0 + 1.0
+        out, after = forward(layer, held_out, mode)
+        out_copy, after_copy = forward(copy, held_out, mode)
+        assert out.tobytes() == out_copy.tobytes()
+        assert dumps_json(state_to_dict(after)) == dumps_json(state_to_dict(after_copy))
+        assert (after is layer) == (mode == "eval")
+
+    def test_tma_transform_without_barycenter(self):
+        x = np.random.default_rng(23).standard_normal((2, 64))
+        with pytest.raises(EvalWithoutBarycenterError):
+            tma_transform(PsdNormLayer(filter_size=8), x)
+
+    @pytest.mark.parametrize("forward, layer", [
+        (psdnorm_forward, PsdNormLayer(filter_size=4)),
+        (batchnorm_forward, BatchNormLayer()),
+    ])
+    def test_unknown_mode_rejected(self, forward, layer):
+        with pytest.raises(ParameterOutOfRangeError, match="mode must be one of"):
+            forward(layer, np.ones((2, 1, 8)), mode="test")
+
+
+class TestHyperparameters:
+    """eps and the momenta must be finite numbers in range."""
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), HUGE])
+    @pytest.mark.parametrize("forward", [instancenorm_forward, layernorm_forward])
+    def test_standardize_eps(self, forward, eps):
+        with pytest.raises(ParameterOutOfRangeError, match="eps must be a finite"):
+            forward(np.ones((1, 1, 8)), eps=eps)
+
+    def test_integers_are_stored_as_floats(self):
+        assert type(PsdNormLayer(momentum=1).momentum) is float
+        layer = BatchNormLayer(eps=1, stat_momentum=0)
+        assert (type(layer.eps), type(layer.stat_momentum)) == (float, float)
