@@ -8,23 +8,21 @@ domain-shift benchmarks, and a command-line front end.
 __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
+    AsymmetricPsdError,
     ChannelMismatchError,
     EmptyInputError,
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
     FilterLongerThanSignalError,
-    ImagLeakageError,
     LengthTooShortError,
     NonFiniteInputError,
     NonPositivePsdError,
     ParameterOutOfRangeError,
     PsdNormError,
     ShapeMismatchError,
-    TooLargeForDenseError,
 )
 from .spectral import (  # noqa: F401
     WelchConfig,
-    fourier_matrix,
     make_window,
     welch_psd,
 )
@@ -35,9 +33,7 @@ from .geometry import (  # noqa: F401
     wasserstein_barycenter,
 )
 from .monge import (  # noqa: F401
-    MongeFilter,
     apply_mapping,
-    dense_monge_oracle,
     monge_filter,
 )
 from .layers import (  # noqa: F401

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,43 @@ def _welch_from_args(args) -> WelchConfig:
     return WelchConfig(args.f, stride=args.stride, window_kind=args.window)
 
 
+@contextmanager
+def _staged_writes():
+    """Yield ``stage(path)``, which names a temporary file beside ``path``
+    for the caller to write.  When the block ends every staged file is
+    renamed to its path; if the block raises they are all deleted instead,
+    so a failed command leaves none of its output files behind.  Only a
+    failed rename can leave the files renamed before it."""
+    staged = []
+
+    def stage(path) -> Path:
+        path = Path(path)
+        part = path.with_name(f".{len(staged)}.{path.name}.part")
+        staged.append((part, path))
+        return part
+
+    try:
+        yield stage
+        for part, path in staged:
+            part.replace(path)
+    finally:
+        for part, _ in staged:
+            part.unlink(missing_ok=True)
+
+
+def _output_paths(out_dir: Path, inputs, suffix: str) -> list[Path]:
+    """One output path per input file, named by its stem; inputs whose
+    outputs would overwrite each other are refused."""
+    owners = {}
+    for path in inputs:
+        out = out_dir / (Path(path).stem + suffix)
+        if out in owners:
+            raise ParameterOutOfRangeError(
+                f"{owners[out]} and {path} would both be written to {out}")
+        owners[out] = path
+    return list(owners)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -102,7 +140,6 @@ def cmd_psd(args) -> int:
             "segments": n_segments(x.shape[1], cfg),
             "clamped_bins": clamped,
         })
-    np.savetxt(args.out_csv, np.vstack(rows), delimiter=",", fmt="%.17g")
     summary = {
         "config": _run_config(args),
         "window_kind": cfg.window_kind,
@@ -110,7 +147,9 @@ def cmd_psd(args) -> int:
         "clamped_bins": clamp_total,
         "all_clamped": clamp_total == bins_total,
     }
-    Path(args.out_json).write_text(dumps_json(summary))
+    with _staged_writes() as stage:
+        np.savetxt(stage(args.out_csv), np.vstack(rows), delimiter=",", fmt="%.17g")
+        stage(args.out_json).write_text(dumps_json(summary))
     return EXIT_OK
 
 
@@ -151,6 +190,7 @@ def _write_finite(path, y, source) -> None:
 def cmd_align(args) -> int:
     cfg = _welch_from_args(args)
     out_dir = Path(args.out)
+    out_paths = _output_paths(out_dir, args.inputs, ".aligned.psdn")
     out_dir.mkdir(parents=True, exist_ok=True)
     signals = [read_signal(p) for p in args.inputs]
     psds = [centered_psd(x, cfg) for x in signals]
@@ -159,16 +199,11 @@ def cmd_align(args) -> int:
         if p.shape != target.shape:
             raise ShapeMismatchError(f"{path}: PSD shape {p.shape} differs from"
                                      f" the target's {target.shape}")
-    # Files are written under temporary names and renamed once every output
-    # has passed, so a failure leaves none of this call's files behind.
-    staged, records = [], []
-    try:
-        for i, (path, x, p) in enumerate(zip(args.inputs, signals, psds)):
+    records = []
+    with _staged_writes() as stage:
+        for path, out_path, x, p in zip(args.inputs, out_paths, signals, psds):
             y = apply_mapping(x, monge_filter(p, target))
-            out_path = out_dir / (Path(path).stem + ".aligned.psdn")
-            part = out_dir / f".{i}.{out_path.name}.part"
-            staged.append((part, out_path))
-            _write_finite(part, y, path)
+            _write_finite(stage(out_path), y, path)
             records.append({
                 "input": str(path),
                 "output": str(out_path),
@@ -179,19 +214,13 @@ def cmd_align(args) -> int:
             "config": _run_config(args, {"target": args.target}),
             "signals": records,
         }
-        part = out_dir / ".report.json.part"
-        staged.append((part, out_dir / "report.json"))
-        part.write_text(dumps_json(report))
-    except BaseException:
-        for part, _ in staged:
-            part.unlink(missing_ok=True)
-        raise
-    for part, final in staged:
-        part.replace(final)
+        stage(out_dir / "report.json").write_text(dumps_json(report))
     return EXIT_OK
 
 
 def cmd_layer(args) -> int:
+    out_dir = Path(args.out)
+    out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
     batch = np.stack([read_signal(p) for p in args.inputs])
     layer = None
     # A non-finite result is reported below as one error, not as warnings.
@@ -216,16 +245,16 @@ def cmd_layer(args) -> int:
         raise NonFiniteInputError(f"{args.kind} output is not finite in float32;"
                                   " nothing was written")
 
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path, y in zip(args.inputs, out):
-        write_signal(out_dir / (Path(path).stem + ".out.psdn"), y)
-    if layer is not None and args.state_out:
-        if args.mode == "train" or not args.state_in:
-            save_state(args.state_out, layer)
-        else:
-            # Eval must leave state byte-identical.
-            Path(args.state_out).write_bytes(Path(args.state_in).read_bytes())
+    with _staged_writes() as stage:
+        for out_path, y in zip(out_paths, out):
+            write_signal(stage(out_path), y)
+        if layer is not None and args.state_out:
+            if args.mode == "train" or not args.state_in:
+                save_state(stage(args.state_out), layer)
+            else:
+                # Eval must leave state byte-identical.
+                stage(args.state_out).write_bytes(Path(args.state_in).read_bytes())
     return EXIT_OK
 
 
@@ -263,12 +292,13 @@ def cmd_bench(args) -> int:
         }),
         "results": per_method,
     }
-    (out_dir / "report.json").write_text(dumps_json(report))
     lines = ["method,mean_ratio,std_ratio"]
     for method in methods:
         r = per_method[method]
         lines.append(f"{method},{r['mean']:.17g},{r['std']:.17g}")
-    (out_dir / "ratios.csv").write_text("\n".join(lines) + "\n")
+    with _staged_writes() as stage:
+        stage(out_dir / "report.json").write_text(dumps_json(report))
+        stage(out_dir / "ratios.csv").write_text("\n".join(lines) + "\n")
     return EXIT_OK
 
 

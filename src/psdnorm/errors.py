@@ -33,17 +33,13 @@ class ParameterOutOfRangeError(PsdNormError):
     """Scalar parameter outside its documented range."""
 
 
-class ImagLeakageError(PsdNormError):
-    """Imaginary residual of a synthesized filter exceeds tolerance,
-    typically because an input PSD is not conjugate-symmetric."""
-
-
-class TooLargeForDenseError(PsdNormError):
-    """Dense O(l^3) verification path refused for long signals."""
-
-
 class NonPositivePsdError(PsdNormError):
     """PSD entries must be strictly positive."""
+
+
+class AsymmetricPsdError(PsdNormError):
+    """A PSD is not conjugate-symmetric (bin k differs from bin f - k), so
+    it is not the spectrum of a real signal."""
 
 
 class EvalWithoutBarycenterError(PsdNormError):

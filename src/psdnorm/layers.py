@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, as_signal, welch_psd
+from .spectral import WelchConfig, as_signal, check_symmetric, welch_psd
 
 MODES = ("train", "eval")
 
@@ -77,13 +77,13 @@ class PsdNormLayer:
 
     ``filter_size`` is the number of mapping-filter taps and PSD bins
     (default 5).  ``momentum`` is the geodesic step of the running barycenter
-    update (default 1e-2).  ``barycenter`` is a positive (channels,
-    filter_size) PSD, None until the first train-mode pass adopts the batch
-    barycenter; ``update_count`` counts the updates.  In train mode each
-    forward pass updates the running barycenter once from the batch
-    barycenter, then maps every centered sample toward the updated value;
-    eval mode maps toward the stored value without updating it.  Every field
-    is stored in the layer's state document.
+    update (default 1e-2).  ``barycenter`` is a positive, conjugate-symmetric
+    (channels, filter_size) PSD, None until the first train-mode pass adopts
+    the batch barycenter; ``update_count`` counts the updates.  In train
+    mode each forward pass updates the running barycenter once from the
+    batch barycenter, then maps every centered sample toward the updated
+    value; eval mode maps toward the stored value without updating it.
+    Every field is stored in the layer's state document.
     """
 
     filter_size: int = 5
@@ -109,6 +109,7 @@ class PsdNormLayer:
                 raise NonFiniteInputError("barycenter contains NaN or Inf")
             if not np.all(bary > 0):
                 raise NonPositivePsdError("barycenter must be strictly positive")
+            check_symmetric(bary, "barycenter")
             object.__setattr__(self, "barycenter", bary)
         if self.welch is None:
             object.__setattr__(self, "welch", WelchConfig(self.filter_size))

@@ -1,14 +1,15 @@
-"""Signal-processing substrate: Fourier basis, windows and Welch PSD
-estimation.
+"""Signal-processing substrate: windows and Welch PSD estimation.
 
 Conventions
 -----------
 Signals are real arrays of shape ``(c, l)`` (channels x samples).  PSDs are
-strictly positive arrays of shape ``(c, f)``.  The Welch estimate is scaled so
-that unit-variance white noise yields bins close to 1 for any filter size:
-with a unit-norm window ``w`` the bin value is ``mean_l |DFT(w * seg_l)|^2``
-using the unnormalized DFT.  All downstream mapping filters depend only on
-PSD ratios, which are invariant to this global scale choice.
+strictly positive, conjugate-symmetric arrays of shape ``(c, f)``: bin k
+equals bin f - k, as for any real signal, so every transform is one-sided.
+The Welch estimate is scaled so that unit-variance white noise yields bins
+close to 1 for any filter size: with a unit-norm window ``w`` the bin value
+is ``mean_l |DFT(w * seg_l)|^2`` using the unnormalized DFT.  All downstream
+mapping filters depend only on PSD ratios, which are invariant to this
+global scale choice.
 """
 
 from __future__ import annotations
@@ -19,12 +20,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    AsymmetricPsdError,
     LengthTooShortError,
     NonFiniteInputError,
     ParameterOutOfRangeError,
 )
 
 WINDOW_KINDS = ("hann", "boxcar")
+
+#: Largest |p[:, k] - p[:, f - k]| that ``check_symmetric`` accepts, relative
+#: to the channel's largest bin: far above roundoff, far below real asymmetry.
+SYMMETRY_RTOL = 1e-9
 
 
 def as_signal(x) -> np.ndarray:
@@ -73,12 +79,16 @@ class WelchConfig:
             )
 
 
-def fourier_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix of size n: entry (l, l') = exp(-2i*pi*l*l'/n)/sqrt(n)."""
-    if n < 1:
-        raise ParameterOutOfRangeError("fourier_matrix requires n >= 1")
-    idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n) / np.sqrt(n)
+def check_symmetric(p: np.ndarray, name: str) -> None:
+    """Raise ``AsymmetricPsdError`` unless the (c, f) PSD p is conjugate-
+    symmetric to within SYMMETRY_RTOL of each channel's largest bin."""
+    f = p.shape[1]
+    gap = np.abs(p - p[:, -np.arange(f) % f]) / p.max(axis=1, keepdims=True)
+    if np.max(gap) > SYMMETRY_RTOL:
+        k = int(np.argmax(gap)) % f
+        raise AsymmetricPsdError(f"{name} is not conjugate-symmetric: bin {k}"
+                                 f" differs from bin {f - k} by {np.max(gap):.3e}"
+                                 " of the channel maximum")
 
 
 def make_window(kind: str, f: int) -> np.ndarray:
@@ -119,15 +129,15 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
         )
     w = make_window(cfg.window_kind, f)
     segs = sliding_window_view(x, f, axis=1)[:, ::stride, :]  # (c, L, f)
-    spec = np.fft.fft(segs * w, axis=-1)
-    return np.mean(np.abs(spec) ** 2, axis=1)
+    half = np.mean(np.abs(np.fft.rfft(segs * w, axis=-1)) ** 2, axis=1)
+    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
 
 
 def welch_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD estimate, floor-clamped to be strictly positive.
 
-    Returns a (c, f) array.  For real input the bins are conjugate
-    symmetric: p[:, k] == p[:, f - k] for k >= 1 up to roundoff.
+    Returns a (c, f) array whose bins above f//2 copy those below it, so
+    p[:, k] == p[:, f - k] exactly.
     """
     p = welch_psd_raw(x, cfg)
     return np.maximum(p, psd_floor(p))

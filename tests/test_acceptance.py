@@ -11,7 +11,6 @@ from psdnorm import (
     WelchConfig,
     apply_mapping,
     bures_distance,
-    dense_monge_oracle,
     evaluate_alignment,
     geodesic_interpolate,
     instancenorm_forward,
@@ -23,6 +22,8 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.io import load_state, save_state
+
+from oracles import dense_monge_oracle
 
 
 def report(name, ok, detail):

@@ -64,8 +64,32 @@ class TestPsdCommand:
         assert code == EXIT_IO
         assert read_error(capsys)["kind"] == "io"
 
+    def test_failed_json_write_leaves_no_csv(self, tmp_path, capsys):
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=256, seed=4)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["psd", str(sig), "--out-csv", str(out / "a.csv"),
+                     "--out-json", str(tmp_path / "absent" / "a.json")])
+        assert code == EXIT_IO
+        assert read_error(capsys)["kind"] == "io"
+        assert list(out.iterdir()) == []
+
 
 class TestAlignCommand:
+    def test_inputs_with_one_stem_exit_3(self, tmp_path, capsys):
+        paths = [tmp_path / d / "x.psdn" for d in ("a", "b")]
+        for seed, path in enumerate(paths):
+            path.parent.mkdir()
+            write_white_noise(path, c=1, length=256, seed=seed)
+        out = tmp_path / "out"
+        code = main(["align", *map(str, paths), "--f", "4", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        error = read_error(capsys)
+        assert error["kind"] == "validation"
+        assert "would both be written to" in error["message"]
+        assert list(out.glob("*")) == []
+
     def test_align_to_own_barycenter_single_input_centers(self, tmp_path):
         sig = tmp_path / "x.psdn"
         x = write_white_noise(sig, c=1, seed=5) + 2.0
@@ -284,6 +308,19 @@ class TestMalformedState:
         assert code == EXIT_STATE
         assert read_error(capsys)["kind"] == "state"
         assert list(out.glob("*.psdn")) == []
+
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_asymmetric_barycenter_writes_nothing(self, tmp_path, capsys, command):
+        # Bin 1 differs from bin 3: no real signal has this spectrum.
+        doc = self.psdnorm_doc(tmp_path)
+        doc["barycenter"] = [[1.0, 2.0, 5.0, 3.0]]
+        code, out = self.run(tmp_path, command, doc)
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert "barycenter is not conjugate-symmetric: bin 1 differs from bin 3" \
+            in error["message"]
+        assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("command", ["align", "layer"])
     def test_nan_momentum_writes_nothing(self, tmp_path, capsys, command):
@@ -538,6 +575,50 @@ class TestLayerCommand:
             a = (out2 / f"{stem}.out.psdn").read_bytes()
             b = (out3 / f"{stem}.out.psdn").read_bytes()
             assert a == b
+
+    def test_inputs_with_one_stem_exit_3(self, tmp_path, capsys):
+        paths = [tmp_path / d / "x.psdn" for d in ("a", "b")]
+        for seed, path in enumerate(paths):
+            path.parent.mkdir()
+            write_white_noise(path, c=1, length=256, seed=seed)
+        out = tmp_path / "out"
+        code = main(["layer", *map(str, paths), "--kind", "instancenorm",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        error = read_error(capsys)
+        assert error["kind"] == "validation"
+        assert "would both be written to" in error["message"]
+        assert list(out.glob("*")) == []
+
+    def test_failure_after_a_written_file_removes_it(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import psdnorm.cli
+
+        paths = self.make_batch(tmp_path, n=3, seed=4)
+        written = []
+        write = psdnorm.cli.write_signal
+
+        def write_then_fail(path, y):
+            write(path, y)
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk full")
+
+        monkeypatch.setattr(psdnorm.cli, "write_signal", write_then_fail)
+        out = tmp_path / "out"
+        code = main(["layer", *paths, "--kind", "instancenorm", "--out", str(out)])
+        assert code == EXIT_IO and "disk full" in read_error(capsys)["message"]
+        assert len(written) == 2
+        assert list(out.iterdir()) == []
+
+    def test_failed_state_write_leaves_no_signal(self, tmp_path, capsys):
+        paths = self.make_batch(tmp_path, n=2, seed=5)
+        out = tmp_path / "out"
+        code = main(["layer", *paths, "--kind", "psdnorm", "--f", "4", "--out",
+                     str(out), "--state-out", str(tmp_path / "absent" / "s.json")])
+        assert code == EXIT_IO
+        assert read_error(capsys)["kind"] == "io"
+        assert list(out.iterdir()) == []
 
     def test_eval_without_state_exit_4(self, tmp_path, capsys):
         paths = self.make_batch(tmp_path, n=1, seed=1)

@@ -55,3 +55,32 @@ def traced_names() -> list[str]:
 def test_benchmark_traced_function_exists(name):
     module, function = name.rsplit(".", 1)
     assert callable(getattr(importlib.import_module(f"psdnorm.{module}"), function, None))
+
+
+def exported_names() -> list[str]:
+    """Names that ``psdnorm/__init__.py`` imports from its submodules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return sorted(alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1
+                  for alias in node.names)
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads, as bare names or attributes, outside the body
+    of the top-level function or class that defines them."""
+    names = set()
+    for node in ast.parse(source).body:
+        own = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               else None)
+        for sub in ast.walk(node):
+            name = (sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else None)
+            if name is not None and name != own:
+                names.add(name)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    users = [*MODULES, *TRACER.parent.glob("*.py")]  # the library and perfbench
+    used = set().union(*(referenced_names(p.read_text()) for p in users))
+    assert [name for name in exported_names() if name not in used] == []

@@ -19,6 +19,7 @@ from psdnorm.io import (
     load_state,
     read_signal,
     save_state,
+    state_to_dict,
     write_signal,
 )
 
@@ -85,7 +86,7 @@ class TestSignalContainer:
 
 class TestStateDocuments:
     def test_psdnorm_round_trip_byte_identical(self, tmp_path):
-        bary = np.array([[1.5, 2.25, 0.75]])
+        bary = np.array([[1.5, 2.25, 2.25]])  # bins 1 and 2 mirror each other
         layer = PsdNormLayer(filter_size=3, welch=WelchConfig(3), barycenter=bary,
                              update_count=3)
         p1 = tmp_path / "a.json"
@@ -141,6 +142,26 @@ class TestStateDocuments:
         assert layer_a.update_count == 3
         save_state(tmp_path / "new.json", loaded)
         assert (tmp_path / "new.json").read_bytes() == path.read_bytes()
+
+    def test_roundoff_asymmetry_loads_and_gives_the_same_next_step(self, tmp_path):
+        # Bin 3 mirrors bin 1 up to 1e-15 of the largest bin: roundoff, as in
+        # states whose PSDs came from a two-sided FFT.
+        bary = np.array([[1.5, 0.5, 0.25, 0.5]])
+        doc = state_to_dict(PsdNormLayer(filter_size=4, barycenter=bary,
+                                         update_count=2))
+        doc["barycenter"][0][3] += 1.5e-15
+        path = tmp_path / "roundoff.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_state(path)
+        assert loaded.barycenter[0, 3] != loaded.barycenter[0, 1]
+        layer = PsdNormLayer(filter_size=4, barycenter=bary, update_count=2)
+        batch = np.random.default_rng(3).standard_normal((3, 1, 64))
+        for mode in ("train", "eval"):
+            out_a, layer_a = psdnorm_forward(loaded, batch, mode)
+            out_b, layer_b = psdnorm_forward(layer, batch, mode)
+            np.testing.assert_array_equal(out_a, out_b)
+            np.testing.assert_allclose(layer_a.barycenter, layer_b.barycenter,
+                                       rtol=1e-14)
 
     def test_batchnorm_round_trip_byte_identical(self, tmp_path):
         layer = BatchNormLayer(

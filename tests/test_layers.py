@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from psdnorm import (
+    AsymmetricPsdError,
     BatchNormLayer,
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
@@ -149,6 +150,7 @@ class TestPsdNormForward:
         (np.array([[1.0, np.nan, 1.0, 1.0]]), NonFiniteInputError),
         (np.array([[1.0, np.inf, 1.0, 1.0]]), NonFiniteInputError),
         (np.array([[1.0, 0.0, 1.0, 1.0]]), NonPositivePsdError),
+        (np.array([[1.0, 2.0, 5.0, 3.0]]), AsymmetricPsdError),
     ])
     def test_barycenter_must_be_a_positive_psd(self, barycenter, error):
         with pytest.raises(error):

@@ -9,17 +9,17 @@ from psdnorm import (
     ChannelMismatchError,
     FilterLongerThanSignalError,
     LengthTooShortError,
-    MongeFilter,
     NonFiniteInputError,
     ParameterOutOfRangeError,
     WelchConfig,
     apply_mapping,
     centered_psd,
-    fourier_matrix,
     make_window,
     welch_psd,
 )
 from psdnorm.spectral import n_segments, psd_floor, welch_psd_raw
+
+from oracles import fourier_matrix
 
 
 def direct_welch(x, f, stride, window):
@@ -37,12 +37,6 @@ def direct_welch(x, f, stride, window):
                     acc += seg[k] * cmath.exp(-2j * cmath.pi * k * b / f)
                 p[m, b] += abs(acc) ** 2
     return p / n_seg
-
-
-def convolve(x, h):
-    """apply_mapping with raw filter taps in place of a synthesized filter."""
-    h = np.atleast_2d(np.asarray(h, dtype=float))
-    return apply_mapping(x, MongeFilter(coefficients=h, max_imag_residual=0.0))
 
 
 class TestFourierMatrix:
@@ -159,6 +153,14 @@ class TestWelch:
                 np.abs(p[:, k] - p[:, 8 - k]) < 1e-8 * p.max()
             )
 
+    def test_bins_mirror_exactly(self):
+        x = np.random.default_rng(9).standard_normal((3, 64))
+        for f in range(1, 17):
+            for stride in sorted({1, max(1, f // 2), f}):
+                p = welch_psd_raw(x, WelchConfig(f, stride=stride))
+                mirrored = p[:, -np.arange(f) % f]
+                assert np.array_equal(p, mirrored), f"f={f}, stride={stride}"
+
     def test_positivity(self):
         rng = np.random.default_rng(3)
         p = welch_psd(rng.standard_normal((2, 100)), WelchConfig(5))
@@ -203,11 +205,11 @@ class TestCircularConvolve:
         h = np.zeros((2, 4))
         h[:, 0] = 1.0
         np.testing.assert_allclose(
-            convolve(x, h), x - x.mean(axis=1, keepdims=True), atol=1e-12
+            apply_mapping(x, h), x - x.mean(axis=1, keepdims=True), atol=1e-12
         )
 
     def test_shift_by_one(self):
-        out = convolve([[1.0, 2.0, 3.0, 4.0]], [[0.0, 1.0]])
+        out = apply_mapping([[1.0, 2.0, 3.0, 4.0]], [[0.0, 1.0]])
         np.testing.assert_allclose(out, [[1.5, -1.5, -0.5, 0.5]], atol=1e-12)
 
     def test_matches_triple_loop_oracle(self):
@@ -224,24 +226,24 @@ class TestCircularConvolve:
                     for k in range(f):
                         lag = k if k <= f // 2 else k - f
                         expected[m, n] += h[m, k] * xc[m, (n - lag) % 16]
-            np.testing.assert_allclose(convolve(x, h), expected, atol=1e-10)
+            np.testing.assert_allclose(apply_mapping(x, h), expected, atol=1e-10)
 
     def test_linearity(self):
         rng = np.random.default_rng(7)
         x, y = rng.standard_normal((2, 2, 32))
         h = rng.standard_normal((2, 6))
         a, b = 2.5, -1.25
-        lhs = convolve(a * x + b * y, h)
-        rhs = a * convolve(x, h) + b * convolve(y, h)
+        lhs = apply_mapping(a * x + b * y, h)
+        rhs = a * apply_mapping(x, h) + b * apply_mapping(y, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
-            convolve(np.zeros((2, 8)), np.zeros((3, 2)))
+            apply_mapping(np.zeros((2, 8)), np.zeros((3, 2)))
 
     def test_filter_too_long(self):
         with pytest.raises(FilterLongerThanSignalError):
-            convolve(np.zeros((1, 4)), np.zeros((1, 8)))
+            apply_mapping(np.zeros((1, 4)), np.zeros((1, 8)))
 
 
 class TestCentering:
@@ -252,19 +254,19 @@ class TestCentering:
         x = np.array([[1.0, 3.0], [-2.0, 2.0]])
         np.testing.assert_allclose(centered_psd(x, self.VARIANCE), [[1.0], [4.0]])
         np.testing.assert_allclose(
-            convolve(x, [[1.0], [1.0]]), [[-1.0, 1.0], [-2.0, 2.0]]
+            apply_mapping(x, [[1.0], [1.0]]), [[-1.0, 1.0], [-2.0, 2.0]]
         )
 
     def test_constant_rows(self):
         x = np.array([[3.0] * 5, [-1.0] * 5])
         p = centered_psd(x, self.VARIANCE)
         assert np.all(p == psd_floor(np.zeros((2, 1))))
-        np.testing.assert_allclose(convolve(x, [[1.0], [1.0]]), 0.0, atol=1e-15)
+        np.testing.assert_allclose(apply_mapping(x, [[1.0], [1.0]]), 0.0, atol=1e-15)
 
     def test_centered_row_sums(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 100)) + 5.0
-        out = convolve(x, rng.standard_normal((3, 7)))
+        out = apply_mapping(x, rng.standard_normal((3, 7)))
         assert np.all(np.abs(out.sum(axis=1)) < 1e-10)
         np.testing.assert_array_equal(
             centered_psd(x, WelchConfig(8)),
