@@ -83,14 +83,20 @@ def _welch_from_args(args) -> WelchConfig:
 @contextmanager
 def _staged_writes():
     """Yield ``stage(path)``, which names a temporary file beside ``path``
-    for the caller to write.  When the block ends every staged file is
-    renamed to its path; if the block raises they are all deleted instead,
-    so a failed command leaves none of its output files behind.  Only a
-    failed rename can leave the files renamed before it."""
+    for the caller to write; a path that is a directory, or was staged
+    before, is refused (``IsADirectoryError``, ``ParameterOutOfRangeError``).
+    When the block ends every staged file is renamed to its path; if it
+    raises they are all deleted, so a failed command leaves none of its
+    files.  Only a rename that fails for another reason (say, in a directory
+    made read-only after staging) can leave the files renamed before it."""
     staged = []
 
     def stage(path) -> Path:
-        path = Path(path)
+        path = Path(path).parent.resolve() / Path(path).name
+        if path.is_dir():
+            raise IsADirectoryError(f"output path {path} is a directory")
+        if any(path == final for _, final in staged):
+            raise ParameterOutOfRangeError(f"two outputs would be written to {path}")
         part = path.with_name(f".{len(staged)}.{path.name}.part")
         staged.append((part, path))
         return part

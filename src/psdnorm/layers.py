@@ -18,13 +18,12 @@ from .errors import (
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
     NonFiniteInputError,
-    NonPositivePsdError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
 )
 from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, as_signal, check_symmetric, welch_psd
+from .spectral import WelchConfig, as_signal, check_psd, welch_psd
 
 MODES = ("train", "eval")
 
@@ -105,12 +104,7 @@ class PsdNormLayer:
             if bary.ndim != 2 or bary.shape[1] != self.filter_size:
                 raise ShapeMismatchError(f"barycenter shape {bary.shape} is not"
                                          f" (channels, {self.filter_size})")
-            if not np.all(np.isfinite(bary)):
-                raise NonFiniteInputError("barycenter contains NaN or Inf")
-            if not np.all(bary > 0):
-                raise NonPositivePsdError("barycenter must be strictly positive")
-            check_symmetric(bary, "barycenter")
-            object.__setattr__(self, "barycenter", bary)
+            object.__setattr__(self, "barycenter", check_psd(bary, "barycenter"))
         if self.welch is None:
             object.__setattr__(self, "welch", WelchConfig(self.filter_size))
         if self.welch.filter_size != self.filter_size:

@@ -13,10 +13,9 @@ import numpy as np
 from .errors import (
     ChannelMismatchError,
     FilterLongerThanSignalError,
-    NonPositivePsdError,
     ShapeMismatchError,
 )
-from .spectral import as_signal, check_symmetric
+from .spectral import as_signal, check_psd
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
 #: gain on near-silent source bins.
@@ -26,21 +25,15 @@ RATIO_CAP = 1e6
 def monge_filter(p_src, p_tgt) -> np.ndarray:
     """The (c, f) filter taps mapping PSD p_src onto p_tgt.
 
-    Both PSDs must be strictly positive and conjugate-symmetric
-    (``check_symmetric``).  The gain sqrt(p_tgt / p_src), with the ratio
+    Both PSDs must pass ``check_psd`` (finite, strictly positive and
+    conjugate-symmetric).  The gain sqrt(p_tgt / p_src), with the ratio
     capped at RATIO_CAP, is then real and even, and its inverse DFT is taken
     from bins 0..f//2 with irfft.
     """
-    p_src = np.atleast_2d(np.asarray(p_src, dtype=float))
-    p_tgt = np.atleast_2d(np.asarray(p_tgt, dtype=float))
+    p_src = check_psd(p_src, "source PSD")
+    p_tgt = check_psd(p_tgt, "target PSD")
     if p_src.shape != p_tgt.shape:
-        raise ShapeMismatchError(
-            f"PSD shapes differ: {p_src.shape} vs {p_tgt.shape}"
-        )
-    if not (np.all(p_src > 0) and np.all(p_tgt > 0)):  # NaN fails too
-        raise NonPositivePsdError("PSD entries must be strictly positive")
-    check_symmetric(p_src, "source PSD")
-    check_symmetric(p_tgt, "target PSD")
+        raise ShapeMismatchError(f"PSD shapes differ: {p_src.shape} vs {p_tgt.shape}")
     f = p_src.shape[1]
     gain = np.sqrt(np.minimum(p_tgt / p_src, RATIO_CAP))
     return np.fft.irfft(gain[:, : f // 2 + 1], n=f, axis=1)

@@ -23,12 +23,14 @@ from .errors import (
     AsymmetricPsdError,
     LengthTooShortError,
     NonFiniteInputError,
+    NonPositivePsdError,
     ParameterOutOfRangeError,
+    ShapeMismatchError,
 )
 
 WINDOW_KINDS = ("hann", "boxcar")
 
-#: Largest |p[:, k] - p[:, f - k]| that ``check_symmetric`` accepts, relative
+#: Largest |p[:, k] - p[:, f - k]| that ``check_psd`` accepts, relative
 #: to the channel's largest bin: far above roundoff, far below real asymmetry.
 SYMMETRY_RTOL = 1e-9
 
@@ -79,16 +81,25 @@ class WelchConfig:
             )
 
 
-def check_symmetric(p: np.ndarray, name: str) -> None:
-    """Raise ``AsymmetricPsdError`` unless the (c, f) PSD p is conjugate-
-    symmetric to within SYMMETRY_RTOL of each channel's largest bin."""
+def check_psd(p, name: str) -> np.ndarray:
+    """p as a float (c, f) array, which must be non-empty, finite, strictly
+    positive and conjugate-symmetric within SYMMETRY_RTOL of each channel's
+    largest bin: the one test of a valid PSD, with one error per failure."""
+    p = np.atleast_2d(np.asarray(p, dtype=float))
+    if p.ndim != 2 or p.size == 0:
+        raise ShapeMismatchError(f"{name} must be a non-empty 2-D array, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise NonFiniteInputError(f"{name} contains NaN or Inf")
+    if not np.all(p > 0):
+        raise NonPositivePsdError(f"{name} must be strictly positive")
     f = p.shape[1]
-    gap = np.abs(p - p[:, -np.arange(f) % f]) / p.max(axis=1, keepdims=True)
-    if np.max(gap) > SYMMETRY_RTOL:
-        k = int(np.argmax(gap)) % f
+    gap = np.abs(p[:, 1:] - p[:, :0:-1]) / p.max(axis=1, keepdims=True)  # bins 1..f-1
+    if np.max(gap, initial=0.0) > SYMMETRY_RTOL:
+        k = int(np.argmax(gap)) % (f - 1) + 1
         raise AsymmetricPsdError(f"{name} is not conjugate-symmetric: bin {k}"
                                  f" differs from bin {f - k} by {np.max(gap):.3e}"
                                  " of the channel maximum")
+    return p
 
 
 def make_window(kind: str, f: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from .layers import (
     psdnorm_forward,
     tma_fit,
 )
-from .spectral import WelchConfig
+from .spectral import WelchConfig, check_psd
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
@@ -38,17 +38,13 @@ METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 class DomainSpec:
     """One synthetic domain: a generating PSD plus sampling parameters."""
 
-    psd: np.ndarray          # (c, f), strictly positive
+    psd: np.ndarray          # (c, f), checked by ``check_psd``
     n_signals: int
     length: int
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "psd", np.atleast_2d(np.asarray(self.psd, dtype=float))
-        )
-        if np.any(self.psd <= 0):
-            raise ParameterOutOfRangeError("generating PSD must be positive")
+        object.__setattr__(self, "psd", check_psd(self.psd, "generating PSD"))
         if self.n_signals < 1:
             raise ParameterOutOfRangeError("n_signals must be >= 1")
         if self.length < self.psd.shape[1]:
@@ -56,8 +52,8 @@ class DomainSpec:
 
 
 def _interp_gain(psd_row: np.ndarray, length: int) -> np.ndarray:
-    """sqrt-PSD interpolated from f bins to `length` bins over normalized
-    frequency, preserving conjugate symmetry."""
+    """sqrt-PSD interpolated from f bins onto the length//2 + 1 non-negative
+    frequencies k / length of a length-point rfft."""
     f = psd_row.shape[0]
     sqrt_p = np.sqrt(psd_row)
     # Known values on [0, 0.5]: bins 0..f//2 at frequency k/f.
@@ -68,8 +64,7 @@ def _interp_gain(psd_row: np.ndarray, length: int) -> np.ndarray:
         # Odd f: extend to Nyquist with the last available magnitude.
         known_freq = np.append(known_freq, 0.5)
         known_val = np.append(known_val, sqrt_p[half])
-    target = np.minimum(np.arange(length), length - np.arange(length)) / length
-    return np.interp(target, known_freq, known_val)
+    return np.interp(np.arange(length // 2 + 1) / length, known_freq, known_val)
 
 
 def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
@@ -77,18 +72,17 @@ def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
 
     Each channel is white Gaussian noise colored by a zero-phase circular
     filter whose length-l frequency-response magnitude is the sqrt-PSD
-    interpolated from f bins.  Returns an (n_signals, c, l) array.
+    interpolated from f bins; the PSD is symmetric, so one rfft/irfft pair
+    colors every channel.  Returns an (n_signals, c, l) array.
     """
-    c, f = spec.psd.shape
-    l = spec.length
-    gains = np.stack([_interp_gain(spec.psd[m], l) for m in range(c)])
-    out = np.empty((spec.n_signals, c, l))
+    c, l = len(spec.psd), spec.length
+    gains = np.stack([_interp_gain(row, l) for row in spec.psd])
+    z = np.empty((spec.n_signals, c, l))
     for j in range(spec.n_signals):
         for m in range(c):
             ss = np.random.SeedSequence([int(spec.seed), j, m])
-            z = np.random.Generator(np.random.PCG64(ss)).standard_normal(l)
-            out[j, m] = np.fft.ifft(np.fft.fft(z) * gains[m]).real
-    return out
+            z[j, m] = np.random.Generator(np.random.PCG64(ss)).standard_normal(l)
+    return np.fft.irfft(np.fft.rfft(z) * gains, n=l)
 
 
 def make_shifted_domains(base, k: int, shift_strength: float,

@@ -1,5 +1,6 @@
-"""Independent references that only tests use: the unitary DFT matrix and
-the classical Gaussian Monge map, materialized densely."""
+"""Independent references that only tests use: the unitary DFT matrix, the
+classical Gaussian Monge map, materialized densely, and two-sided Gaussian
+synthesis."""
 
 import numpy as np
 
@@ -73,3 +74,25 @@ def _sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     if np.any(vals <= 0):
         raise NonPositivePsdError("covariance is not positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def two_sided_gaussian_sample(spec) -> np.ndarray:
+    """``sample_gaussian_with_psd`` over the full spectrum: each seeded white
+    noise row is colored by ifft(fft(z) * g).real, where g is the sqrt-PSD
+    interpolated onto all l frequencies, mirrored as min(k, l - k) / l."""
+    c, f = spec.psd.shape
+    l = spec.length
+    half = f // 2
+    # Bin f // 2 extends to Nyquist; for even f it already sits there.
+    known_freq = np.append(np.arange(half + 1) / f, 0.5)
+    target = np.minimum(np.arange(l), l - np.arange(l)) / l
+    out = np.empty((spec.n_signals, c, l))
+    for m in range(c):
+        sqrt_p = np.sqrt(spec.psd[m])
+        gain = np.interp(target, known_freq,
+                         np.append(sqrt_p[: half + 1], sqrt_p[half]))
+        for j in range(spec.n_signals):
+            ss = np.random.SeedSequence([int(spec.seed), j, m])
+            z = np.random.Generator(np.random.PCG64(ss)).standard_normal(l)
+            out[j, m] = np.fft.ifft(np.fft.fft(z) * gain).real
+    return out

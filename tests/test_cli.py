@@ -75,6 +75,31 @@ class TestPsdCommand:
         assert read_error(capsys)["kind"] == "io"
         assert list(out.iterdir()) == []
 
+    def test_one_path_for_csv_and_json_exit_3(self, tmp_path, capsys):
+        # The JSON would silently replace the PSD table.
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=256, seed=4)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["psd", str(sig), "--out-csv", str(out / "o.txt"),
+                     "--out-json", str(out / "." / "o.txt")])
+        assert code == EXIT_VALIDATION
+        error = read_error(capsys)
+        assert error["kind"] == "validation"
+        assert "two outputs would be written to" in error["message"]
+        assert list(out.iterdir()) == []
+
+    def test_directory_output_path_leaves_no_csv(self, tmp_path, capsys):
+        sig = tmp_path / "x.psdn"
+        write_white_noise(sig, c=1, length=256, seed=4)
+        out = tmp_path / "out"
+        (out / "j.json").mkdir(parents=True)
+        code = main(["psd", str(sig), "--out-csv", str(out / "a.csv"),
+                     "--out-json", str(out / "j.json")])
+        assert code == EXIT_IO
+        assert read_error(capsys)["kind"] == "io"
+        assert [p.name for p in out.iterdir()] == ["j.json"]
+
 
 class TestAlignCommand:
     def test_inputs_with_one_stem_exit_3(self, tmp_path, capsys):

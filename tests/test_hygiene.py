@@ -40,6 +40,30 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def two_sided_ffts(source: str) -> list[str]:
+    """Calls of ``np.fft.fft`` or ``np.fft.ifft``: every spectrum in the
+    library is the one-sided spectrum of a real signal, so it uses
+    ``rfft``/``irfft``."""
+    return sorted(f"np.fft.{node.func.attr} (line {node.lineno})"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("fft", "ifft")
+                  and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "fft")
+
+
+def test_checker_flags_a_two_sided_fft():
+    source = "import numpy as np\ny = np.fft.ifft(np.fft.fft(x)).real\n" \
+             "z = np.fft.irfft(np.fft.rfft(x))\n"
+    assert two_sided_ffts(source) == ["np.fft.fft (line 2)", "np.fft.ifft (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_two_sided_fft(path):
+    assert two_sided_ffts(path.read_text()) == []
+
+
 def traced_names() -> list[str]:
     """The ``module.function`` keys of ``TRACED`` in the benchmark's tracer,
     read without importing the benchmark."""

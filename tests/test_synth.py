@@ -7,6 +7,7 @@ from psdnorm import (
     DomainSpec,
     EmptyInputError,
     LengthTooShortError,
+    NonPositivePsdError,
     ParameterOutOfRangeError,
     WelchConfig,
     bures_distance,
@@ -15,6 +16,8 @@ from psdnorm import (
     sample_gaussian_with_psd,
     welch_psd,
 )
+
+from oracles import two_sided_gaussian_sample
 
 
 def flat_spec(c=1, f=8, n=2, length=2 ** 12, seed=0):
@@ -58,8 +61,19 @@ class TestSampling:
         )
         np.testing.assert_allclose(psd / target, 1.0, atol=0.15)
 
+    @pytest.mark.parametrize("length", [256, 255])
+    @pytest.mark.parametrize("f", [8, 7])
+    def test_matches_two_sided_oracle(self, length, f):
+        k = np.arange(f)
+        psd = np.stack([np.exp(0.8 * np.cos(2 * np.pi * k / f)),
+                        2.0 + np.cos(4 * np.pi * k / f)])
+        spec = DomainSpec(psd, n_signals=3, length=length, seed=5)
+        np.testing.assert_allclose(sample_gaussian_with_psd(spec),
+                                   two_sided_gaussian_sample(spec), rtol=0,
+                                   atol=1e-12)
+
     def test_domain_spec_validation(self):
-        with pytest.raises(ParameterOutOfRangeError):
+        with pytest.raises(NonPositivePsdError):
             DomainSpec(np.zeros((1, 4)), n_signals=1, length=16, seed=0)
         with pytest.raises(ParameterOutOfRangeError):
             DomainSpec(np.ones((1, 4)), n_signals=0, length=16, seed=0)
