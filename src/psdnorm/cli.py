@@ -49,7 +49,7 @@ from .layers import (
     psdnorm_forward,
 )
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, n_segments, psd_floor, welch_psd_raw
+from .spectral import WelchConfig, n_segments, psd_floor, welch_psd
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
 EXIT_OK = 0
@@ -132,10 +132,8 @@ def cmd_psd(args) -> int:
     rows, files, clamp_total, bins_total = [], [], 0, 0
     for path in args.inputs:
         x = read_signal(path)
-        raw = welch_psd_raw(x, cfg)
-        floor = psd_floor(raw)
-        clamped = int(np.count_nonzero(raw < floor))
-        p = np.maximum(raw, floor)
+        p = welch_psd(x, cfg)
+        clamped = int(np.count_nonzero(p == psd_floor(p)))
         rows.append(p)
         clamp_total += clamped
         bins_total += p.size
@@ -205,10 +203,12 @@ def cmd_align(args) -> int:
         if p.shape != target.shape:
             raise ShapeMismatchError(f"{path}: PSD shape {p.shape} differs from"
                                      f" the target's {target.shape}")
+    taps = monge_filter(np.concatenate(psds), np.tile(target, (len(psds), 1)))
     records = []
     with _staged_writes() as stage:
-        for path, out_path, x, p in zip(args.inputs, out_paths, signals, psds):
-            y = apply_mapping(x, monge_filter(p, target))
+        for path, out_path, x, p, h in zip(args.inputs, out_paths, signals, psds,
+                                           taps.reshape(len(psds), *target.shape)):
+            y = apply_mapping(x, h)
             _write_finite(stage(out_path), y, path)
             records.append({
                 "input": str(path),

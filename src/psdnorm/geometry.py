@@ -4,7 +4,8 @@ For centered Gaussians whose covariances share the circulant (Fourier-
 diagonal) structure, all geometry reduces to elementwise operations on the
 square roots of PSD matrices: barycenters are squared means of square roots,
 geodesics are linear interpolation of square roots, and the distance is the
-l2 distance between square roots.
+l2 distance between square roots.  Every function takes finite, strictly
+positive PSDs (``check_positive``); symmetry is not needed here.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInputError, ParameterOutOfRangeError, ShapeMismatchError
+from .spectral import check_positive
 
 
 def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
@@ -26,7 +28,7 @@ def wasserstein_barycenter(psds) -> np.ndarray:
         raise EmptyInputError("barycenter of zero PSDs")
     for p in psds[1:]:
         _check_same_shape(psds[0], p)
-    return np.mean(np.sqrt(np.stack(psds)), axis=0) ** 2
+    return np.mean(np.sqrt(check_positive(np.stack(psds), "PSDs")), axis=0) ** 2
 
 
 def geodesic_interpolate(p_src, p_tgt, t: float) -> np.ndarray:
@@ -36,8 +38,8 @@ def geodesic_interpolate(p_src, p_tgt, t: float) -> np.ndarray:
     ((1 - t) * sqrt(p_src) + t * sqrt(p_tgt))^2, elementwise.
     t = 0 returns p_src and t = 1 returns p_tgt exactly.
     """
-    p_src = np.asarray(p_src, dtype=float)
-    p_tgt = np.asarray(p_tgt, dtype=float)
+    p_src = check_positive(p_src, "source PSD")
+    p_tgt = check_positive(p_tgt, "target PSD")
     _check_same_shape(p_src, p_tgt)
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRangeError(f"t must be in [0, 1], got {t}")
@@ -46,8 +48,8 @@ def geodesic_interpolate(p_src, p_tgt, t: float) -> np.ndarray:
 
 def bures_distance(p, q) -> float:
     """sqrt(sum_(m,k) (sqrt(p) - sqrt(q))^2): a metric on positive PSDs."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p = check_positive(p, "p")
+    q = check_positive(q, "q")
     _check_same_shape(p, q)
     return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)))
 
@@ -59,7 +61,6 @@ def running_update(value, batch_bary, momentum: float) -> np.ndarray:
     Otherwise returns ((1 - a) * sqrt(value) + a * sqrt(batch_bary))^2 with
     a = momentum.  The inputs are not mutated.
     """
-    batch_bary = np.asarray(batch_bary, dtype=float)
     if value is None:
-        return batch_bary.copy()
+        return check_positive(batch_bary, "batch barycenter").copy()
     return geodesic_interpolate(value, batch_bary, momentum)

@@ -114,13 +114,17 @@ class PsdNormLayer:
 
 
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
-    """One forward pass; returns (normalized batch, updated layer)."""
+    """One forward pass; returns (normalized batch, updated layer).  One
+    ``monge_filter`` call over the stacked (N * c, f) rows makes every tap."""
     _check_mode(mode)
     b = as_batch(batch)
     if mode == "eval" and layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             "eval-mode forward requires an accumulated barycenter"
         )
+    if layer.barycenter is not None and b.shape[1] != len(layer.barycenter):
+        raise ShapeMismatchError(f"batch has {b.shape[1]} channels,"
+                                 f" the layer has {len(layer.barycenter)}")
 
     psds = [centered_psd(g, layer.welch) for g in b]
     if mode == "train":
@@ -128,9 +132,10 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
                               layer.momentum)
         layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
 
+    taps = monge_filter(np.concatenate(psds), np.tile(layer.barycenter, (len(b), 1)))
     out = np.empty_like(b)
-    for j, (g, p) in enumerate(zip(b, psds)):
-        out[j] = apply_mapping(g, monge_filter(p, layer.barycenter))
+    for j, (g, h) in enumerate(zip(b, taps.reshape(*b.shape[:2], -1))):
+        out[j] = apply_mapping(g, h)
     return out, layer
 
 

@@ -81,6 +81,17 @@ class WelchConfig:
             )
 
 
+def check_positive(p, name: str) -> np.ndarray:
+    """p as a float array, which must be finite and strictly positive: the
+    bin test of ``check_psd``, and all that the elementwise geometry needs."""
+    p = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(p)):
+        raise NonFiniteInputError(f"{name} contains NaN or Inf")
+    if not np.all(p > 0):
+        raise NonPositivePsdError(f"{name} must be strictly positive")
+    return p
+
+
 def check_psd(p, name: str) -> np.ndarray:
     """p as a float (c, f) array, which must be non-empty, finite, strictly
     positive and conjugate-symmetric within SYMMETRY_RTOL of each channel's
@@ -88,10 +99,7 @@ def check_psd(p, name: str) -> np.ndarray:
     p = np.atleast_2d(np.asarray(p, dtype=float))
     if p.ndim != 2 or p.size == 0:
         raise ShapeMismatchError(f"{name} must be a non-empty 2-D array, got {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteInputError(f"{name} contains NaN or Inf")
-    if not np.all(p > 0):
-        raise NonPositivePsdError(f"{name} must be strictly positive")
+    check_positive(p, name)
     f = p.shape[1]
     gap = np.abs(p[:, 1:] - p[:, :0:-1]) / p.max(axis=1, keepdims=True)  # bins 1..f-1
     if np.max(gap, initial=0.0) > SYMMETRY_RTOL:

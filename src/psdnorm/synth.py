@@ -51,32 +51,19 @@ class DomainSpec:
             raise LengthTooShortError("length must be >= number of PSD bins")
 
 
-def _interp_gain(psd_row: np.ndarray, length: int) -> np.ndarray:
-    """sqrt-PSD interpolated from f bins onto the length//2 + 1 non-negative
-    frequencies k / length of a length-point rfft."""
-    f = psd_row.shape[0]
-    sqrt_p = np.sqrt(psd_row)
-    # Known values on [0, 0.5]: bins 0..f//2 at frequency k/f.
-    half = f // 2
-    known_freq = np.arange(half + 1) / f
-    known_val = sqrt_p[: half + 1]
-    if known_freq[-1] < 0.5:
-        # Odd f: extend to Nyquist with the last available magnitude.
-        known_freq = np.append(known_freq, 0.5)
-        known_val = np.append(known_val, sqrt_p[half])
-    return np.interp(np.arange(length // 2 + 1) / length, known_freq, known_val)
-
-
 def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
     """Draw ``n_signals`` Gaussian signals whose spectrum matches spec.psd.
 
     Each channel is white Gaussian noise colored by a zero-phase circular
     filter whose length-l frequency-response magnitude is the sqrt-PSD
-    interpolated from f bins; the PSD is symmetric, so one rfft/irfft pair
-    colors every channel.  Returns an (n_signals, c, l) array.
+    interpolated from bins k / f onto the l//2 + 1 rfft frequencies in
+    [0, 1/2]; a symmetric row needs no mirroring there (for odd f, 1/2 lies
+    between the equal bins f//2 and f//2 + 1).  Returns an (n_signals, c, l)
+    array.
     """
-    c, l = len(spec.psd), spec.length
-    gains = np.stack([_interp_gain(row, l) for row in spec.psd])
+    (c, f), l = spec.psd.shape, spec.length
+    gains = np.stack([np.interp(np.arange(l // 2 + 1) / l, np.arange(f) / f,
+                                np.sqrt(row)) for row in spec.psd])
     z = np.empty((spec.n_signals, c, l))
     for j in range(spec.n_signals):
         for m in range(c):

@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from psdnorm import DomainSpec, sample_gaussian_with_psd
+from psdnorm import (
+    DomainSpec,
+    WelchConfig,
+    monge_filter,
+    sample_gaussian_with_psd,
+    welch_psd,
+)
 from psdnorm.cli import EXIT_IO, EXIT_OK, EXIT_STATE, EXIT_VALIDATION, main
 from psdnorm.io import load_state, read_signal, save_state, write_signal
 
@@ -47,6 +53,21 @@ class TestPsdCommand:
         summary = json.loads(out_json.read_text())
         assert summary["all_clamped"] is False
         assert summary["config"]["f"] == 8
+
+    def test_silent_channel_beside_a_noisy_one(self, tmp_path):
+        sig = tmp_path / "half.psdn"
+        x = write_white_noise(sig, c=2, length=256, seed=4)
+        x[0] = 0.0
+        write_signal(sig, x)
+        out_csv = tmp_path / "psd.csv"
+        out_json = tmp_path / "psd.json"
+        assert main(["psd", str(sig), "--f", "8",
+                     "--out-csv", str(out_csv), "--out-json", str(out_json)]) == EXIT_OK
+        summary = json.loads(out_json.read_text())
+        assert summary["files"][0]["clamped_bins"] == summary["clamped_bins"] == 8
+        assert summary["all_clamped"] is False
+        np.testing.assert_array_equal(np.loadtxt(out_csv, delimiter=",", ndmin=2),
+                                      welch_psd(read_signal(sig), WelchConfig(8)))
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["psd", str(tmp_path / "absent.psdn"),
@@ -194,6 +215,21 @@ class TestAlignCommand:
             np.testing.assert_array_equal(written, y.astype(np.float32).astype(float))
             assert rec["pre_distance"] == bures_distance(p, target)
             assert rec["post_distance"] == bures_distance(psd(y), target)
+
+    def test_taps_are_synthesised_once_per_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(p_src, p_tgt):
+            calls.append(np.shape(p_src))
+            return monge_filter(p_src, p_tgt)
+
+        monkeypatch.setattr("psdnorm.cli.monge_filter", counting)
+        paths = [tmp_path / f"s{seed}.psdn" for seed in range(3)]
+        for seed, path in enumerate(paths):
+            write_white_noise(path, c=2, length=256, seed=seed)
+        assert main(["align", *map(str, paths), "--f", "8",
+                     "--out", str(tmp_path / "aligned")]) == EXIT_OK
+        assert calls == [(6, 8)]
 
     def test_shape_mismatch_exit_3(self, tmp_path, capsys):
         pa = tmp_path / "a.psdn"

@@ -7,6 +7,8 @@ import pytest
 
 from psdnorm import (
     EmptyInputError,
+    NonFiniteInputError,
+    NonPositivePsdError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
     bures_distance,
@@ -162,3 +164,31 @@ class TestBuresDistance:
             assert dpq >= 0
             assert abs(dpq - bures_distance(q, p)) < 1e-10
             assert dpq <= bures_distance(p, r) + bures_distance(r, q) + 1e-10
+
+
+GOOD = np.array([[1.0, 2.0]])
+
+# Each call puts the invalid PSD in one argument of one geometry function.
+CALLS = {
+    "bures_distance(bad, p)": lambda bad: bures_distance(bad, GOOD),
+    "bures_distance(p, bad)": lambda bad: bures_distance(GOOD, bad),
+    "wasserstein_barycenter": lambda bad: wasserstein_barycenter([GOOD, bad]),
+    "geodesic_interpolate(bad, p)": lambda bad: geodesic_interpolate(bad, GOOD, 0.5),
+    "geodesic_interpolate(p, bad)": lambda bad: geodesic_interpolate(GOOD, bad, 0.5),
+    "running_update(None, bad)": lambda bad: running_update(None, bad, 0.1),
+    "running_update(bad, p)": lambda bad: running_update(bad, GOOD, 0.1),
+    "running_update(p, bad)": lambda bad: running_update(GOOD, bad, 0.1),
+}
+
+
+@pytest.mark.parametrize("bad, error", [
+    ([[np.nan, 1.0]], NonFiniteInputError),
+    ([[np.inf, 1.0]], NonFiniteInputError),
+    ([[0.0, 1.0]], NonPositivePsdError),
+    ([[-1.0, 1.0]], NonPositivePsdError),
+], ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("call", CALLS)
+def test_invalid_psd_raises(call, bad, error):
+    """A NaN, Inf or non-positive bin raises instead of returning NaN."""
+    with pytest.raises(error):
+        CALLS[call](np.array(bad))

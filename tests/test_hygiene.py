@@ -108,3 +108,42 @@ def test_every_export_is_used_outside_the_tests():
     users = [*MODULES, *TRACER.parent.glob("*.py")]  # the library and perfbench
     used = set().union(*(referenced_names(p.read_text()) for p in users))
     assert [name for name in exported_names() if name not in used] == []
+
+
+def unused_private_names(sources: list[str]) -> list[str]:
+    """Top-level ``_name`` functions, classes and assignments of the given
+    modules that no module reads outside the definition itself."""
+    defined, read = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined |= {name for name in own
+                        if name.startswith("_") and not name.startswith("__")}
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    name = sub.id
+                elif isinstance(sub, ast.Attribute):
+                    name = sub.attr
+                else:
+                    continue
+                if name not in own:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_checker_flags_an_unused_private_helper():
+    first = "_LIMIT = 3\n_SEEN = 0\ndef _used(x):\n    return x + _LIMIT\n" \
+            "def _unused(x):\n    return _unused(x - 1)\nclass _Spare:\n    pass\n"
+    second = "from .first import _used\n__version__ = '1'\ny = _used(1)\n"
+    assert unused_private_names([first, second]) == ["_SEEN", "_Spare", "_unused"]
+
+
+def test_every_private_helper_is_used():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unused_private_names(sources) == []

@@ -128,6 +128,27 @@ class TestPsdNormForward:
         np.testing.assert_array_equal(new.barycenter, target)
         np.testing.assert_array_equal(out, np.stack(expected))
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_batch_of_other_channel_count(self, mode):
+        layer = PsdNormLayer(filter_size=4, barycenter=np.ones((3, 4)), update_count=1)
+        batch = np.random.default_rng(16).standard_normal((2, 2, 32))
+        with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
+            psdnorm_forward(layer, batch, mode)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_taps_are_synthesised_once_per_call(self, monkeypatch, mode):
+        calls = []
+
+        def counting(p_src, p_tgt):
+            calls.append(np.shape(p_src))
+            return monge_filter(p_src, p_tgt)
+
+        monkeypatch.setattr("psdnorm.layers.monge_filter", counting)
+        batch = np.random.default_rng(17).standard_normal((8, 3, 64))
+        layer = PsdNormLayer(filter_size=4, barycenter=np.ones((3, 4)), update_count=1)
+        psdnorm_forward(layer, batch, mode)
+        assert calls == [(24, 4)]
+
     @pytest.mark.parametrize("momentum", [-0.1, 1.5, float("nan"), float("inf"),
                                           HUGE, "fast"])
     def test_momentum_out_of_range(self, momentum):

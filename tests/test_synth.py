@@ -62,7 +62,7 @@ class TestSampling:
         np.testing.assert_allclose(psd / target, 1.0, atol=0.15)
 
     @pytest.mark.parametrize("length", [256, 255])
-    @pytest.mark.parametrize("f", [8, 7])
+    @pytest.mark.parametrize("f", [1, 2, 3, 7, 8])
     def test_matches_two_sided_oracle(self, length, f):
         k = np.arange(f)
         psd = np.stack([np.exp(0.8 * np.cos(2 * np.pi * k / f)),
