@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, as_signal, check_psd, welch_psd
+from .spectral import WelchConfig, as_signal, as_signals, check_psd, welch_psd
 
 MODES = ("train", "eval")
 
@@ -61,9 +61,10 @@ def _number(name: str, value, low: float, high: float = math.inf,
 
 
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
-    """Welch PSD of a (c, l) signal after removing each channel's mean."""
-    x = as_signal(x)
-    return welch_psd(x - x.mean(axis=1, keepdims=True), cfg)
+    """Welch PSD of a (c, l) signal, or of each signal of an (N, c, l) batch,
+    after removing each channel's mean (one centred copy of x)."""
+    x = as_signals(x)
+    return welch_psd(x - x.mean(axis=-1, keepdims=True), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,8 @@ class PsdNormLayer:
 
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer).  One
-    ``monge_filter`` call over the stacked (N * c, f) rows makes every tap."""
+    ``centered_psd``, one ``monge_filter`` over the stacked (N * c, f) rows
+    and one ``apply_mapping`` serve the whole batch."""
     _check_mode(mode)
     b = as_batch(batch)
     if mode == "eval" and layer.barycenter is None:
@@ -126,17 +128,15 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
         raise ShapeMismatchError(f"batch has {b.shape[1]} channels,"
                                  f" the layer has {len(layer.barycenter)}")
 
-    psds = [centered_psd(g, layer.welch) for g in b]
+    psds = centered_psd(b, layer.welch)
     if mode == "train":
         bary = running_update(layer.barycenter, wasserstein_barycenter(psds),
                               layer.momentum)
         layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
 
-    taps = monge_filter(np.concatenate(psds), np.tile(layer.barycenter, (len(b), 1)))
-    out = np.empty_like(b)
-    for j, (g, h) in enumerate(zip(b, taps.reshape(*b.shape[:2], -1))):
-        out[j] = apply_mapping(g, h)
-    return out, layer
+    taps = monge_filter(psds.reshape(-1, layer.filter_size),
+                        np.tile(layer.barycenter, (len(b), 1)))
+    return apply_mapping(b, taps.reshape(psds.shape)), layer
 
 
 def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
@@ -177,11 +177,11 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
     """Estimate every signal's PSD across all domains and return a layer
     holding their barycenter, for eval-mode forwards: the first train-mode
     update of a fresh layer fed all domains as one batch."""
-    psds = [centered_psd(g, welch) for batch in domains for g in as_batch(batch)]
+    psds = [centered_psd(as_batch(batch), welch) for batch in domains]
     if not psds:
         raise EmptyInputError("tma_fit needs at least one signal")
     return PsdNormLayer(filter_size=welch.filter_size, welch=welch,
-                        barycenter=wasserstein_barycenter(psds),
+                        barycenter=wasserstein_barycenter(np.concatenate(psds)),
                         update_count=1)
 
 

@@ -15,7 +15,7 @@ from .errors import (
     FilterLongerThanSignalError,
     ShapeMismatchError,
 )
-from .spectral import as_signal, check_psd
+from .spectral import BUDGET_BYTES, as_signals, check_psd, chunk_slices
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
 #: gain on near-silent source bins.
@@ -40,8 +40,8 @@ def monge_filter(p_src, p_tgt) -> np.ndarray:
 
 
 def apply_mapping(x, h) -> np.ndarray:
-    """Subtract x's per-channel mean and circularly convolve with the (c, f)
-    filter taps h.
+    """Subtract x's per-channel mean and circularly convolve with the filter
+    taps h: (c, f) taps for a (c, l) signal, (N, c, f) for an (N, c, l) batch.
 
     The filter taps are placed at circular lags 0..f/2 and -(f/2-1)..-1
     (zero-phase placement).  Causal placement of the same taps would carry an
@@ -49,22 +49,50 @@ def apply_mapping(x, h) -> np.ndarray:
     frequency gridpoints; zero-phase placement keeps the response a smooth
     interpolation of sqrt(p_tgt / p_src).  Both placements coincide when
     f equals the signal length.
+
+    A row of up to BUDGET_BYTES is filtered whole with one rfft/irfft, in
+    chunks of rows; a longer row by overlap-save over blocks of that size,
+    each read with an f-sample halo that wraps around the row's ends.
     """
-    x = as_signal(x)
+    x = as_signals(x)
     h = np.atleast_2d(np.asarray(h, dtype=float))
-    if h.shape[0] != x.shape[0]:
-        raise ChannelMismatchError(
-            f"filter has {h.shape[0]} channels, signal has {x.shape[0]}"
-        )
-    c, l = x.shape
-    f = h.shape[1]
+    if h.shape[:-1] != x.shape[:-1]:
+        raise ChannelMismatchError(f"filter bank of shape {h.shape[:-1]} (channels)"
+                                   f" does not match the signal's {x.shape[:-1]}")
+    l, f = x.shape[-1], h.shape[-1]
     if f > l:
         raise FilterLongerThanSignalError(f"filter taps {f} > signal length {l}")
+    rows, taps = x.reshape(-1, l), h.reshape(-1, f)
+    means = rows.mean(axis=1, keepdims=True)
+    out = np.empty_like(rows)
+    m = max(BUDGET_BYTES // 8, 1 << (2 * f - 1).bit_length())  # block length
+    if l <= m:
+        m, step, halo = l, l, 0
+    else:
+        step, halo = m - f + 1, f // 2
+    for r in chunk_slices(len(rows), 8 * m):
+        response = np.fft.rfft(_zero_phase(taps[r], m), axis=1)
+        for start in range(0, l, step):
+            # One statement, so that no block's temporaries outlive it.
+            out[r, start:start + step] = np.fft.irfft(
+                np.fft.rfft(_wrapped(rows[r], start - halo, m) - means[r], axis=1)
+                * response, n=m, axis=1)[:, halo:halo + min(step, l - start)]
+    return out.reshape(x.shape)
+
+
+def _wrapped(rows: np.ndarray, lo: int, m: int) -> np.ndarray:
+    """Columns lo..lo + m - 1 of rows, indices taken modulo the row length."""
+    if 0 <= lo and lo + m <= rows.shape[1]:
+        return rows[:, lo:lo + m]
+    return np.take(rows, np.arange(lo, lo + m), axis=1, mode="wrap")
+
+
+def _zero_phase(taps: np.ndarray, m: int) -> np.ndarray:
+    """(rows, m) circular placement of (rows, f) taps at lags 0..f//2 and
+    -(f - f//2 - 1)..-1."""
+    f = taps.shape[1]
     half = f // 2
-    h_pad = np.zeros((c, l))
-    h_pad[:, : half + 1] = h[:, : half + 1]
-    h_pad[:, l - (f - half - 1):] = h[:, half + 1:]
-    centered = x - x.mean(axis=1, keepdims=True)
-    return np.fft.irfft(
-        np.fft.rfft(centered, axis=1) * np.fft.rfft(h_pad, axis=1), n=l, axis=1
-    )
+    placed = np.zeros((len(taps), m))
+    placed[:, : half + 1] = taps[:, : half + 1]
+    placed[:, m - (f - half - 1):] = taps[:, half + 1:]
+    return placed

@@ -2,14 +2,22 @@
 
 Conventions
 -----------
-Signals are real arrays of shape ``(c, l)`` (channels x samples).  PSDs are
-strictly positive, conjugate-symmetric arrays of shape ``(c, f)``: bin k
-equals bin f - k, as for any real signal, so every transform is one-sided.
+Signals are real arrays of shape ``(c, l)`` (channels x samples), and a batch
+of them has a leading axis, ``(N, c, l)``.  PSDs are strictly positive,
+conjugate-symmetric arrays of shape ``(c, f)`` (``(N, c, f)`` for a batch): bin
+k equals bin f - k, as for any real signal, so every transform is one-sided.
 The Welch estimate is scaled so that unit-variance white noise yields bins
 close to 1 for any filter size: with a unit-norm window ``w`` the bin value
 is ``mean_l |DFT(w * seg_l)|^2`` using the unnormalized DFT.  All downstream
 mapping filters depend only on PSD ratios, which are invariant to this
 global scale choice.
+
+The kernels treat each channel row on its own and hold at most
+``BUDGET_BYTES`` in any temporary: Welch accumulates each row's segment Gram
+matrix (or segment power) over blocks of segments, and
+``monge.apply_mapping`` filters chunks of rows, or blocks of one long row.  Blocks depend only on the row length and f,
+and rows never share arithmetic, so a signal gets the same bits alone as in
+a batch.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import (
     AsymmetricPsdError,
@@ -34,13 +42,35 @@ WINDOW_KINDS = ("hann", "boxcar")
 #: to the channel's largest bin: far above roundoff, far below real asymmetry.
 SYMMETRY_RTOL = 1e-9
 
+#: Largest temporary array, in bytes, of the Welch and filtering kernels.
+#: At 64 KiB a batch forward peaks within a few hundred KiB of the one output
+#: copy it must make, and a long row is filtered in 8192-sample blocks.
+BUDGET_BYTES = 1 << 16
 
-def as_signal(x) -> np.ndarray:
-    """Coerce to a float (c, l) array, accepting 1-D input as one channel."""
+
+def chunk_slices(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of as many items of
+    ``item_bytes`` as fit in BUDGET_BYTES, and at least one."""
+    step = max(1, BUDGET_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def as_signals(x) -> np.ndarray:
+    """Coerce to a float (c, l) signal or (N, c, l) batch of signals,
+    accepting 1-D input as one channel."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[np.newaxis, :]
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
+    if x.ndim not in (2, 3) or 0 in x.shape:
+        raise ParameterOutOfRangeError("signal must be a (channels, length) or (N,"
+                                       f" channels, length) array, got shape {x.shape}")
+    return x
+
+
+def as_signal(x) -> np.ndarray:
+    """Coerce to a float (c, l) array, accepting 1-D input as one channel."""
+    x = as_signals(x)
+    if x.ndim != 2:
         raise ParameterOutOfRangeError(
             f"signal must be a (channels, length) array, got shape {x.shape}"
         )
@@ -129,34 +159,74 @@ def make_window(kind: str, f: int) -> np.ndarray:
     raise ParameterOutOfRangeError(f"unknown window kind {kind!r}")
 
 
-def psd_floor(p: np.ndarray) -> float:
-    """Positivity floor applied to Welch estimates: 1e-10 * max(1, max(p))."""
-    return 1e-10 * max(1.0, float(np.max(p)) if p.size else 1.0)
+def psd_floor(p: np.ndarray) -> np.ndarray:
+    """Positivity floor applied to Welch estimates: 1e-10 * max(1, max(p))
+    over each (c, f) PSD, so each signal of an (N, c, f) batch has its own."""
+    return 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=1.0)
+
+
+def _welch_basis(w: np.ndarray) -> np.ndarray:
+    """(f, f + 2) columns a_k = w * cos and b_k = w * sin of the one-sided
+    DFT bins k = 0..f//2: a segment s has power (s @ a_k)^2 + (s @ b_k)^2 in
+    bin k, so segments with Gram matrix C sum to a_k' C a_k + b_k' C b_k."""
+    f = len(w)
+    angle = 2.0 * np.pi / f * (np.outer(np.arange(f), np.arange(f // 2 + 1)) % f)
+    return np.concatenate([w[:, np.newaxis] * np.cos(angle),
+                           w[:, np.newaxis] * np.sin(angle)], axis=1)
 
 
 def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD without the positivity floor (may contain zeros).
 
     Segment k covers columns [k*stride, k*stride + f); trailing samples that
-    do not fill a segment are dropped (see ``n_segments``).
+    do not fill a segment are dropped (see ``n_segments``).  Takes a (c, l)
+    signal or an (N, c, l) batch, one channel row at a time, over blocks of
+    segments.  Each row sums the f x f Gram matrix C of its L segments, one
+    matmul per block, and bin k is
+    sum_(n,m) w_n w_m C[n, m] exp(-2 pi i k (n - m) / f) / L: the mean
+    periodogram as a quadratic form.  That form costs f^2 per segment and
+    f^3 per row, so it serves rows of at least 2f segments whose
+    (f, f + 2) contraction fits BUDGET_BYTES (f <= 89); other rows sum
+    |rfft(w * segment)|^2.
     """
-    x = check_finite(as_signal(x))
+    x = as_signals(x)
     f, stride = cfg.filter_size, cfg.stride
-    if x.shape[1] < f:
-        raise LengthTooShortError(
-            f"signal length {x.shape[1]} < filter size {f}"
-        )
+    n_seg = n_segments(x.shape[-1], cfg)
+    rows = x.reshape(-1, x.shape[-1])
     w = make_window(cfg.window_kind, f)
-    segs = sliding_window_view(x, f, axis=1)[:, ::stride, :]  # (c, L, f)
-    half = np.mean(np.abs(np.fft.rfft(segs * w, axis=-1)) ** 2, axis=1)
-    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
+    gram_form = n_seg >= 2 * f and 8 * f * (f + 2) <= BUDGET_BYTES
+    basis = _welch_basis(w) if gram_form else None
+    block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
+    row_bytes = 8 * f * (max(block, f + 2) if gram_form else block)
+    k = f // 2 + 1
+    half = np.empty((len(rows), k))
+    for r in chunk_slices(len(rows), row_bytes):
+        check_finite(rows[r])
+        acc = np.zeros((len(rows[r]), f, f) if gram_form else half[r].shape)
+        for s in range(0, n_seg, block):
+            head = rows[r, s * stride:]  # segments s.. start at its column 0
+            segs = as_strided(head, (len(head), min(block, n_seg - s), f),
+                              (head.strides[0], stride * head.strides[1],
+                               head.strides[1]), writeable=False)
+            if gram_form:
+                segs = np.ascontiguousarray(segs)
+                acc += segs.transpose(0, 2, 1) @ segs
+            else:
+                acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
+        if gram_form:
+            power = np.sum((acc @ basis) * basis, axis=1)
+            acc = power[:, :k] + power[:, k:]
+        half[r] = acc / n_seg
+    p = np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
+    return p.reshape(x.shape[:-1] + (f,))
 
 
 def welch_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD estimate, floor-clamped to be strictly positive.
 
-    Returns a (c, f) array whose bins above f//2 copy those below it, so
-    p[:, k] == p[:, f - k] exactly.
+    Returns a (c, f) array for a (c, l) signal and an (N, c, f) array for an
+    (N, c, l) batch, each PSD clamped at its own ``psd_floor``.  Bins above
+    f//2 copy those below it, so p[..., k] == p[..., f - k] exactly.
     """
     p = welch_psd_raw(x, cfg)
     return np.maximum(p, psd_floor(p))

@@ -123,7 +123,7 @@ def _pairwise_bures(psds) -> np.ndarray:
 
 
 def _mean_psd(batch: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    return wasserstein_barycenter([centered_psd(g, cfg) for g in batch])
+    return wasserstein_barycenter(centered_psd(batch, cfg))
 
 
 def _offdiag_mean(d: np.ndarray) -> float:

@@ -1,8 +1,10 @@
 """Independent references that only tests use: the unitary DFT matrix, the
-classical Gaussian Monge map, materialized densely, and two-sided Gaussian
-synthesis."""
+classical Gaussian Monge map, materialized densely, two-sided Gaussian
+synthesis, Welch by one rfft per segment and filtering by one rfft of the
+whole signal."""
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from psdnorm import (
     NonPositivePsdError,
@@ -10,7 +12,7 @@ from psdnorm import (
     PsdNormError,
     ShapeMismatchError,
 )
-from psdnorm.spectral import as_signal
+from psdnorm.spectral import as_signal, make_window, n_segments
 
 #: Largest signal length accepted by the dense oracle.
 DENSE_MAX_LEN = 64
@@ -96,3 +98,31 @@ def two_sided_gaussian_sample(spec) -> np.ndarray:
             z = np.random.Generator(np.random.PCG64(ss)).standard_normal(l)
             out[j, m] = np.fft.ifft(np.fft.fft(z) * gain).real
     return out
+
+
+def rfft_welch_raw(x, cfg) -> np.ndarray:
+    """Unfloored Welch PSD of a (c, l) signal: the mean over its segments of
+    |rfft(w * segment)|^2, mirrored to f bins."""
+    x = as_signal(x)
+    f = cfg.filter_size
+    n_segments(x.shape[1], cfg)
+    segs = sliding_window_view(x, f, axis=1)[:, ::cfg.stride, :]  # (c, L, f)
+    w = make_window(cfg.window_kind, f)
+    half = np.mean(np.abs(np.fft.rfft(segs * w, axis=-1)) ** 2, axis=1)
+    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
+
+
+def whole_signal_mapping(x, h) -> np.ndarray:
+    """Centre each channel of a (c, l) signal and circularly convolve it with
+    zero-phase (c, f) taps by one rfft/irfft over the whole length."""
+    x = as_signal(x)
+    h = np.atleast_2d(np.asarray(h, dtype=float))
+    (c, l), f = x.shape, h.shape[1]
+    half = f // 2
+    h_pad = np.zeros((c, l))
+    h_pad[:, : half + 1] = h[:, : half + 1]
+    h_pad[:, l - (f - half - 1):] = h[:, half + 1:]
+    centered = x - x.mean(axis=1, keepdims=True)
+    return np.fft.irfft(
+        np.fft.rfft(centered, axis=1) * np.fft.rfft(h_pad, axis=1), n=l, axis=1
+    )

@@ -19,6 +19,7 @@ from psdnorm import (
     apply_mapping,
     batchnorm_forward,
     bures_distance,
+    centered_psd,
     geodesic_interpolate,
     instancenorm_forward,
     layernorm_forward,
@@ -31,6 +32,7 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.io import dumps_json, load_state, save_state, state_to_dict
+from psdnorm.spectral import BUDGET_BYTES
 
 
 # A JSON integer beyond the float range.
@@ -178,6 +180,35 @@ class TestPsdNormForward:
             PsdNormLayer(filter_size=4, barycenter=barycenter, update_count=1)
         with pytest.raises(error):
             replace(PsdNormLayer(filter_size=4), barycenter=barycenter, update_count=1)
+
+
+class TestBatchInvariance:
+    """Row j of a batched call equals the call on signal j alone, bit for bit:
+    chunks of rows and blocks of segments never depend on N."""
+
+    # Long rows: 1 row per chunk, 3 Welch blocks and overlap-save filtering.
+    # Short rows: several rows per chunk, one block, whole-row filtering; the
+    # Gram form for f = 8, the per-segment rfft for f = 128.
+    SHAPES = [pytest.param(3, 2, 3 * (BUDGET_BYTES // 8) // 2, 64, id="long"),
+              pytest.param(40, 3, 300, 8, id="short"),
+              pytest.param(5, 3, 2000, 128, id="short-rfft")]
+
+    @pytest.mark.parametrize("n, c, l, f", SHAPES)
+    def test_rows_equal_single_calls(self, n, c, l, f):
+        rng = np.random.default_rng(18)
+        b = rng.standard_normal((n, c, l)) * rng.uniform(0.5, 2.0, (n, c, 1)) + 1.0
+        cfg = WelchConfig(f)
+        psds = centered_psd(b, cfg)
+        target = wasserstein_barycenter(psds)
+        h = monge_filter(psds.reshape(-1, f), np.tile(target, (n, 1))).reshape(n, c, f)
+        mapped = apply_mapping(b, h)
+        layer = PsdNormLayer(filter_size=f, barycenter=target, update_count=1)
+        out, _ = psdnorm_forward(layer, b, "eval")
+        for j in range(n):
+            np.testing.assert_array_equal(psds[j], centered_psd(b[j], cfg))
+            np.testing.assert_array_equal(mapped[j], apply_mapping(b[j], h[j]))
+            alone, _ = psdnorm_forward(layer, b[j:j + 1], "eval")
+            np.testing.assert_array_equal(out[j], alone[0])
 
 
 class TestStack:

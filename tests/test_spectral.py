@@ -1,6 +1,7 @@
 """Tests for the signal-processing substrate."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from psdnorm import (
     apply_mapping,
     centered_psd,
     make_window,
+    monge_filter,
     welch_psd,
 )
-from psdnorm.spectral import n_segments, psd_floor, welch_psd_raw
+from psdnorm.spectral import BUDGET_BYTES, n_segments, psd_floor, welch_psd_raw
 
-from oracles import fourier_matrix
+from oracles import fourier_matrix, rfft_welch_raw, whole_signal_mapping
 
 
 def direct_welch(x, f, stride, window):
@@ -37,6 +39,32 @@ def direct_welch(x, f, stride, window):
                     acc += seg[k] * cmath.exp(-2j * cmath.pi * k * b / f)
                 p[m, b] += abs(acc) ** 2
     return p / n_seg
+
+
+def several_blocks(f, stride):
+    """A length whose segments fill two Welch blocks and part of a third and
+    that, for stride > 1, leaves trailing samples no segment covers."""
+    n = 2 * (BUDGET_BYTES // (8 * f)) + 3
+    length = (n - 1) * stride + f + stride - 1
+    return length - 1 if stride > 1 and length % stride == 0 else length
+
+
+#: (f, stride): every stride of the small filter sizes, and three of f = 64,
+#: all in the Gram form; f = 128 and 257 take the per-segment rfft.
+WELCH_CASES = [(f, s) for f in (1, 2, 3, 7, 8) for s in range(1, f + 1)] + [
+    (f, s) for f in (64, 128, 257) for s in (1, f // 2, f)]
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc peak above the starting level during fn()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestFourierMatrix:
@@ -198,6 +226,37 @@ class TestWelch:
         assert worst < 1e-12
 
 
+    @pytest.mark.parametrize("kind", ["hann", "boxcar"])
+    @pytest.mark.parametrize("f, stride", WELCH_CASES)
+    def test_matches_rfft_oracle_over_blocks(self, f, stride, kind):
+        cfg = WelchConfig(f, stride=stride, window_kind=kind)
+        x = np.random.default_rng(31).standard_normal((2, several_blocks(f, stride)))
+        ref = rfft_welch_raw(x, cfg)
+        assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["hann", "boxcar"])
+    @pytest.mark.parametrize("f, stride", WELCH_CASES)
+    def test_matches_scipy_over_blocks(self, f, stride, kind):
+        signal = pytest.importorskip("scipy.signal")
+        x = np.random.default_rng(32).standard_normal((2, several_blocks(f, stride)))
+        _, ref = signal.welch(x, fs=1, window=kind, nperseg=f, noverlap=f - stride,
+                              detrend=False, return_onesided=False, scaling="density")
+        ours = welch_psd_raw(x, WelchConfig(f, stride=stride, window_kind=kind))
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
+
+    def test_floor_is_per_signal(self):
+        # The loud signals' floor, 1e-10 of their largest bin, is far above
+        # the silent signal's own floor of 1e-10.
+        b = np.random.default_rng(33).standard_normal((3, 2, 256)) * 1e6
+        b[1] = 0.0
+        cfg = WelchConfig(8)
+        p = welch_psd(b, cfg)
+        assert np.all(p[1] == 1e-10)
+        assert np.all(psd_floor(p)[[0, 2]] > 1.0)
+        for j in range(3):
+            np.testing.assert_array_equal(p[j], welch_psd(b[j], cfg))
+
+
 class TestCircularConvolve:
     def test_identity_filter(self):
         rng = np.random.default_rng(5)
@@ -237,6 +296,15 @@ class TestCircularConvolve:
         rhs = a * apply_mapping(x, h) + b * apply_mapping(y, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
+    @pytest.mark.parametrize("f", [1, 7, 8, 64, 5001])
+    def test_overlap_save_matches_whole_signal(self, f):
+        # Longer than a block, and no multiple of the block step for any f.
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((2, 3 * (BUDGET_BYTES // 8) + 101)) + 2.0
+        h = rng.standard_normal((2, f)) / np.sqrt(f)
+        error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
+        assert error <= 1e-12 * np.max(np.abs(x))
+
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatchError):
             apply_mapping(np.zeros((2, 8)), np.zeros((3, 2)))
@@ -272,3 +340,15 @@ class TestCentering:
             centered_psd(x, WelchConfig(8)),
             welch_psd(x - x.mean(axis=1, keepdims=True), WelchConfig(8)),
         )
+
+
+def test_long_signal_memory_is_bounded():
+    # Whole-signal kernels peak at 4x the input; blocks and chunks keep each
+    # temporary within BUDGET_BYTES beside the one centred or output copy.
+    x = np.random.default_rng(35).standard_normal((2, 2 ** 19))
+    cfg = WelchConfig(64)
+    p = centered_psd(x, cfg)
+    h = monge_filter(p, np.ones_like(p))
+    apply_mapping(x, h)  # warm FFT plans outside the measured calls
+    assert peak_bytes(lambda: centered_psd(x, cfg)) <= 1.25 * x.nbytes
+    assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes

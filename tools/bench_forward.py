@@ -1,0 +1,246 @@
+"""Stage-by-stage and layer-by-layer timings of the PSDNorm forward pass.
+
+Run from the root of a checkout:
+
+    python tools/bench_forward.py --out BENCH_forward.json
+    python tools/bench_forward.py --out BENCH_forward.json \\
+        --before ../psdnorm-parent --pairs 10 --seconds 8
+
+The first form times, over a fixed (N, c, l, f) grid that includes the
+shapes of perfbench's three workloads, each stage of one train-mode forward
+(centre + Welch, batch barycenter, running update, tap synthesis, filtering),
+the whole train and eval forward, the InstanceNorm floor and the tracemalloc
+peak of the train forward, then each layer of the ``train_batches`` stack.
+Every time is the best of the runs in half a second (at least five), with
+BLAS pinned to one thread.
+
+``--before DIR`` names a checkout of the commit to compare with.  The whole
+forward of both trees is then timed on the grid, and ``--pairs`` pairs of
+perfbench runs (``--seconds`` each, ``--seed``) alternate which tree runs
+first; the file keeps every run, each side's median and quartiles, and how
+many pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (N, c, l, f) shapes: the train_batches stack (three f on one batch), the
+#: domain_corpus fit, per-domain and per-signal (N = 1) calls, the
+#: complexity gate's base shape, one long_recording file, and two filter
+#: sizes whose rows Welch sums by per-segment rfft instead of the Gram form.
+GRID = [
+    (64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4),
+    (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8),
+    (8, 4, 4096, 8),
+    (1, 2, 2 ** 19, 64),
+    (64, 4, 1024, 64), (8, 4, 4096, 256),
+]
+STACK_SHAPE, STACK_FS = (64, 4, 1024), (16, 8, 4)
+WORKLOADS = ("train_batches", "long_recording", "domain_corpus")
+
+
+def best_ms(fn, seconds: float = 0.5) -> float:
+    """Best time of fn() over at least 5 runs and ``seconds``, after one
+    warm-up run: the minimum drops runs that other processes slowed."""
+    fn()
+    times, start = [], time.perf_counter()
+    while len(times) < 5 or time.perf_counter() - start < seconds:
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return round(1000 * min(times), 3)
+
+
+def peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return round((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
+
+
+def batch(shape, seed: int = 0):
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * rng.uniform(0.5, 2.0, shape[:2] + (1,)) + 1.0
+
+
+def trained_layer(b, f: int):
+    """A layer after one train pass over b, so later passes take the
+    running-update branch."""
+    import psdnorm
+
+    return psdnorm.psdnorm_forward(psdnorm.PsdNormLayer(filter_size=f), b)[1]
+
+
+def forward_times() -> list[dict]:
+    """Whole-forward times over the grid, through the API every version has."""
+    import psdnorm
+
+    rows = []
+    for n, c, l, f in GRID:
+        b = batch((n, c, l))
+        layer = trained_layer(b, f)
+        rows.append({"shape": f"{n}x{c}x{l}", "f": f,
+                     "train_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b)),
+                     "eval_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b, "eval"))})
+    return rows
+
+
+def stage_times() -> dict:
+    import numpy as np
+    import psdnorm
+    from psdnorm.layers import centered_psd
+
+    grid = []
+    for n, c, l, f in GRID:
+        b = batch((n, c, l))
+        layer = trained_layer(b, f)
+        cfg = layer.welch
+        psds = centered_psd(b, cfg)
+        batch_bary = psdnorm.wasserstein_barycenter(psds)
+        target = psdnorm.running_update(layer.barycenter, batch_bary, layer.momentum)
+        taps = psdnorm.monge_filter(psds.reshape(-1, f), np.tile(target, (n, 1)))
+        stages = {
+            "centre_welch": best_ms(lambda: centered_psd(b, cfg)),
+            "batch_barycenter": best_ms(lambda: psdnorm.wasserstein_barycenter(psds)),
+            "running_update": best_ms(lambda: psdnorm.running_update(
+                layer.barycenter, batch_bary, layer.momentum)),
+            "synthesis": best_ms(lambda: psdnorm.monge_filter(
+                psds.reshape(-1, f), np.tile(target, (n, 1)))),
+            "filtering": best_ms(lambda: psdnorm.apply_mapping(b, taps.reshape(psds.shape))),
+        }
+        train = best_ms(lambda: psdnorm.psdnorm_forward(layer, b))
+        floor = best_ms(lambda: psdnorm.instancenorm_forward(b))
+        grid.append({
+            "shape": f"{n}x{c}x{l}", "f": f,
+            "stages_ms": stages,
+            "train_ms": train,
+            "eval_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b, "eval")),
+            "instancenorm_ms": floor,
+            "instancenorm_floor_ratio": round(train / floor, 2),
+            "train_peak_mib": peak_mib(lambda: psdnorm.psdnorm_forward(layer, b)),
+            "input_mib": round(b.nbytes / 2 ** 20, 3),
+        })
+
+    b = batch(STACK_SHAPE)
+    _, layers, _ = psdnorm.psdnorm_stack_forward(STACK_FS, b)
+    per_layer, out = [], b
+    for layer in layers:
+        x = out
+        per_layer.append(best_ms(lambda: psdnorm.psdnorm_forward(layer, x)))
+        out, _ = psdnorm.psdnorm_forward(layer, x)
+    stack = {
+        "shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
+        "per_layer_train_ms": per_layer,
+        "stack_train_ms": best_ms(
+            lambda: psdnorm.psdnorm_stack_forward(STACK_FS, b, layers=layers)),
+        "stack_eval_ms": best_ms(
+            lambda: psdnorm.psdnorm_stack_forward(STACK_FS, b, "eval", layers)),
+        "instancenorm_ms": best_ms(lambda: psdnorm.instancenorm_forward(b)),
+    }
+    return {"environment": environment(), "grid": grid, "stack": stack}
+
+
+def in_tree(tree: Path, what: str) -> dict:
+    """Run this file's ``--measure what`` with the library of ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run([sys.executable, __file__, "--measure", what], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def perfbench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds",
+         str(seconds), "--seed", str(seed), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"],
+            **{k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def summarize(before: list[dict], after: list[dict]) -> dict:
+    better = {m["name"]: m["better"] for m in
+              json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    out = {"correct": [all(r["correct"] for r in before), all(r["correct"] for r in after)]}
+    for name, direction in better.items():
+        pairs = [(b[name], a[name]) for b, a in zip(before, after)]
+        sign = 1 if direction == "lower" else -1
+        q_before = statistics.quantiles([b for b, _ in pairs], n=4)
+        out[name] = {
+            "before": [round(b, 4) for b, _ in pairs],
+            "after": [round(a, 4) for _, a in pairs],
+            "before_median": round(statistics.median(b for b, _ in pairs), 4),
+            "after_median": round(statistics.median(a for _, a in pairs), 4),
+            "before_iqr": round(q_before[2] - q_before[0], 4),
+            "after_wins": sum(sign * (b - a) > 0 for b, a in pairs),
+        }
+    return out
+
+
+def environment() -> dict:
+    import numpy as np
+
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "cores": len(os.sched_getaffinity(0)),
+            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
+    parser.add_argument("--before", type=Path, help="checkout of the commit to compare with")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=8.0)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--measure", choices=("stages", "forward"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    for var in THREAD_VARS:
+        os.environ[var] = "1"
+
+    if args.measure:
+        print(json.dumps(stage_times() if args.measure == "stages" else forward_times()))
+        return 0
+    if args.before and args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
+    doc = in_tree(ROOT, "stages")
+    if args.before:
+        trees = {"before": args.before.resolve(), "after": ROOT}
+        doc["forward_before_after"] = {side: in_tree(tree, "forward")
+                                       for side, tree in trees.items()}
+        runs = {w: {"before": [], "after": []} for w in WORKLOADS}
+        for i in range(args.pairs):
+            for workload in WORKLOADS:
+                for side in (("before", "after") if i % 2 == 0 else ("after", "before")):
+                    runs[workload][side].append(
+                        perfbench(trees[side], workload, args.seconds, args.seed))
+        doc["perfbench_pairs"] = {
+            "seconds": args.seconds, "seed": args.seed, "pairs": args.pairs,
+            **{w: summarize(r["before"], r["after"]) for w, r in runs.items()}}
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        args.out.write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
