@@ -227,7 +227,12 @@ def cmd_align(args) -> int:
 def cmd_layer(args) -> int:
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
-    batch = np.stack([read_signal(p) for p in args.inputs])
+    signals = [read_signal(p) for p in args.inputs]
+    for path, x in zip(args.inputs, signals):
+        if x.shape != signals[0].shape:
+            raise ShapeMismatchError(f"{path}: signal shape {x.shape} differs from"
+                                     f" {args.inputs[0]}'s {signals[0].shape}")
+    batch = np.stack(signals)
     layer = None
     # A non-finite result is reported below as one error, not as warnings.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -1,6 +1,7 @@
 """Stateful normalization layers over batches of multichannel signals.
 
-A batch is an array of shape (N, c, l).  Forward passes are functional:
+A batch is an array of shape (N, c, l); one (c, l) signal is a batch of
+one (see ``spectral.signal_batch``).  Forward passes are functional:
 layers are frozen dataclasses holding only state, and the mode ("train" or
 "eval") is an argument of each forward call.  Train-mode calls return an
 updated copy alongside the normalized batch; eval-mode calls are pure.
@@ -8,7 +9,6 @@ updated copy alongside the normalized batch; eval-mode calls are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,41 +23,22 @@ from .errors import (
 )
 from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, as_signal, as_signals, check_psd, welch_psd
+from .spectral import (
+    WelchConfig,
+    as_signals,
+    check_integer,
+    check_number,
+    check_psd,
+    signal_batch,
+    welch_psd,
+)
 
 MODES = ("train", "eval")
-
-
-def as_batch(batch) -> np.ndarray:
-    """Coerce to a float (N, c, l) array; a single (c, l) signal becomes N=1."""
-    b = np.asarray(batch, dtype=float)
-    if b.ndim == 2:
-        b = b[np.newaxis]
-    if b.ndim != 3 or b.shape[0] < 1:
-        raise ShapeMismatchError(
-            f"batch must have shape (N, channels, length), got {b.shape}"
-        )
-    return b
 
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ParameterOutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
-
-
-def _number(name: str, value, low: float, high: float = math.inf,
-            strict_low: bool = False) -> float:
-    """float(value), which must be finite and in [low, high] ((low, high]
-    when ``strict_low``)."""
-    try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
-        v = math.nan
-    if not (math.isfinite(v) and v <= high and (v > low if strict_low else v >= low)):
-        bound = "(" if strict_low else "["
-        raise ParameterOutOfRangeError(f"{name} must be a finite number in"
-                                       f" {bound}{low}, {high}], got {value!r:.40}")
-    return v
 
 
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
@@ -93,13 +74,16 @@ class PsdNormLayer:
     update_count: int = 0
 
     def __post_init__(self):
-        if self.filter_size < 1:
-            raise ParameterOutOfRangeError("filter_size must be >= 1")
-        object.__setattr__(self, "momentum", _number("momentum", self.momentum, 0, 1))
+        object.__setattr__(self, "filter_size",
+                           check_integer("filter_size", self.filter_size, 1))
+        object.__setattr__(self, "momentum",
+                           check_number("momentum", self.momentum, 0, 1))
+        object.__setattr__(self, "update_count",
+                           check_integer("update_count", self.update_count, 0))
         empty = self.barycenter is None
-        if self.update_count < 0 or empty != (self.update_count == 0):
+        if empty != (self.update_count == 0):
             raise ParameterOutOfRangeError(f"update_count {self.update_count} must"
-                                           " be >= 0, and 0 iff barycenter is None")
+                                           " be 0 iff barycenter is None")
         if not empty:
             bary = np.asarray(self.barycenter, dtype=float)
             if bary.ndim != 2 or bary.shape[1] != self.filter_size:
@@ -119,7 +103,7 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     ``centered_psd``, one ``monge_filter`` over the stacked (N * c, f) rows
     and one ``apply_mapping`` serve the whole batch."""
     _check_mode(mode)
-    b = as_batch(batch)
+    b = signal_batch(batch)
     if mode == "eval" and layer.barycenter is None:
         raise EvalWithoutBarycenterError(
             "eval-mode forward requires an accumulated barycenter"
@@ -148,7 +132,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     training or to run in eval mode; their filter sizes must equal ``fs``.
     Returns (normalized batch, updated layers, per-stage barycenter snapshots).
     """
-    fs = [int(f) for f in fs]
+    fs = [check_integer("filter size", f, 1) for f in fs]
     if not fs:
         raise EmptyInputError("stack needs at least one filter size")
     if any(a < b for a, b in zip(fs, fs[1:])):
@@ -160,7 +144,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
         raise ParameterOutOfRangeError(
             f"layer filter sizes {sizes} differ from fs {fs}"
         )
-    out = as_batch(batch)
+    out = batch  # the first forward checks it
     new_layers, snapshots = [], []
     for layer in layers:
         out, layer = psdnorm_forward(layer, out, mode)
@@ -177,9 +161,14 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
     """Estimate every signal's PSD across all domains and return a layer
     holding their barycenter, for eval-mode forwards: the first train-mode
     update of a fresh layer fed all domains as one batch."""
-    psds = [centered_psd(as_batch(batch), welch) for batch in domains]
-    if not psds:
+    batches = [signal_batch(batch) for batch in domains]
+    if not batches:
         raise EmptyInputError("tma_fit needs at least one signal")
+    for i, b in enumerate(batches):
+        if b.shape[1] != batches[0].shape[1]:
+            raise ShapeMismatchError(f"domain {i} has {b.shape[1]} channels,"
+                                     f" domain 0 has {batches[0].shape[1]}")
+    psds = [centered_psd(b, welch) for b in batches]
     return PsdNormLayer(filter_size=welch.filter_size, welch=welch,
                         barycenter=wasserstein_barycenter(np.concatenate(psds)),
                         update_count=1)
@@ -187,8 +176,9 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
 
 def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
     """The eval-mode forward of one (c, l) signal: center x and apply the
-    Monge mapping from its own PSD to the stored barycenter."""
-    return psdnorm_forward(aligner, as_signal(x), "eval")[0][0]
+    Monge mapping from its own PSD to the stored barycenter.  A batch is
+    refused, as the 4-D array that adding its batch axis makes."""
+    return psdnorm_forward(aligner, as_signals(x)[np.newaxis], "eval")[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +186,8 @@ def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _standardize(batch, axis, eps: float) -> np.ndarray:
-    eps = _number("eps", eps, 0)
-    b = as_batch(batch)
+    eps = check_number("eps", eps, 0)
+    b = signal_batch(batch)
     mu = b.mean(axis=axis, keepdims=True)
     return (b - mu) / np.sqrt(b.var(axis=axis, keepdims=True) + eps)
 
@@ -234,11 +224,13 @@ class BatchNormLayer:
     num_batches_tracked: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _number("eps", self.eps, 0, strict_low=True))
+        object.__setattr__(self, "eps",
+                           check_number("eps", self.eps, 0, strict_low=True))
         object.__setattr__(self, "stat_momentum",
-                           _number("stat_momentum", self.stat_momentum, 0, 1))
-        if self.num_batches_tracked < 0:
-            raise ParameterOutOfRangeError("num_batches_tracked must be >= 0")
+                           check_number("stat_momentum", self.stat_momentum, 0, 1))
+        object.__setattr__(self, "num_batches_tracked",
+                           check_integer("num_batches_tracked",
+                                         self.num_batches_tracked, 0))
         if (self.running_mean is None) != (self.running_var is None):
             raise ShapeMismatchError("set running_mean and running_var together")
         for name in ("gamma", "beta", "running_mean", "running_var"):
@@ -267,7 +259,7 @@ def _channel_counts(layer: BatchNormLayer) -> set[int]:
 def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer)."""
     _check_mode(mode)
-    b = as_batch(batch)
+    b = signal_batch(batch)
     n, c, l = b.shape
     counts = _channel_counts(layer)
     if counts - {c}:

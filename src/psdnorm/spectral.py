@@ -3,12 +3,13 @@
 Conventions
 -----------
 Signals are real arrays of shape ``(c, l)`` (channels x samples), and a batch
-of them has a leading axis, ``(N, c, l)``.  PSDs are strictly positive,
-conjugate-symmetric arrays of shape ``(c, f)`` (``(N, c, f)`` for a batch): bin
-k equals bin f - k, as for any real signal, so every transform is one-sided.
-The Welch estimate is scaled so that unit-variance white noise yields bins
-close to 1 for any filter size: with a unit-norm window ``w`` the bin value
-is ``mean_l |DFT(w * seg_l)|^2`` using the unnormalized DFT.  All downstream
+of them has a leading axis, ``(N, c, l)``; a 1-D array is one channel.
+``as_signals`` checks that shape wherever a signal enters.  PSDs are strictly
+positive, conjugate-symmetric arrays of shape ``(c, f)`` (``(N, c, f)`` for a
+batch): bin k equals bin f - k, as for any real signal, so every transform is
+one-sided.  The Welch estimate is scaled so that unit-variance white noise
+yields bins close to 1 for any filter size: with a unit-norm window ``w`` the
+bin value is ``mean_l |DFT(w * seg_l)|^2`` using the unnormalized DFT.  All downstream
 mapping filters depend only on PSD ratios, which are invariant to this
 global scale choice.
 
@@ -22,6 +23,8 @@ a batch.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,25 +59,48 @@ def chunk_slices(n: int, item_bytes: int) -> list[slice]:
 
 
 def as_signals(x) -> np.ndarray:
-    """Coerce to a float (c, l) signal or (N, c, l) batch of signals,
-    accepting 1-D input as one channel."""
+    """x as a float (c, l) signal or (N, c, l) batch, a 1-D array read as one
+    channel: the one shape check of a signal.  Any other shape, or an empty
+    axis, raises ShapeMismatchError.  Finiteness is not checked here: Welch
+    checks it in the pass it makes over the data anyway."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[np.newaxis, :]
     if x.ndim not in (2, 3) or 0 in x.shape:
-        raise ParameterOutOfRangeError("signal must be a (channels, length) or (N,"
-                                       f" channels, length) array, got shape {x.shape}")
+        raise ShapeMismatchError("signal must be a (channels, length) or (N, channels,"
+                                 f" length) array with no empty axis, got {x.shape}")
     return x
 
 
-def as_signal(x) -> np.ndarray:
-    """Coerce to a float (c, l) array, accepting 1-D input as one channel."""
+def signal_batch(x) -> np.ndarray:
+    """``as_signals(x)`` as an (N, c, l) batch: a single signal becomes N = 1."""
     x = as_signals(x)
-    if x.ndim != 2:
-        raise ParameterOutOfRangeError(
-            f"signal must be a (channels, length) array, got shape {x.shape}"
-        )
-    return x
+    return x.reshape((-1,) + x.shape[-2:])
+
+
+def check_number(name: str, value, low: float, high: float = math.inf,
+                 strict_low: bool = False) -> float:
+    """float(value), which must be finite and in [low, high] ((low, high]
+    when ``strict_low``)."""
+    try:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError):
+        v = math.nan
+    if not (math.isfinite(v) and v <= high and (v > low if strict_low else v >= low)):
+        bound = "(" if strict_low else "["
+        raise ParameterOutOfRangeError(f"{name} must be a finite number in"
+                                       f" {bound}{low}, {high}], got {value!r:.40}")
+    return v
+
+
+def check_integer(name: str, value, low: int) -> int:
+    """int(value), which must be an int or numpy integer (not a bool) and
+    >= low: the one test of every size and count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low):
+        raise ParameterOutOfRangeError(f"{name} must be an integer >= {low},"
+                                       f" got {value!r:.40}")
+    return int(value)
 
 
 def check_finite(x: np.ndarray) -> np.ndarray:
@@ -97,11 +123,11 @@ class WelchConfig:
     window_kind: str = "hann"
 
     def __post_init__(self):
-        if self.filter_size < 1:
-            raise ParameterOutOfRangeError("filter_size must be >= 1")
-        if self.stride == 0:
-            object.__setattr__(self, "stride", max(1, self.filter_size // 2))
-        if not 1 <= self.stride <= self.filter_size:
+        f = check_integer("filter_size", self.filter_size, 1)
+        object.__setattr__(self, "filter_size", f)
+        object.__setattr__(self, "stride",
+                           check_integer("stride", self.stride, 0) or max(1, f // 2))
+        if self.stride > f:
             raise ParameterOutOfRangeError(
                 f"stride must be in [1, {self.filter_size}], got {self.stride}"
             )

@@ -29,7 +29,7 @@ from .layers import (
     psdnorm_forward,
     tma_fit,
 )
-from .spectral import WelchConfig, check_psd
+from .spectral import WelchConfig, check_integer, check_psd
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
@@ -45,8 +45,9 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "psd", check_psd(self.psd, "generating PSD"))
-        if self.n_signals < 1:
-            raise ParameterOutOfRangeError("n_signals must be >= 1")
+        object.__setattr__(self, "n_signals",
+                           check_integer("n_signals", self.n_signals, 1))
+        object.__setattr__(self, "length", check_integer("length", self.length, 1))
         if self.length < self.psd.shape[1]:
             raise LengthTooShortError("length must be >= number of PSD bins")
 
@@ -84,8 +85,7 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     domains.  Deterministic given seed.
     """
     base = np.atleast_2d(np.asarray(base, dtype=float))
-    if k < 2:
-        raise ParameterOutOfRangeError("need at least 2 domains")
+    check_integer("domain count k", k, 2)
     if shift_strength < 0:
         raise ParameterOutOfRangeError("shift_strength must be >= 0")
     c, f = base.shape

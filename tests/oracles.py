@@ -12,7 +12,7 @@ from psdnorm import (
     PsdNormError,
     ShapeMismatchError,
 )
-from psdnorm.spectral import as_signal, make_window, n_segments
+from psdnorm.spectral import as_signals, make_window, n_segments
 
 #: Largest signal length accepted by the dense oracle.
 DENSE_MAX_LEN = 64
@@ -39,7 +39,7 @@ def dense_monge_oracle(p_src, p_tgt, x, mean=None) -> np.ndarray:
     by eigendecomposition, and applies it to the centered signal.  Refuses
     l > DENSE_MAX_LEN.
     """
-    x = as_signal(x)
+    x = as_signals(x)
     p_src = np.atleast_2d(np.asarray(p_src, dtype=float))
     p_tgt = np.atleast_2d(np.asarray(p_tgt, dtype=float))
     c, l = x.shape
@@ -103,7 +103,7 @@ def two_sided_gaussian_sample(spec) -> np.ndarray:
 def rfft_welch_raw(x, cfg) -> np.ndarray:
     """Unfloored Welch PSD of a (c, l) signal: the mean over its segments of
     |rfft(w * segment)|^2, mirrored to f bins."""
-    x = as_signal(x)
+    x = as_signals(x)
     f = cfg.filter_size
     n_segments(x.shape[1], cfg)
     segs = sliding_window_view(x, f, axis=1)[:, ::cfg.stride, :]  # (c, L, f)
@@ -115,7 +115,7 @@ def rfft_welch_raw(x, cfg) -> np.ndarray:
 def whole_signal_mapping(x, h) -> np.ndarray:
     """Centre each channel of a (c, l) signal and circularly convolve it with
     zero-phase (c, f) taps by one rfft/irfft over the whole length."""
-    x = as_signal(x)
+    x = as_signals(x)
     h = np.atleast_2d(np.asarray(h, dtype=float))
     (c, l), f = x.shape, h.shape[1]
     half = f // 2

@@ -651,6 +651,19 @@ class TestLayerCommand:
         assert "would both be written to" in error["message"]
         assert list(out.glob("*")) == []
 
+    def test_files_of_other_shapes_exit_3_naming_both(self, tmp_path, capsys):
+        pa, pb = tmp_path / "a.psdn", tmp_path / "b.psdn"
+        write_white_noise(pa, c=2, length=256, seed=0)
+        write_white_noise(pb, c=2, length=512, seed=1)
+        out = tmp_path / "out"
+        code = main(["layer", str(pa), str(pb), "--kind", "instancenorm",
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        message = read_error(capsys)["message"]
+        assert str(pa) in message and str(pb) in message
+        assert "(2, 256)" in message and "(2, 512)" in message
+        assert not out.exists()
+
     def test_failure_after_a_written_file_removes_it(self, tmp_path, capsys,
                                                      monkeypatch):
         import psdnorm.cli

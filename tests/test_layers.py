@@ -8,6 +8,7 @@ import pytest
 from psdnorm import (
     AsymmetricPsdError,
     BatchNormLayer,
+    DomainSpec,
     EvalWithoutBarycenterError,
     EvalWithoutStatsError,
     NonFiniteInputError,
@@ -23,6 +24,7 @@ from psdnorm import (
     geodesic_interpolate,
     instancenorm_forward,
     layernorm_forward,
+    make_shifted_domains,
     monge_filter,
     psdnorm_forward,
     psdnorm_stack_forward,
@@ -323,6 +325,15 @@ class TestTma:
         expected = apply_mapping(x, monge_filter(p_src, aligner.barycenter))
         np.testing.assert_array_equal(tma_transform(aligner, x), expected)
 
+    def test_domains_of_other_channel_counts_refused_before_welch(self, monkeypatch):
+        import psdnorm.layers
+
+        monkeypatch.setattr(psdnorm.layers, "centered_psd", None)  # never called
+        domains = [np.ones((2, 2, 64)), np.ones((2, 3, 64))]
+        with pytest.raises(ShapeMismatchError,
+                           match="domain 1 has 3 channels, domain 0 has 2"):
+            tma_fit(domains, WelchConfig(8))
+
     def test_reduces_domain_distance(self):
         from psdnorm import make_shifted_domains, sample_gaussian_with_psd
 
@@ -517,6 +528,35 @@ class TestHyperparameters:
     def test_standardize_eps(self, forward, eps):
         with pytest.raises(ParameterOutOfRangeError, match="eps must be a finite"):
             forward(np.ones((1, 1, 8)), eps=eps)
+
+    @pytest.mark.parametrize("value", [np.int64(4), 4.5, 4.0, True, "4"],
+                             ids=["numpy int", "4.5", "4.0", "bool", "str"])
+    @pytest.mark.parametrize("build", [
+        lambda v: WelchConfig(v).filter_size,
+        lambda v: WelchConfig(8, stride=v).stride,
+        lambda v: PsdNormLayer(filter_size=v).filter_size,
+        lambda v: PsdNormLayer(filter_size=4, barycenter=np.ones((1, 4)),
+                               update_count=v).update_count,
+        lambda v: BatchNormLayer(num_batches_tracked=v).num_batches_tracked,
+        lambda v: DomainSpec(np.ones((1, 4)), n_signals=v, length=16,
+                             seed=0).n_signals,
+        lambda v: DomainSpec(np.ones((1, 4)), n_signals=1, length=v, seed=0).length,
+        lambda v: len(make_shifted_domains(np.ones((1, 4)), v, 1.0)),
+        lambda v: psdnorm_stack_forward([v], np.ones((1, 1, 16)))[1][0].filter_size,
+    ], ids=["WelchConfig.filter_size", "WelchConfig.stride", "PsdNormLayer.filter_size",
+            "PsdNormLayer.update_count", "BatchNormLayer.num_batches_tracked",
+            "DomainSpec.n_signals", "DomainSpec.length", "make_shifted_domains.k",
+            "stack fs"])
+    def test_sizes_and_counts_are_integers(self, build, value):
+        """Every size and count takes an int or numpy integer, stored as an int
+        (so that state documents hold it as a JSON integer), and refuses a
+        bool or a float."""
+        if isinstance(value, np.integer):
+            stored = build(value)
+            assert (stored, type(stored)) == (4, int)
+        else:
+            with pytest.raises(ParameterOutOfRangeError, match="must be an integer"):
+                build(value)
 
     def test_integers_are_stored_as_floats(self):
         assert type(PsdNormLayer(momentum=1).momentum) is float

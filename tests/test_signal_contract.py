@@ -1,0 +1,124 @@
+"""One table of malformed signal arrays, run through every entry point that
+takes a signal or a batch.
+
+``spectral.as_signals`` decides the shape of a signal for all of them: a
+(c, l) signal or an (N, c, l) batch with no empty axis, a 1-D array read as
+one channel.  Each malformed row raises ``ShapeMismatchError`` everywhere,
+and a PSDN file with an empty axis exits 3 in every command that reads it.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from psdnorm import (
+    BatchNormLayer,
+    PsdNormLayer,
+    ShapeMismatchError,
+    WelchConfig,
+    apply_mapping,
+    batchnorm_forward,
+    centered_psd,
+    instancenorm_forward,
+    layernorm_forward,
+    psdnorm_forward,
+    psdnorm_stack_forward,
+    tma_fit,
+    tma_transform,
+    welch_psd,
+)
+from psdnorm.cli import EXIT_VALIDATION, main
+from psdnorm.io import write_signal
+
+F = 4
+CFG = WelchConfig(F)
+TRAINED = PsdNormLayer(filter_size=F, barycenter=np.ones((1, F)), update_count=1)
+
+MALFORMED = [
+    pytest.param(np.float64(1.0), id="0-D"),
+    pytest.param(np.ones((1, 1, 1, 64)), id="4-D"),
+    pytest.param(np.ones((0, 64)), id="zero channels"),
+    pytest.param(np.ones((1, 0)), id="zero length"),
+    pytest.param(np.ones((2, 1, 0)), id="batch of zero length"),
+    pytest.param(np.ones((0, 1, 64)), id="N = 0"),
+]
+
+ENTRY_POINTS = [
+    pytest.param(lambda x: welch_psd(x, CFG), id="welch_psd"),
+    pytest.param(lambda x: centered_psd(x, CFG), id="centered_psd"),
+    pytest.param(lambda x: apply_mapping(x, np.ones((1, F))), id="apply_mapping"),
+    pytest.param(lambda x: psdnorm_forward(PsdNormLayer(filter_size=F), x),
+                 id="psdnorm_forward train"),
+    pytest.param(lambda x: psdnorm_forward(TRAINED, x, "eval"),
+                 id="psdnorm_forward eval"),
+    pytest.param(lambda x: psdnorm_stack_forward([F, 2], x),
+                 id="psdnorm_stack_forward"),
+    pytest.param(lambda x: tma_fit([x], CFG).barycenter, id="tma_fit"),
+    pytest.param(lambda x: tma_transform(TRAINED, x), id="tma_transform"),
+    pytest.param(instancenorm_forward, id="instancenorm_forward"),
+    pytest.param(layernorm_forward, id="layernorm_forward"),
+    pytest.param(lambda x: batchnorm_forward(BatchNormLayer(), x),
+                 id="batchnorm_forward"),
+]
+
+
+@pytest.mark.parametrize("x", MALFORMED)
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_malformed_signal_raises_shape_mismatch(call, x):
+    with pytest.raises(ShapeMismatchError):
+        call(x)
+
+
+def test_tma_transform_refuses_a_batch():
+    with pytest.raises(ShapeMismatchError):
+        tma_transform(TRAINED, np.ones((2, 1, 64)))
+
+
+def _first(result):
+    """The array part of an entry point's result."""
+    return result[0] if isinstance(result, tuple) else result
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_1d_signal_is_one_channel(call):
+    x = np.random.default_rng(0).standard_normal(64) + 1.0
+    np.testing.assert_array_equal(_first(call(x)), _first(call(x[np.newaxis])))
+
+
+def _psdn(tmp_path, shape):
+    path = tmp_path / "empty.psdn"
+    write_signal(path, np.ones(shape))
+    return str(path)
+
+
+CLI_CALLS = [
+    pytest.param(lambda sig, out: ["psd", sig, "--f", str(F), "--out-csv",
+                                   str(out / "p.csv"), "--out-json",
+                                   str(out / "p.json")], id="psd"),
+    pytest.param(lambda sig, out: ["align", sig, "--f", str(F), "--out", str(out)],
+                 id="align"),
+    *[pytest.param(lambda sig, out, kind=kind: ["layer", sig, "--kind", kind, "--f",
+                                                str(F), "--out", str(out)],
+                   id=f"layer {kind}")
+      for kind in ("psdnorm", "instancenorm", "batchnorm", "layernorm")],
+]
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (0, 64)],
+                         ids=["zero length", "zero channels"])
+@pytest.mark.parametrize("argv", CLI_CALLS)
+def test_empty_signal_file_exits_3(tmp_path, capsys, argv, shape):
+    sig = _psdn(tmp_path, shape)
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv(sig, out))
+    assert code == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "validation"
+    assert [str(w.message) for w in caught] == []
+    assert list(out.iterdir()) == []
