@@ -5,6 +5,11 @@ of signal files toward a target PSD), ``layer`` (one normalization-layer
 forward pass with persisted state), and ``bench`` (synthetic domain-shift
 benchmark).
 
+``align`` reads its files with ``io.read_rows`` and writes each output with
+one ``io.write_signal`` call over a generator of its rows, so it holds one
+channel row of one file, and its mapped result, whatever the number and
+length of the files.  The other subcommands read whole files.
+
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure, 4 state
 contract violation.  Failures also emit a machine-readable JSON object on
 stderr: {"error": {"kind": ..., "message": ...}}.
@@ -13,6 +18,7 @@ stderr: {"error": {"kind": ..., "message": ...}}.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from contextlib import contextmanager
@@ -35,21 +41,22 @@ from .io import (
     StateFileError,
     dumps_json,
     load_state,
+    read_rows,
     read_signal,
     save_state,
+    signal_shape,
     write_signal,
 )
 from .layers import (
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_forward,
-    centered_psd,
     instancenorm_forward,
     layernorm_forward,
     psdnorm_forward,
 )
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, n_segments, psd_floor, welch_psd
+from .spectral import WelchConfig, n_segments, psd_floor, welch_psd, welch_psd_raw
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
 EXIT_OK = 0
@@ -181,23 +188,58 @@ def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     return layer.barycenter
 
 
-def _write_finite(path, y, source) -> None:
-    """Write y as a float32 signal file, refusing a non-finite result."""
-    with np.errstate(over="ignore"):
-        y = y.astype(np.float32)
-    if not np.all(np.isfinite(y)):
-        raise NonFiniteInputError(f"{source}: aligned output is not finite in"
-                                  " float32; align writes no output")
-    write_signal(path, y)
+def _raw_row_psd(row, cfg: WelchConfig) -> np.ndarray:
+    """Welch estimate, before the floor, of one channel row after centring
+    it in place.  Rows never share arithmetic, so it has the bits of that
+    row's estimate within its whole signal."""
+    row -= row.mean(axis=-1, keepdims=True)
+    return welch_psd_raw(row, cfg)
+
+
+def _floored(raw_rows) -> np.ndarray:
+    """The (c, f) PSD from its rows' ``_raw_row_psd``, floored over the
+    whole signal as ``welch_psd`` floors it: ``centered_psd`` of the signal."""
+    p = np.concatenate(raw_rows)
+    return np.maximum(p, psd_floor(p))
+
+
+def _file_psd(path, shape, cfg: WelchConfig) -> np.ndarray:
+    """``centered_psd`` of the signal file at ``path``, read one row at a
+    time (``map``, unlike a loop variable, holds no row while the next one
+    is read)."""
+    return _floored(list(map(_raw_row_psd, read_rows(path, shape),
+                             itertools.repeat(cfg))))
+
+
+def _aligned_rows(path, shape, taps, cfg: WelchConfig, raw_psds: list):
+    """Yield each row of the signal file at ``path`` mapped by its row of
+    ``taps``, cast to float32 and refused if not finite there; then append
+    the ``_raw_row_psd`` of the float64 result to ``raw_psds``."""
+    rows = read_rows(path, shape)
+    for h in taps:
+        y = apply_mapping(next(rows), h)
+        with np.errstate(over="ignore"):
+            y32 = y.astype(np.float32)
+        if not np.all(np.isfinite(y32)):
+            raise NonFiniteInputError(f"{path}: aligned output is not finite in"
+                                      " float32; align writes no output")
+        yield y32[0]
+        raw_psds.append(_raw_row_psd(y, cfg))
+        del y, y32  # before the next row is read
 
 
 def cmd_align(args) -> int:
+    """Map each file onto the target PSD in two passes over it, each holding
+    one channel row: the first estimates the file's PSD, the second maps
+    each row, writes it and estimates the PSD of the result.  Rows never
+    share arithmetic and the Welch floor is set over each whole PSD, so the
+    files and the report have the bits of the whole-signal computation."""
     cfg = _welch_from_args(args)
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".aligned.psdn")
     out_dir.mkdir(parents=True, exist_ok=True)
-    signals = [read_signal(p) for p in args.inputs]
-    psds = [centered_psd(x, cfg) for x in signals]
+    shapes = [signal_shape(p) for p in args.inputs]
+    psds = [_file_psd(p, shape, cfg) for p, shape in zip(args.inputs, shapes)]
     target = _resolve_target(args, psds, cfg)
     for path, p in zip(args.inputs, psds):
         if p.shape != target.shape:
@@ -206,15 +248,15 @@ def cmd_align(args) -> int:
     taps = monge_filter(np.concatenate(psds), np.tile(target, (len(psds), 1)))
     records = []
     with _staged_writes() as stage:
-        for path, out_path, x, p, h in zip(args.inputs, out_paths, signals, psds,
-                                           taps.reshape(len(psds), *target.shape)):
-            y = apply_mapping(x, h)
-            _write_finite(stage(out_path), y, path)
+        for path, shape, out_path, p, h in zip(args.inputs, shapes, out_paths, psds,
+                                               taps.reshape(len(psds), *target.shape)):
+            post = []
+            write_signal(stage(out_path), _aligned_rows(path, shape, h, cfg, post))
             records.append({
                 "input": str(path),
                 "output": str(out_path),
                 "pre_distance": bures_distance(p, target),
-                "post_distance": bures_distance(centered_psd(y, cfg), target),
+                "post_distance": bures_distance(_floored(post), target),
             })
         report = {
             "config": _run_config(args, {"target": args.target}),

@@ -9,6 +9,11 @@ Signal container layout (little-endian):
     bytes 18-19 sample-encoding tag, uint16 (0 = float32)
     payload     channels * length float32 values, row-major
 
+``signal_shape`` checks a file's header against the layout and the file
+size, ``read_rows`` yields its channel rows one at a time, and
+``read_signal`` reads them all into one array; ``write_signal`` takes an
+array or an iterable of rows, which it writes as they come.
+
 State documents are JSON with sorted keys and Python's shortest round-trip
 float serialization, so save -> load -> save is byte-identical.
 """
@@ -16,7 +21,9 @@ float serialization, so save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .layers import BatchNormLayer, PsdNormLayer
-from .spectral import WelchConfig
+from .spectral import WelchConfig, as_signals
 
 MAGIC = b"PSDN"
 FORMAT_VERSION = 1
@@ -47,40 +54,107 @@ class StateFileError(PsdNormError):
 
 
 def write_signal(path, x) -> None:
-    """Write a (c, l) signal to the binary container (float32 payload)."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"expected a (channels, length) array, got {x.shape}")
-    c, l = x.shape
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, c, l, ENCODING_FLOAT32))
-        fh.write(x.tobytes(order="C"))
+    """Write a signal to the binary container (float32 payload).
 
-
-def read_signal(path) -> np.ndarray:
-    """Read a signal container; returns a float64 (c, l) array.
-
-    Samples that are NaN or Inf raise ``NonFiniteInputError``.
+    ``x`` is a (c, l) array or an iterable of its c rows, 1-D arrays of one
+    length.  Rows are converted and written one at a time, so an iterator
+    that makes each row when asked holds only one; the header, which counts
+    them, is written last.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
+    length = None
+    if isinstance(x, np.ndarray):
+        if x.ndim != 2:
+            raise ShapeMismatchError(f"expected a (channels, length) array, got {x.shape}")
+        length = x.shape[1]
+    c = 0
+    with open(path, "wb") as fh:
+        fh.seek(_HEADER.size)
+        for row in x:
+            row = np.ascontiguousarray(row, dtype="<f4")
+            if length is None and row.ndim == 1:
+                length = len(row)
+            if row.shape != (length,):
+                raise ShapeMismatchError(f"signal row {c} has shape {row.shape},"
+                                         f" expected ({length},)")
+            fh.write(row.data)
+            c += 1
+            del row  # so that an iterator makes the next row with this one dropped
+        fh.seek(0)
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, c, length or 0, ENCODING_FLOAT32))
+
+
+def _read_header(path, fh) -> tuple[int, int]:
+    """(c, l) from the header at the start of the open file ``fh``, checked
+    against the container layout and the file size and by ``as_signals``."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
         raise SignalFileError(f"{path}: truncated header")
-    magic, version, c, l, tag = _HEADER.unpack_from(raw)
+    magic, version, c, l, tag = _HEADER.unpack(head)
     if magic != MAGIC:
         raise SignalFileError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise SignalFileError(f"{path}: unsupported format version {version}")
     if tag != ENCODING_FLOAT32:
         raise SignalFileError(f"{path}: unsupported sample encoding {tag}")
-    expected = _HEADER.size + c * l * 4
-    if len(raw) != expected:
-        raise SignalFileError(
-            f"{path}: payload size {len(raw) - _HEADER.size} != {c * l * 4}"
-        )
-    data = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    if not np.all(np.isfinite(data)):
+    payload = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if payload != c * l * 4:
+        raise SignalFileError(f"{path}: payload size {payload} != {c * l * 4}")
+    try:  # the signal shape rule, applied to a stand-in that holds no data
+        as_signals(np.broadcast_to(0.0, (c, l)))
+    except ShapeMismatchError as e:
+        raise ShapeMismatchError(f"{path}: {e}") from None
+    return c, l
+
+
+def signal_shape(path) -> tuple[int, int]:
+    """The (channels, length) of the signal file at ``path``, whose header
+    must fit the container layout and the file size (else SignalFileError)
+    and give a shape with no empty axis (else ShapeMismatchError)."""
+    with open(path, "rb") as fh:
+        return _read_header(path, fh)
+
+
+def _read_row(path, fh, length: int) -> np.ndarray:
+    """The next ``length`` samples of ``fh`` as float64, checked.  Its own
+    function, so that ``read_rows`` keeps no float32 buffer between rows."""
+    row = np.fromfile(fh, dtype="<f4", count=length)
+    if len(row) != length:
+        raise SignalFileError(f"{path}: file ends {len(row)} samples into a row of"
+                              f" {length}; it changed after its header was read")
+    if not np.all(np.isfinite(row)):
         raise NonFiniteInputError(f"{path}: non-finite samples (NaN or Inf)")
-    return data.reshape(c, l).astype(float)
+    return row.astype(float)
+
+
+def read_rows(path, shape) -> Iterator[np.ndarray]:
+    """Yield the channel rows of the signal file at ``path`` as float64 (l,)
+    arrays, each read from the file when it is asked for, so that a caller
+    that drops a row before asking for the next holds one.
+
+    ``shape`` is the (c, l) that ``signal_shape`` gave for the file; a
+    header that no longer holds it, or a file that ends inside a row, as
+    when it is replaced or truncated between two reads, raises
+    SignalFileError.  NaN or Inf samples raise ``NonFiniteInputError``.
+    """
+    with open(path, "rb") as fh:
+        found = _read_header(path, fh)
+        if found != tuple(shape):
+            raise SignalFileError(f"{path}: shape {found} differs from the"
+                                  f" {tuple(shape)} read before; the file changed")
+        for _ in range(found[0]):
+            yield _read_row(path, fh, found[1])
+
+
+def read_signal(path) -> np.ndarray:
+    """Read a signal container whole; returns a float64 (c, l) array.
+
+    Checks as ``signal_shape`` and ``read_rows`` do.
+    """
+    shape = signal_shape(path)
+    x = np.empty(shape)
+    for i, row in enumerate(read_rows(path, shape)):
+        x[i] = row
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ class DomainSpec:
         object.__setattr__(self, "n_signals",
                            check_integer("n_signals", self.n_signals, 1))
         object.__setattr__(self, "length", check_integer("length", self.length, 1))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         if self.length < self.psd.shape[1]:
             raise LengthTooShortError("length must be >= number of PSD bins")
 
@@ -68,7 +69,7 @@ def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
     z = np.empty((spec.n_signals, c, l))
     for j in range(spec.n_signals):
         for m in range(c):
-            ss = np.random.SeedSequence([int(spec.seed), j, m])
+            ss = np.random.SeedSequence([spec.seed, j, m])
             z[j, m] = np.random.Generator(np.random.PCG64(ss)).standard_normal(l)
     return np.fft.irfft(np.fft.rfft(z) * gains, n=l)
 
@@ -86,6 +87,7 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     """
     base = np.atleast_2d(np.asarray(base, dtype=float))
     check_integer("domain count k", k, 2)
+    seed = check_integer("seed", seed, 0)
     if shift_strength < 0:
         raise ParameterOutOfRangeError("shift_strength must be >= 0")
     c, f = base.shape

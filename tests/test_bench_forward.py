@@ -16,10 +16,15 @@ def one_call_ms(fn, seconds=0.5):
     return 1000 * (time.perf_counter() - t)
 
 
-def test_stage_times_on_one_tiny_shape(monkeypatch):
+def load_tool():
     spec = importlib.util.spec_from_file_location("bench_forward", TOOL)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_stage_times_on_one_tiny_shape(monkeypatch):
+    bench = load_tool()
     monkeypatch.setattr(bench, "GRID", [(2, 1, 64, 4)])
     monkeypatch.setattr(bench, "STACK_SHAPE", (2, 1, 64))
     monkeypatch.setattr(bench, "best_ms", one_call_ms)
@@ -33,3 +38,17 @@ def test_stage_times_on_one_tiny_shape(monkeypatch):
     assert len(doc["stack"]["per_layer_train_ms"]) == len(bench.STACK_FS)
     assert {"stack_train_ms", "stack_eval_ms", "instancenorm_ms"} <= set(doc["stack"])
     assert elapsed < 1.0
+
+
+def test_align_memory_on_tiny_files(monkeypatch, tmp_path):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "ALIGN_SHAPE", (2, 256))
+    monkeypatch.setattr(bench, "ALIGN_F", 8)
+    monkeypatch.setattr(bench, "best_ms", one_call_ms)
+
+    assert bench.write_align_inputs(tmp_path) == {"files": bench.ALIGN_FILES}
+    doc = bench.align_memory(tmp_path)
+
+    assert doc["files"] == bench.ALIGN_FILES
+    assert doc["peak_mib"] > 0 and doc["call_ms"] > 0
+    assert doc["maxrss_above_import_mib"] >= 0

@@ -504,6 +504,129 @@ class TestAlignWritesAllOrNothing:
         assert [p.name for p in out.iterdir()] == ["old"]
 
 
+class TestAlignRowByRow:
+    """align reads, maps and writes one channel row at a time, in two passes
+    over each file, and gives the bytes of the whole-array computation."""
+
+    SHAPES = {
+        # Channel scales far apart, so the positivity floor, which welch_psd
+        # sets over a whole (c, f) PSD, binds in the quiet channel.
+        "3x10007 DC 1e3": ((3, 10007), [1e-4, 1.0, 1e2], 1e3),
+        "2x65536": ((2, 2 ** 16), [1e-5, 10.0], 0.0),
+    }
+
+    def files(self, tmp_path, shape, scales, offset):
+        rng = np.random.default_rng(shape[1])
+        paths = []
+        for i in range(2):
+            path = tmp_path / f"s{i}.psdn"
+            x = rng.standard_normal(shape) * (i + 1)
+            write_signal(path, x * np.array(scales)[:, np.newaxis] + offset)
+            paths.append(path)
+        return paths
+
+    @pytest.mark.parametrize("target", ["barycenter", "unit", "state"])
+    @pytest.mark.parametrize("f", [5, 64])
+    @pytest.mark.parametrize("case", list(SHAPES))
+    def test_bytes_equal_whole_array_composition(self, tmp_path, case, f, target):
+        from psdnorm import (
+            PsdNormLayer,
+            apply_mapping,
+            bures_distance,
+            centered_psd,
+            psdnorm_forward,
+            wasserstein_barycenter,
+        )
+
+        shape, scales, offset = self.SHAPES[case]
+        paths = self.files(tmp_path, shape, scales, offset)
+        cfg = WelchConfig(f)
+        signals = [read_signal(p) for p in paths]
+        psds = [centered_psd(x, cfg) for x in signals]
+        if target == "barycenter":
+            goal = wasserstein_barycenter(psds)
+        elif target == "unit":
+            goal = np.ones_like(psds[0])
+        else:
+            rng = np.random.default_rng(f)
+            _, layer = psdnorm_forward(PsdNormLayer(filter_size=f),
+                                       rng.standard_normal((3, shape[0], 4 * f)))
+            target = str(tmp_path / "state.json")
+            save_state(target, layer)
+            goal = layer.barycenter
+        out = tmp_path / "aligned"
+        assert main(["align", *map(str, paths), "--f", str(f), "--target", target,
+                     "--out", str(out)]) == EXIT_OK
+        records = json.loads((out / "report.json").read_text())["signals"]
+        expected = tmp_path / "expected.psdn"
+        for path, x, p, rec in zip(paths, signals, psds, records):
+            y = apply_mapping(x, monge_filter(p, goal))
+            write_signal(expected, y)
+            written = (out / (path.stem + ".aligned.psdn")).read_bytes()
+            assert written == expected.read_bytes()
+            assert rec["pre_distance"] == bures_distance(p, goal)
+            assert rec["post_distance"] == bures_distance(centered_psd(y, cfg), goal)
+
+    def peak_bytes(self, paths, out):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["align", *map(str, paths), "--f", "64",
+                         "--out", str(out)]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_file_count(self, tmp_path):
+        length = 2 ** 16
+        paths = [tmp_path / f"s{seed}.psdn" for seed in range(4)]
+        for seed, path in enumerate(paths):
+            write_white_noise(path, c=2, length=length, seed=seed)
+        one = self.peak_bytes(paths[:1], tmp_path / "one")
+        four = self.peak_bytes(paths, tmp_path / "four")
+        assert four <= 1.25 * one
+        assert four <= 5 * 8 * length
+
+    @pytest.mark.parametrize("cut, named", [
+        ("before the header", "payload size"),
+        ("inside a row", "file ends 4095 samples into a row of 4096"),
+    ])
+    def test_file_truncated_between_passes_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                  cut, named):
+        import psdnorm.cli
+
+        paths = [tmp_path / f"s{seed}.psdn" for seed in range(2)]
+        for seed, path in enumerate(paths):
+            write_white_noise(path, c=2, length=4096, seed=seed)
+        read_rows, opened = psdnorm.cli.read_rows, []
+
+        def truncate(path):
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size - 4)
+
+        def read_then_truncate(path, shape):
+            opened.append(path)
+            second_pass = opened.count(path) == 2 and path == str(paths[1])
+            if second_pass and cut == "before the header":
+                truncate(paths[1])
+            rows = read_rows(path, shape)
+            if second_pass and cut == "inside a row":
+                yield next(rows)
+                truncate(paths[1])
+            yield from rows
+
+        monkeypatch.setattr(psdnorm.cli, "read_rows", read_then_truncate)
+        out = tmp_path / "out"
+        code = main(["align", *map(str, paths), "--f", "8", "--out", str(out)])
+        assert code == EXIT_IO
+        error = read_error(capsys)
+        assert error["kind"] == "io" and "s1.psdn" in error["message"]
+        assert named in error["message"]
+        assert list(out.iterdir()) == []
+
+
 class TestBatchNormState:
     def run(self, tmp_path, **changes):
         doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,

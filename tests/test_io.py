@@ -17,8 +17,10 @@ from psdnorm.io import (
     SignalFileError,
     StateFileError,
     load_state,
+    read_rows,
     read_signal,
     save_state,
+    signal_shape,
     state_to_dict,
     write_signal,
 )
@@ -73,6 +75,41 @@ class TestSignalContainer:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ShapeMismatchError):
             write_signal(tmp_path / "x.psdn", np.zeros(8))
+
+    def test_rows_written_from_an_iterator(self, tmp_path):
+        x = np.arange(12.0).reshape(3, 4)
+        whole, rows = tmp_path / "whole.psdn", tmp_path / "rows.psdn"
+        write_signal(whole, x)
+        write_signal(rows, (row for row in x))
+        assert rows.read_bytes() == whole.read_bytes()
+
+    def test_rows_of_other_lengths_refused(self, tmp_path):
+        with pytest.raises(ShapeMismatchError, match="row 1 has shape"):
+            write_signal(tmp_path / "x.psdn", iter([np.zeros(4), np.zeros(3)]))
+
+    def test_read_rows_yields_each_row(self, tmp_path):
+        path = tmp_path / "sig.psdn"
+        x = np.arange(12.0).reshape(3, 4)
+        write_signal(path, x)
+        assert signal_shape(path) == (3, 4)
+        rows = list(read_rows(path, (3, 4)))
+        assert [r.dtype for r in rows] == [np.float64] * 3
+        np.testing.assert_array_equal(np.stack(rows), x)
+
+    def test_read_rows_refuses_a_changed_shape(self, tmp_path):
+        path = tmp_path / "sig.psdn"
+        write_signal(path, np.zeros((2, 6)))
+        shape = signal_shape(path)
+        write_signal(path, np.zeros((3, 4)))
+        with pytest.raises(SignalFileError, match="differs from the"):
+            next(read_rows(path, shape))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 64)])
+    def test_empty_axis_refused_naming_the_file(self, tmp_path, shape):
+        path = tmp_path / "empty.psdn"
+        write_signal(path, np.ones(shape))
+        with pytest.raises(ShapeMismatchError, match="empty.psdn: signal must"):
+            read_signal(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_rejected(self, tmp_path, bad):

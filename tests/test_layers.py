@@ -541,12 +541,16 @@ class TestHyperparameters:
         lambda v: DomainSpec(np.ones((1, 4)), n_signals=v, length=16,
                              seed=0).n_signals,
         lambda v: DomainSpec(np.ones((1, 4)), n_signals=1, length=v, seed=0).length,
+        lambda v: DomainSpec(np.ones((1, 4)), n_signals=1, length=16, seed=v).seed,
         lambda v: len(make_shifted_domains(np.ones((1, 4)), v, 1.0)),
+        # Domain i's spec is seeded with seed * 100_003 + i.
+        lambda v: make_shifted_domains(np.ones((1, 4)), 2, 1.0,
+                                       seed=v)[0].seed // 100_003,
         lambda v: psdnorm_stack_forward([v], np.ones((1, 1, 16)))[1][0].filter_size,
     ], ids=["WelchConfig.filter_size", "WelchConfig.stride", "PsdNormLayer.filter_size",
             "PsdNormLayer.update_count", "BatchNormLayer.num_batches_tracked",
-            "DomainSpec.n_signals", "DomainSpec.length", "make_shifted_domains.k",
-            "stack fs"])
+            "DomainSpec.n_signals", "DomainSpec.length", "DomainSpec.seed",
+            "make_shifted_domains.k", "make_shifted_domains.seed", "stack fs"])
     def test_sizes_and_counts_are_integers(self, build, value):
         """Every size and count takes an int or numpy integer, stored as an int
         (so that state documents hold it as a JSON integer), and refuses a
@@ -557,6 +561,24 @@ class TestHyperparameters:
         else:
             with pytest.raises(ParameterOutOfRangeError, match="must be an integer"):
                 build(value)
+
+    @pytest.mark.parametrize("build", [
+        lambda: DomainSpec(np.ones((1, 4)), n_signals=1, length=16, seed=-1),
+        lambda: make_shifted_domains(np.ones((1, 4)), 2, 1.0, seed=-1),
+    ], ids=["DomainSpec", "make_shifted_domains"])
+    def test_negative_seed_refused(self, build):
+        with pytest.raises(ParameterOutOfRangeError, match="seed must be an integer >= 0"):
+            build()
+
+    def test_numpy_integer_seed_samples_as_the_int(self):
+        from psdnorm import sample_gaussian_with_psd
+
+        def draw(seed):
+            [spec] = make_shifted_domains(np.ones((2, 4)), 2, 1.0, n_signals=2,
+                                          length=32, seed=seed)[1:]
+            return sample_gaussian_with_psd(spec)
+
+        np.testing.assert_array_equal(draw(np.int64(7)), draw(7))
 
     def test_integers_are_stored_as_floats(self):
         assert type(PsdNormLayer(momentum=1).momentum) is float

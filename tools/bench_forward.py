@@ -12,10 +12,15 @@ shapes of perfbench's three workloads, each stage of one train-mode forward
 the whole train and eval forward, the InstanceNorm floor and the tracemalloc
 peak of the train forward, then each layer of the ``train_batches`` stack.
 Every time is the best of the runs in half a second (at least five), with
-BLAS pinned to one thread.
+BLAS pinned to one thread.  It then runs ``psdnorm align`` over the
+``long_recording`` file set (four (2, 2^19) files, f = 64) in a fresh
+process, which records how far its own ``ru_maxrss`` rises above its value
+after the imports during the first call, the tracemalloc peak of a second
+call, and the best call time.
 
 ``--before DIR`` names a checkout of the commit to compare with.  The whole
-forward of both trees is then timed on the grid, and ``--pairs`` pairs of
+forward of both trees is then timed on the grid, ``align`` is measured with
+each tree's library, and ``--pairs`` pairs of
 perfbench runs (``--seconds`` each, ``--seed``) alternate which tree runs
 first; the file keeps every run, each side's median and quartiles, and how
 many pairs the change won.
@@ -26,9 +31,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -48,6 +55,8 @@ GRID = [
     (64, 4, 1024, 64), (8, 4, 4096, 256),
 ]
 STACK_SHAPE, STACK_FS = (64, 4, 1024), (16, 8, 4)
+#: perfbench's long_recording align call: four (2, 2^19) files, f = 64.
+ALIGN_FILES, ALIGN_SHAPE, ALIGN_F = 4, (2, 2 ** 19), 64
 WORKLOADS = ("train_batches", "long_recording", "domain_corpus")
 
 
@@ -158,11 +167,52 @@ def stage_times() -> dict:
     return {"environment": environment(), "grid": grid, "stack": stack}
 
 
-def in_tree(tree: Path, what: str) -> dict:
+def write_align_inputs(directory: Path) -> dict:
+    """Write the long_recording file set, drawn as perfbench draws it at
+    seed 0, into ``directory``."""
+    import numpy as np
+    import psdnorm
+    import psdnorm.io
+
+    c, l = ALIGN_SHAPE
+    specs = psdnorm.make_shifted_domains(np.ones((c, ALIGN_F)), ALIGN_FILES, 1.0,
+                                         n_signals=1, length=l, seed=0)
+    for i, spec in enumerate(specs):
+        psdnorm.io.write_signal(directory / f"rec{i}.psdn",
+                                psdnorm.sample_gaussian_with_psd(spec)[0])
+    return {"files": len(specs)}
+
+
+def align_memory(directory: Path) -> dict:
+    """``psdnorm align`` over the files of ``directory``.  Run in a fresh
+    process: ``ru_maxrss`` of the process is a high-water mark, so only
+    its rise during the first call, over its value after the imports,
+    measures that call."""
+    import psdnorm.cli
+
+    paths = sorted(map(str, directory.glob("rec*.psdn")))
+    argv = ["align", *paths, "--f", str(ALIGN_F), "--out", str(directory / "out")]
+
+    def align():
+        if psdnorm.cli.main(argv) != 0:
+            raise RuntimeError("align failed")
+
+    imported = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
+    align()
+    rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - imported
+    return {"files": len(paths), "shape": list(ALIGN_SHAPE), "f": ALIGN_F,
+            "import_maxrss_mib": round(imported / 1024, 2),
+            "maxrss_above_import_mib": round(rise / 1024, 2),
+            "peak_mib": peak_mib(align),
+            "call_ms": best_ms(align)}
+
+
+def in_tree(tree: Path, what: str, directory: Path | None = None) -> dict:
     """Run this file's ``--measure what`` with the library of ``tree``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    proc = subprocess.run([sys.executable, __file__, "--measure", what], env=env,
-                          capture_output=True, text=True, check=True)
+    where = ["--dir", str(directory)] if directory else []
+    proc = subprocess.run([sys.executable, __file__, "--measure", what, *where],
+                          env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
@@ -210,19 +260,30 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--measure", choices=("stages", "forward"), help=argparse.SUPPRESS)
+    parser.add_argument("--measure", help=argparse.SUPPRESS,
+                        choices=("stages", "forward", "align_inputs", "align"))
+    parser.add_argument("--dir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for var in THREAD_VARS:
         os.environ[var] = "1"
 
     if args.measure:
-        print(json.dumps(stage_times() if args.measure == "stages" else forward_times()))
+        measure = {"stages": stage_times, "forward": forward_times,
+                   "align_inputs": lambda: write_align_inputs(args.dir),
+                   "align": lambda: align_memory(args.dir)}[args.measure]
+        print(json.dumps(measure()))
         return 0
     if args.before and args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
     doc = in_tree(ROOT, "stages")
+    trees = {"after": ROOT}
     if args.before:
-        trees = {"before": args.before.resolve(), "after": ROOT}
+        trees = {"before": args.before.resolve(), **trees}
+    with tempfile.TemporaryDirectory() as directory:
+        in_tree(ROOT, "align_inputs", Path(directory))
+        doc["align"] = {side: in_tree(tree, "align", Path(directory))
+                        for side, tree in trees.items()}
+    if args.before:
         doc["forward_before_after"] = {side: in_tree(tree, "forward")
                                        for side, tree in trees.items()}
         runs = {w: {"before": [], "after": []} for w in WORKLOADS}
