@@ -8,7 +8,8 @@ benchmark).
 ``align`` reads its files with ``io.read_rows`` and writes each output with
 one ``io.write_signal`` call over a generator of its rows, so it holds one
 channel row of one file, and its mapped result, whatever the number and
-length of the files.  The other subcommands read whole files.
+length of the files.  ``layer`` checks every file's header, then reads the
+rows of all files into one preallocated batch.  ``psd`` reads whole files.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure, 4 state
 contract violation.  Failures also emit a machine-readable JSON object on
@@ -267,14 +268,20 @@ def cmd_align(args) -> int:
 
 
 def cmd_layer(args) -> int:
+    """Run one layer forward over the batch of all input files, which are
+    checked by their headers before any sample is read and then read row by
+    row into the one (N, c, l) float64 batch."""
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
-    signals = [read_signal(p) for p in args.inputs]
-    for path, x in zip(args.inputs, signals):
-        if x.shape != signals[0].shape:
-            raise ShapeMismatchError(f"{path}: signal shape {x.shape} differs from"
-                                     f" {args.inputs[0]}'s {signals[0].shape}")
-    batch = np.stack(signals)
+    shapes = [signal_shape(p) for p in args.inputs]
+    for path, shape in zip(args.inputs, shapes):
+        if shape != shapes[0]:
+            raise ShapeMismatchError(f"{path}: signal shape {shape} differs from"
+                                     f" {args.inputs[0]}'s {shapes[0]}")
+    batch = np.empty((len(shapes),) + shapes[0])
+    for x, path in zip(batch, args.inputs):
+        for i, row in enumerate(read_rows(path, shapes[0])):
+            x[i] = row
     layer = None
     # A non-finite result is reported below as one error, not as warnings.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -14,11 +14,13 @@ mapping filters depend only on PSD ratios, which are invariant to this
 global scale choice.
 
 The kernels treat each channel row on its own and hold at most
-``BUDGET_BYTES`` in any temporary: Welch accumulates each row's segment Gram
-matrix (or segment power) over blocks of segments, and
-``monge.apply_mapping`` filters chunks of rows, or blocks of one long row.  Blocks depend only on the row length and f,
-and rows never share arithmetic, so a signal gets the same bits alone as in
-a batch.
+``BUDGET_BYTES`` in any temporary, beside one row's finiteness mask: Welch
+sums each row's segment Gram matrix from strided views of the row, one per
+residue class of non-overlapping segments (or, for large f or few segments,
+its segment power over blocks of segments), and ``monge.apply_mapping``
+filters chunks of rows, or blocks of one long row.  Classes and blocks
+depend only on the row length and f, and rows never share arithmetic, so a
+signal gets the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -201,47 +203,65 @@ def _welch_basis(w: np.ndarray) -> np.ndarray:
                            w[:, np.newaxis] * np.sin(angle)], axis=1)
 
 
+def _segments(rows: np.ndarray, start: int, count: int, step: int,
+              f: int) -> np.ndarray:
+    """Read-only (R, count, f) view of the f-sample segments of each row
+    that start at column ``start`` and ``step`` columns apart."""
+    head = rows[:, start:]
+    return as_strided(head, (len(head), count, f),
+                      (head.strides[0], step * head.strides[1], head.strides[1]),
+                      writeable=False)
+
+
 def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD without the positivity floor (may contain zeros).
 
     Segment k covers columns [k*stride, k*stride + f); trailing samples that
     do not fill a segment are dropped (see ``n_segments``).  Takes a (c, l)
-    signal or an (N, c, l) batch, one channel row at a time, over blocks of
-    segments.  Each row sums the f x f Gram matrix C of its L segments, one
-    matmul per block, and bin k is
+    signal or an (N, c, l) batch, one channel row at a time.  Each row sums
+    the f x f Gram matrix C of its L segments, and bin k is
     sum_(n,m) w_n w_m C[n, m] exp(-2 pi i k (n - m) / f) / L: the mean
-    periodogram as a quadratic form.  That form costs f^2 per segment and
-    f^3 per row, so it serves rows of at least 2f segments whose
-    (f, f + 2) contraction fits BUDGET_BYTES (f <= 89); other rows sum
-    |rfft(w * segment)|^2.
+    periodogram as a quadratic form.  Segments q = ceil(f / stride) apart
+    start q*stride >= f columns apart and never overlap, so each residue
+    class of segments mod q is a strided view of the row that BLAS reads
+    in place, and C is the sum of the q classes' products V'V: no segment
+    is copied.  That form costs f^2 per segment and f^3 per row, so it
+    serves rows of at least 2f segments whose (f, f + 2) contraction fits
+    BUDGET_BYTES (f <= 89); other rows sum |rfft(w * segment)|^2 over
+    blocks of segments.  Every row, trailing samples included, must be
+    finite (else NonFiniteInputError).
     """
     x = as_signals(x)
     f, stride = cfg.filter_size, cfg.stride
-    n_seg = n_segments(x.shape[-1], cfg)
-    rows = x.reshape(-1, x.shape[-1])
+    length = x.shape[-1]
+    n_seg = n_segments(length, cfg)
+    rows = x.reshape(-1, length)
     w = make_window(cfg.window_kind, f)
     gram_form = n_seg >= 2 * f and 8 * f * (f + 2) <= BUDGET_BYTES
-    basis = _welch_basis(w) if gram_form else None
-    block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
-    row_bytes = 8 * f * (max(block, f + 2) if gram_form else block)
+    if gram_form:
+        basis = _welch_basis(w)
+        q = -(-f // stride)  # residue classes of segments that never overlap
+        row_bytes = max(8 * f * (f + 2), length)  # contraction, finiteness mask
+    else:
+        block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
+        row_bytes = 8 * f * block
     k = f // 2 + 1
     half = np.empty((len(rows), k))
     for r in chunk_slices(len(rows), row_bytes):
         check_finite(rows[r])
-        acc = np.zeros((len(rows[r]), f, f) if gram_form else half[r].shape)
-        for s in range(0, n_seg, block):
-            head = rows[r, s * stride:]  # segments s.. start at its column 0
-            segs = as_strided(head, (len(head), min(block, n_seg - s), f),
-                              (head.strides[0], stride * head.strides[1],
-                               head.strides[1]), writeable=False)
-            if gram_form:
-                segs = np.ascontiguousarray(segs)
-                acc += segs.transpose(0, 2, 1) @ segs
-            else:
-                acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
         if gram_form:
-            power = np.sum((acc @ basis) * basis, axis=1)
+            gram = np.zeros((len(rows[r]), f, f))
+            for j in range(q):
+                segs = _segments(rows[r], j * stride, -(-(n_seg - j) // q),
+                                 q * stride, f)
+                gram += segs.transpose(0, 2, 1) @ segs
+            power = np.sum((gram @ basis) * basis, axis=1)
             acc = power[:, :k] + power[:, k:]
+        else:
+            acc = np.zeros(half[r].shape)
+            for s in range(0, n_seg, block):
+                segs = _segments(rows[r], s * stride, min(block, n_seg - s), stride, f)
+                acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
         half[r] = acc / n_seg
     p = np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
     return p.reshape(x.shape[:-1] + (f,))

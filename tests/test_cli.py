@@ -836,6 +836,46 @@ class TestLayerCommand:
             np.testing.assert_allclose(y.mean(axis=1), 0.0, atol=1e-6)
             np.testing.assert_allclose(y.var(axis=1), 1.0, atol=1e-3)
 
+    def test_reads_files_into_one_batch_without_copies(self, tmp_path):
+        # The batch is the one float64 copy of the inputs: 8 N c l bytes,
+        # filled row by row.  InstanceNorm adds its output, a float32 copy
+        # of it and its own temporaries, 3.2x in all; a list of the files
+        # held beside an np.stack of them would reach 4x.
+        import tracemalloc
+
+        shape = (2, 2 ** 16)
+        paths = [tmp_path / f"s{seed}.psdn" for seed in range(4)]
+        for seed, path in enumerate(paths):
+            write_white_noise(path, c=shape[0], length=shape[1], seed=seed)
+        argv = ["layer", *map(str, paths), "--kind", "instancenorm",
+                "--out", str(tmp_path / "out")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * len(paths) * shape[0] * shape[1]
+
+    def test_outputs_equal_the_forward_of_the_stacked_files(self, tmp_path):
+        from psdnorm import PsdNormLayer, instancenorm_forward, psdnorm_forward
+
+        paths = self.make_batch(tmp_path, n=3, seed=6)
+        batch = np.stack([read_signal(p) for p in paths])
+        expected = {
+            "instancenorm": instancenorm_forward(batch, eps=1e-5),
+            "psdnorm": psdnorm_forward(PsdNormLayer(filter_size=5), batch)[0],
+        }
+        for kind, y in expected.items():
+            out = tmp_path / kind
+            assert main(["layer", *paths, "--kind", kind, "--out", str(out)]) == EXIT_OK
+            for p, row in zip(paths, y):
+                stem = p.rsplit("/", 1)[-1].replace(".psdn", "")
+                write_signal(tmp_path / "expected.psdn", row)
+                assert ((out / f"{stem}.out.psdn").read_bytes()
+                        == (tmp_path / "expected.psdn").read_bytes())
+
     def test_batchnorm_state_round_trip(self, tmp_path):
         paths = self.make_batch(tmp_path, n=2, seed=3)
         state1 = tmp_path / "bn1.json"

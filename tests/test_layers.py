@@ -186,11 +186,12 @@ class TestPsdNormForward:
 
 class TestBatchInvariance:
     """Row j of a batched call equals the call on signal j alone, bit for bit:
-    chunks of rows and blocks of segments never depend on N."""
+    chunks of rows, residue classes and blocks of segments never depend on N."""
 
-    # Long rows: 1 row per chunk, 3 Welch blocks and overlap-save filtering.
-    # Short rows: several rows per chunk, one block, whole-row filtering; the
-    # Gram form for f = 8, the per-segment rfft for f = 128.
+    # Long rows: 1 row per chunk, two residue classes of segments in the Gram
+    # form and overlap-save filtering.  Short rows: several rows per chunk,
+    # whole-row filtering; the Gram form for f = 8, the per-segment rfft in
+    # one block for f = 128.
     SHAPES = [pytest.param(3, 2, 3 * (BUDGET_BYTES // 8) // 2, 64, id="long"),
               pytest.param(40, 3, 300, 8, id="short"),
               pytest.param(5, 3, 2000, 128, id="short-rfft")]

@@ -19,6 +19,7 @@ from psdnorm import (
     monge_filter,
     welch_psd,
 )
+from psdnorm import spectral
 from psdnorm.spectral import BUDGET_BYTES, n_segments, psd_floor, welch_psd_raw
 
 from oracles import fourier_matrix, rfft_welch_raw, whole_signal_mapping
@@ -41,18 +42,36 @@ def direct_welch(x, f, stride, window):
     return p / n_seg
 
 
-def several_blocks(f, stride):
-    """A length whose segments fill two Welch blocks and part of a third and
-    that, for stride > 1, leaves trailing samples no segment covers."""
-    n = 2 * (BUDGET_BYTES // (8 * f)) + 3
+def several_blocks(f, stride, extra=0):
+    """A length of 2 * (BUDGET_BYTES // (8 f)) + 3 + ``extra`` segments.  The
+    rfft form sums them over two blocks of segments and part of a third; the
+    Gram form over ceil(f / stride) residue classes, of unequal lengths when
+    the count is no multiple of that.  For stride > 1 the length also leaves
+    trailing samples that no segment covers."""
+    n = 2 * (BUDGET_BYTES // (8 * f)) + 3 + extra
     length = (n - 1) * stride + f + stride - 1
     return length - 1 if stride > 1 and length % stride == 0 else length
 
 
+def every_remainder(f, stride):
+    """``several_blocks`` lengths whose segment counts leave each remainder
+    mod ceil(f / stride), the Gram form's number of residue classes; one
+    length for f > 89, which only the rfft form serves."""
+    classes = -(-f // stride) if 8 * f * (f + 2) <= BUDGET_BYTES else 1
+    return [several_blocks(f, stride, extra) for extra in range(classes)]
+
+
 #: (f, stride): every stride of the small filter sizes, and three of f = 64,
-#: all in the Gram form; f = 128 and 257 take the per-segment rfft.
+#: all in the Gram form; f = 128 and 257 take the per-segment rfft.  Each
+#: case runs over ``every_remainder`` of its lengths.
 WELCH_CASES = [(f, s) for f in (1, 2, 3, 7, 8) for s in range(1, f + 1)] + [
     (f, s) for f in (64, 128, 257) for s in (1, f // 2, f)]
+
+#: (f, segments) on both sides of each edge of the Gram form's rule,
+#: n_seg >= 2f and 8 f (f + 2) <= BUDGET_BYTES (f <= 89), with the form
+#: each must take.
+DISPATCH_EDGES = [(8, 15, False), (8, 16, True), (64, 127, False), (64, 128, True),
+                  (89, 178, True), (90, 180, False)]
 
 
 def peak_bytes(fn) -> int:
@@ -230,19 +249,59 @@ class TestWelch:
     @pytest.mark.parametrize("f, stride", WELCH_CASES)
     def test_matches_rfft_oracle_over_blocks(self, f, stride, kind):
         cfg = WelchConfig(f, stride=stride, window_kind=kind)
-        x = np.random.default_rng(31).standard_normal((2, several_blocks(f, stride)))
-        ref = rfft_welch_raw(x, cfg)
-        assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12
+        rng = np.random.default_rng(31)
+        for length in every_remainder(f, stride):
+            x = rng.standard_normal((2, length))
+            ref = rfft_welch_raw(x, cfg)
+            assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12, length
 
     @pytest.mark.parametrize("kind", ["hann", "boxcar"])
     @pytest.mark.parametrize("f, stride", WELCH_CASES)
     def test_matches_scipy_over_blocks(self, f, stride, kind):
         signal = pytest.importorskip("scipy.signal")
-        x = np.random.default_rng(32).standard_normal((2, several_blocks(f, stride)))
-        _, ref = signal.welch(x, fs=1, window=kind, nperseg=f, noverlap=f - stride,
-                              detrend=False, return_onesided=False, scaling="density")
-        ours = welch_psd_raw(x, WelchConfig(f, stride=stride, window_kind=kind))
+        cfg = WelchConfig(f, stride=stride, window_kind=kind)
+        rng = np.random.default_rng(32)
+        for length in every_remainder(f, stride):
+            x = rng.standard_normal((2, length))
+            _, ref = signal.welch(x, fs=1, window=kind, nperseg=f, noverlap=f - stride,
+                                  detrend=False, return_onesided=False,
+                                  scaling="density")
+            assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12, length
+
+    @pytest.mark.parametrize("f, n_seg, gram", DISPATCH_EDGES)
+    def test_dispatch_edges_match_oracles(self, f, n_seg, gram, monkeypatch):
+        cfg = WelchConfig(f)
+        x = np.random.default_rng(36).standard_normal((3, (n_seg - 1) * cfg.stride + f))
+        assert n_segments(x.shape[1], cfg) == n_seg
+        bases, welch_basis = [], spectral._welch_basis
+        monkeypatch.setattr(spectral, "_welch_basis",
+                            lambda w: bases.append(w) or welch_basis(w))
+        ours = welch_psd_raw(x, cfg)
+        assert len(bases) == gram  # the Gram form, and only it, builds a basis
+        ref = rfft_welch_raw(x, cfg)
         assert np.max(np.abs(ours - ref) / ref) <= 1e-12
+        signal = pytest.importorskip("scipy.signal")
+        _, ref = signal.welch(x, fs=1, window="hann", nperseg=f, noverlap=f - cfg.stride,
+                              detrend=False, return_onesided=False, scaling="density")
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
+
+    # A NaN or Inf where no segment reads it (a trailing sample), or in a
+    # row of a late chunk, must still raise: the check covers whole rows.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("f, n_seg", [(8, 16), (128, 3)], ids=["gram", "rfft"])
+    def test_nonfinite_anywhere_in_any_row_rejected(self, f, n_seg, bad):
+        cfg = WelchConfig(f)
+        length = n_seg * cfg.stride + f - 1  # stride - 1 trailing samples
+        assert n_segments(length, cfg) == n_seg
+        x = np.random.default_rng(37).standard_normal((40, 3, length))
+        welch_psd_raw(x, cfg)
+        deep = x.copy()
+        deep[-2, 1, length // 2] = bad
+        trailing = x[:1].copy()
+        trailing[0, 0, -1] = bad
+        for y in (deep, trailing, trailing[0]):
+            with pytest.raises(NonFiniteInputError):
+                welch_psd_raw(y, cfg)
 
     def test_floor_is_per_signal(self):
         # The loud signals' floor, 1e-10 of their largest bin, is far above
@@ -352,3 +411,14 @@ def test_long_signal_memory_is_bounded():
     apply_mapping(x, h)  # warm FFT plans outside the measured calls
     assert peak_bytes(lambda: centered_psd(x, cfg)) <= 1.25 * x.nbytes
     assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes
+
+
+def test_welch_copies_no_segments():
+    # The Gram form reads each residue class of segments in place: beside
+    # one row's finiteness mask (l bytes) it holds Gram matrices and their
+    # contraction, within twice BUDGET_BYTES.  A copy of a row's
+    # half-overlapping segments would take 16 l bytes.
+    x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
+    cfg = WelchConfig(64)
+    welch_psd_raw(x, cfg)
+    assert peak_bytes(lambda: welch_psd_raw(x, cfg)) <= x.shape[1] + 2 * BUDGET_BYTES

@@ -18,8 +18,9 @@ process, which records how far its own ``ru_maxrss`` rises above its value
 after the imports during the first call, the tracemalloc peak of a second
 call, and the best call time.
 
-``--before DIR`` names a checkout of the commit to compare with.  The whole
-forward of both trees is then timed on the grid, ``align`` is measured with
+``--before DIR`` names a checkout of the commit to compare with.  The stages
+and the whole forward of both trees are then timed on the grid (the
+other tree's stages under ``"stages_before"``), ``align`` is measured with
 each tree's library, and ``--pairs`` pairs of
 perfbench runs (``--seconds`` each, ``--seed``) alternate which tree runs
 first; the file keeps every run, each side's median and quartiles, and how
@@ -44,11 +45,13 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parents[1]
 
 #: (N, c, l, f) shapes: the train_batches stack (three f on one batch), the
-#: domain_corpus fit, per-domain and per-signal (N = 1) calls, the
-#: complexity gate's base shape, one long_recording file, and two filter
-#: sizes whose rows Welch sums by per-segment rfft instead of the Gram form.
+#: layer's default f = 5 on that batch (odd, so Welch's Gram form sums three
+#: residue classes of segments), the domain_corpus fit, per-domain and
+#: per-signal (N = 1) calls, the complexity gate's base shape, one
+#: long_recording file, and two filter sizes whose rows Welch sums by
+#: per-segment rfft instead of the Gram form.
 GRID = [
-    (64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4),
+    (64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4), (64, 4, 1024, 5),
     (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8),
     (8, 4, 4096, 8),
     (1, 2, 2 ** 19, 64),
@@ -284,6 +287,7 @@ def main(argv=None) -> int:
         doc["align"] = {side: in_tree(tree, "align", Path(directory))
                         for side, tree in trees.items()}
     if args.before:
+        doc["stages_before"] = in_tree(trees["before"], "stages")
         doc["forward_before_after"] = {side: in_tree(tree, "forward")
                                        for side, tree in trees.items()}
         runs = {w: {"before": [], "after": []} for w in WORKLOADS}
