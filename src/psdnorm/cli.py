@@ -321,25 +321,26 @@ def cmd_layer(args) -> int:
 def cmd_bench(args) -> int:
     if args.seeds < 1:
         raise ParameterOutOfRangeError(f"--seeds must be >= 1, got {args.seeds}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     methods = args.methods.split(",")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ParameterOutOfRangeError(f"--methods: unknown method {unknown[0]!r},"
+                                       f" choose from {','.join(METHODS)}")
     base = np.ones((args.channels, args.f))
     welch = _welch_from_args(args)
-    per_method = {}
-    for method in methods:
-        ratios = []
-        for seed in range(args.seeds):
-            domains = make_shifted_domains(
-                base, args.domains, args.shift,
-                n_signals=args.signals, length=args.length, seed=seed,
-            )
-            ratios.append(evaluate_alignment(domains, method, welch).reduction_ratio)
-        per_method[method] = {
-            "ratios": ratios,
-            "mean": float(np.mean(ratios)),
-            "std": float(np.std(ratios)),
-        }
+    ratios = {method: [] for method in methods}
+    # Seed outermost, so each seed's domains are drawn once for every method.
+    for seed in range(args.seeds):
+        domains = make_shifted_domains(
+            base, args.domains, args.shift,
+            n_signals=args.signals, length=args.length, seed=seed,
+        )
+        for method, r in ratios.items():
+            r.append(evaluate_alignment(domains, method, welch).reduction_ratio)
+    per_method = {
+        method: {"ratios": r, "mean": float(np.mean(r)), "std": float(np.std(r))}
+        for method, r in ratios.items()
+    }
     report = {
         "config": _run_config(args, {
             "domains": args.domains,
@@ -356,6 +357,8 @@ def cmd_bench(args) -> int:
     for method in methods:
         r = per_method[method]
         lines.append(f"{method},{r['mean']:.17g},{r['std']:.17g}")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with _staged_writes() as stage:
         stage(out_dir / "report.json").write_text(dumps_json(report))
         stage(out_dir / "ratios.csv").write_text("\n".join(lines) + "\n")

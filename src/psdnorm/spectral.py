@@ -82,11 +82,12 @@ def signal_batch(x) -> np.ndarray:
 
 def check_number(name: str, value, low: float, high: float = math.inf,
                  strict_low: bool = False) -> float:
-    """float(value), which must be finite and in [low, high] ((low, high]
-    when ``strict_low``)."""
+    """float(value), which must be a real number (not a bool or a string),
+    finite and in [low, high] ((low, high] when ``strict_low``)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
     try:
-        v = float(value)
-    except (TypeError, ValueError, OverflowError):
+        v = float(value) if real else math.nan
+    except OverflowError:  # an integer beyond the float range
         v = math.nan
     if not (math.isfinite(v) and v <= high and (v > low if strict_low else v >= low)):
         bound = "(" if strict_low else "["

@@ -4,12 +4,15 @@ shifted corpora, and the alignment benchmark harness.
 Randomness: every stream is derived from ``numpy.random.SeedSequence`` keyed
 by (seed, signal index, channel index) and drawn through the PCG64 generator,
 so generation is deterministic, cross-platform, and identical whether signals
-are produced serially or in parallel.
+are produced serially or in parallel.  A ``DomainSpec`` therefore keeps its
+sample (``DomainSpec.signals``): it is drawn on first read and shared,
+read-only, by every method evaluated on that spec.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +32,18 @@ from .layers import (
     psdnorm_forward,
     tma_fit,
 )
-from .spectral import WelchConfig, check_integer, check_psd
+from .spectral import WelchConfig, check_integer, check_number, check_psd
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
 
 @dataclass(frozen=True)
 class DomainSpec:
-    """One synthetic domain: a generating PSD plus sampling parameters."""
+    """One synthetic domain: a generating PSD plus sampling parameters.
+
+    ``psd`` is a read-only copy of the caller's array, so the spec and its
+    sample cannot drift apart.  ``dataclasses.replace`` gives a new spec
+    whose sample is drawn afresh."""
 
     psd: np.ndarray          # (c, f), checked by ``check_psd``
     n_signals: int
@@ -44,13 +51,23 @@ class DomainSpec:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "psd", check_psd(self.psd, "generating PSD"))
+        psd = check_psd(self.psd, "generating PSD").copy()
+        psd.flags.writeable = False
+        object.__setattr__(self, "psd", psd)
         object.__setattr__(self, "n_signals",
                            check_integer("n_signals", self.n_signals, 1))
         object.__setattr__(self, "length", check_integer("length", self.length, 1))
         object.__setattr__(self, "seed", check_integer("seed", self.seed, 0))
         if self.length < self.psd.shape[1]:
             raise LengthTooShortError("length must be >= number of PSD bins")
+
+    @cached_property
+    def signals(self) -> np.ndarray:
+        """``sample_gaussian_with_psd(self)``, drawn on first read and kept
+        read-only for the life of the spec."""
+        x = sample_gaussian_with_psd(self)
+        x.flags.writeable = False
+        return x
 
 
 def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
@@ -60,8 +77,8 @@ def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
     filter whose length-l frequency-response magnitude is the sqrt-PSD
     interpolated from bins k / f onto the l//2 + 1 rfft frequencies in
     [0, 1/2]; a symmetric row needs no mirroring there (for odd f, 1/2 lies
-    between the equal bins f//2 and f//2 + 1).  Returns an (n_signals, c, l)
-    array.
+    between the equal bins f//2 and f//2 + 1).  Returns a fresh, writable
+    (n_signals, c, l) array on every call; ``spec.signals`` keeps one.
     """
     (c, f), l = spec.psd.shape, spec.length
     gains = np.stack([np.interp(np.arange(l // 2 + 1) / l, np.arange(f) / f,
@@ -88,8 +105,7 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     base = np.atleast_2d(np.asarray(base, dtype=float))
     check_integer("domain count k", k, 2)
     seed = check_integer("seed", seed, 0)
-    if shift_strength < 0:
-        raise ParameterOutOfRangeError("shift_strength must be >= 0")
+    shift_strength = check_number("shift_strength", shift_strength, 0)
     c, f = base.shape
     freq = np.arange(f) / f
     specs = []
@@ -135,8 +151,9 @@ def _offdiag_mean(d: np.ndarray) -> float:
 
 def evaluate_alignment(domains, method: str,
                        welch: WelchConfig | None = None) -> AlignmentReport:
-    """Generate each domain's signals, normalize them with ``method``, and
-    report the inter-domain Bures distances before and after.
+    """Normalize each domain's signals (``DomainSpec.signals``, drawn once
+    per spec however many methods read them) with ``method``, and report the
+    inter-domain Bures distances before and after.
 
     Distances are between per-domain barycenters of sample PSDs estimated at
     the benchmark Welch config (default: f = bins of the first domain PSD).
@@ -154,7 +171,7 @@ def evaluate_alignment(domains, method: str,
     if welch is None:
         welch = WelchConfig(domains[0].psd.shape[1])
 
-    batches = [sample_gaussian_with_psd(d) for d in domains]
+    batches = [d.signals for d in domains]
     pre = _pairwise_bures([_mean_psd(b, welch) for b in batches])
 
     if method == "none":
@@ -172,7 +189,9 @@ def evaluate_alignment(domains, method: str,
         aligner = tma_fit(batches, welch)
         out_batches = [psdnorm_forward(aligner, b, "eval")[0] for b in batches]
 
-    post = _pairwise_bures([_mean_psd(b, welch) for b in out_batches])
+    # For "none" the post distances would repeat the pre ones bit for bit.
+    post = (pre.copy() if out_batches is batches
+            else _pairwise_bures([_mean_psd(b, welch) for b in out_batches]))
 
     pre_mean = _offdiag_mean(pre)
     ratio = 1.0 if pre_mean == 0.0 else _offdiag_mean(post) / pre_mean

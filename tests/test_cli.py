@@ -5,9 +5,12 @@ import json
 import numpy as np
 import pytest
 
+import psdnorm.synth
 from psdnorm import (
     DomainSpec,
     WelchConfig,
+    evaluate_alignment,
+    make_shifted_domains,
     monge_filter,
     sample_gaussian_with_psd,
     welch_psd,
@@ -920,6 +923,34 @@ class TestBenchCommand:
         assert main(args + ["--out", str(out2)]) == EXIT_OK
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "ratios.csv").read_bytes() == (out2 / "ratios.csv").read_bytes()
+
+    @pytest.mark.parametrize("methods", [
+        "none,instancenorm,psdnorm", "none,instancenorm,batchnorm,layernorm,tma,psdnorm"])
+    def test_ratios_equal_fresh_domains_per_method(self, tmp_path, methods):
+        # Each seed's domains are drawn once for all methods; every ratio must
+        # equal that of domains built afresh for its method and seed.
+        assert main(["bench", "--domains", "2", "--seeds", "2", "--signals", "2",
+                     "--length", str(2 ** 10), "--channels", "1", "--f", "8",
+                     "--methods", methods, "--out", str(tmp_path)]) == EXIT_OK
+        expected = {m: [evaluate_alignment(
+            make_shifted_domains(np.ones((1, 8)), 2, 1.0, n_signals=2,
+                                 length=2 ** 10, seed=seed),
+            m, WelchConfig(8)).reduction_ratio for seed in range(2)]
+            for m in methods.split(",")}
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {m: r["ratios"] for m, r in report["results"].items()} == expected
+
+    def test_unknown_method_among_known_exits_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", None)
+        out = tmp_path / "b"
+        code = main(["bench", "--methods", "none,zscore", "--seeds", "1",
+                     "--signals", "2", "--length", str(2 ** 10), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'zscore'" in json.loads(captured.err)["error"]["message"]
+        assert not out.exists()
 
     def test_unknown_method_exit_3(self, tmp_path, capsys):
         code = main(["bench", "--methods", "zscore",

@@ -154,7 +154,7 @@ class TestPsdNormForward:
         assert calls == [(24, 4)]
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.5, float("nan"), float("inf"),
-                                          HUGE, "fast"])
+                                          HUGE, "fast", "0.5", True])
     def test_momentum_out_of_range(self, momentum):
         with pytest.raises(ParameterOutOfRangeError):
             PsdNormLayer(momentum=momentum)

@@ -1,8 +1,11 @@
 """Tests for synthetic signal generation and the alignment benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import psdnorm.synth
 from psdnorm import (
     DomainSpec,
     EmptyInputError,
@@ -81,6 +84,48 @@ class TestSampling:
             DomainSpec(np.ones((1, 8)), n_signals=1, length=4, seed=0)
 
 
+class TestDomainSample:
+    def test_signals_equal_a_fresh_sample_and_are_read_only(self):
+        spec = DomainSpec(np.ones((2, 4)), n_signals=3, length=64, seed=9)
+        fresh = sample_gaussian_with_psd(spec)
+        np.testing.assert_array_equal(spec.signals, fresh)
+        assert spec.signals is spec.signals
+        with pytest.raises(ValueError):
+            spec.signals[0, 0, 0] = 1.0
+        assert fresh.flags.writeable  # a direct call still draws a fresh array
+        assert not np.shares_memory(fresh, spec.signals)
+
+    def test_callers_psd_edit_changes_neither_psd_nor_sample(self):
+        p = np.exp(np.cos(2 * np.pi * np.arange(4) / 4))[None, :]
+        expected = DomainSpec(p.copy(), n_signals=2, length=64, seed=1).signals
+        spec = DomainSpec(p, n_signals=2, length=64, seed=1)
+        original = p.copy()
+        p[0, 1] = -5.0
+        np.testing.assert_array_equal(spec.psd, original)
+        np.testing.assert_array_equal(spec.signals, expected)
+        with pytest.raises(ValueError):
+            spec.psd[0, 1] = -5.0
+
+    def test_each_domain_is_drawn_once_for_every_method(self, monkeypatch):
+        calls = []
+        draw = psdnorm.synth.sample_gaussian_with_psd
+
+        def spy(spec):
+            calls.append(spec.seed)
+            return draw(spec)
+
+        monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", spy)
+        specs = make_shifted_domains(np.ones((1, 4)), 3, 1.0, n_signals=2,
+                                     length=256, seed=2)
+        for method in psdnorm.synth.METHODS:
+            evaluate_alignment(specs, method)
+        assert sorted(calls) == sorted(s.seed for s in specs)
+        moved = replace(specs[0], seed=77)
+        assert len(calls) == 3
+        assert moved.signals.shape == specs[0].signals.shape
+        assert calls[3:] == [77]
+
+
 class TestShiftedDomains:
     def test_zero_shift_identical_domains(self):
         specs = make_shifted_domains(np.ones((1, 8)), 3, 0.0, seed=0)
@@ -123,6 +168,11 @@ class TestShiftedDomains:
         with pytest.raises(ParameterOutOfRangeError):
             make_shifted_domains(np.ones((1, 8)), 2, -0.5)
 
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, "1.0"])
+    def test_shift_strength_must_be_a_finite_number(self, strength):
+        with pytest.raises(ParameterOutOfRangeError, match="shift_strength"):
+            make_shifted_domains(np.ones((1, 8)), 2, strength)
+
 
 class TestEvaluateAlignment:
     def small_domains(self, seed=0, strength=1.0):
@@ -141,6 +191,22 @@ class TestEvaluateAlignment:
         rep = evaluate_alignment(self.small_domains(), "none")
         assert rep.reduction_ratio == pytest.approx(1.0)
         np.testing.assert_array_equal(rep.pre_distances, rep.post_distances)
+
+    def test_none_post_is_a_copy_of_pre(self):
+        rep = evaluate_alignment(self.small_domains(), "none")
+        np.testing.assert_array_equal(rep.post_distances, rep.pre_distances)
+        assert not np.shares_memory(rep.post_distances, rep.pre_distances)
+
+    @pytest.mark.parametrize("method", psdnorm.synth.METHODS)
+    def test_reused_specs_report_as_fresh_ones(self, method):
+        reused = self.small_domains(seed=14)
+        for other in psdnorm.synth.METHODS:
+            evaluate_alignment(reused, other)
+        a = evaluate_alignment(reused, method)
+        b = evaluate_alignment(self.small_domains(seed=14), method)
+        np.testing.assert_array_equal(a.pre_distances, b.pre_distances)
+        np.testing.assert_array_equal(a.post_distances, b.post_distances)
+        assert a.reduction_ratio == b.reduction_ratio
 
     def test_degenerate_pre_gives_ratio_one(self):
         rep = evaluate_alignment(self.small_domains(strength=0.0), "none")
