@@ -246,11 +246,11 @@ def cmd_align(args) -> int:
         if p.shape != target.shape:
             raise ShapeMismatchError(f"{path}: PSD shape {p.shape} differs from"
                                      f" the target's {target.shape}")
-    taps = monge_filter(np.concatenate(psds), np.tile(target, (len(psds), 1)))
+    taps = monge_filter(np.stack(psds), target)
     records = []
     with _staged_writes() as stage:
         for path, shape, out_path, p, h in zip(args.inputs, shapes, out_paths, psds,
-                                               taps.reshape(len(psds), *target.shape)):
+                                               taps):
             post = []
             write_signal(stage(out_path), _aligned_rows(path, shape, h, cfg, post))
             records.append({
@@ -271,6 +271,9 @@ def cmd_layer(args) -> int:
     """Run one layer forward over the batch of all input files, which are
     checked by their headers before any sample is read and then read row by
     row into the one (N, c, l) float64 batch."""
+    if args.kind in ("instancenorm", "layernorm") and (args.state_in or args.state_out):
+        raise ParameterOutOfRangeError(f"--kind {args.kind} has no state;"
+                                       " it takes no --state-in or --state-out")
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
     shapes = [signal_shape(p) for p in args.inputs]
@@ -309,7 +312,7 @@ def cmd_layer(args) -> int:
     with _staged_writes() as stage:
         for out_path, y in zip(out_paths, out):
             write_signal(stage(out_path), y)
-        if layer is not None and args.state_out:
+        if args.state_out:
             if args.mode == "train" or not args.state_in:
                 save_state(stage(args.state_out), layer)
             else:
@@ -326,6 +329,9 @@ def cmd_bench(args) -> int:
     if unknown:
         raise ParameterOutOfRangeError(f"--methods: unknown method {unknown[0]!r},"
                                        f" choose from {','.join(METHODS)}")
+    repeated = [m for i, m in enumerate(methods) if m in methods[:i]]
+    if repeated:
+        raise ParameterOutOfRangeError(f"--methods: {repeated[0]!r} is named twice")
     base = np.ones((args.channels, args.f))
     welch = _welch_from_args(args)
     ratios = {method: [] for method in methods}

@@ -185,8 +185,6 @@ def state_to_dict(layer) -> dict:
         return {
             "kind": "batchnorm",
             "library_version": __version__,
-            "gamma": _list(layer.gamma),
-            "beta": _list(layer.beta),
             "eps": layer.eps,
             "stat_momentum": layer.stat_momentum,
             "running_mean": _list(layer.running_mean),
@@ -230,9 +228,12 @@ def state_from_dict(doc, expected_kind: str | None = None):
                 barycenter=_get(doc, "barycenter", *optional_list),
                 update_count=_get(doc, "update_count", int),
             )
+        # States written while the layer had a fixed affine hold gamma 1, beta 0.
+        for key, identity in (("gamma", 1.0), ("beta", 0.0)):
+            if key in doc and _get(doc, key, *number) != identity:
+                raise StateFileError(f"key {key!r} is {doc[key]!r}; batchnorm has"
+                                     f" no affine, so only {identity} loads")
         return BatchNormLayer(
-            gamma=_get(doc, "gamma", list, *number),
-            beta=_get(doc, "beta", list, *number),
             eps=_get(doc, "eps", *number),
             stat_momentum=_get(doc, "stat_momentum", *number),
             running_mean=_get(doc, "running_mean", *optional_list),

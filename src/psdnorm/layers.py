@@ -100,7 +100,7 @@ class PsdNormLayer:
 
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer).  One
-    ``centered_psd``, one ``monge_filter`` over the stacked (N * c, f) rows
+    ``centered_psd``, one ``monge_filter`` over the (N, c, f) batch of PSDs
     and one ``apply_mapping`` serve the whole batch."""
     _check_mode(mode)
     b = signal_batch(batch)
@@ -118,9 +118,7 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
                               layer.momentum)
         layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
 
-    taps = monge_filter(psds.reshape(-1, layer.filter_size),
-                        np.tile(layer.barycenter, (len(b), 1)))
-    return apply_mapping(b, taps.reshape(psds.shape)), layer
+    return apply_mapping(b, monge_filter(psds, layer.barycenter)), layer
 
 
 def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
@@ -204,19 +202,15 @@ def layernorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BatchNormLayer:
-    """Channel-wise batch normalization with fixed affine parameters.
+    """Channel-wise batch normalization, with no affine.
 
     Statistics are pooled over batch and time per channel, with biased
     variance.  Running statistics follow the exponential moving average
     new = (1 - m) * old + m * batch with ``stat_momentum`` m, starting from
-    mean 0 / variance 1.  ``gamma`` and ``beta`` default to 1 and 0 and are
-    never trained here.  The running statistics are both None or two finite
-    1-D arrays of one length (the variance non-negative); ``gamma`` and
-    ``beta`` are finite scalars or arrays of that length.
+    mean 0 / variance 1.  They are both None or two finite 1-D arrays of one
+    length, the variance non-negative.
     """
 
-    gamma: np.ndarray | float = 1.0
-    beta: np.ndarray | float = 0.0
     eps: float = 1e-5
     stat_momentum: float = 0.1
     running_mean: np.ndarray | None = None
@@ -233,27 +227,19 @@ class BatchNormLayer:
                                          self.num_batches_tracked, 0))
         if (self.running_mean is None) != (self.running_var is None):
             raise ShapeMismatchError("set running_mean and running_var together")
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            if getattr(self, name) is None:
-                continue
+        if self.running_mean is None:
+            return
+        for name in ("running_mean", "running_var"):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.ndim > 1 or (value.ndim == 0 and name.startswith("running")):
-                raise ShapeMismatchError(f"{name} must be 1-D (gamma and beta may"
-                                         f" be scalars), got shape {value.shape}")
+            if value.ndim != 1:
+                raise ShapeMismatchError(f"{name} must be 1-D, got shape {value.shape}")
             if not np.all(np.isfinite(value)):
                 raise NonFiniteInputError(f"{name} contains NaN or Inf")
             object.__setattr__(self, name, value)
-        if len(_channel_counts(self)) > 1:
-            raise ShapeMismatchError("gamma, beta and the running statistics"
-                                     " differ in length")
-        if self.running_var is not None and np.any(self.running_var < 0):
+        if len(self.running_mean) != len(self.running_var):
+            raise ShapeMismatchError("running_mean and running_var differ in length")
+        if np.any(self.running_var < 0):
             raise ParameterOutOfRangeError("running_var must be >= 0")
-
-
-def _channel_counts(layer: BatchNormLayer) -> set[int]:
-    """Lengths of the layer's 1-D parameters; a valid layer has at most one."""
-    return {np.size(a) for a in (layer.gamma, layer.beta, layer.running_mean,
-                                 layer.running_var) if np.ndim(a) == 1}
 
 
 def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
@@ -261,12 +247,9 @@ def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
     _check_mode(mode)
     b = signal_batch(batch)
     n, c, l = b.shape
-    counts = _channel_counts(layer)
-    if counts - {c}:
+    if layer.running_mean is not None and len(layer.running_mean) != c:
         raise ShapeMismatchError(f"batch has {c} channels,"
-                                 f" the layer has {counts.pop()}")
-    gamma = np.broadcast_to(np.asarray(layer.gamma, dtype=float), (c,))
-    beta = np.broadcast_to(np.asarray(layer.beta, dtype=float), (c,))
+                                 f" the layer has {len(layer.running_mean)}")
 
     if mode == "train":
         if n * l < 2:
@@ -285,14 +268,11 @@ def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
             num_batches_tracked=layer.num_batches_tracked + 1,
         )
     else:
-        if layer.running_mean is None or layer.running_var is None:
+        if layer.running_mean is None:
             raise EvalWithoutStatsError(
                 "eval-mode batchnorm requires trained running statistics"
             )
         mu = layer.running_mean
         var = layer.running_var
 
-    out = gamma[:, None] * (b - mu[None, :, None]) / np.sqrt(
-        var[None, :, None] + layer.eps
-    ) + beta[:, None]
-    return out, layer
+    return (b - mu[:, None]) / np.sqrt(var[:, None] + layer.eps), layer

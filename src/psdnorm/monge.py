@@ -23,20 +23,24 @@ RATIO_CAP = 1e6
 
 
 def monge_filter(p_src, p_tgt) -> np.ndarray:
-    """The (c, f) filter taps mapping PSD p_src onto p_tgt.
+    """The filter taps mapping each source PSD onto the one (c, f) target
+    p_tgt: (c, f) taps for a (c, f) source, (N, c, f) for an (N, c, f) batch
+    of them.
 
-    Both PSDs must pass ``check_psd`` (finite, strictly positive and
-    conjugate-symmetric).  The gain sqrt(p_tgt / p_src), with the ratio
-    capped at RATIO_CAP, is then real and even, and its inverse DFT is taken
-    from bins 0..f//2 with irfft.
+    The target, and the sources as (N * c, f) rows, must pass ``check_psd``
+    (finite, strictly positive and conjugate-symmetric).  The gain
+    sqrt(p_tgt / p_src), with the ratio capped at RATIO_CAP, is then real and
+    even, and its inverse DFT is taken from bins 0..f//2 with irfft.
     """
-    p_src = check_psd(p_src, "source PSD")
     p_tgt = check_psd(p_tgt, "target PSD")
-    if p_src.shape != p_tgt.shape:
-        raise ShapeMismatchError(f"PSD shapes differ: {p_src.shape} vs {p_tgt.shape}")
-    f = p_src.shape[1]
-    gain = np.sqrt(np.minimum(p_tgt / p_src, RATIO_CAP))
-    return np.fft.irfft(gain[:, : f // 2 + 1], n=f, axis=1)
+    p_src = np.atleast_2d(np.asarray(p_src, dtype=float))
+    if p_src.ndim > 3 or p_src.shape[-2:] != p_tgt.shape:
+        raise ShapeMismatchError(f"source PSD shape {p_src.shape} is not the target's"
+                                 f" {p_tgt.shape}, nor a batch of that shape")
+    f = p_tgt.shape[1]
+    rows = check_psd(p_src.reshape(-1, f), "source PSD")
+    gain = np.sqrt(np.minimum(p_tgt / rows.reshape(p_src.shape), RATIO_CAP))
+    return np.fft.irfft(gain[..., : f // 2 + 1], n=f, axis=-1)
 
 
 def apply_mapping(x, h) -> np.ndarray:

@@ -37,13 +37,13 @@ from .spectral import WelchConfig, check_integer, check_number, check_psd
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DomainSpec:
     """One synthetic domain: a generating PSD plus sampling parameters.
 
     ``psd`` is a read-only copy of the caller's array, so the spec and its
     sample cannot drift apart.  ``dataclasses.replace`` gives a new spec
-    whose sample is drawn afresh."""
+    whose sample is drawn afresh.  Specs compare and hash by identity."""
 
     psd: np.ndarray          # (c, f), checked by ``check_psd``
     n_signals: int

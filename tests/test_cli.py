@@ -232,7 +232,7 @@ class TestAlignCommand:
             write_white_noise(path, c=2, length=256, seed=seed)
         assert main(["align", *map(str, paths), "--f", "8",
                      "--out", str(tmp_path / "aligned")]) == EXIT_OK
-        assert calls == [(6, 8)]
+        assert calls == [(3, 2, 8)]
 
     def test_shape_mismatch_exit_3(self, tmp_path, capsys):
         pa = tmp_path / "a.psdn"
@@ -631,18 +631,25 @@ class TestAlignRowByRow:
 
 
 class TestBatchNormState:
-    def run(self, tmp_path, **changes):
-        doc = {"kind": "batchnorm", "gamma": 1.0, "beta": 0.0, "eps": 1e-5,
-               "stat_momentum": 0.1, "running_mean": [0.0, 0.0],
-               "running_var": [1.0, 1.0], "num_batches_tracked": 1, **changes}
+    def run(self, tmp_path, out="out", **changes):
+        doc = {"kind": "batchnorm", "eps": 1e-5,
+               "stat_momentum": 0.1, "running_mean": [0.25, -0.5],
+               "running_var": [1.5, 0.75], "num_batches_tracked": 1, **changes}
         state = tmp_path / "bn.json"
         state.write_text(json.dumps(doc))
         sig = tmp_path / "x.psdn"
         write_white_noise(sig, c=2, length=2 ** 10, seed=19)
-        out = tmp_path / "out"
+        out = tmp_path / out
         code = main(["layer", str(sig), "--kind", "batchnorm", "--mode", "eval",
                      "--state-in", str(state), "--out", str(out)])
         return code, out
+
+    def test_identity_affine_of_earlier_documents_maps_the_same(self, tmp_path):
+        code, out = self.run(tmp_path, "new")
+        assert code == EXIT_OK
+        code, old = self.run(tmp_path, "old", gamma=1.0, beta=0.0)
+        assert code == EXIT_OK
+        assert (old / "x.out.psdn").read_bytes() == (out / "x.out.psdn").read_bytes()
 
     def test_statistics_of_other_channel_count_exit_3(self, tmp_path, capsys):
         code, out = self.run(tmp_path, running_mean=[0.0] * 3, running_var=[1.0] * 3)
@@ -658,6 +665,8 @@ class TestBatchNormState:
         pytest.param({"eps": 10 ** 400}, "eps must be a finite number",
                      id="changes4-eps 10**400"),
         ({"stat_momentum": float("inf")}, "stat_momentum must be a finite number"),
+        ({"gamma": 2.0}, "key 'gamma' is 2.0"),
+        ({"beta": -1.0}, "key 'beta' is -1.0"),
     ])
     def test_invalid_statistics_exit_4(self, tmp_path, capsys, changes, message):
         code, out = self.run(tmp_path, **changes)
@@ -733,6 +742,17 @@ class TestLayerCommand:
             write_white_noise(p, c=2, length=2 ** 11, seed=seed * 1000 + j)
             paths.append(str(p))
         return paths
+
+    @pytest.mark.parametrize("flag", ["--state-in", "--state-out"])
+    @pytest.mark.parametrize("kind", ["instancenorm", "layernorm"])
+    def test_stateless_kind_refuses_state_flags(self, tmp_path, capsys, kind, flag):
+        # Neither file exists: the flag is refused before any file is read.
+        state = tmp_path / "s.json"
+        code = main(["layer", str(tmp_path / "missing.psdn"), "--kind", kind,
+                     flag, str(state), "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert flag in read_error(capsys)["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_then_eval_round_trip(self, tmp_path):
         paths = self.make_batch(tmp_path)
@@ -897,6 +917,16 @@ class TestLayerCommand:
 
 
 class TestBenchCommand:
+    def test_repeated_method_exits_before_sampling(self, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", None)
+        out = tmp_path / "b"
+        code = main(["bench", "--methods", "psdnorm,none,psdnorm", "--seeds", "1",
+                     "--signals", "2", "--length", str(2 ** 10), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "'psdnorm' is named twice" in read_error(capsys)["message"]
+        assert not out.exists()
+
     def test_none_ratio_one_and_psdnorm_wins(self, tmp_path):
         out = tmp_path / "bench"
         code = main(["bench", "--domains", "2", "--seeds", "2",

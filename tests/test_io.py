@@ -11,6 +11,7 @@ from psdnorm import (
     PsdNormLayer,
     ShapeMismatchError,
     WelchConfig,
+    batchnorm_forward,
     psdnorm_forward,
 )
 from psdnorm.io import (
@@ -202,8 +203,7 @@ class TestStateDocuments:
 
     def test_batchnorm_round_trip_byte_identical(self, tmp_path):
         layer = BatchNormLayer(
-            gamma=2.0,
-            beta=-1.0,
+            stat_momentum=0.25,
             running_mean=np.array([0.25, -0.5]),
             running_var=np.array([1.5, 0.75]),
             num_batches_tracked=4,
@@ -216,6 +216,23 @@ class TestStateDocuments:
         loaded = load_state(p1)
         np.testing.assert_array_equal(loaded.running_mean, layer.running_mean)
         assert loaded.num_batches_tracked == 4
+        assert not {"gamma", "beta"} & set(json.loads(p1.read_text()))
+
+    def test_batchnorm_document_with_identity_affine_loads(self, tmp_path):
+        # Documents written while the layer had a fixed affine carry gamma 1
+        # and beta 0; they load as the layer without it, and map the same.
+        layer = BatchNormLayer(running_mean=np.array([0.25, -0.5]),
+                               running_var=np.array([1.5, 0.75]),
+                               num_batches_tracked=4)
+        doc = {**state_to_dict(layer), "gamma": 1.0, "beta": 0.0}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        loaded = load_state(path)
+        assert state_to_dict(loaded) == state_to_dict(layer)
+        batch = np.random.default_rng(4).standard_normal((3, 2, 64))
+        for mode in ("train", "eval"):
+            np.testing.assert_array_equal(batchnorm_forward(loaded, batch, mode)[0],
+                                          batchnorm_forward(layer, batch, mode)[0])
 
     def test_state_is_sorted_json(self, tmp_path):
         path = tmp_path / "s.json"
@@ -261,8 +278,14 @@ class TestMalformedStateDocuments:
         (_psdnorm_doc(update_count=-1), "update_count"),
         (_psdnorm_doc(barycenter=None), "update_count"),
         (_psdnorm_doc(momentum=2.0), "momentum"),
-        ({"kind": "batchnorm", "gamma": 1.0}, "no key 'beta'"),
+        ({"kind": "batchnorm", "gamma": 1.0, "beta": 0.0}, "no key 'eps'"),
         (_psdnorm_doc(barycenter=[[10 ** 400, 2.0]]), "too large to convert"),
+        # Only the identity affine (gamma 1, beta 0) of earlier documents loads.
+        ({**state_to_dict(BatchNormLayer()), "gamma": 2.0}, "key 'gamma' is 2.0"),
+        ({**state_to_dict(BatchNormLayer()), "beta": -1.0}, "key 'beta' is -1.0"),
+        ({**state_to_dict(BatchNormLayer()), "gamma": [1.0, 1.0]},
+         "key 'gamma' has type list"),
+        ({**state_to_dict(BatchNormLayer()), "beta": True}, "key 'beta' has type bool"),
     ])
     def test_rejected_with_state_file_error(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"

@@ -151,7 +151,7 @@ class TestPsdNormForward:
         batch = np.random.default_rng(17).standard_normal((8, 3, 64))
         layer = PsdNormLayer(filter_size=4, barycenter=np.ones((3, 4)), update_count=1)
         psdnorm_forward(layer, batch, mode)
-        assert calls == [(24, 4)]
+        assert calls == [(8, 3, 4)]
 
     @pytest.mark.parametrize("momentum", [-0.1, 1.5, float("nan"), float("inf"),
                                           HUGE, "fast", "0.5", True])
@@ -203,7 +203,7 @@ class TestBatchInvariance:
         cfg = WelchConfig(f)
         psds = centered_psd(b, cfg)
         target = wasserstein_barycenter(psds)
-        h = monge_filter(psds.reshape(-1, f), np.tile(target, (n, 1))).reshape(n, c, f)
+        h = monge_filter(psds, target)
         mapped = apply_mapping(b, h)
         layer = PsdNormLayer(filter_size=f, barycenter=target, update_count=1)
         out, _ = psdnorm_forward(layer, b, "eval")
@@ -403,11 +403,6 @@ class TestBatchNorm:
         out, _ = batchnorm_forward(BatchNormLayer(), batch)
         assert np.all(np.abs(out.mean(axis=(0, 2))) < 1e-10)
 
-    def test_affine_constant_input(self):
-        batch = np.full((2, 3, 8), 1.5)
-        out, _ = batchnorm_forward(BatchNormLayer(gamma=2.0, beta=3.0), batch)
-        np.testing.assert_allclose(out, 3.0, atol=1e-10)
-
     def test_running_stats_recurrence(self):
         rng = np.random.default_rng(13)
         batch = rng.standard_normal((3, 2, 16)) + 2.0
@@ -451,19 +446,19 @@ class TestBatchNorm:
          NonFiniteInputError),
         ({"running_mean": np.zeros(2), "running_var": np.array([1.0, np.inf])},
          NonFiniteInputError),
-        ({"gamma": np.inf}, NonFiniteInputError),
-        ({"beta": np.array([0.0, np.nan])}, NonFiniteInputError),
-        ({"gamma": np.ones(3), "running_mean": np.zeros(2), "running_var": np.ones(2)},
-         ShapeMismatchError),
-        ({"gamma": np.ones(2), "beta": np.zeros(3)}, ShapeMismatchError),
-        ({"beta": np.zeros((2, 1))}, ShapeMismatchError),
-        ({"num_batches_tracked": -1}, ParameterOutOfRangeError),
-        ({"eps": float("nan")}, ParameterOutOfRangeError),
-        ({"eps": float("inf")}, ParameterOutOfRangeError),
+        # Explicit ids keep each row's name when a row before it is removed.
+        pytest.param({"num_batches_tracked": -1}, ParameterOutOfRangeError,
+                     id="fields13-ParameterOutOfRangeError"),
+        pytest.param({"eps": float("nan")}, ParameterOutOfRangeError,
+                     id="fields14-ParameterOutOfRangeError"),
+        pytest.param({"eps": float("inf")}, ParameterOutOfRangeError,
+                     id="fields15-ParameterOutOfRangeError"),
         pytest.param({"eps": 10 ** 400}, ParameterOutOfRangeError,
                      id="fields16-eps 10**400"),
-        ({"eps": 0.0}, ParameterOutOfRangeError),
-        ({"stat_momentum": float("nan")}, ParameterOutOfRangeError),
+        pytest.param({"eps": 0.0}, ParameterOutOfRangeError,
+                     id="fields17-ParameterOutOfRangeError"),
+        pytest.param({"stat_momentum": float("nan")}, ParameterOutOfRangeError,
+                     id="fields18-ParameterOutOfRangeError"),
         pytest.param({"stat_momentum": 10 ** 400}, ParameterOutOfRangeError,
                      id="fields19-stat_momentum 10**400"),
     ])
@@ -471,13 +466,10 @@ class TestBatchNorm:
         with pytest.raises(error):
             BatchNormLayer(**fields)
 
-    @pytest.mark.parametrize("mode, fields", [
-        ("train", {"gamma": np.ones(3)}),
-        ("train", {"running_mean": np.zeros(3), "running_var": np.ones(3)}),
-        ("eval", {"running_mean": np.zeros(3), "running_var": np.ones(3)}),
-    ])
-    def test_batch_of_other_channel_count(self, mode, fields):
-        layer = BatchNormLayer(**fields)
+    @pytest.mark.parametrize("mode", [pytest.param("train", id="train-fields1"),
+                                      pytest.param("eval", id="eval-fields2")])
+    def test_batch_of_other_channel_count(self, mode):
+        layer = BatchNormLayer(running_mean=np.zeros(3), running_var=np.ones(3))
         with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
             batchnorm_forward(layer, np.ones((2, 2, 8)), mode)
 

@@ -64,6 +64,24 @@ class TestMongeFilter:
         with pytest.raises(ShapeMismatchError):
             monge_filter(np.ones((1, 4)), np.ones((1, 8)))
 
+    def test_batch_of_sources_maps_each_onto_the_one_target(self):
+        rng = np.random.default_rng(3)
+        p_src = np.stack([random_symmetric_psd(rng, 2, 8) for _ in range(5)])
+        p_tgt = random_symmetric_psd(rng, 2, 8)
+        h = monge_filter(p_src, p_tgt)
+        assert h.shape == (5, 2, 8)
+        for j in range(5):
+            np.testing.assert_array_equal(h[j], monge_filter(p_src[j], p_tgt))
+        # A batch of one keeps its batch axis; a 1-D source is one channel.
+        assert monge_filter(p_src[:1], p_tgt).shape == (1, 2, 8)
+        np.testing.assert_array_equal(monge_filter(p_tgt[0], p_tgt[:1]),
+                                      monge_filter(p_tgt[:1], p_tgt[:1]))
+
+    @pytest.mark.parametrize("shape", [(3, 1, 8), (3, 2, 4), (2, 3, 2, 8), (0, 2, 8)])
+    def test_batch_of_other_shape_refused(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            monge_filter(np.ones(shape), np.ones((2, 8)))
+
     def test_composition_in_spectrum(self):
         rng = np.random.default_rng(2)
         pa = random_symmetric_psd(rng, 2, 8)

@@ -32,6 +32,10 @@ BAD_PSDS = [
     pytest.param(np.ones((1, 1, 4)).tolist(), ShapeMismatchError, id="3-D"),
 ]
 GOOD = np.ones((1, 4))
+#: A source may also be an (N, c, f) batch: the shape row moves up an axis.
+BAD_SOURCES = BAD_PSDS[:-1] + [
+    pytest.param(np.ones((1, 1, 1, 4)).tolist(), ShapeMismatchError, id="4-D"),
+]
 
 
 @pytest.mark.parametrize("psd, error", BAD_PSDS)
@@ -40,10 +44,19 @@ def test_layer_barycenter(psd, error):
         PsdNormLayer(filter_size=4, barycenter=np.array(psd), update_count=1)
 
 
-@pytest.mark.parametrize("psd, error", BAD_PSDS)
+@pytest.mark.parametrize("psd, error", BAD_SOURCES)
 def test_monge_filter_source(psd, error):
+    psd = np.array(psd)
     with pytest.raises(error):
-        monge_filter(np.array(psd), GOOD)
+        monge_filter(psd, GOOD)
+    if psd.ndim == 2:  # the same source as the second of a batch
+        with pytest.raises(error):
+            monge_filter(np.stack([GOOD, psd]), GOOD)
+
+
+def test_monge_filter_source_batch_of_one():
+    np.testing.assert_array_equal(monge_filter(GOOD[np.newaxis], GOOD),
+                                  monge_filter(GOOD, GOOD)[np.newaxis])
 
 
 @pytest.mark.parametrize("psd, error", BAD_PSDS)

@@ -125,6 +125,15 @@ class TestDomainSample:
         assert moved.signals.shape == specs[0].signals.shape
         assert calls[3:] == [77]
 
+    def test_specs_compare_and_hash_by_identity(self):
+        a = DomainSpec(np.ones((1, 4)), n_signals=1, length=16, seed=0)
+        b = DomainSpec(np.ones((1, 4)), n_signals=1, length=16, seed=0)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a)
+        assert {a, b, a} == {a, b}
+
 
 class TestShiftedDomains:
     def test_zero_shift_identical_domains(self):

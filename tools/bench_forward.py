@@ -18,13 +18,13 @@ process, which records how far its own ``ru_maxrss`` rises above its value
 after the imports during the first call, the tracemalloc peak of a second
 call, and the best call time.
 
-``--before DIR`` names a checkout of the commit to compare with.  The stages
-and the whole forward of both trees are then timed on the grid (the
-other tree's stages under ``"stages_before"``), ``align`` is measured with
-each tree's library, and ``--pairs`` pairs of
-perfbench runs (``--seconds`` each, ``--seed``) alternate which tree runs
-first; the file keeps every run, each side's median and quartiles, and how
-many pairs the change won.
+``--before DIR`` names a checkout of the commit to compare with.  The first
+form's grid is then also timed with that tree's library, under
+``"stages_before"`` (each row's stages and its whole train and eval
+forward), ``align`` is measured with each tree's library, and ``--pairs``
+pairs of perfbench runs (``--seconds`` each, ``--seed``) alternate which
+tree runs first; the file keeps every run, each side's median and
+quartiles, and how many pairs the change won.
 """
 
 from __future__ import annotations
@@ -99,20 +99,6 @@ def trained_layer(b, f: int):
     import psdnorm
 
     return psdnorm.psdnorm_forward(psdnorm.PsdNormLayer(filter_size=f), b)[1]
-
-
-def forward_times() -> list[dict]:
-    """Whole-forward times over the grid, through the API every version has."""
-    import psdnorm
-
-    rows = []
-    for n, c, l, f in GRID:
-        b = batch((n, c, l))
-        layer = trained_layer(b, f)
-        rows.append({"shape": f"{n}x{c}x{l}", "f": f,
-                     "train_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b)),
-                     "eval_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b, "eval"))})
-    return rows
 
 
 def stage_times() -> dict:
@@ -264,14 +250,14 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--measure", help=argparse.SUPPRESS,
-                        choices=("stages", "forward", "align_inputs", "align"))
+                        choices=("stages", "align_inputs", "align"))
     parser.add_argument("--dir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     for var in THREAD_VARS:
         os.environ[var] = "1"
 
     if args.measure:
-        measure = {"stages": stage_times, "forward": forward_times,
+        measure = {"stages": stage_times,
                    "align_inputs": lambda: write_align_inputs(args.dir),
                    "align": lambda: align_memory(args.dir)}[args.measure]
         print(json.dumps(measure()))
@@ -288,8 +274,6 @@ def main(argv=None) -> int:
                         for side, tree in trees.items()}
     if args.before:
         doc["stages_before"] = in_tree(trees["before"], "stages")
-        doc["forward_before_after"] = {side: in_tree(tree, "forward")
-                                       for side, tree in trees.items()}
         runs = {w: {"before": [], "after": []} for w in WORKLOADS}
         for i in range(args.pairs):
             for workload in WORKLOADS:
