@@ -11,8 +11,8 @@ channel row of one file, and its mapped result, whatever the number and
 length of the files.  ``layer`` checks every file's header, then reads the
 rows of all files into one preallocated batch.  ``psd`` reads whole files.
 
-Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure, 4 state
-contract violation.  Failures also emit a machine-readable JSON object on
+Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
+malformed command line included), 4 state contract violation.  Failures also emit a machine-readable JSON object on
 stderr: {"error": {"kind": ..., "message": ...}}.
 """
 
@@ -57,7 +57,15 @@ from .layers import (
     psdnorm_forward,
 )
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, n_segments, psd_floor, welch_psd, welch_psd_raw
+from .spectral import (
+    WINDOW_KINDS,
+    WelchConfig,
+    check_integer,
+    n_segments,
+    psd_floor,
+    welch_psd,
+    welch_psd_raw,
+)
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
 EXIT_OK = 0
@@ -267,13 +275,37 @@ def cmd_align(args) -> int:
     return EXIT_OK
 
 
+# Each ``layer`` setting flag and the layer field of the same meaning.
+_LAYER_FIELDS = {"f": "filter_size", "stride": "stride", "window": "window_kind",
+                 "momentum": "momentum", "eps": "eps"}
+# Each ``layer --kind``: its layer class (None if it keeps no state), its
+# forward and the fields that its flags may set.
+_LAYER_KINDS = {
+    "psdnorm": (PsdNormLayer, psdnorm_forward,
+                ("filter_size", "stride", "window_kind", "momentum")),
+    "instancenorm": (None, instancenorm_forward, ("eps",)),
+    "batchnorm": (BatchNormLayer, batchnorm_forward, ("eps",)),
+    "layernorm": (None, layernorm_forward, ("eps",)),
+}
+
+
 def cmd_layer(args) -> int:
     """Run one layer forward over the batch of all input files, which are
     checked by their headers before any sample is read and then read row by
-    row into the one (N, c, l) float64 batch."""
-    if args.kind in ("instancenorm", "layernorm") and (args.state_in or args.state_out):
+    row into the one (N, c, l) float64 batch.  Each setting flag sets the
+    layer field of the same meaning; a flag not given leaves the library's
+    default, and one that the kind has no setting for is refused."""
+    layer_class, forward, fields = _LAYER_KINDS[args.kind]
+    if layer_class is None and (args.state_in or args.state_out):
         raise ParameterOutOfRangeError(f"--kind {args.kind} has no state;"
                                        " it takes no --state-in or --state-out")
+    settings = {}
+    for flag, name in _LAYER_FIELDS.items():
+        if flag in vars(args):
+            if name not in fields:
+                raise ParameterOutOfRangeError(f"--kind {args.kind} has no setting"
+                                               f" for --{flag}")
+            settings[name] = getattr(args, flag)
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
     shapes = [signal_shape(p) for p in args.inputs]
@@ -285,23 +317,16 @@ def cmd_layer(args) -> int:
     for x, path in zip(batch, args.inputs):
         for i, row in enumerate(read_rows(path, shapes[0])):
             x[i] = row
-    layer = None
     # A non-finite result is reported below as one error, not as warnings.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if args.kind == "instancenorm":
-            out = instancenorm_forward(batch, eps=args.eps)
-        elif args.kind == "layernorm":
-            out = layernorm_forward(batch, eps=args.eps)
+        if layer_class is None:
+            out = forward(batch, **settings)
         else:
-            flags = ({"eps": args.eps} if args.kind == "batchnorm" else
-                     {"welch": _welch_from_args(args), "momentum": args.momentum})
+            layer = layer_class(**settings)
             if args.state_in:
-                layer = _load_matching_state(args.state_in, args.kind, **flags)
-            elif args.kind == "batchnorm":
-                layer = BatchNormLayer(**flags)
-            else:
-                layer = PsdNormLayer(filter_size=args.f, **flags)
-            forward = batchnorm_forward if args.kind == "batchnorm" else psdnorm_forward
+                layer = _load_matching_state(
+                    args.state_in, args.kind,
+                    **{name: getattr(layer, name) for name in fields})
             out, layer = forward(layer, batch, args.mode)
         out = out.astype(np.float32)
     if not np.all(np.isfinite(out)):
@@ -322,8 +347,8 @@ def cmd_layer(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.seeds < 1:
-        raise ParameterOutOfRangeError(f"--seeds must be >= 1, got {args.seeds}")
+    check_integer("--seeds", args.seeds, 1)
+    check_integer("--channels", args.channels, 1)
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -375,15 +400,27 @@ def cmd_bench(args) -> int:
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _add_welch_flags(p, default_f=5):
-    p.add_argument("--f", type=int, default=default_f, help="filter size / PSD bins")
-    p.add_argument("--stride", type=int, default=0,
-                   help="segment stride (0 = f // 2)")
-    p.add_argument("--window", choices=("hann", "boxcar"), default="hann")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are validation failures, reported by
+    ``main`` as exit 3 with the JSON error, not argparse's exit 2 and usage
+    text.  Subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ParameterOutOfRangeError(f"{self.prog}: {message}")
+
+
+def _add_welch_flags(p, default_f=None):
+    """--f, --stride and --window, defaulting to ``default_f``, 0 and hann;
+    with no ``default_f`` they have no default, so the layer's hold."""
+    p.add_argument("--f", type=int, help="filter size / PSD bins")
+    p.add_argument("--stride", type=int, help="segment stride (0 = f // 2)")
+    p.add_argument("--window", choices=WINDOW_KINDS)
+    if default_f is not None:
+        p.set_defaults(f=default_f, stride=0, window="hann")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psdnorm",
         description="Spectral alignment of multichannel time series",
     )
@@ -392,28 +429,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psd", help="Welch PSD estimation of signal files")
     p.add_argument("inputs", nargs="+")
-    _add_welch_flags(p)
+    _add_welch_flags(p, default_f=5)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)
     p.set_defaults(func=cmd_psd)
 
     p = sub.add_parser("align", help="Monge-map signal files toward a target PSD")
     p.add_argument("inputs", nargs="+")
-    _add_welch_flags(p)
+    _add_welch_flags(p, default_f=5)
     p.add_argument("--target", default="barycenter",
                    help="'barycenter', 'unit', or a path to a state file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("layer", help="one normalization-layer forward pass")
+    # The setting flags have no default: an unset one is absent from args.
+    p = sub.add_parser("layer", help="one normalization-layer forward pass",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("inputs", nargs="+", help="batch of signal files")
-    p.add_argument("--kind", required=True,
-                   choices=("psdnorm", "instancenorm", "batchnorm", "layernorm"))
+    p.add_argument("--kind", required=True, choices=tuple(_LAYER_KINDS))
     p.add_argument("--mode", choices=("train", "eval"), default="train")
     p.add_argument("--state-in", default=None)
     p.add_argument("--state-out", default=None)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--momentum", type=float, default=1e-2)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--momentum", type=float)
     _add_welch_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_layer)
@@ -435,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (EvalWithoutBarycenterError, EvalWithoutStatsError, StateFileError) as e:
         return _fail("state", str(e), EXIT_STATE)

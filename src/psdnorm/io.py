@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .layers import BatchNormLayer, PsdNormLayer
-from .spectral import WelchConfig, as_signals
+from .spectral import as_signals
 
 MAGIC = b"PSDN"
 FORMAT_VERSION = 1
@@ -219,12 +219,15 @@ def state_from_dict(doc, expected_kind: str | None = None):
     try:
         if kind == "psdnorm":
             welch = _get(doc, "welch", dict)
+            f = _get(doc, "f", int)
+            if _get(welch, "filter_size", int) != f:
+                raise StateFileError(f"key 'f' is {f}, but welch.filter_size is"
+                                     f" {welch['filter_size']}")
             return PsdNormLayer(
-                filter_size=_get(doc, "f", int),
+                filter_size=f,
                 momentum=_get(doc, "momentum", *number),
-                welch=WelchConfig(_get(welch, "filter_size", int),
-                                  _get(welch, "stride", int),
-                                  _get(welch, "window_kind", str)),
+                stride=_get(welch, "stride", int),
+                window_kind=_get(welch, "window_kind", str),
                 barycenter=_get(doc, "barycenter", *optional_list),
                 update_count=_get(doc, "update_count", int),
             )

@@ -9,7 +9,7 @@ updated copy alongside the normalized batch; eval-mode calls are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,6 +48,14 @@ def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     return welch_psd(x - x.mean(axis=-1, keepdims=True), cfg)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, so that no caller can change a layer's
+    array after its checks."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 # PSD normalization layer
 # ---------------------------------------------------------------------------
@@ -58,7 +66,10 @@ class PsdNormLayer:
 
     ``filter_size`` is the number of mapping-filter taps and PSD bins
     (default 5).  ``momentum`` is the geodesic step of the running barycenter
-    update (default 1e-2).  ``barycenter`` is a positive, conjugate-symmetric
+    update (default 1e-2).  ``filter_size``, ``stride`` and ``window_kind``
+    are the fields of the layer's Welch estimator, ``welch``, which is built
+    from them (and resolves a stride of 0 to its default).  ``barycenter``
+    is a read-only copy of a positive, conjugate-symmetric
     (channels, filter_size) PSD, None until the first train-mode pass adopts
     the batch barycenter; ``update_count`` counts the updates.  In train
     mode each forward pass updates the running barycenter once from the
@@ -69,13 +80,16 @@ class PsdNormLayer:
 
     filter_size: int = 5
     momentum: float = 1e-2
-    welch: WelchConfig | None = None
+    stride: int = 0
+    window_kind: str = "hann"
     barycenter: np.ndarray | None = None
     update_count: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "filter_size",
-                           check_integer("filter_size", self.filter_size, 1))
+        welch = WelchConfig(self.filter_size, self.stride, self.window_kind)
+        object.__setattr__(self, "welch", welch)  # derived, not a field
+        object.__setattr__(self, "filter_size", welch.filter_size)
+        object.__setattr__(self, "stride", welch.stride)
         object.__setattr__(self, "momentum",
                            check_number("momentum", self.momentum, 0, 1))
         object.__setattr__(self, "update_count",
@@ -89,13 +103,8 @@ class PsdNormLayer:
             if bary.ndim != 2 or bary.shape[1] != self.filter_size:
                 raise ShapeMismatchError(f"barycenter shape {bary.shape} is not"
                                          f" (channels, {self.filter_size})")
-            object.__setattr__(self, "barycenter", check_psd(bary, "barycenter"))
-        if self.welch is None:
-            object.__setattr__(self, "welch", WelchConfig(self.filter_size))
-        if self.welch.filter_size != self.filter_size:
-            raise ShapeMismatchError(
-                "welch.filter_size must equal the layer filter_size"
-            )
+            object.__setattr__(self, "barycenter",
+                               _read_only(check_psd(bary, "barycenter")))
 
 
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
@@ -128,7 +137,8 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     floor-halving schedule 5 -> 2 -> 1).  Fresh layers take the
     ``PsdNormLayer`` defaults.  Existing layers may be passed to continue
     training or to run in eval mode; their filter sizes must equal ``fs``.
-    Returns (normalized batch, updated layers, per-stage barycenter snapshots).
+    Returns (normalized batch, updated layers, per-stage barycenter
+    snapshots); each snapshot is its layer's own read-only barycenter.
     """
     fs = [check_integer("filter size", f, 1) for f in fs]
     if not fs:
@@ -147,7 +157,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     for layer in layers:
         out, layer = psdnorm_forward(layer, out, mode)
         new_layers.append(layer)
-        snapshots.append(layer.barycenter.copy())
+        snapshots.append(layer.barycenter)
     return out, new_layers, snapshots
 
 
@@ -167,7 +177,7 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
             raise ShapeMismatchError(f"domain {i} has {b.shape[1]} channels,"
                                      f" domain 0 has {batches[0].shape[1]}")
     psds = [centered_psd(b, welch) for b in batches]
-    return PsdNormLayer(filter_size=welch.filter_size, welch=welch,
+    return PsdNormLayer(**asdict(welch),
                         barycenter=wasserstein_barycenter(np.concatenate(psds)),
                         update_count=1)
 
@@ -207,8 +217,8 @@ class BatchNormLayer:
     Statistics are pooled over batch and time per channel, with biased
     variance.  Running statistics follow the exponential moving average
     new = (1 - m) * old + m * batch with ``stat_momentum`` m, starting from
-    mean 0 / variance 1.  They are both None or two finite 1-D arrays of one
-    length, the variance non-negative.
+    mean 0 / variance 1.  They are both None or read-only copies of two
+    finite 1-D arrays of one length, the variance non-negative.
     """
 
     eps: float = 1e-5
@@ -235,7 +245,7 @@ class BatchNormLayer:
                 raise ShapeMismatchError(f"{name} must be 1-D, got shape {value.shape}")
             if not np.all(np.isfinite(value)):
                 raise NonFiniteInputError(f"{name} contains NaN or Inf")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _read_only(value))
         if len(self.running_mean) != len(self.running_var):
             raise ShapeMismatchError("running_mean and running_var differ in length")
         if np.any(self.running_var < 0):

@@ -68,12 +68,11 @@ def test_instancenorm_special_case():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1)
     worst = 0.0
-    cfg = WelchConfig(1, stride=1, window_kind="boxcar")
     for _ in range(50):
         n, c, l = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(8, 64))
         batch = rng.standard_normal((n, c, l)) * rng.uniform(0.5, 3) + rng.uniform(-2, 2)
-        layer = PsdNormLayer(filter_size=1, welch=cfg, barycenter=np.ones((c, 1)),
-                             update_count=1)
+        layer = PsdNormLayer(filter_size=1, stride=1, window_kind="boxcar",
+                             barycenter=np.ones((c, 1)), update_count=1)
         out, _ = psdnorm_forward(layer, batch, "eval")
         ref = instancenorm_forward(batch, eps=0.0)
         worst = max(worst, np.max(np.abs(out - ref)))

@@ -302,6 +302,41 @@ class TestAlignCommand:
         assert not (out / "x.aligned.psdn").exists()
 
 
+class TestCommandLine:
+    """A malformed command line is a validation failure: exit 3 and one JSON
+    error line, not argparse's exit 2 and usage text."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["psd", "x.psdn", "--f", "abc", "--out-csv", "p.csv",
+                      "--out-json", "p.json"], id="bad int"),
+        pytest.param(["layer", "x.psdn", "--kind", "psdnorm", "--momentum", "abc",
+                      "--out", "o"], id="bad float"),
+        pytest.param(["layer", "x.psdn", "--kind", "foo", "--out", "o"],
+                     id="unknown choice"),
+        pytest.param(["align", "x.psdn"], id="missing required flag"),
+        pytest.param(["psd", "x.psdn", "--out-csv", "p.csv", "--out-json", "p.json",
+                      "--bogus"], id="unknown flag"),
+        pytest.param(["frobnicate"], id="unknown subcommand"),
+        pytest.param([], id="empty argv"),
+    ])
+    def test_malformed_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "validation"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["layer", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out
+
+
 class TestMalformedState:
     """Every defective state document ends in exit 4 with the JSON error."""
 
@@ -336,6 +371,17 @@ class TestMalformedState:
         error = read_error(capsys)
         assert error["kind"] == "state"
         assert "update_count" in error["message"]
+
+    @pytest.mark.parametrize("command", ["align", "layer"])
+    def test_f_differs_from_welch_filter_size(self, tmp_path, capsys, command):
+        doc = self.psdnorm_doc(tmp_path)
+        doc["welch"]["filter_size"] = 8
+        code, out = self.run(tmp_path, command, doc)
+        assert code == EXIT_STATE
+        error = read_error(capsys)
+        assert error["kind"] == "state"
+        assert "key 'f' is 4, but welch.filter_size is 8" in error["message"]
+        assert list(out.glob("*")) == []
 
     @pytest.mark.parametrize("command", ["align", "layer"])
     def test_json_list(self, tmp_path, capsys, command):
@@ -412,12 +458,18 @@ class TestMalformedState:
 
 class TestLayerStateFlags:
     """``layer --state-in`` rejects flags that differ from the state, like
-    ``align --target``."""
+    ``align --target``, and names the setting."""
 
+    # The ids are those of the earlier rows, whose messages named whole
+    # WelchConfig values.
     @pytest.mark.parametrize("kind, flags, named", [
-        ("psdnorm", ["--f", "8"], "filter_size=8"),
-        ("psdnorm", ["--stride", "1"], "stride=1"),
-        ("psdnorm", ["--window", "boxcar"], "window_kind='boxcar'"),
+        pytest.param("psdnorm", ["--f", "8"], "filter_size 4, the flags give 8",
+                     id="psdnorm-flags0-filter_size=8"),
+        pytest.param("psdnorm", ["--stride", "1"], "stride 2, the flags give 1",
+                     id="psdnorm-flags1-stride=1"),
+        pytest.param("psdnorm", ["--window", "boxcar"],
+                     "window_kind hann, the flags give boxcar",
+                     id="psdnorm-flags2-window_kind='boxcar'"),
         ("psdnorm", ["--momentum", "0.5"], "momentum 0.01, the flags give 0.5"),
         ("batchnorm", ["--eps", "0.001"], "eps 1e-05, the flags give 0.001"),
     ])
@@ -432,7 +484,8 @@ class TestLayerStateFlags:
         sig = tmp_path / "x.psdn"
         write_white_noise(sig, c=1, length=2 ** 10, seed=18)
         out = tmp_path / "out"
-        argv = ["layer", str(sig), "--kind", kind, "--mode", "eval", "--f", "4",
+        argv = ["layer", str(sig), "--kind", kind, "--mode", "eval",
+                *(["--f", "4"] if kind == "psdnorm" else []),
                 "--state-in", str(state), "--out", str(out)]
         assert main(argv) == EXIT_OK
         capsys.readouterr()
@@ -728,9 +781,11 @@ class TestNonFiniteSignal:
         x[0, 5] = np.nan
         write_signal(sig, x)
         out = tmp_path / "out"
-        code = main(["layer", str(sig), "--kind", kind, "--f", "4", "--out", str(out)])
+        f = ["--f", "4"] if kind == "psdnorm" else []
+        code = main(["layer", str(sig), "--kind", kind, *f, "--out", str(out)])
         assert code == EXIT_VALIDATION
-        assert read_error(capsys)["kind"] == "validation"
+        error = read_error(capsys)
+        assert error["kind"] == "validation" and "non-finite" in error["message"]
         assert not (out / "x.out.psdn").exists()
 
 
@@ -753,6 +808,38 @@ class TestLayerCommand:
         assert code == EXIT_VALIDATION
         assert flag in read_error(capsys)["message"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, flag", [
+        ("psdnorm", "--eps"),
+        *[(kind, flag) for kind in ("batchnorm", "instancenorm", "layernorm")
+          for flag in ("--momentum", "--f", "--stride", "--window")],
+    ])
+    def test_flag_the_kind_has_no_setting_for_exits_3(self, tmp_path, capsys,
+                                                      kind, flag):
+        # The input file does not exist: the flag is refused before any read.
+        value = {"--window": "boxcar", "--f": "4", "--stride": "1"}.get(flag, "0.5")
+        code = main(["layer", str(tmp_path / "missing.psdn"), "--kind", kind,
+                     flag, value, "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        error = read_error(capsys)
+        assert error["kind"] == "validation"
+        assert f"--kind {kind} has no setting for {flag}" in error["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind, flag", [("psdnorm", "--momentum"),
+                                            ("batchnorm", "--eps")])
+    def test_out_of_range_setting_with_state_in_exits_3(self, tmp_path, capsys,
+                                                        kind, flag):
+        # The flag is checked as a layer setting before the state is compared.
+        paths = self.make_batch(tmp_path, n=1)
+        state = tmp_path / "state.json"
+        assert main(["layer", *paths, "--kind", kind, "--state-out", str(state),
+                     "--out", str(tmp_path / "o1")]) == EXIT_OK
+        code = main(["layer", *paths, "--kind", kind, "--mode", "eval", flag, "-1",
+                     "--state-in", str(state), "--out", str(tmp_path / "o2")])
+        assert code == EXIT_VALIDATION
+        assert f"{flag[2:]} must be a finite number" in read_error(capsys)["message"]
+        assert not (tmp_path / "o2").exists()
 
     def test_train_then_eval_round_trip(self, tmp_path):
         paths = self.make_batch(tmp_path)
@@ -882,22 +969,38 @@ class TestLayerCommand:
         assert peak <= 3.5 * 8 * len(paths) * shape[0] * shape[1]
 
     def test_outputs_equal_the_forward_of_the_stacked_files(self, tmp_path):
-        from psdnorm import PsdNormLayer, instancenorm_forward, psdnorm_forward
+        # With no setting flag, every kind runs with the library's defaults.
+        from psdnorm import (
+            BatchNormLayer,
+            PsdNormLayer,
+            batchnorm_forward,
+            instancenorm_forward,
+            layernorm_forward,
+            psdnorm_forward,
+        )
 
         paths = self.make_batch(tmp_path, n=3, seed=6)
         batch = np.stack([read_signal(p) for p in paths])
         expected = {
-            "instancenorm": instancenorm_forward(batch, eps=1e-5),
-            "psdnorm": psdnorm_forward(PsdNormLayer(filter_size=5), batch)[0],
+            "instancenorm": (instancenorm_forward(batch), None),
+            "layernorm": (layernorm_forward(batch), None),
+            "psdnorm": psdnorm_forward(PsdNormLayer(), batch),
+            "batchnorm": batchnorm_forward(BatchNormLayer(), batch),
         }
-        for kind, y in expected.items():
+        for kind, (y, layer) in expected.items():
             out = tmp_path / kind
-            assert main(["layer", *paths, "--kind", kind, "--out", str(out)]) == EXIT_OK
+            state = [] if layer is None else ["--state-out", str(out / "state.json")]
+            assert main(["layer", *paths, "--kind", kind, *state,
+                         "--out", str(out)]) == EXIT_OK
             for p, row in zip(paths, y):
                 stem = p.rsplit("/", 1)[-1].replace(".psdn", "")
                 write_signal(tmp_path / "expected.psdn", row)
                 assert ((out / f"{stem}.out.psdn").read_bytes()
                         == (tmp_path / "expected.psdn").read_bytes())
+            if layer is not None:
+                save_state(tmp_path / "expected.json", layer)
+                assert ((out / "state.json").read_bytes()
+                        == (tmp_path / "expected.json").read_bytes())
 
     def test_batchnorm_state_round_trip(self, tmp_path):
         paths = self.make_batch(tmp_path, n=2, seed=3)
@@ -925,6 +1028,20 @@ class TestBenchCommand:
                      "--signals", "2", "--length", str(2 ** 10), "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert "'psdnorm' is named twice" in read_error(capsys)["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--seeds", "-2"), ("--channels", "0"), ("--channels", "-1"),
+    ])
+    def test_size_flag_below_1_exits_before_sampling(self, tmp_path, capsys,
+                                                     monkeypatch, flag, value):
+        monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", None)
+        out = tmp_path / "b"
+        code = main(["bench", flag, value, "--signals", "2", "--length", str(2 ** 10),
+                     "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        message = read_error(capsys)["message"]
+        assert f"{flag} must be an integer >= 1, got {value}" in message
         assert not out.exists()
 
     def test_none_ratio_one_and_psdnorm_wins(self, tmp_path):

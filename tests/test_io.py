@@ -125,8 +125,7 @@ class TestSignalContainer:
 class TestStateDocuments:
     def test_psdnorm_round_trip_byte_identical(self, tmp_path):
         bary = np.array([[1.5, 2.25, 2.25]])  # bins 1 and 2 mirror each other
-        layer = PsdNormLayer(filter_size=3, welch=WelchConfig(3), barycenter=bary,
-                             update_count=3)
+        layer = PsdNormLayer(filter_size=3, barycenter=bary, update_count=3)
         p1 = tmp_path / "a.json"
         p2 = tmp_path / "b.json"
         save_state(p1, layer)
@@ -286,6 +285,9 @@ class TestMalformedStateDocuments:
         ({**state_to_dict(BatchNormLayer()), "gamma": [1.0, 1.0]},
          "key 'gamma' has type list"),
         ({**state_to_dict(BatchNormLayer()), "beta": True}, "key 'beta' has type bool"),
+        # The layer's one filter size is stored twice; the two must agree.
+        (_psdnorm_doc(welch={"filter_size": 4, "stride": 1, "window_kind": "hann"}),
+         "key 'f' is 2, but welch.filter_size is 4"),
     ])
     def test_rejected_with_state_file_error(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"

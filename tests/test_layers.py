@@ -1,6 +1,6 @@
 """Tests for the stateful normalization layers."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -42,9 +42,7 @@ HUGE = pytest.param(10 ** 400, id="10**400")
 
 
 def f1_layer(**fields):
-    return PsdNormLayer(
-        filter_size=1, welch=WelchConfig(1, stride=1, window_kind="boxcar"), **fields
-    )
+    return PsdNormLayer(filter_size=1, stride=1, window_kind="boxcar", **fields)
 
 
 class TestPsdNormForward:
@@ -289,7 +287,7 @@ class TestTma:
         aligner = tma_fit(domains, cfg)
         assert isinstance(aligner, PsdNormLayer)
         assert (aligner.update_count, aligner.welch) == (1, cfg)
-        _, trained = psdnorm_forward(PsdNormLayer(filter_size=8, welch=cfg),
+        _, trained = psdnorm_forward(PsdNormLayer(**asdict(cfg)),
                                      np.concatenate(domains))
         assert np.array_equal(aligner.barycenter, trained.barycenter)
         out, same = psdnorm_forward(aligner, domains[0], "eval")
@@ -472,6 +470,67 @@ class TestBatchNorm:
         layer = BatchNormLayer(running_mean=np.zeros(3), running_var=np.ones(3))
         with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
             batchnorm_forward(layer, np.ones((2, 2, 8)), mode)
+
+
+class TestOwnership:
+    """Each layer setting has one owner: ``PsdNormLayer`` keeps its Welch
+    settings as its own fields, and every layer array is a read-only copy."""
+
+    def test_welch_is_built_from_the_layer_fields(self):
+        layer = PsdNormLayer(filter_size=4, stride=1, window_kind="boxcar")
+        assert layer.welch == WelchConfig(4, 1, "boxcar")
+        assert list(asdict(PsdNormLayer())) == [
+            "filter_size", "momentum", "stride", "window_kind", "barycenter",
+            "update_count"]
+        # Stride 0 resolves to its default, in the field and in welch alike.
+        assert PsdNormLayer(filter_size=4).stride == PsdNormLayer().welch.stride == 2
+        with pytest.raises(TypeError):
+            PsdNormLayer(welch=WelchConfig(5))
+
+    @pytest.mark.parametrize("settings", [
+        {"filter_size": 4, "stride": 5},
+        {"stride": -1},
+        {"stride": 1.0},
+        {"window_kind": "tukey"},
+    ])
+    def test_invalid_welch_fields_rejected(self, settings):
+        with pytest.raises(ParameterOutOfRangeError):
+            PsdNormLayer(**settings)
+
+    def test_barycenter_is_a_read_only_copy(self):
+        b = np.ones((2, 4))
+        layer = PsdNormLayer(filter_size=4, barycenter=b, update_count=1)
+        b[0, 1] = 5.0  # would make the barycenter asymmetric
+        np.testing.assert_array_equal(layer.barycenter, np.ones((2, 4)))
+        with pytest.raises(ValueError):
+            layer.barycenter[0, 1] = 5.0
+        batch = np.random.default_rng(40).standard_normal((2, 2, 64))
+        psdnorm_forward(layer, batch, "eval")
+        _, trained = psdnorm_forward(layer, batch)
+        with pytest.raises(ValueError):
+            trained.barycenter[0, 0] = 1.0
+
+    def test_running_statistics_are_read_only_copies(self):
+        m, v = np.zeros(2), np.ones(2)
+        layer = BatchNormLayer(running_mean=m, running_var=v)
+        m[0], v[0] = 3.0, -5.0
+        np.testing.assert_array_equal(layer.running_mean, np.zeros(2))
+        np.testing.assert_array_equal(layer.running_var, np.ones(2))
+        _, trained = batchnorm_forward(layer, np.ones((2, 2, 8)))
+        for held in (layer, trained):
+            for name in ("running_mean", "running_var"):
+                with pytest.raises(ValueError):
+                    getattr(held, name)[0] = 1.0
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_stack_snapshots_are_the_layers_barycenters(self, mode):
+        batch = np.random.default_rng(41).standard_normal((3, 2, 64))
+        _, layers, _ = psdnorm_stack_forward([4, 2], batch)
+        _, layers, snapshots = psdnorm_stack_forward([4, 2], batch, mode, layers)
+        for snapshot, layer in zip(snapshots, layers):
+            assert snapshot is layer.barycenter
+            with pytest.raises(ValueError):
+                snapshot[0, 0] = 1.0
 
 
 class TestModeIsAnArgument:

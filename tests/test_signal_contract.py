@@ -99,10 +99,12 @@ CLI_CALLS = [
                                    str(out / "p.json")], id="psd"),
     pytest.param(lambda sig, out: ["align", sig, "--f", str(F), "--out", str(out)],
                  id="align"),
-    *[pytest.param(lambda sig, out, kind=kind: ["layer", sig, "--kind", kind, "--f",
-                                                str(F), "--out", str(out)],
+    pytest.param(lambda sig, out: ["layer", sig, "--kind", "psdnorm", "--f", str(F),
+                                   "--out", str(out)], id="layer psdnorm"),
+    *[pytest.param(lambda sig, out, kind=kind: ["layer", sig, "--kind", kind,
+                                                "--out", str(out)],
                    id=f"layer {kind}")
-      for kind in ("psdnorm", "instancenorm", "batchnorm", "layernorm")],
+      for kind in ("instancenorm", "batchnorm", "layernorm")],
 ]
 
 
@@ -119,6 +121,7 @@ def test_empty_signal_file_exits_3(tmp_path, capsys, argv, shape):
     assert code == EXIT_VALIDATION
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["kind"] == "validation"
+    error = json.loads(lines[0])["error"]
+    assert error["kind"] == "validation" and sig in error["message"]
     assert [str(w.message) for w in caught] == []
     assert list(out.iterdir()) == []

@@ -86,6 +86,7 @@ def test_commands_exit_with_a_contract_code(signal_path, doc, kind, mode):
             main(["align", str(signal_path), "--f", "4", "--target", str(state),
                   "--out", out]),
             main(["layer", str(signal_path), "--kind", kind, "--mode", mode,
-                  "--f", "4", "--state-in", str(state), "--out", out]),
+                  *(["--f", "4"] if kind == "psdnorm" else []),
+                  "--state-in", str(state), "--out", out]),
         ]
     assert set(codes) <= EXIT_CODES
