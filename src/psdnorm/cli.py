@@ -8,8 +8,9 @@ benchmark).
 ``align`` reads its files with ``io.read_rows`` and writes each output with
 one ``io.write_signal`` call over a generator of its rows, so it holds one
 channel row of one file, and its mapped result, whatever the number and
-length of the files.  ``layer`` checks every file's header, then reads the
-rows of all files into one preallocated batch.  ``psd`` reads whole files.
+length of the files; ``psd`` reads its files the same way.  ``layer``
+checks every file's header, then reads the rows of all files into one
+preallocated batch.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
 malformed command line included), 4 state contract violation.  Failures also emit a machine-readable JSON object on
@@ -43,7 +44,6 @@ from .io import (
     dumps_json,
     load_state,
     read_rows,
-    read_signal,
     save_state,
     signal_shape,
     write_signal,
@@ -61,10 +61,11 @@ from .spectral import (
     WINDOW_KINDS,
     WelchConfig,
     check_integer,
+    check_number,
+    floored,
     n_segments,
     psd_floor,
     welch_psd,
-    welch_psd_raw,
 )
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
@@ -143,32 +144,52 @@ def _output_paths(out_dir: Path, inputs, suffix: str) -> list[Path]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _file_psd(rows, cfg: WelchConfig) -> np.ndarray:
+    """``welch_psd`` of the signal whose channel rows ``rows`` yields: each
+    row's estimate, floored again over the whole PSD, has the bits of the
+    whole-signal estimate.  ``map``, unlike a loop variable, holds no row
+    while the next one is read."""
+    return floored(np.concatenate(list(map(welch_psd, rows, itertools.repeat(cfg)))))
+
+
+def _centred(row: np.ndarray) -> np.ndarray:
+    """``row`` with its mean subtracted in place."""
+    row -= row.mean(axis=-1, keepdims=True)
+    return row
+
+
+def _float32(y: np.ndarray, what: str) -> np.ndarray:
+    """``y`` cast to float32, where it must be finite (else
+    NonFiniteInputError naming ``what``): the check of every signal that a
+    command writes."""
+    with np.errstate(over="ignore"):
+        y = y.astype(np.float32)
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteInputError(f"{what} is not finite in float32;"
+                                  " nothing was written")
+    return y
+
+
 def cmd_psd(args) -> int:
     cfg = _welch_from_args(args)
-    rows, files, clamp_total, bins_total = [], [], 0, 0
+    psds, files = [], []
     for path in args.inputs:
-        x = read_signal(path)
-        p = welch_psd(x, cfg)
+        c, l = signal_shape(path)
+        p = _file_psd(read_rows(path, (c, l)), cfg)
         clamped = int(np.count_nonzero(p == psd_floor(p)))
-        rows.append(p)
-        clamp_total += clamped
-        bins_total += p.size
-        files.append({
-            "path": str(path),
-            "channels": int(x.shape[0]),
-            "length": int(x.shape[1]),
-            "segments": n_segments(x.shape[1], cfg),
-            "clamped_bins": clamped,
-        })
+        psds.append(p)
+        files.append({"path": str(path), "channels": c, "length": l,
+                      "segments": n_segments(l, cfg), "clamped_bins": clamped})
+    clamp_total = sum(record["clamped_bins"] for record in files)
     summary = {
         "config": _run_config(args),
         "window_kind": cfg.window_kind,
         "files": files,
         "clamped_bins": clamp_total,
-        "all_clamped": clamp_total == bins_total,
+        "all_clamped": clamp_total == sum(p.size for p in psds),
     }
     with _staged_writes() as stage:
-        np.savetxt(stage(args.out_csv), np.vstack(rows), delimiter=",", fmt="%.17g")
+        np.savetxt(stage(args.out_csv), np.vstack(psds), delimiter=",", fmt="%.17g")
         stage(args.out_json).write_text(dumps_json(summary))
     return EXIT_OK
 
@@ -197,58 +218,33 @@ def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     return layer.barycenter
 
 
-def _raw_row_psd(row, cfg: WelchConfig) -> np.ndarray:
-    """Welch estimate, before the floor, of one channel row after centring
-    it in place.  Rows never share arithmetic, so it has the bits of that
-    row's estimate within its whole signal."""
-    row -= row.mean(axis=-1, keepdims=True)
-    return welch_psd_raw(row, cfg)
-
-
-def _floored(raw_rows) -> np.ndarray:
-    """The (c, f) PSD from its rows' ``_raw_row_psd``, floored over the
-    whole signal as ``welch_psd`` floors it: ``centered_psd`` of the signal."""
-    p = np.concatenate(raw_rows)
-    return np.maximum(p, psd_floor(p))
-
-
-def _file_psd(path, shape, cfg: WelchConfig) -> np.ndarray:
-    """``centered_psd`` of the signal file at ``path``, read one row at a
-    time (``map``, unlike a loop variable, holds no row while the next one
-    is read)."""
-    return _floored(list(map(_raw_row_psd, read_rows(path, shape),
-                             itertools.repeat(cfg))))
-
-
-def _aligned_rows(path, shape, taps, cfg: WelchConfig, raw_psds: list):
+def _aligned_rows(path, shape, taps, cfg: WelchConfig, post: list):
     """Yield each row of the signal file at ``path`` mapped by its row of
-    ``taps``, cast to float32 and refused if not finite there; then append
-    the ``_raw_row_psd`` of the float64 result to ``raw_psds``."""
+    ``taps`` and cast by ``_float32``; then append the ``welch_psd`` of the
+    centred float64 result to ``post``."""
     rows = read_rows(path, shape)
     for h in taps:
         y = apply_mapping(next(rows), h)
-        with np.errstate(over="ignore"):
-            y32 = y.astype(np.float32)
-        if not np.all(np.isfinite(y32)):
-            raise NonFiniteInputError(f"{path}: aligned output is not finite in"
-                                      " float32; align writes no output")
+        y32 = _float32(y, f"{path}: aligned output")
         yield y32[0]
-        raw_psds.append(_raw_row_psd(y, cfg))
-        del y, y32  # before the next row is read
+        post.append(welch_psd(_centred(y), cfg))
+        del y, y32  # here, not earlier: freeing y32 before Welch slowed align ~10 %
 
 
 def cmd_align(args) -> int:
     """Map each file onto the target PSD in two passes over it, each holding
     one channel row: the first estimates the file's PSD, the second maps
     each row, writes it and estimates the PSD of the result.  Rows never
-    share arithmetic and the Welch floor is set over each whole PSD, so the
-    files and the report have the bits of the whole-signal computation."""
+    share arithmetic and ``floored`` sets the Welch floor over each whole
+    PSD, so the files and the report have the bits of the whole-signal
+    computation."""
     cfg = _welch_from_args(args)
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".aligned.psdn")
     out_dir.mkdir(parents=True, exist_ok=True)
     shapes = [signal_shape(p) for p in args.inputs]
-    psds = [_file_psd(p, shape, cfg) for p, shape in zip(args.inputs, shapes)]
+    psds = [_file_psd(map(_centred, read_rows(p, shape)), cfg)
+            for p, shape in zip(args.inputs, shapes)]
     target = _resolve_target(args, psds, cfg)
     for path, p in zip(args.inputs, psds):
         if p.shape != target.shape:
@@ -265,7 +261,7 @@ def cmd_align(args) -> int:
                 "input": str(path),
                 "output": str(out_path),
                 "pre_distance": bures_distance(p, target),
-                "post_distance": bures_distance(_floored(post), target),
+                "post_distance": bures_distance(floored(np.concatenate(post)), target),
             })
         report = {
             "config": _run_config(args, {"target": args.target}),
@@ -328,10 +324,7 @@ def cmd_layer(args) -> int:
                     args.state_in, args.kind,
                     **{name: getattr(layer, name) for name in fields})
             out, layer = forward(layer, batch, args.mode)
-        out = out.astype(np.float32)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteInputError(f"{args.kind} output is not finite in float32;"
-                                  " nothing was written")
+    out = _float32(out, f"{args.kind} output")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     with _staged_writes() as stage:
@@ -347,7 +340,11 @@ def cmd_layer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    check_integer("--domains", args.domains, 2)
+    check_number("--shift", args.shift, 0)
     check_integer("--seeds", args.seeds, 1)
+    check_integer("--signals", args.signals, 1)
+    check_integer("--length", args.length, 1)
     check_integer("--channels", args.channels, 1)
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInputError, ParameterOutOfRangeError, ShapeMismatchError
-from .spectral import check_positive
+from .errors import EmptyInputError, ShapeMismatchError
+from .spectral import check_number, check_positive
 
 
 def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
@@ -41,8 +41,7 @@ def geodesic_interpolate(p_src, p_tgt, t: float) -> np.ndarray:
     p_src = check_positive(p_src, "source PSD")
     p_tgt = check_positive(p_tgt, "target PSD")
     _check_same_shape(p_src, p_tgt)
-    if not 0.0 <= t <= 1.0:
-        raise ParameterOutOfRangeError(f"t must be in [0, 1], got {t}")
+    t = check_number("t", t, 0, 1)
     return ((1.0 - t) * np.sqrt(p_src) + t * np.sqrt(p_tgt)) ** 2
 
 

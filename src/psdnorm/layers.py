@@ -5,6 +5,7 @@ one (see ``spectral.signal_batch``).  Forward passes are functional:
 layers are frozen dataclasses holding only state, and the mode ("train" or
 "eval") is an argument of each forward call.  Train-mode calls return an
 updated copy alongside the normalized batch; eval-mode calls are pure.
+Layers hold arrays, so they compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # PSD normalization layer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsdNormLayer:
     """Layer aligning each sample's PSD to a running Bures barycenter.
 
@@ -210,7 +211,7 @@ def layernorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
     return _standardize(batch, (1, 2), eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BatchNormLayer:
     """Channel-wise batch normalization, with no affine.
 

@@ -176,8 +176,7 @@ def make_window(kind: str, f: int) -> np.ndarray:
     Hann taper 0.5*(1 - cos(2*pi*k/f)) renormalized; for f = 1 it degenerates
     to [1.0].
     """
-    if f < 1:
-        raise ParameterOutOfRangeError("window length must be >= 1")
+    f = check_integer("window length f", f, 1)
     if kind == "boxcar":
         return np.full(f, 1.0 / np.sqrt(f))
     if kind == "hann":
@@ -192,6 +191,13 @@ def psd_floor(p: np.ndarray) -> np.ndarray:
     """Positivity floor applied to Welch estimates: 1e-10 * max(1, max(p))
     over each (c, f) PSD, so each signal of an (N, c, f) batch has its own."""
     return 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=1.0)
+
+
+def floored(p: np.ndarray) -> np.ndarray:
+    """p clamped at its ``psd_floor``: the one floor rule of Welch estimates.
+    Flooring twice is exact, and so is flooring each row before the whole
+    (c, f) PSD, since no row's floor exceeds the whole PSD's."""
+    return np.maximum(p, psd_floor(p))
 
 
 def _welch_basis(w: np.ndarray) -> np.ndarray:
@@ -275,8 +281,7 @@ def welch_psd(x, cfg: WelchConfig) -> np.ndarray:
     (N, c, l) batch, each PSD clamped at its own ``psd_floor``.  Bins above
     f//2 copy those below it, so p[..., k] == p[..., f - k] exactly.
     """
-    p = welch_psd_raw(x, cfg)
-    return np.maximum(p, psd_floor(p))
+    return floored(welch_psd_raw(x, cfg))
 
 
 def n_segments(length: int, cfg: WelchConfig) -> int:

@@ -120,10 +120,10 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     return specs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentReport:
     """Pairwise inter-domain Bures distances before and after a
-    normalization method."""
+    normalization method.  Reports compare and hash by identity."""
 
     method: str
     pre_distances: np.ndarray       # (K, K), symmetric, zero diagonal

@@ -24,8 +24,19 @@ def load_tool():
 
 
 def test_stage_times_on_one_tiny_shape(monkeypatch):
+    import psdnorm
+
     bench = load_tool()
     monkeypatch.setattr(bench, "GRID", [(2, 1, 64, 4)])
+    # The synthesis stage must time the call that the forward makes: one
+    # (N, c, f) batch of source PSDs against the one (c, f) target.
+    shapes, monge_filter = [], psdnorm.monge_filter
+
+    def recording_monge_filter(p_src, p_tgt):
+        shapes.append((p_src.shape, p_tgt.shape))
+        return monge_filter(p_src, p_tgt)
+
+    monkeypatch.setattr(psdnorm, "monge_filter", recording_monge_filter)
     monkeypatch.setattr(bench, "STACK_SHAPE", (2, 1, 64))
     monkeypatch.setattr(bench, "best_ms", one_call_ms)
 
@@ -34,6 +45,7 @@ def test_stage_times_on_one_tiny_shape(monkeypatch):
     elapsed = time.perf_counter() - t
 
     [row] = doc["grid"]
+    assert shapes and set(shapes) == {((2, 1, 4), (1, 4))}
     assert set(row["stages_ms"]) == STAGES
     assert len(doc["stack"]["per_layer_train_ms"]) == len(bench.STACK_FS)
     assert {"stack_train_ms", "stack_eval_ms", "instancenorm_ms"} <= set(doc["stack"])

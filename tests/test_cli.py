@@ -72,6 +72,25 @@ class TestPsdCommand:
         np.testing.assert_array_equal(np.loadtxt(out_csv, delimiter=",", ndmin=2),
                                       welch_psd(read_signal(sig), WelchConfig(8)))
 
+    def test_peak_memory_is_below_two_rows(self, tmp_path):
+        # psd reads one row at a time, as align does: a (4, 2^16) file never
+        # has two of its float64 rows in memory at once.
+        import tracemalloc
+
+        length = 2 ** 16
+        sig = tmp_path / "long.psdn"
+        write_white_noise(sig, c=4, length=length, seed=5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["psd", str(sig), "--f", "64", "--out-csv",
+                         str(tmp_path / "a.csv"), "--out-json",
+                         str(tmp_path / "a.json")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * length
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["psd", str(tmp_path / "absent.psdn"),
                      "--out-csv", str(tmp_path / "a.csv"),
@@ -1030,18 +1049,31 @@ class TestBenchCommand:
         assert "'psdnorm' is named twice" in read_error(capsys)["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--seeds", "-2"), ("--channels", "0"), ("--channels", "-1"),
-    ])
+    SIZE_FLAGS = [("--seeds", "-2", 1), ("--channels", "0", 1), ("--channels", "-1", 1),
+                  ("--domains", "1", 2), ("--signals", "0", 1), ("--length", "0", 1)]
+
+    @pytest.mark.parametrize("flag, value, bound", SIZE_FLAGS,
+                             ids=[f"{flag}-{value}" for flag, value, _ in SIZE_FLAGS])
     def test_size_flag_below_1_exits_before_sampling(self, tmp_path, capsys,
-                                                     monkeypatch, flag, value):
+                                                     monkeypatch, flag, value, bound):
         monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", None)
         out = tmp_path / "b"
-        code = main(["bench", flag, value, "--signals", "2", "--length", str(2 ** 10),
+        code = main(["bench", "--signals", "2", "--length", str(2 ** 10), flag, value,
                      "--out", str(out)])
         assert code == EXIT_VALIDATION
         message = read_error(capsys)["message"]
-        assert f"{flag} must be an integer >= 1, got {value}" in message
+        assert f"{flag} must be an integer >= {bound}, got {value}" in message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1.5", "nan", "inf"])
+    def test_shift_not_a_finite_non_negative_number_exits_before_sampling(
+            self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr(psdnorm.synth, "sample_gaussian_with_psd", None)
+        out = tmp_path / "b"
+        code = main(["bench", "--shift", value, "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        message = read_error(capsys)["message"]
+        assert f"--shift must be a finite number in [0, inf], got {value}" in message
         assert not out.exists()
 
     def test_none_ratio_one_and_psdnorm_wins(self, tmp_path):

@@ -103,6 +103,12 @@ class TestGeodesic:
         with pytest.raises(ParameterOutOfRangeError):
             geodesic_interpolate(p, p, 1.5)
 
+    @pytest.mark.parametrize("t", [True, "0.5", None, float("nan")])
+    def test_t_must_be_a_real_number(self, t):
+        p = np.ones((1, 2))
+        with pytest.raises(ParameterOutOfRangeError, match="t must be a finite number"):
+            geodesic_interpolate(p, p, t)
+
 
 class TestRunningUpdate:
     def test_lazy_init(self):

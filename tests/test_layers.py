@@ -21,6 +21,7 @@ from psdnorm import (
     batchnorm_forward,
     bures_distance,
     centered_psd,
+    evaluate_alignment,
     geodesic_interpolate,
     instancenorm_forward,
     layernorm_forward,
@@ -521,6 +522,22 @@ class TestOwnership:
             for name in ("running_mean", "running_var"):
                 with pytest.raises(ValueError):
                     getattr(held, name)[0] = 1.0
+
+    def test_layers_and_reports_compare_and_hash_by_identity(self):
+        # Their array fields would make a field-by-field == ambiguous.
+        report = evaluate_alignment(
+            make_shifted_domains(np.ones((1, 4)), 2, 1.0, n_signals=2, length=64),
+            "none", WelchConfig(4))
+        for make in (
+            lambda: PsdNormLayer(filter_size=4, barycenter=np.ones((2, 4)),
+                                 update_count=1),
+            lambda: BatchNormLayer(running_mean=np.zeros(2), running_var=np.ones(2)),
+            lambda: replace(report),
+        ):
+            a, b = make(), make()
+            assert a == a and a != b
+            assert hash(a) == hash(a)
+            assert {a, b, a} == {a, b} and a in {a} and b not in {a}
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_stack_snapshots_are_the_layers_barycenters(self, mode):

@@ -20,7 +20,7 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm import spectral
-from psdnorm.spectral import BUDGET_BYTES, n_segments, psd_floor, welch_psd_raw
+from psdnorm.spectral import BUDGET_BYTES, floored, n_segments, psd_floor, welch_psd_raw
 
 from oracles import fourier_matrix, rfft_welch_raw, whole_signal_mapping
 
@@ -130,6 +130,11 @@ class TestWindows:
             make_window("hann", 0)
         with pytest.raises(ParameterOutOfRangeError):
             make_window("hamming", 4)
+
+    @pytest.mark.parametrize("f", [2.5, 4.0, True])
+    def test_length_must_be_an_integer(self, f):
+        with pytest.raises(ParameterOutOfRangeError, match="must be an integer >= 1"):
+            make_window("hann", f)
 
 
 class TestSegment:
@@ -302,6 +307,19 @@ class TestWelch:
         for y in (deep, trailing, trailing[0]):
             with pytest.raises(NonFiniteInputError):
                 welch_psd_raw(y, cfg)
+
+    @pytest.mark.parametrize("f", [5, 8])
+    def test_rows_floored_again_give_the_signal_bits(self, f):
+        # Each row's welch_psd, floored again over the whole PSD, is the
+        # whole-signal estimate bit for bit: no row's floor exceeds the
+        # signal's.  The DC offset puts the quiet rows' bins under the floor.
+        scales = np.array([0.0, 1e-4, 1.0, 1e2])[:, np.newaxis]
+        x = np.random.default_rng(f).standard_normal((4, 1001)) * scales + 1e3
+        cfg = WelchConfig(f)
+        whole = welch_psd(x, cfg)
+        assert np.any(whole == psd_floor(whole))
+        rows = floored(np.concatenate([welch_psd(r, cfg) for r in x]))
+        assert rows.tobytes() == whole.tobytes()
 
     def test_floor_is_per_signal(self):
         # The loud signals' floor, 1e-10 of their largest bin, is far above

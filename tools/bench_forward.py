@@ -102,7 +102,6 @@ def trained_layer(b, f: int):
 
 
 def stage_times() -> dict:
-    import numpy as np
     import psdnorm
     from psdnorm.layers import centered_psd
 
@@ -114,15 +113,14 @@ def stage_times() -> dict:
         psds = centered_psd(b, cfg)
         batch_bary = psdnorm.wasserstein_barycenter(psds)
         target = psdnorm.running_update(layer.barycenter, batch_bary, layer.momentum)
-        taps = psdnorm.monge_filter(psds.reshape(-1, f), np.tile(target, (n, 1)))
+        taps = psdnorm.monge_filter(psds, target)
         stages = {
             "centre_welch": best_ms(lambda: centered_psd(b, cfg)),
             "batch_barycenter": best_ms(lambda: psdnorm.wasserstein_barycenter(psds)),
             "running_update": best_ms(lambda: psdnorm.running_update(
                 layer.barycenter, batch_bary, layer.momentum)),
-            "synthesis": best_ms(lambda: psdnorm.monge_filter(
-                psds.reshape(-1, f), np.tile(target, (n, 1)))),
-            "filtering": best_ms(lambda: psdnorm.apply_mapping(b, taps.reshape(psds.shape))),
+            "synthesis": best_ms(lambda: psdnorm.monge_filter(psds, target)),
+            "filtering": best_ms(lambda: psdnorm.apply_mapping(b, taps)),
         }
         train = best_ms(lambda: psdnorm.psdnorm_forward(layer, b))
         floor = best_ms(lambda: psdnorm.instancenorm_forward(b))
