@@ -9,11 +9,7 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     AsymmetricPsdError,
-    ChannelMismatchError,
-    EmptyInputError,
-    EvalWithoutBarycenterError,
     EvalWithoutStatsError,
-    FilterLongerThanSignalError,
     LengthTooShortError,
     NonFiniteInputError,
     NonPositivePsdError,

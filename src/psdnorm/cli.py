@@ -8,9 +8,10 @@ benchmark).
 ``align`` reads its files with ``io.read_rows`` and writes each output with
 one ``io.write_signal`` call over a generator of its rows, so it holds one
 channel row of one file, and its mapped result, whatever the number and
-length of the files; ``psd`` reads its files the same way.  ``layer``
-checks every file's header, then reads the rows of all files into one
-preallocated batch.
+length of the files; ``psd`` reads its files the same way.  Both check
+every file's header, its length against ``--f`` included, before they read
+any row.  ``layer`` checks every file's header, then reads the rows of all
+files into one preallocated batch.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
 malformed command line included), 4 state contract violation.  Failures also emit a machine-readable JSON object on
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import __version__
 from .errors import (
-    EvalWithoutBarycenterError,
     EvalWithoutStatsError,
+    LengthTooShortError,
     NonFiniteInputError,
     ParameterOutOfRangeError,
     PsdNormError,
@@ -49,6 +50,7 @@ from .io import (
     write_signal,
 )
 from .layers import (
+    MODES,
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_forward,
@@ -94,7 +96,9 @@ def _run_config(args, extra=None) -> dict:
 
 
 def _welch_from_args(args) -> WelchConfig:
-    return WelchConfig(args.f, stride=args.stride, window_kind=args.window)
+    return WelchConfig(check_integer("--f", args.f, 1),
+                       stride=check_integer("--stride", args.stride, 0),
+                       window_kind=args.window)
 
 
 @contextmanager
@@ -152,6 +156,19 @@ def _file_psd(rows, cfg: WelchConfig) -> np.ndarray:
     return floored(np.concatenate(list(map(welch_psd, rows, itertools.repeat(cfg)))))
 
 
+def _signal_shapes(paths, cfg: WelchConfig) -> list[tuple[int, int]]:
+    """The (c, l) of each signal file in ``paths``, read from the headers
+    before any row is: each l must hold one Welch segment of ``cfg`` (else
+    LengthTooShortError naming the file)."""
+    shapes = [signal_shape(p) for p in paths]
+    for path, (_, l) in zip(paths, shapes):
+        try:
+            n_segments(l, cfg)
+        except LengthTooShortError as e:
+            raise LengthTooShortError(f"{path}: {e}") from None
+    return shapes
+
+
 def _centred(row: np.ndarray) -> np.ndarray:
     """``row`` with its mean subtracted in place."""
     row -= row.mean(axis=-1, keepdims=True)
@@ -173,8 +190,7 @@ def _float32(y: np.ndarray, what: str) -> np.ndarray:
 def cmd_psd(args) -> int:
     cfg = _welch_from_args(args)
     psds, files = [], []
-    for path in args.inputs:
-        c, l = signal_shape(path)
+    for path, (c, l) in zip(args.inputs, _signal_shapes(args.inputs, cfg)):
         p = _file_psd(read_rows(path, (c, l)), cfg)
         clamped = int(np.count_nonzero(p == psd_floor(p)))
         psds.append(p)
@@ -212,9 +228,7 @@ def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
         return np.ones_like(psds[0])
     layer = _load_matching_state(args.target, "psdnorm", welch=cfg)  # a path
     if layer.barycenter is None:
-        raise EvalWithoutBarycenterError(
-            f"state file {args.target} carries no barycenter"
-        )
+        raise EvalWithoutStatsError(f"state file {args.target} carries no barycenter")
     return layer.barycenter
 
 
@@ -241,8 +255,7 @@ def cmd_align(args) -> int:
     cfg = _welch_from_args(args)
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".aligned.psdn")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    shapes = [signal_shape(p) for p in args.inputs]
+    shapes = _signal_shapes(args.inputs, cfg)
     psds = [_file_psd(map(_centred, read_rows(p, shape)), cfg)
             for p, shape in zip(args.inputs, shapes)]
     target = _resolve_target(args, psds, cfg)
@@ -251,6 +264,7 @@ def cmd_align(args) -> int:
             raise ShapeMismatchError(f"{path}: PSD shape {p.shape} differs from"
                                      f" the target's {target.shape}")
     taps = monge_filter(np.stack(psds), target)
+    out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     with _staged_writes() as stage:
         for path, shape, out_path, p, h in zip(args.inputs, shapes, out_paths, psds,
@@ -340,11 +354,12 @@ def cmd_layer(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    welch = _welch_from_args(args)
     check_integer("--domains", args.domains, 2)
     check_number("--shift", args.shift, 0)
     check_integer("--seeds", args.seeds, 1)
     check_integer("--signals", args.signals, 1)
-    check_integer("--length", args.length, 1)
+    check_integer("--length", args.length, args.f)
     check_integer("--channels", args.channels, 1)
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]
@@ -355,7 +370,6 @@ def cmd_bench(args) -> int:
     if repeated:
         raise ParameterOutOfRangeError(f"--methods: {repeated[0]!r} is named twice")
     base = np.ones((args.channels, args.f))
-    welch = _welch_from_args(args)
     ratios = {method: [] for method in methods}
     # Seed outermost, so each seed's domains are drawn once for every method.
     for seed in range(args.seeds):
@@ -444,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                        argument_default=argparse.SUPPRESS)
     p.add_argument("inputs", nargs="+", help="batch of signal files")
     p.add_argument("--kind", required=True, choices=tuple(_LAYER_KINDS))
-    p.add_argument("--mode", choices=("train", "eval"), default="train")
+    p.add_argument("--mode", choices=MODES, default="train")
     p.add_argument("--state-in", default=None)
     p.add_argument("--state-out", default=None)
     p.add_argument("--eps", type=float)
@@ -473,9 +487,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (EvalWithoutBarycenterError, EvalWithoutStatsError, StateFileError) as e:
+    except (EvalWithoutStatsError, StateFileError) as e:
         return _fail("state", str(e), EXIT_STATE)
-    except (SignalFileError, FileNotFoundError, json.JSONDecodeError, OSError) as e:
+    except (SignalFileError, OSError) as e:
         return _fail("io", str(e), EXIT_IO)
     except (PsdNormError, ValueError) as e:
         return _fail("validation", str(e), EXIT_VALIDATION)

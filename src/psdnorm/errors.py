@@ -9,28 +9,16 @@ class ShapeMismatchError(PsdNormError):
     """Operands have incompatible channel or frequency dimensions."""
 
 
-class ChannelMismatchError(ShapeMismatchError):
-    """Signal and filter bank disagree on channel count."""
-
-
 class LengthTooShortError(PsdNormError):
-    """Signal is shorter than the analysis window."""
-
-
-class FilterLongerThanSignalError(PsdNormError):
-    """Filter has more taps than the signal has samples."""
+    """Signal is shorter than the analysis window or the filter."""
 
 
 class NonFiniteInputError(PsdNormError):
     """Input contains NaN or Inf."""
 
 
-class EmptyInputError(PsdNormError):
-    """A non-empty collection was required."""
-
-
 class ParameterOutOfRangeError(PsdNormError):
-    """Scalar parameter outside its documented range."""
+    """Scalar parameter, size or count outside its documented range."""
 
 
 class NonPositivePsdError(PsdNormError):
@@ -42,9 +30,6 @@ class AsymmetricPsdError(PsdNormError):
     it is not the spectrum of a real signal."""
 
 
-class EvalWithoutBarycenterError(PsdNormError):
-    """Eval-mode forward requested before any barycenter was accumulated."""
-
-
 class EvalWithoutStatsError(PsdNormError):
-    """Eval-mode forward requested before running statistics exist."""
+    """Eval-mode forward requested before the layer holds trained
+    statistics (a barycenter, or running mean and variance)."""

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeMismatchError
-from .spectral import check_number, check_positive
+from .errors import ShapeMismatchError
+from .spectral import check_integer, check_number, check_positive
 
 
 def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
@@ -24,8 +24,7 @@ def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
 def wasserstein_barycenter(psds) -> np.ndarray:
     """Barycenter of K PSDs: elementwise ((1/K) sum_k sqrt(P_k))^2."""
     psds = [np.asarray(p, dtype=float) for p in psds]
-    if len(psds) == 0:
-        raise EmptyInputError("barycenter of zero PSDs")
+    check_integer("PSD count", len(psds), 1)
     for p in psds[1:]:
         _check_same_shape(psds[0], p)
     return np.mean(np.sqrt(check_positive(np.stack(psds), "PSDs")), axis=0) ** 2

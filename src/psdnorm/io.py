@@ -252,8 +252,12 @@ def save_state(path, layer) -> None:
 
 
 def load_state(path, kind: str | None = None):
-    """Read a state document; ``kind``, when given, must be its kind."""
+    """Read a state document; ``kind``, when given, must be its kind.  A file
+    that is not UTF-8 JSON (nested too deep to parse included), or not a
+    valid state, raises ``StateFileError`` naming ``path``."""
     try:
-        return state_from_dict(json.loads(Path(path).read_text()), kind)
-    except StateFileError as e:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return state_from_dict(doc, kind)
+    except (StateFileError, UnicodeDecodeError, json.JSONDecodeError,
+            RecursionError) as e:
         raise StateFileError(f"{path}: {e}") from None

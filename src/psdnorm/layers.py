@@ -15,8 +15,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import (
-    EmptyInputError,
-    EvalWithoutBarycenterError,
     EvalWithoutStatsError,
     NonFiniteInputError,
     ParameterOutOfRangeError,
@@ -115,9 +113,8 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     _check_mode(mode)
     b = signal_batch(batch)
     if mode == "eval" and layer.barycenter is None:
-        raise EvalWithoutBarycenterError(
-            "eval-mode forward requires an accumulated barycenter"
-        )
+        raise EvalWithoutStatsError("eval-mode forward requires an accumulated"
+                                    " barycenter")
     if layer.barycenter is not None and b.shape[1] != len(layer.barycenter):
         raise ShapeMismatchError(f"batch has {b.shape[1]} channels,"
                                  f" the layer has {len(layer.barycenter)}")
@@ -142,8 +139,7 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     snapshots); each snapshot is its layer's own read-only barycenter.
     """
     fs = [check_integer("filter size", f, 1) for f in fs]
-    if not fs:
-        raise EmptyInputError("stack needs at least one filter size")
+    check_integer("filter size count", len(fs), 1)
     if any(a < b for a, b in zip(fs, fs[1:])):
         raise ParameterOutOfRangeError("filter sizes must be non-increasing")
     if layers is None:
@@ -171,8 +167,7 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
     holding their barycenter, for eval-mode forwards: the first train-mode
     update of a fresh layer fed all domains as one batch."""
     batches = [signal_batch(batch) for batch in domains]
-    if not batches:
-        raise EmptyInputError("tma_fit needs at least one signal")
+    check_integer("domain count", len(batches), 1)
     for i, b in enumerate(batches):
         if b.shape[1] != batches[0].shape[1]:
             raise ShapeMismatchError(f"domain {i} has {b.shape[1]} channels,"

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ChannelMismatchError,
-    FilterLongerThanSignalError,
-    ShapeMismatchError,
-)
+from .errors import LengthTooShortError, ShapeMismatchError
 from .spectral import BUDGET_BYTES, as_signals, check_psd, chunk_slices
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
@@ -61,11 +57,11 @@ def apply_mapping(x, h) -> np.ndarray:
     x = as_signals(x)
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if h.shape[:-1] != x.shape[:-1]:
-        raise ChannelMismatchError(f"filter bank of shape {h.shape[:-1]} (channels)"
-                                   f" does not match the signal's {x.shape[:-1]}")
+        raise ShapeMismatchError(f"filter bank of shape {h.shape[:-1]} (channels)"
+                                 f" does not match the signal's {x.shape[:-1]}")
     l, f = x.shape[-1], h.shape[-1]
     if f > l:
-        raise FilterLongerThanSignalError(f"filter taps {f} > signal length {l}")
+        raise LengthTooShortError(f"signal length {l} < filter size {f}")
     rows, taps = x.reshape(-1, l), h.reshape(-1, f)
     means = rows.mean(axis=1, keepdims=True)
     out = np.empty_like(rows)

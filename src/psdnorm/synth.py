@@ -17,7 +17,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    EmptyInputError,
     LengthTooShortError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
@@ -160,8 +159,7 @@ def evaluate_alignment(domains, method: str,
     When the pre-alignment distances are all zero the reduction ratio is
     reported as 1.0.
     """
-    if len(domains) < 2:
-        raise EmptyInputError("alignment benchmark needs >= 2 domains")
+    check_integer("domain count", len(domains), 2)
     if method not in METHODS:
         raise ParameterOutOfRangeError(
             f"method must be one of {METHODS}, got {method!r}"

@@ -5,9 +5,19 @@ import json
 import numpy as np
 import pytest
 
+import psdnorm.cli
+import psdnorm.errors
+import psdnorm.io
 import psdnorm.synth
 from psdnorm import (
+    AsymmetricPsdError,
     DomainSpec,
+    EvalWithoutStatsError,
+    LengthTooShortError,
+    NonFiniteInputError,
+    NonPositivePsdError,
+    ParameterOutOfRangeError,
+    ShapeMismatchError,
     WelchConfig,
     evaluate_alignment,
     make_shifted_domains,
@@ -16,7 +26,14 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.cli import EXIT_IO, EXIT_OK, EXIT_STATE, EXIT_VALIDATION, main
-from psdnorm.io import load_state, read_signal, save_state, write_signal
+from psdnorm.io import (
+    SignalFileError,
+    StateFileError,
+    load_state,
+    read_signal,
+    save_state,
+    write_signal,
+)
 
 
 def write_white_noise(path, c=2, length=2 ** 12, seed=0):
@@ -348,12 +365,83 @@ class TestCommandLine:
         assert json.loads(lines[0])["error"]["kind"] == "validation"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param(["psd", "--f", "0", "--out-csv", "p.csv", "--out-json", "p.json"],
+                     "--f must be an integer >= 1, got 0", id="psd --f 0"),
+        pytest.param(["align", "--stride", "-1", "--out", "o"],
+                     "--stride must be an integer >= 0, got -1", id="align --stride -1"),
+    ])
+    def test_welch_flag_out_of_range_names_the_flag(self, tmp_path, capsys, monkeypatch,
+                                                    argv, named):
+        monkeypatch.chdir(tmp_path)
+        write_white_noise(tmp_path / "x.psdn", c=1, length=256)
+        assert main([argv[0], "x.psdn", *argv[1:]]) == EXIT_VALIDATION
+        assert named in read_error(capsys)["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["x.psdn"]
+
+    @pytest.mark.parametrize("command", ["psd", "align"])
+    def test_file_shorter_than_f_is_named_before_any_row_is_read(
+            self, tmp_path, capsys, monkeypatch, command):
+        long, short = tmp_path / "long.psdn", tmp_path / "short.psdn"
+        write_white_noise(long, c=2, length=256, seed=30)
+        write_signal(short, np.ones((2, 6)))
+        monkeypatch.setattr(psdnorm.cli, "read_rows", None)  # no row may be read
+        out = tmp_path / "out"
+        outputs = (["--out", str(out)] if command == "align" else
+                   ["--out-csv", str(out / "p.csv"), "--out-json", str(out / "p.json")])
+        code = main([command, str(long), str(short), "--f", "8", *outputs])
+        assert code == EXIT_VALIDATION
+        assert read_error(capsys)["message"] == f"{short}: signal length 6 < filter size 8"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["layer", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 0
         assert capsys.readouterr().out
+
+
+def leaf_error_classes() -> set[type]:
+    """The error classes of ``errors.py`` and ``io.py`` that no class extends."""
+    modules = (psdnorm.errors, psdnorm.io)
+    return {c for m in modules for c in vars(m).values()
+            if isinstance(c, type) and issubclass(c, psdnorm.errors.PsdNormError)
+            and c.__module__ == m.__name__ and not c.__subclasses__()}
+
+
+class TestExitCodes:
+    """``main`` maps each error class to one exit code and kind: 4 for a
+    state contract violation, 2 for I/O, 3 for any other validation."""
+
+    TABLE = [
+        (EvalWithoutStatsError, EXIT_STATE, "state"),
+        (StateFileError, EXIT_STATE, "state"),
+        (SignalFileError, EXIT_IO, "io"),
+        (FileNotFoundError, EXIT_IO, "io"),
+        (PermissionError, EXIT_IO, "io"),
+        (ShapeMismatchError, EXIT_VALIDATION, "validation"),
+        (LengthTooShortError, EXIT_VALIDATION, "validation"),
+        (NonFiniteInputError, EXIT_VALIDATION, "validation"),
+        (ParameterOutOfRangeError, EXIT_VALIDATION, "validation"),
+        (NonPositivePsdError, EXIT_VALIDATION, "validation"),
+        (AsymmetricPsdError, EXIT_VALIDATION, "validation"),
+        (ValueError, EXIT_VALIDATION, "validation"),
+    ]
+
+    @pytest.mark.parametrize("error, code, kind", TABLE,
+                             ids=[error.__name__ for error, _, _ in TABLE])
+    def test_class_maps_to_exit_code(self, tmp_path, capsys, monkeypatch, error, code,
+                                     kind):
+        def fail(args):
+            raise error("injected")
+
+        monkeypatch.setattr(psdnorm.cli, "cmd_bench", fail)
+        assert main(["bench", "--out", str(tmp_path / "b")]) == code
+        assert read_error(capsys) == {"kind": kind, "message": "injected"}
+
+    def test_table_names_every_leaf_class(self):
+        assert leaf_error_classes() - {error for error, _, _ in self.TABLE} == set()
 
 
 class TestMalformedState:
@@ -552,7 +640,7 @@ class TestAlignWritesAllOrNothing:
                      "--out", str(out)])
         assert code == EXIT_VALIDATION
         assert "b.psdn: PSD shape (3, 4) differs" in read_error(capsys)["message"]
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_failure_after_a_written_file_removes_it(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -1049,8 +1137,11 @@ class TestBenchCommand:
         assert "'psdnorm' is named twice" in read_error(capsys)["message"]
         assert not out.exists()
 
+    # --length must hold one Welch segment of the default --f 8.
     SIZE_FLAGS = [("--seeds", "-2", 1), ("--channels", "0", 1), ("--channels", "-1", 1),
-                  ("--domains", "1", 2), ("--signals", "0", 1), ("--length", "0", 1)]
+                  ("--domains", "1", 2), ("--signals", "0", 1), ("--length", "0", 8),
+                  ("--length", "4", 8), ("--f", "-3", 1), ("--f", "0", 1),
+                  ("--stride", "-1", 0)]
 
     @pytest.mark.parametrize("flag, value, bound", SIZE_FLAGS,
                              ids=[f"{flag}-{value}" for flag, value, _ in SIZE_FLAGS])

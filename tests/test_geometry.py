@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from psdnorm import (
-    EmptyInputError,
     NonFiniteInputError,
     NonPositivePsdError,
     ParameterOutOfRangeError,
@@ -60,7 +59,7 @@ class TestBarycenter:
         assert np.all(bary <= stack.max(axis=0) + 1e-12)
 
     def test_errors(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterOutOfRangeError):
             wasserstein_barycenter([])
         with pytest.raises(ShapeMismatchError):
             wasserstein_barycenter([np.ones((1, 2)), np.ones((1, 3))])

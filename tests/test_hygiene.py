@@ -81,6 +81,54 @@ def test_benchmark_traced_function_exists(name):
     assert callable(getattr(importlib.import_module(f"psdnorm.{module}"), function, None))
 
 
+def error_classes(sources: list[str]) -> dict[str, list[str]]:
+    """Each top-level class of the given modules that derives, through the
+    classes of those modules, from ``PsdNormError``, with its base names."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for source in sources for node in ast.parse(source).body
+             if isinstance(node, ast.ClassDef)}
+    errors = {"PsdNormError"}
+    while grown := {name for name, names in bases.items()
+                    if name not in errors and errors.intersection(names)}:
+        errors |= grown
+    return {name: bases[name] for name in errors if name in bases}
+
+
+def leaf_error_classes(sources: list[str]) -> list[str]:
+    """The error classes of ``sources`` that no other class extends."""
+    classes = error_classes(sources)
+    extended = {base for names in classes.values() for base in names}
+    return sorted(name for name in classes if name not in extended)
+
+
+def raised_names(source: str) -> set[str]:
+    """Names raised as ``raise Name(...)`` or ``raise Name``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_checker_finds_leaf_errors_and_raises():
+    errors = "class PsdNormError(Exception):\n    pass\n" \
+             "class ShapeError(PsdNormError):\n    pass\n" \
+             "class ChannelError(ShapeError):\n    pass\nclass Other:\n    pass\n"
+    assert leaf_error_classes([errors]) == ["ChannelError"]
+    user = "def f(x):\n    if x:\n        raise ShapeError('no')\n    raise Other\n"
+    assert raised_names(user) == {"ShapeError", "Other"}
+
+
+def test_every_leaf_error_class_is_raised():
+    leaves = leaf_error_classes([(PACKAGE / name).read_text()
+                                 for name in ("errors.py", "io.py")])
+    raised = set().union(*(raised_names(p.read_text()) for p in MODULES))
+    assert {"ShapeMismatchError", "StateFileError"} <= set(leaves)  # found any
+    assert [name for name in leaves if name not in raised] == []
+
+
 def exported_names() -> list[str]:
     """Names that ``psdnorm/__init__.py`` imports from its submodules."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())

@@ -9,7 +9,6 @@ from psdnorm import (
     AsymmetricPsdError,
     BatchNormLayer,
     DomainSpec,
-    EvalWithoutBarycenterError,
     EvalWithoutStatsError,
     NonFiniteInputError,
     NonPositivePsdError,
@@ -81,7 +80,7 @@ class TestPsdNormForward:
         assert layer1.update_count == layer.update_count
 
     def test_eval_without_barycenter(self):
-        with pytest.raises(EvalWithoutBarycenterError):
+        with pytest.raises(EvalWithoutStatsError):
             psdnorm_forward(PsdNormLayer(filter_size=4), np.zeros((1, 1, 8)), "eval")
 
     def test_train_updates_once_per_call(self):
@@ -577,7 +576,7 @@ class TestModeIsAnArgument:
 
     def test_tma_transform_without_barycenter(self):
         x = np.random.default_rng(23).standard_normal((2, 64))
-        with pytest.raises(EvalWithoutBarycenterError):
+        with pytest.raises(EvalWithoutStatsError):
             tma_transform(PsdNormLayer(filter_size=8), x)
 
     @pytest.mark.parametrize("forward, layer", [

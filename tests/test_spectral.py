@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from psdnorm import (
-    ChannelMismatchError,
-    FilterLongerThanSignalError,
     LengthTooShortError,
     NonFiniteInputError,
     ParameterOutOfRangeError,
+    ShapeMismatchError,
     WelchConfig,
     apply_mapping,
     centered_psd,
@@ -383,11 +382,11 @@ class TestCircularConvolve:
         assert error <= 1e-12 * np.max(np.abs(x))
 
     def test_channel_mismatch(self):
-        with pytest.raises(ChannelMismatchError):
+        with pytest.raises(ShapeMismatchError):
             apply_mapping(np.zeros((2, 8)), np.zeros((3, 2)))
 
     def test_filter_too_long(self):
-        with pytest.raises(FilterLongerThanSignalError):
+        with pytest.raises(LengthTooShortError):
             apply_mapping(np.zeros((1, 4)), np.zeros((1, 8)))
 
 

@@ -8,7 +8,6 @@ import pytest
 import psdnorm.synth
 from psdnorm import (
     DomainSpec,
-    EmptyInputError,
     LengthTooShortError,
     NonPositivePsdError,
     ParameterOutOfRangeError,
@@ -245,5 +244,5 @@ class TestEvaluateAlignment:
         domains = self.small_domains()
         with pytest.raises(ParameterOutOfRangeError):
             evaluate_alignment(domains, "zscore")
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ParameterOutOfRangeError):
             evaluate_alignment(domains[:1], "none")
