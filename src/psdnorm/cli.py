@@ -10,8 +10,9 @@ one ``io.write_signal`` call over a generator of its rows, so it holds one
 channel row of one file, and its mapped result, whatever the number and
 length of the files; ``psd`` reads its files the same way.  Both check
 every file's header, its length against ``--f`` included, before they read
-any row.  ``layer`` checks every file's header, then reads the rows of all
-files into one preallocated batch.
+any row.  ``layer`` checks every file's header, its length against the
+psdnorm layer's filter size included, then reads the rows of all files into
+one preallocated batch.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
 malformed command line included), 4 state contract violation.  Failures also emit a machine-readable JSON object on
@@ -288,6 +289,8 @@ def cmd_align(args) -> int:
 # Each ``layer`` setting flag and the layer field of the same meaning.
 _LAYER_FIELDS = {"f": "filter_size", "stride": "stride", "window": "window_kind",
                  "momentum": "momentum", "eps": "eps"}
+# The lower bound of each integer ``layer`` flag, checked under the flag's name.
+_LAYER_INTEGER_FLAGS = {"f": 1, "stride": 0}
 # Each ``layer --kind``: its layer class (None if it keeps no state), its
 # forward and the fields that its flags may set.
 _LAYER_KINDS = {
@@ -301,9 +304,10 @@ _LAYER_KINDS = {
 
 def cmd_layer(args) -> int:
     """Run one layer forward over the batch of all input files, which are
-    checked by their headers before any sample is read and then read row by
-    row into the one (N, c, l) float64 batch.  Each setting flag sets the
-    layer field of the same meaning; a flag not given leaves the library's
+    checked by their headers (against the layer's Welch config for
+    ``--kind psdnorm``) before any sample is read and then read row by row
+    into the one (N, c, l) float64 batch.  Each setting flag sets the layer
+    field of the same meaning; a flag not given leaves the library's
     default, and one that the kind has no setting for is refused."""
     layer_class, forward, fields = _LAYER_KINDS[args.kind]
     if layer_class is None and (args.state_in or args.state_out):
@@ -316,9 +320,14 @@ def cmd_layer(args) -> int:
                 raise ParameterOutOfRangeError(f"--kind {args.kind} has no setting"
                                                f" for --{flag}")
             settings[name] = getattr(args, flag)
+            if flag in _LAYER_INTEGER_FLAGS:
+                check_integer(f"--{flag}", settings[name], _LAYER_INTEGER_FLAGS[flag])
+    layer = layer_class(**settings) if layer_class else None
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
-    shapes = [signal_shape(p) for p in args.inputs]
+    welch = getattr(layer, "welch", None)  # only a psdnorm layer estimates PSDs
+    shapes = (_signal_shapes(args.inputs, welch) if welch
+              else [signal_shape(p) for p in args.inputs])
     for path, shape in zip(args.inputs, shapes):
         if shape != shapes[0]:
             raise ShapeMismatchError(f"{path}: signal shape {shape} differs from"
@@ -329,10 +338,9 @@ def cmd_layer(args) -> int:
             x[i] = row
     # A non-finite result is reported below as one error, not as warnings.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if layer_class is None:
+        if layer is None:
             out = forward(batch, **settings)
         else:
-            layer = layer_class(**settings)
             if args.state_in:
                 layer = _load_matching_state(
                     args.state_in, args.kind,

@@ -6,7 +6,9 @@ by (seed, signal index, channel index) and drawn through the PCG64 generator,
 so generation is deterministic, cross-platform, and identical whether signals
 are produced serially or in parallel.  A ``DomainSpec`` therefore keeps its
 sample (``DomainSpec.signals``): it is drawn on first read and shared,
-read-only, by every method evaluated on that spec.
+read-only, by every method evaluated on that spec.  It keeps the sample's
+centred Welch PSDs the same way (``DomainSpec.centered_psds``), estimated
+once per Welch config.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ from .geometry import bures_distance, wasserstein_barycenter
 from .layers import (
     BatchNormLayer,
     batchnorm_forward,
+    centered_psd,
     instancenorm_forward,
     layernorm_forward,
-    centered_psd,
-    psdnorm_forward,
-    tma_fit,
 )
+from .monge import apply_mapping, monge_filter
 from .spectral import WelchConfig, check_integer, check_number, check_psd
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
@@ -42,7 +43,8 @@ class DomainSpec:
 
     ``psd`` is a read-only copy of the caller's array, so the spec and its
     sample cannot drift apart.  ``dataclasses.replace`` gives a new spec
-    whose sample is drawn afresh.  Specs compare and hash by identity."""
+    whose sample is drawn, and whose PSDs are estimated, afresh.  Specs
+    compare and hash by identity."""
 
     psd: np.ndarray          # (c, f), checked by ``check_psd``
     n_signals: int
@@ -67,6 +69,17 @@ class DomainSpec:
         x = sample_gaussian_with_psd(self)
         x.flags.writeable = False
         return x
+
+    def centered_psds(self, welch: WelchConfig) -> np.ndarray:
+        """``centered_psd(self.signals, welch)``, the (n_signals, c, f) PSDs
+        of the sample, estimated on the first call with each Welch config
+        and kept read-only for the life of the spec."""
+        cache = self.__dict__.setdefault("_centered_psds", {})
+        if welch not in cache:
+            p = centered_psd(self.signals, welch)
+            p.flags.writeable = False
+            cache[welch] = p
+        return cache[welch]
 
 
 def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
@@ -150,14 +163,16 @@ def _offdiag_mean(d: np.ndarray) -> float:
 
 def evaluate_alignment(domains, method: str,
                        welch: WelchConfig | None = None) -> AlignmentReport:
-    """Normalize each domain's signals (``DomainSpec.signals``, drawn once
-    per spec however many methods read them) with ``method``, and report the
-    inter-domain Bures distances before and after.
+    """Normalize each domain's signals (``DomainSpec.signals``) with
+    ``method``, and report the inter-domain Bures distances before and after.
 
     Distances are between per-domain barycenters of sample PSDs estimated at
     the benchmark Welch config (default: f = bins of the first domain PSD).
-    When the pre-alignment distances are all zero the reduction ratio is
-    reported as 1.0.
+    A spec draws its sample and estimates its PSDs
+    (``DomainSpec.centered_psds``) once per Welch config, however many
+    methods read them; only the PSDs of normalized outputs are estimated
+    per call.  When the pre-alignment distances are all zero the reduction
+    ratio is reported as 1.0.
     """
     check_integer("domain count", len(domains), 2)
     if method not in METHODS:
@@ -170,7 +185,8 @@ def evaluate_alignment(domains, method: str,
         welch = WelchConfig(domains[0].psd.shape[1])
 
     batches = [d.signals for d in domains]
-    pre = _pairwise_bures([_mean_psd(b, welch) for b in batches])
+    psds = [d.centered_psds(welch) for d in domains]
+    pre = _pairwise_bures([wasserstein_barycenter(p) for p in psds])
 
     if method == "none":
         out_batches = batches
@@ -183,9 +199,12 @@ def evaluate_alignment(domains, method: str,
         _, layer = batchnorm_forward(layer, np.concatenate(batches))
         out_batches = [batchnorm_forward(layer, b, "eval")[0] for b in batches]
     else:  # tma, psdnorm
-        # A fresh psdnorm layer's one train pass adopts exactly this barycenter.
-        aligner = tma_fit(batches, welch)
-        out_batches = [psdnorm_forward(aligner, b, "eval")[0] for b in batches]
+        # The barycenter of ``tma_fit``, which a fresh psdnorm layer's one
+        # train pass adopts, and the eval forward of its layer, from the
+        # cached PSDs.
+        bary = wasserstein_barycenter(np.concatenate(psds))
+        out_batches = [apply_mapping(b, monge_filter(p, bary))
+                       for b, p in zip(batches, psds)]
 
     # For "none" the post distances would repeat the pre ones bit for bit.
     post = (pre.copy() if out_batches is batches

@@ -1,16 +1,26 @@
 """Independent references that only tests use: the unitary DFT matrix, the
 classical Gaussian Monge map, materialized densely, two-sided Gaussian
-synthesis, Welch by one rfft per segment and filtering by one rfft of the
-whole signal."""
+synthesis, Welch by one rfft per segment, filtering by one rfft of the
+whole signal and the alignment benchmark with no PSD kept between calls."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from psdnorm import (
+    BatchNormLayer,
     NonPositivePsdError,
     ParameterOutOfRangeError,
     PsdNormError,
     ShapeMismatchError,
+    WelchConfig,
+    batchnorm_forward,
+    bures_distance,
+    centered_psd,
+    instancenorm_forward,
+    layernorm_forward,
+    psdnorm_forward,
+    tma_fit,
+    wasserstein_barycenter,
 )
 from psdnorm.spectral import as_signals, make_window, n_segments
 
@@ -126,3 +136,34 @@ def whole_signal_mapping(x, h) -> np.ndarray:
     return np.fft.irfft(
         np.fft.rfft(centered, axis=1) * np.fft.rfft(h_pad, axis=1), n=l, axis=1
     )
+
+
+def uncached_evaluate_alignment(domains, method, welch=None):
+    """``evaluate_alignment`` with every PSD estimated on each call: one
+    ``centered_psd`` per domain sample for the pre distances, and ``tma`` and
+    ``psdnorm`` through ``tma_fit`` and an eval ``psdnorm_forward``.
+    Returns (pre distances, post distances, reduction ratio)."""
+    if welch is None:
+        welch = WelchConfig(domains[0].psd.shape[1])
+    batches = [d.signals for d in domains]
+    if method == "none":
+        out = batches
+    elif method == "instancenorm":
+        out = [instancenorm_forward(b) for b in batches]
+    elif method == "layernorm":
+        out = [layernorm_forward(b) for b in batches]
+    elif method == "batchnorm":
+        layer = batchnorm_forward(BatchNormLayer(), np.concatenate(batches))[1]
+        out = [batchnorm_forward(layer, b, "eval")[0] for b in batches]
+    else:
+        aligner = tma_fit(batches, welch)
+        out = [psdnorm_forward(aligner, b, "eval")[0] for b in batches]
+
+    def distances(bs):
+        barys = [wasserstein_barycenter(centered_psd(b, welch)) for b in bs]
+        return np.array([[bures_distance(p, q) for q in barys] for p in barys])
+
+    pre, post = distances(batches), distances(out)
+    k = len(domains)
+    pre_mean, post_mean = pre.sum() / (k * (k - 1)), post.sum() / (k * (k - 1))
+    return pre, post, 1.0 if pre_mean == 0.0 else float(post_mean / pre_mean)

@@ -38,6 +38,16 @@ def test_stage_times_on_one_tiny_shape(monkeypatch):
 
     monkeypatch.setattr(psdnorm, "monge_filter", recording_monge_filter)
     monkeypatch.setattr(bench, "STACK_SHAPE", (2, 1, 64))
+    # The domain_corpus entry times every method on one tiny spec list.
+    monkeypatch.setattr(bench, "CORPUS", {"domains": 2, "signals": 1, "channels": 1,
+                                          "length": 64, "f": 4})
+    evaluated, evaluate_alignment = [], psdnorm.evaluate_alignment
+
+    def recording_evaluate_alignment(specs, method):
+        evaluated.append((len(specs), specs[0].signals.shape, method))
+        return evaluate_alignment(specs, method)
+
+    monkeypatch.setattr(psdnorm, "evaluate_alignment", recording_evaluate_alignment)
     monkeypatch.setattr(bench, "best_ms", one_call_ms)
 
     t = time.perf_counter()
@@ -49,6 +59,8 @@ def test_stage_times_on_one_tiny_shape(monkeypatch):
     assert set(row["stages_ms"]) == STAGES
     assert len(doc["stack"]["per_layer_train_ms"]) == len(bench.STACK_FS)
     assert {"stack_train_ms", "stack_eval_ms", "instancenorm_ms"} <= set(doc["stack"])
+    assert evaluated == [(2, (1, 1, 64), m) for m in psdnorm.synth.METHODS]
+    assert doc["evaluate_alignment"]["unit_ms"] > 0
     assert elapsed < 1.0
 
 

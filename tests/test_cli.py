@@ -370,6 +370,11 @@ class TestCommandLine:
                      "--f must be an integer >= 1, got 0", id="psd --f 0"),
         pytest.param(["align", "--stride", "-1", "--out", "o"],
                      "--stride must be an integer >= 0, got -1", id="align --stride -1"),
+        pytest.param(["layer", "--kind", "psdnorm", "--f", "0", "--out", "o"],
+                     "--f must be an integer >= 1, got 0", id="layer --f 0"),
+        pytest.param(["layer", "--kind", "psdnorm", "--stride", "-1", "--out", "o"],
+                     "--stride must be an integer >= 0, got -1",
+                     id="layer --stride -1"),
     ])
     def test_welch_flag_out_of_range_names_the_flag(self, tmp_path, capsys, monkeypatch,
                                                     argv, named):
@@ -379,7 +384,7 @@ class TestCommandLine:
         assert named in read_error(capsys)["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["x.psdn"]
 
-    @pytest.mark.parametrize("command", ["psd", "align"])
+    @pytest.mark.parametrize("command", ["psd", "align", "layer"])
     def test_file_shorter_than_f_is_named_before_any_row_is_read(
             self, tmp_path, capsys, monkeypatch, command):
         long, short = tmp_path / "long.psdn", tmp_path / "short.psdn"
@@ -387,11 +392,24 @@ class TestCommandLine:
         write_signal(short, np.ones((2, 6)))
         monkeypatch.setattr(psdnorm.cli, "read_rows", None)  # no row may be read
         out = tmp_path / "out"
-        outputs = (["--out", str(out)] if command == "align" else
-                   ["--out-csv", str(out / "p.csv"), "--out-json", str(out / "p.json")])
+        outputs = {"psd": ["--out-csv", str(out / "p.csv"),
+                           "--out-json", str(out / "p.json")],
+                   "align": ["--out", str(out)],
+                   "layer": ["--kind", "psdnorm", "--out", str(out)]}[command]
         code = main([command, str(long), str(short), "--f", "8", *outputs])
         assert code == EXIT_VALIDATION
         assert read_error(capsys)["message"] == f"{short}: signal length 6 < filter size 8"
+        assert not out.exists()
+
+    def test_layer_checks_files_against_the_default_f(self, tmp_path, capsys,
+                                                      monkeypatch):
+        short = tmp_path / "short.psdn"
+        write_signal(short, np.ones((2, 4)))
+        monkeypatch.setattr(psdnorm.cli, "read_rows", None)  # no row may be read
+        out = tmp_path / "out"
+        code = main(["layer", str(short), "--kind", "psdnorm", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert read_error(capsys)["message"] == f"{short}: signal length 4 < filter size 5"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["layer", "--help"]])

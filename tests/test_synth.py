@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import psdnorm.layers
 import psdnorm.synth
 from psdnorm import (
     DomainSpec,
@@ -13,13 +14,14 @@ from psdnorm import (
     ParameterOutOfRangeError,
     WelchConfig,
     bures_distance,
+    centered_psd,
     evaluate_alignment,
     make_shifted_domains,
     sample_gaussian_with_psd,
     welch_psd,
 )
 
-from oracles import two_sided_gaussian_sample
+from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
 
 def flat_spec(c=1, f=8, n=2, length=2 ** 12, seed=0):
@@ -134,6 +136,50 @@ class TestDomainSample:
         assert {a, b, a} == {a, b}
 
 
+def count_welch_calls(monkeypatch) -> list:
+    """Record each ``welch_psd`` call that ``centered_psd`` makes."""
+    calls, welch = [], psdnorm.layers.welch_psd
+
+    def counting(x, cfg):
+        calls.append(cfg)
+        return welch(x, cfg)
+
+    monkeypatch.setattr(psdnorm.layers, "welch_psd", counting)
+    return calls
+
+
+class TestDomainPsds:
+    CFG = WelchConfig(8, 3, "boxcar")
+
+    def test_psds_equal_a_fresh_estimate_and_are_read_only(self):
+        spec = flat_spec(c=2, n=3, length=256, seed=4)
+        for cfg in (WelchConfig(8), self.CFG):
+            p = spec.centered_psds(cfg)
+            np.testing.assert_array_equal(p, centered_psd(spec.signals, cfg))
+            with pytest.raises(ValueError):
+                p[0, 0, 0] = 1.0
+
+    def test_estimated_once_per_config(self, monkeypatch):
+        calls = count_welch_calls(monkeypatch)
+        spec = flat_spec(n=2, length=256, seed=5)
+        a = spec.centered_psds(WelchConfig(8))
+        assert spec.centered_psds(WelchConfig(8, 4)) is a  # equal configs
+        b = spec.centered_psds(self.CFG)
+        assert b is not a and not np.shares_memory(a, b)
+        assert spec.centered_psds(self.CFG) is b
+        assert calls == [WelchConfig(8), self.CFG]
+
+    def test_replaced_spec_estimates_afresh(self, monkeypatch):
+        spec = flat_spec(n=2, length=256, seed=6)
+        p = spec.centered_psds(self.CFG)
+        calls = count_welch_calls(monkeypatch)
+        copy = replace(spec)
+        q = copy.centered_psds(self.CFG)
+        assert calls == [self.CFG]
+        assert q is not p
+        np.testing.assert_array_equal(q, p)
+
+
 class TestShiftedDomains:
     def test_zero_shift_identical_domains(self):
         specs = make_shifted_domains(np.ones((1, 8)), 3, 0.0, seed=0)
@@ -215,6 +261,28 @@ class TestEvaluateAlignment:
         np.testing.assert_array_equal(a.pre_distances, b.pre_distances)
         np.testing.assert_array_equal(a.post_distances, b.post_distances)
         assert a.reduction_ratio == b.reduction_ratio
+
+    def test_reports_equal_the_uncached_oracle(self):
+        # One spec list for both configs: the PSDs kept for the first must
+        # not serve the second.
+        specs = make_shifted_domains(np.ones((2, 8)), 3, 1.0, n_signals=3,
+                                     length=512, seed=15)
+        for cfg in (None, WelchConfig(8, 3, "boxcar")):
+            for method in psdnorm.synth.METHODS:
+                rep = evaluate_alignment(specs, method, cfg)
+                pre, post, ratio = uncached_evaluate_alignment(specs, method, cfg)
+                np.testing.assert_array_equal(rep.pre_distances, pre)
+                np.testing.assert_array_equal(rep.post_distances, post)
+                assert rep.reduction_ratio == ratio
+
+    def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
+        calls = count_welch_calls(monkeypatch)
+        specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
+                                     length=256, seed=16)
+        for method in psdnorm.synth.METHODS:
+            evaluate_alignment(specs, method)
+        # 3 domain samples, then 3 outputs of each method but "none".
+        assert len(calls) == 3 + 5 * 3
 
     def test_degenerate_pre_gives_ratio_one(self):
         rep = evaluate_alignment(self.small_domains(strength=0.0), "none")

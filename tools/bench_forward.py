@@ -10,9 +10,11 @@ The first form times, over a fixed (N, c, l, f) grid that includes the
 shapes of perfbench's three workloads, each stage of one train-mode forward
 (centre + Welch, batch barycenter, running update, tap synthesis, filtering),
 the whole train and eval forward, the InstanceNorm floor and the tracemalloc
-peak of the train forward, then each layer of the ``train_batches`` stack.
-Every time is the best of the runs in half a second (at least five), with
-BLAS pinned to one thread.  It then runs ``psdnorm align`` over the
+peak of the train forward, then each layer of the ``train_batches`` stack
+and the ``domain_corpus`` unit call (three fresh domain specs, drawn and
+evaluated by ``evaluate_alignment`` for each of the six methods).  Every
+time is the best of the runs in half a second (at least five), with BLAS
+pinned to one thread.  It then runs ``psdnorm align`` over the
 ``long_recording`` file set (four (2, 2^19) files, f = 64) in a fresh
 process, which records how far its own ``ru_maxrss`` rises above its value
 after the imports during the first call, the tracemalloc peak of a second
@@ -21,10 +23,11 @@ call, and the best call time.
 ``--before DIR`` names a checkout of the commit to compare with.  The first
 form's grid is then also timed with that tree's library, under
 ``"stages_before"`` (each row's stages and its whole train and eval
-forward), ``align`` is measured with each tree's library, and ``--pairs``
-pairs of perfbench runs (``--seconds`` each, ``--seed``) alternate which
-tree runs first; the file keeps every run, each side's median and
-quartiles, and how many pairs the change won.
+forward, the stack and the ``domain_corpus`` unit call), ``align`` is
+measured with each tree's library, and ``--pairs`` pairs of perfbench runs
+(``--seconds`` each, ``--seed``) alternate which tree runs first; the file
+keeps every run, each side's median and quartiles, and how many pairs the
+change won.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ GRID = [
     (64, 4, 1024, 64), (8, 4, 4096, 256),
 ]
 STACK_SHAPE, STACK_FS = (64, 4, 1024), (16, 8, 4)
+#: perfbench's domain_corpus unit call: K domains of N (c, l) signals drawn
+#: from shifted ones((c, f)) PSDs at shift 1, then every method at Welch f.
+CORPUS = {"domains": 3, "signals": 8, "channels": 2, "length": 4096, "f": 8}
 #: perfbench's long_recording align call: four (2, 2^19) files, f = 64.
 ALIGN_FILES, ALIGN_SHAPE, ALIGN_F = 4, (2, 2 ** 19), 64
 WORKLOADS = ("train_batches", "long_recording", "domain_corpus")
@@ -151,7 +157,25 @@ def stage_times() -> dict:
             lambda: psdnorm.psdnorm_stack_forward(STACK_FS, b, "eval", layers)),
         "instancenorm_ms": best_ms(lambda: psdnorm.instancenorm_forward(b)),
     }
-    return {"environment": environment(), "grid": grid, "stack": stack}
+    return {"environment": environment(), "grid": grid, "stack": stack,
+            "evaluate_alignment": corpus_unit()}
+
+
+def corpus_unit() -> dict:
+    """The best time of the ``domain_corpus`` unit call: fresh specs (so
+    nothing drawn or estimated by an earlier call is reused), then
+    ``evaluate_alignment`` for each method."""
+    import numpy as np
+    import psdnorm
+
+    def unit():
+        specs = psdnorm.make_shifted_domains(
+            np.ones((CORPUS["channels"], CORPUS["f"])), CORPUS["domains"], 1.0,
+            n_signals=CORPUS["signals"], length=CORPUS["length"])
+        return [psdnorm.evaluate_alignment(specs, m) for m in psdnorm.synth.METHODS]
+
+    return {**CORPUS, "methods": list(psdnorm.synth.METHODS),
+            "unit_ms": best_ms(unit)}
 
 
 def write_align_inputs(directory: Path) -> dict:
