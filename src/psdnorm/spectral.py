@@ -18,9 +18,11 @@ The kernels treat each channel row on its own and hold at most
 sums each row's segment Gram matrix from strided views of the row, one per
 residue class of non-overlapping segments (or, for large f or few segments,
 its segment power over blocks of segments), and ``monge.apply_mapping``
-filters chunks of rows, or blocks of one long row.  Classes and blocks
-depend only on the row length and f, and rows never share arithmetic, so a
-signal gets the same bits alone as in a batch.
+filters chunks of rows, or blocks of one long row: taps of f <= 16 by one
+``einsum`` over a strided view of a padded buffer (Welch's read-in-place
+trick), longer ones by FFT.  Classes, chunks and blocks depend only on the
+row length and f, and rows never share arithmetic, so a signal gets the
+same bits alone as in a batch.
 """
 
 from __future__ import annotations

@@ -5,6 +5,9 @@ takes a signal or a batch.
 (c, l) signal or an (N, c, l) batch with no empty axis, a 1-D array read as
 one channel.  Each malformed row raises ``ShapeMismatchError`` everywhere,
 and a PSDN file with an empty axis exits 3 in every command that reads it.
+The filter taps of ``apply_mapping`` are checked where they enter too: empty
+taps raise ``ShapeMismatchError`` and taps with NaN or Inf
+``NonFiniteInputError``, for short taps and long ones alike.
 """
 
 import json
@@ -15,6 +18,7 @@ import pytest
 
 from psdnorm import (
     BatchNormLayer,
+    NonFiniteInputError,
     PsdNormLayer,
     ShapeMismatchError,
     WelchConfig,
@@ -69,6 +73,25 @@ ENTRY_POINTS = [
 def test_malformed_signal_raises_shape_mismatch(call, x):
     with pytest.raises(ShapeMismatchError):
         call(x)
+
+
+@pytest.mark.parametrize("x, h", [
+    pytest.param(np.zeros((2, 64)), np.ones((2, 0)), id="(c, 0)"),
+    pytest.param(np.zeros(64), np.ones(0), id="1-D"),
+    pytest.param(np.zeros((3, 2, 64)), np.ones((3, 2, 0)), id="(N, c, 0)"),
+])
+def test_empty_taps_raise_shape_mismatch(x, h):
+    with pytest.raises(ShapeMismatchError):
+        apply_mapping(x, h)
+
+
+@pytest.mark.parametrize("f", [4, 32], ids=["time domain", "FFT"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_taps_raise(f, bad):
+    h = np.ones((2, 2, f))
+    h[1, 0, f // 2] = bad
+    with pytest.raises(NonFiniteInputError):
+        apply_mapping(np.zeros((2, 2, 64)), h)
 
 
 def test_tma_transform_refuses_a_batch():

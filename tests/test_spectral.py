@@ -73,6 +73,24 @@ DISPATCH_EDGES = [(8, 15, False), (8, 16, True), (64, 127, False), (64, 128, Tru
                   (89, 178, True), (90, 180, False)]
 
 
+#: Block length of ``apply_mapping`` for f <= 4096.
+BLOCK = BUDGET_BYTES // 8
+
+#: Signal lengths for f taps: l = f; a short row; the longest row that each
+#: form filters whole (l + f - 1 columns with the wrap-around in the time
+#: domain, l in the FFT) and the shortest it filters in blocks; and several
+#: blocks, no multiple of the block step for any f.
+SHORT_TAP_EDGES = [
+    pytest.param(lambda f: f, id="l=f"),
+    pytest.param(lambda f: f + 5, id="short"),
+    pytest.param(lambda f: BLOCK - f + 1, id="whole, time domain"),
+    pytest.param(lambda f: BLOCK - f + 2, id="blocks, time domain"),
+    pytest.param(lambda f: BLOCK, id="whole, FFT"),
+    pytest.param(lambda f: BLOCK + 1, id="blocks, FFT"),
+    pytest.param(lambda f: 3 * BLOCK + 101, id="several blocks"),
+]
+
+
 def peak_bytes(fn) -> int:
     """tracemalloc peak above the starting level during fn()."""
     tracemalloc.start()
@@ -381,6 +399,34 @@ class TestCircularConvolve:
         error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
         assert error <= 1e-12 * np.max(np.abs(x))
 
+    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 32])
+    @pytest.mark.parametrize("length", SHORT_TAP_EDGES)
+    def test_both_forms_match_whole_signal(self, f, length):
+        l = length(f)
+        rng = np.random.default_rng(l + f)
+        x = rng.standard_normal((2, l)) + 2.0
+        h = rng.standard_normal((2, f)) / np.sqrt(f)
+        error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
+        assert error <= 1e-12 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16])
+    @pytest.mark.parametrize("shape", [(11, 3, 1024), (3, 2, 5000),
+                                       (1, 2, 3 * BLOCK + 101)],
+                             ids=["chunks of rows", "one-row chunks", "blocks"])
+    def test_row_gets_the_same_bits_alone_and_in_a_batch(self, shape, f):
+        # 33 rows of 1024 samples take chunks of 7 or 8 rows and a shorter
+        # last one; rows of 5000 take one-row chunks, in which einsum sees
+        # no row axis; a longer row goes in blocks.
+        rng = np.random.default_rng(f)
+        x = rng.standard_normal(shape) + 2.0
+        h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)
+        out = apply_mapping(x, h)
+        for j in range(shape[0]):
+            np.testing.assert_array_equal(apply_mapping(x[j], h[j]), out[j])
+            for k in range(shape[1]):
+                np.testing.assert_array_equal(apply_mapping(x[j, k], h[j, k])[0],
+                                              out[j, k])
+
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             apply_mapping(np.zeros((2, 8)), np.zeros((3, 2)))
@@ -421,13 +467,16 @@ class TestCentering:
 def test_long_signal_memory_is_bounded():
     # Whole-signal kernels peak at 4x the input; blocks and chunks keep each
     # temporary within BUDGET_BYTES beside the one centred or output copy.
+    # f = 64 filters by FFT and f = 8 in the time domain, where a padded
+    # copy of the whole row would peak at about 2x.
     x = np.random.default_rng(35).standard_normal((2, 2 ** 19))
-    cfg = WelchConfig(64)
-    p = centered_psd(x, cfg)
-    h = monge_filter(p, np.ones_like(p))
-    apply_mapping(x, h)  # warm FFT plans outside the measured calls
-    assert peak_bytes(lambda: centered_psd(x, cfg)) <= 1.25 * x.nbytes
-    assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes
+    for f in (64, 8):
+        cfg = WelchConfig(f)
+        p = centered_psd(x, cfg)
+        h = monge_filter(p, np.ones_like(p))
+        apply_mapping(x, h)  # warm FFT plans outside the measured calls
+        assert peak_bytes(lambda: centered_psd(x, cfg)) <= 1.25 * x.nbytes
+        assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes
 
 
 def test_welch_copies_no_segments():

@@ -52,13 +52,16 @@ ROOT = Path(__file__).resolve().parents[1]
 #: residue classes of segments), the domain_corpus fit, per-domain and
 #: per-signal (N = 1) calls, the complexity gate's base shape, one
 #: long_recording file, and two filter sizes whose rows Welch sums by
-#: per-segment rfft instead of the Gram form.
+#: per-segment rfft instead of the Gram form.  f = 16 and f = 32 on the
+#: stack's batch sit on either side of ``apply_mapping``'s time-domain /
+#: FFT crossover, and a long row at f = 8 is filtered in the time domain
+#: in blocks, where the long_recording file (f = 64) takes overlap-save.
 GRID = [
     (64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4), (64, 4, 1024, 5),
     (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8),
     (8, 4, 4096, 8),
-    (1, 2, 2 ** 19, 64),
-    (64, 4, 1024, 64), (8, 4, 4096, 256),
+    (1, 2, 2 ** 19, 64), (1, 2, 2 ** 19, 8),
+    (64, 4, 1024, 32), (64, 4, 1024, 64), (8, 4, 4096, 256),
 ]
 STACK_SHAPE, STACK_FS = (64, 4, 1024), (16, 8, 4)
 #: perfbench's domain_corpus unit call: K domains of N (c, l) signals drawn
