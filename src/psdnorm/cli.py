@@ -15,8 +15,9 @@ psdnorm layer's filter size included, then reads the rows of all files into
 one preallocated batch.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
-malformed command line included), 4 state contract violation.  Failures also emit a machine-readable JSON object on
-stderr: {"error": {"kind": ..., "message": ...}}.
+malformed command line, and a shape too large to allocate, included), 4
+state contract violation.  Failures also emit a machine-readable JSON
+object on stderr: {"error": {"kind": ..., "message": ...}}.
 """
 
 from __future__ import annotations
@@ -499,7 +500,7 @@ def main(argv=None) -> int:
         return _fail("state", str(e), EXIT_STATE)
     except (SignalFileError, OSError) as e:
         return _fail("io", str(e), EXIT_IO)
-    except (PsdNormError, ValueError) as e:
+    except (PsdNormError, ValueError, MemoryError) as e:
         return _fail("validation", str(e), EXIT_VALIDATION)
 
 

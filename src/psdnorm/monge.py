@@ -4,8 +4,9 @@ The frequency-domain map between two circulant-covariance Gaussians is the
 elementwise gain sqrt(p_tgt / p_src).  For conjugate-symmetric PSDs that
 gain is real and even, so its inverse DFT is a real length-f filter bank
 whose circular convolution realizes the mapping in the time domain.
-``apply_mapping`` convolves taps of f <= 16 directly, as a strided
-contraction at f multiply-adds per sample, and longer taps by FFT.
+``apply_mapping`` reads one centred, wrap-padded buffer and the taps in
+lag order, and contracts them directly for f <= 16, at f multiply-adds per
+sample, and by FFT for longer taps.
 """
 
 from __future__ import annotations
@@ -60,19 +61,19 @@ def apply_mapping(x, h) -> np.ndarray:
     f equals the signal length.  Empty taps raise ShapeMismatchError, and
     taps with NaN or Inf raise NonFiniteInputError.
 
-    The dispatch rule is f <= 16: such short taps filter in the time
-    domain, at f multiply-adds per sample.  Each output sample is the dot
-    product of the taps, in lag order, with the f centred samples around
-    it, one ``einsum`` over a read-only strided (rows, l, f) view of a
-    buffer that holds the centred rows with f//2 wrapped samples on the
-    left and f - f//2 - 1 on the right.  Longer taps filter by FFT, whose
-    cost per sample grows with log l instead of f: a whole row by one
-    rfft/irfft.  Both forms take chunks of whole rows of up to BUDGET_BYTES
-    (with the wrap-around, in the time domain), or else one row at a time
-    in blocks of that size, each read with an f-sample halo that wraps
-    around the row's ends and filtered by the same kernel (overlap-save
-    for the FFT).  The time-domain form reuses one buffer for every chunk
-    and block.
+    The dispatch rule is f <= 16, and the two forms differ only in the
+    contraction.  Both centre a chunk of whole rows of up to BUDGET_BYTES,
+    or else one row at a time in blocks of that size, into one reused
+    buffer that starts f//2 samples before the first output, wrapping
+    around the row's ends, and read the taps in lag order, so that each
+    output sample is the dot product of the lags with the f buffer samples
+    from its own column on.  Short taps filter in the time domain, at f
+    multiply-adds per sample: one ``einsum`` over a read-only strided
+    (rows, l, f) view of the buffer, for which a whole row carries f - 1
+    wrapped samples more.  Longer taps filter by FFT, whose cost per
+    sample grows with log l instead of f: an rfft/irfft correlation of the
+    buffer with the lags, circular over a whole row and overlap-save over
+    a block, whose first outputs it keeps.
     """
     x = as_signals(x)
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -88,52 +89,41 @@ def apply_mapping(x, h) -> np.ndarray:
     direct = f <= 16
     pad = f - 1 if direct else 0  # wrap-around that a whole row needs
     m = max(BUDGET_BYTES // 8, 1 << (2 * f - 1).bit_length())  # block length
-    if l + pad <= m:  # whole rows
-        step, width, halo = l, l + pad, (f // 2 if direct else 0)
-    else:
-        step, width, halo = m - f + 1, m, f // 2
+    step, width = (l, l + pad) if l + pad <= m else (m - f + 1, m)
+    halo = f // 2
+    order = (halo - np.arange(f)) % f  # lag order
     chunks = chunk_slices(len(rows), 8 * width)
-    if direct:
-        buffer = np.empty((len(rows[chunks[0]]), width))
+    buffer = np.empty((len(rows[chunks[0]]), width))
     for r in chunks:
-        if direct:  # lag order, in C order so that einsum takes the same
-            # inner loop for any number of rows
-            lags = np.ascontiguousarray(taps[r][:, (halo - np.arange(f)) % f])
-            block = buffer[:len(lags)]
-        else:
-            response = np.fft.rfft(_zero_phase(taps[r], width), axis=1)
+        # take returns C order, so that einsum takes the same inner loop for
+        # any number of rows
+        lags = taps[r].take(order, axis=1)
+        block = buffer[:len(lags)]
+        # conjugate, so that the FFT correlates the buffer with the lags as
+        # the einsum does
+        response = None if direct else np.fft.rfft(lags, n=width, axis=1).conj()
         for start in range(0, l, step):
             n = min(step, l - start)
+            _centred(rows[r], means[r], start - halo, block)
             if direct:
-                _centred(rows[r], means[r], start - halo, block)
                 np.einsum("rls,rs->rl", _segments(block, 0, n, 1, f), lags,
                           out=out[r, start:start + n])
-            else:  # one statement, so that no block's temporaries outlive it
-                out[r, start:start + n] = np.fft.irfft(np.fft.rfft(
-                    _centred(rows[r], means[r], start - halo,
-                             np.empty((len(response), width))), axis=1)
-                    * response, n=width, axis=1)[:, halo:halo + n]
+            else:
+                out[r, start:start + n] = np.fft.irfft(
+                    np.fft.rfft(block, axis=1) * response, n=width, axis=1)[:, :n]
     return out.reshape(x.shape)
 
 
-def _centred(rows: np.ndarray, means: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
-    """out filled with columns lo, lo + 1, ... of rows, indices taken modulo
-    the row length, minus the rows' means."""
+def _centred(rows: np.ndarray, means: np.ndarray, lo: int, out: np.ndarray) -> None:
+    """Fill out with columns lo, lo + 1, ... of rows, indices taken modulo
+    the row length, minus the rows' means.  The means are subtracted once
+    over the whole of out: numpy allocates an iterator buffer per operand
+    for a subtraction into a strided piece of it, which would set the
+    filter's peak memory."""
     l, col = rows.shape[1], 0
     while col < out.shape[1]:
         src = (lo + col) % l
         n = min(out.shape[1] - col, l - src)
-        np.subtract(rows[:, src:src + n], means, out=out[:, col:col + n])
+        out[:, col:col + n] = rows[:, src:src + n]
         col += n
-    return out
-
-
-def _zero_phase(taps: np.ndarray, m: int) -> np.ndarray:
-    """(rows, m) circular placement of (rows, f) taps at lags 0..f//2 and
-    -(f - f//2 - 1)..-1."""
-    f = taps.shape[1]
-    half = f // 2
-    placed = np.zeros((len(taps), m))
-    placed[:, : half + 1] = taps[:, : half + 1]
-    placed[:, m - (f - half - 1):] = taps[:, half + 1:]
-    return placed
+    out -= means

@@ -76,3 +76,27 @@ def test_align_memory_on_tiny_files(monkeypatch, tmp_path):
     assert doc["files"] == bench.ALIGN_FILES
     assert doc["peak_mib"] > 0 and doc["call_ms"] > 0
     assert doc["maxrss_above_import_mib"] >= 0
+
+
+def test_merge_rounds_takes_each_time_at_its_minimum():
+    bench = load_tool()
+
+    def run(filtering, train, floor, per_layer, unit):
+        return {"environment": {"numpy": "x"},
+                "grid": [{"shape": "1x1x64", "f": 4,
+                          "stages_ms": {"filtering": filtering, "synthesis": 1.0},
+                          "train_ms": train, "instancenorm_ms": floor,
+                          "instancenorm_floor_ratio": round(train / floor, 2),
+                          "train_peak_mib": 0.5}],
+                "stack": {"fs": [16, 8, 4], "per_layer_train_ms": per_layer},
+                "evaluate_alignment": {"methods": ["none"], "unit_ms": unit}}
+
+    first = run(5.0, 8.0, 2.0, [3.0, 1.0, 2.0], 9.0)
+    second = run(3.0, 9.0, 1.0, [2.0, 4.0, 2.0], 10.0)
+    second["grid"][0]["train_peak_mib"] = 0.75
+
+    doc = bench.merge_rounds([first, second])
+
+    assert doc == run(3.0, 8.0, 1.0, [2.0, 1.0, 2.0], 9.0)
+    assert doc["grid"][0]["instancenorm_floor_ratio"] == 8.0
+    assert first == run(5.0, 8.0, 2.0, [3.0, 1.0, 2.0], 9.0)  # rounds left as they were

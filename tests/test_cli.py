@@ -445,6 +445,7 @@ class TestExitCodes:
         (NonPositivePsdError, EXIT_VALIDATION, "validation"),
         (AsymmetricPsdError, EXIT_VALIDATION, "validation"),
         (ValueError, EXIT_VALIDATION, "validation"),
+        (MemoryError, EXIT_VALIDATION, "validation"),
     ]
 
     @pytest.mark.parametrize("error, code, kind", TABLE,
@@ -1183,6 +1184,15 @@ class TestBenchCommand:
         assert code == EXIT_VALIDATION
         message = read_error(capsys)["message"]
         assert f"--shift must be a finite number in [0, inf], got {value}" in message
+        assert not out.exists()
+
+    def test_length_too_large_to_allocate_exits_3(self, tmp_path, capsys):
+        # A PiB-scale signal: numpy refuses the allocation at once.
+        out = tmp_path / "b"
+        code = main(["bench", "--length", str(2 ** 50), "--signals", "1", "--seeds",
+                     "1", "--domains", "2", "--methods", "none", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "Unable to allocate" in read_error(capsys)["message"]
         assert not out.exists()
 
     def test_none_ratio_one_and_psdnorm_wins(self, tmp_path):

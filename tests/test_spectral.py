@@ -399,7 +399,7 @@ class TestCircularConvolve:
         error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
         assert error <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 32])
+    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 32, 33, 64])
     @pytest.mark.parametrize("length", SHORT_TAP_EDGES)
     def test_both_forms_match_whole_signal(self, f, length):
         l = length(f)
@@ -409,14 +409,15 @@ class TestCircularConvolve:
         error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
         assert error <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16])
+    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16, 17, 33, 64])
     @pytest.mark.parametrize("shape", [(11, 3, 1024), (3, 2, 5000),
                                        (1, 2, 3 * BLOCK + 101)],
                              ids=["chunks of rows", "one-row chunks", "blocks"])
     def test_row_gets_the_same_bits_alone_and_in_a_batch(self, shape, f):
         # 33 rows of 1024 samples take chunks of 7 or 8 rows and a shorter
         # last one; rows of 5000 take one-row chunks, in which einsum sees
-        # no row axis; a longer row goes in blocks.
+        # no row axis; a longer row goes in blocks.  f > 16 takes the FFT
+        # form in each of these.
         rng = np.random.default_rng(f)
         x = rng.standard_normal(shape) + 2.0
         h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)

@@ -20,10 +20,13 @@ process, which records how far its own ``ru_maxrss`` rises above its value
 after the imports during the first call, the tracemalloc peak of a second
 call, and the best call time.
 
-``--before DIR`` names a checkout of the commit to compare with.  The first
-form's grid is then also timed with that tree's library, under
+The grid, stack and unit call are timed in STAGE_ROUNDS rounds, each in
+a fresh process, and every ``*_ms`` time is the minimum over the rounds.
+``--before DIR`` names a checkout of the commit to compare with.  The
+rounds then alternate which tree's library runs first, so that both
+trees see the same spells of host load, and that tree's times go under
 ``"stages_before"`` (each row's stages and its whole train and eval
-forward, the stack and the ``domain_corpus`` unit call), ``align`` is
+forward, the stack and the ``domain_corpus`` unit call); ``align`` is
 measured with each tree's library, and ``--pairs`` pairs of perfbench runs
 (``--seconds`` each, ``--seed``) alternate which tree runs first; the file
 keeps every run, each side's median and quartiles, and how many pairs the
@@ -70,6 +73,8 @@ CORPUS = {"domains": 3, "signals": 8, "channels": 2, "length": 4096, "f": 8}
 #: perfbench's long_recording align call: four (2, 2^19) files, f = 64.
 ALIGN_FILES, ALIGN_SHAPE, ALIGN_F = 4, (2, 2 ** 19), 64
 WORKLOADS = ("train_batches", "long_recording", "domain_corpus")
+#: Rounds of the stage timings per tree, alternating between the trees.
+STAGE_ROUNDS = 3
 
 
 def best_ms(fn, seconds: float = 0.5) -> float:
@@ -181,6 +186,27 @@ def corpus_unit() -> dict:
             "unit_ms": best_ms(unit)}
 
 
+def merge_rounds(rounds: list[dict]) -> dict:
+    """One stage-timing document from the rounds of it: each time (any
+    number under a key that ends in ``_ms``) the minimum over the rounds,
+    each other value the first round's, and each row's InstanceNorm floor
+    ratio taken again from its merged times."""
+
+    def merge(values, timed):
+        first = values[0]
+        if isinstance(first, dict):
+            return {k: merge([v[k] for v in values], timed or k.endswith("_ms"))
+                    for k in first}
+        if isinstance(first, list):
+            return [merge(list(vs), timed) for vs in zip(*values)]
+        return min(values) if timed else first
+
+    doc = merge(rounds, False)
+    for row in doc["grid"]:
+        row["instancenorm_floor_ratio"] = round(row["train_ms"] / row["instancenorm_ms"], 2)
+    return doc
+
+
 def write_align_inputs(directory: Path) -> dict:
     """Write the long_recording file set, drawn as perfbench draws it at
     seed 0, into ``directory``."""
@@ -289,16 +315,20 @@ def main(argv=None) -> int:
         return 0
     if args.before and args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    doc = in_tree(ROOT, "stages")
     trees = {"after": ROOT}
     if args.before:
         trees = {"before": args.before.resolve(), **trees}
+    rounds = {side: [] for side in trees}
+    for i in range(STAGE_ROUNDS):
+        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
+            rounds[side].append(in_tree(trees[side], "stages"))
+    doc = merge_rounds(rounds["after"])
     with tempfile.TemporaryDirectory() as directory:
         in_tree(ROOT, "align_inputs", Path(directory))
         doc["align"] = {side: in_tree(tree, "align", Path(directory))
                         for side, tree in trees.items()}
     if args.before:
-        doc["stages_before"] = in_tree(trees["before"], "stages")
+        doc["stages_before"] = merge_rounds(rounds["before"])
         runs = {w: {"before": [], "after": []} for w in WORKLOADS}
         for i in range(args.pairs):
             for workload in WORKLOADS:
