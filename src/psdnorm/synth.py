@@ -114,7 +114,7 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     generated signals stay real).  shift_strength = 0 yields identical
     domains.  Deterministic given seed.
     """
-    base = np.atleast_2d(np.asarray(base, dtype=float))
+    base = check_psd(base, "base PSD")
     check_integer("domain count k", k, 2)
     seed = check_integer("seed", seed, 0)
     shift_strength = check_number("shift_strength", shift_strength, 0)

@@ -1,19 +1,15 @@
-"""Smoke test of ``tools/bench_forward.py``, which rebuilds the forward pass
-stage by stage from library calls: an API change that breaks it fails here."""
+"""Tests of ``tools/bench_forward.py``: its interleaved A/B primitive on an
+injected clock and on stubs that burn CPU, and a smoke run of every timed
+call on tiny shapes, which rebuilds the forward pass stage by stage from
+library calls, so an API change that breaks the tool fails here."""
 
+import collections
 import importlib.util
 import time
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_forward.py"
-STAGES = {"centre_welch", "batch_barycenter", "running_update", "synthesis",
-          "filtering"}
-
-
-def one_call_ms(fn, seconds=0.5):
-    t = time.perf_counter()
-    fn()
-    return 1000 * (time.perf_counter() - t)
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_forward.py"
 
 
 def load_tool():
@@ -23,80 +19,160 @@ def load_tool():
     return bench
 
 
-def test_stage_times_on_one_tiny_shape(monkeypatch):
-    import psdnorm
+class FakeClock:
+    """A clock that moves only when a stub call charges it."""
 
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def charging_stubs(clock, costs, log):
+    """One stub per copy: each call logs its copy's index and charges the
+    clock that copy's cost, in seconds."""
+
+    def stub(k):
+        def call():
+            log.append(k)
+            clock.now += costs[k]
+        return call
+
+    return [stub(k) for k in range(len(costs))]
+
+
+def burn(seconds):
+    """Spend ``seconds`` of process CPU time, which a sleep would not."""
+    end = time.process_time() + seconds
+    while time.process_time() < end:
+        pass
+
+
+def test_rounds_alternate_which_copy_goes_first(monkeypatch):
     bench = load_tool()
+    monkeypatch.setattr(bench, "MIN_SAMPLE_S", 0.375)
+    clock, log = FakeClock(), []
+    # Costs are binary fractions, so the fake clock sums them exactly.
+    row = bench.compare(charging_stubs(clock, [0.25, 0.125, 0.125], log), clock)
+
+    # One warm-up call each, then one call and three calls of the after
+    # copy to reach the minimum sample time, then three calls per sample.
+    assert row["calls_per_sample"] == 3
+    assert log[:7] == [0, 1, 2, 1, 1, 1, 1]
+    samples = log[7:]
+    assert samples[::3] == samples[1::3] == samples[2::3]
+    rounds = [samples[i:i + 9:3] for i in range(0, len(samples), 9)]
+    assert len(rounds) == bench.AB_PAIRS
+    assert all(sorted(r) == [0, 1, 2] for r in rounds)
+    assert collections.Counter(r[0] for r in rounds) == dict.fromkeys(
+        range(3), bench.AB_PAIRS // 3)
+    for a, b in ((0, 1), (1, 2), (0, 2)):
+        assert sum(r.index(a) < r.index(b) for r in rounds) == bench.AB_PAIRS // 2
+
+
+def test_ratio_ci_and_wins_on_a_fake_clock(monkeypatch):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "MIN_SAMPLE_S", 0.375)
+    clock = FakeClock()
+    row = bench.compare(charging_stubs(clock, [0.25, 0.125, 0.125], []), clock)
+
+    assert (row["before_ms"], row["after_ms"], row["again_ms"]) == (250, 125, 125)
+    assert row["after_over_before"] == {"ratio": 0.5, "ci95": [0.5, 0.5],
+                                        "wins": bench.AB_PAIRS}
+    # Equal times are a tie, which counts as a win for neither copy.
+    assert row["after_over_again"] == {"ratio": 1.0, "ci95": [1.0, 1.0], "wins": 0}
+
+
+def test_bootstrap_resamples_rounds_in_pairs():
+    bench = load_tool()
+    # Every round halves however slow the host was in it: resampled in
+    # pairs, the ratio cannot move.
+    assert bench.ratio([1, 2, 3, 4, 8], [2, 4, 6, 8, 16]) == {
+        "ratio": 0.5, "ci95": [0.5, 0.5], "wins": 5}
+    spread = bench.ratio([1, 2, 3, 4, 5], [1, 1, 1, 1, 1])
+    assert spread["ratio"] == 3.0 and spread["wins"] == 0
+    assert 1.0 <= spread["ci95"][0] < 3.0 < spread["ci95"][1] <= 5.0
+
+
+def test_a_copy_that_burns_more_cpu_reads_as_resolved(monkeypatch):
+    bench = load_tool()
+    monkeypatch.setattr(bench, "AB_PAIRS", 12)
+    monkeypatch.setattr(bench, "MIN_SAMPLE_S", 0.004)
+
+    def slower():
+        burn(0.00125)
+
+    row = bench.compare([lambda: burn(0.001), slower, slower])
+
+    assert row["after_over_before"]["ci95"][0] > 1.1
+    assert row["after_over_before"]["wins"] == 0
+    assert 1.1 < row["after_over_before"]["ratio"] < 1.5
+
+
+def test_forward_rows_on_one_tiny_shape(monkeypatch):
+    bench = load_tool()
+    libs = [bench.load_copy(ROOT, f"psdnorm_{side}") for side in bench.COPIES]
+    assert len({lib.PsdNormLayer for lib in libs}) == 3  # three separate copies
     monkeypatch.setattr(bench, "GRID", [(2, 1, 64, 4)])
-    # The synthesis stage must time the call that the forward makes: one
-    # (N, c, f) batch of source PSDs against the one (c, f) target.
-    shapes, monge_filter = [], psdnorm.monge_filter
-
-    def recording_monge_filter(p_src, p_tgt):
-        shapes.append((p_src.shape, p_tgt.shape))
-        return monge_filter(p_src, p_tgt)
-
-    monkeypatch.setattr(psdnorm, "monge_filter", recording_monge_filter)
     monkeypatch.setattr(bench, "STACK_SHAPE", (2, 1, 64))
-    # The domain_corpus entry times every method on one tiny spec list.
     monkeypatch.setattr(bench, "CORPUS", {"domains": 2, "signals": 1, "channels": 1,
                                           "length": 64, "f": 4})
-    evaluated, evaluate_alignment = [], psdnorm.evaluate_alignment
+    monkeypatch.setattr(bench, "AB_PAIRS", 2)
+    monkeypatch.setattr(bench, "MIN_SAMPLE_S", 0.0)
+    # The synthesis stage must time the call that the forward makes: one
+    # (N, c, f) batch of source PSDs against the one (c, f) target.  The
+    # domain_corpus unit call evaluates every method on one spec list.
+    shapes, evaluated = [], []
+    for lib in libs:
+        def recording_monge_filter(p_src, p_tgt, monge_filter=lib.monge_filter):
+            shapes.append((p_src.shape, p_tgt.shape))
+            return monge_filter(p_src, p_tgt)
 
-    def recording_evaluate_alignment(specs, method):
-        evaluated.append((len(specs), specs[0].signals.shape, method))
-        return evaluate_alignment(specs, method)
+        def recording_evaluate_alignment(specs, method,
+                                         evaluate_alignment=lib.evaluate_alignment):
+            evaluated.append((len(specs), specs[0].signals.shape, method))
+            return evaluate_alignment(specs, method)
 
-    monkeypatch.setattr(psdnorm, "evaluate_alignment", recording_evaluate_alignment)
-    monkeypatch.setattr(bench, "best_ms", one_call_ms)
+        monkeypatch.setattr(lib, "monge_filter", recording_monge_filter)
+        monkeypatch.setattr(lib, "evaluate_alignment", recording_evaluate_alignment)
 
     t = time.perf_counter()
-    doc = bench.stage_times()
+    doc = bench.forward_rows(libs)
     elapsed = time.perf_counter() - t
 
     [row] = doc["grid"]
+    timed = ["calls_per_sample", "before_ms", "after_ms", "again_ms",
+             "after_over_before", "after_over_again"]
     assert shapes and set(shapes) == {((2, 1, 4), (1, 4))}
-    assert set(row["stages_ms"]) == STAGES
-    assert len(doc["stack"]["per_layer_train_ms"]) == len(bench.STACK_FS)
-    assert {"stack_train_ms", "stack_eval_ms", "instancenorm_ms"} <= set(doc["stack"])
-    assert evaluated == [(2, (1, 1, 64), m) for m in psdnorm.synth.METHODS]
-    assert doc["evaluate_alignment"]["unit_ms"] > 0
+    assert list(row["stages"]) == list(bench.STAGES)
+    for entry in [*row["stages"].values(), row["train"], row["eval"],
+                  row["instancenorm"]]:
+        assert list(entry) == timed and entry["calls_per_sample"] == 1
+    assert set(row["train_peak_mib"]) == {"before", "after"}
+    layers = [f"layer_{i}" for i in range(1, len(bench.STACK_FS) + 1)]
+    assert [k for k in doc["stack"] if k not in ("shape", "fs")] == [
+        *layers, "stack_train", "stack_eval", "instancenorm"]
+    methods = libs[1].synth.METHODS
+    assert set(evaluated) == {(2, (1, 1, 64), m) for m in methods}
+    assert len(evaluated) == len(methods) * (len(libs) + 1 + len(libs) * bench.AB_PAIRS)
+    assert list(doc["evaluate_alignment"]["unit"]) == timed
     assert elapsed < 1.0
 
 
-def test_align_memory_on_tiny_files(monkeypatch, tmp_path):
+def test_align_row_on_tiny_files(monkeypatch, tmp_path):
+    import psdnorm
+
     bench = load_tool()
     monkeypatch.setattr(bench, "ALIGN_SHAPE", (2, 256))
     monkeypatch.setattr(bench, "ALIGN_F", 8)
-    monkeypatch.setattr(bench, "best_ms", one_call_ms)
+    monkeypatch.setattr(bench, "AB_PAIRS", 2)
+    monkeypatch.setattr(bench, "MIN_SAMPLE_S", 0.0)
 
-    assert bench.write_align_inputs(tmp_path) == {"files": bench.ALIGN_FILES}
-    doc = bench.align_memory(tmp_path)
+    doc = bench.align_row([psdnorm] * 3, tmp_path)
 
     assert doc["files"] == bench.ALIGN_FILES
-    assert doc["peak_mib"] > 0 and doc["call_ms"] > 0
-    assert doc["maxrss_above_import_mib"] >= 0
-
-
-def test_merge_rounds_takes_each_time_at_its_minimum():
-    bench = load_tool()
-
-    def run(filtering, train, floor, per_layer, unit):
-        return {"environment": {"numpy": "x"},
-                "grid": [{"shape": "1x1x64", "f": 4,
-                          "stages_ms": {"filtering": filtering, "synthesis": 1.0},
-                          "train_ms": train, "instancenorm_ms": floor,
-                          "instancenorm_floor_ratio": round(train / floor, 2),
-                          "train_peak_mib": 0.5}],
-                "stack": {"fs": [16, 8, 4], "per_layer_train_ms": per_layer},
-                "evaluate_alignment": {"methods": ["none"], "unit_ms": unit}}
-
-    first = run(5.0, 8.0, 2.0, [3.0, 1.0, 2.0], 9.0)
-    second = run(3.0, 9.0, 1.0, [2.0, 4.0, 2.0], 10.0)
-    second["grid"][0]["train_peak_mib"] = 0.75
-
-    doc = bench.merge_rounds([first, second])
-
-    assert doc == run(3.0, 8.0, 1.0, [2.0, 1.0, 2.0], 9.0)
-    assert doc["grid"][0]["instancenorm_floor_ratio"] == 8.0
-    assert first == run(5.0, 8.0, 2.0, [3.0, 1.0, 2.0], 9.0)  # rounds left as they were
+    assert len(list(tmp_path.glob("rec*.psdn"))) == bench.ALIGN_FILES
+    assert all((tmp_path / side).is_dir() for side in bench.COPIES)
+    assert doc["call"]["after_ms"] > 0
+    assert all(peak > 0 for peak in doc["peak_mib"].values())

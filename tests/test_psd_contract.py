@@ -17,6 +17,7 @@ from psdnorm import (
     NonPositivePsdError,
     PsdNormLayer,
     ShapeMismatchError,
+    make_shifted_domains,
     monge_filter,
 )
 from psdnorm.cli import EXIT_STATE, main
@@ -69,6 +70,12 @@ def test_monge_filter_target(psd, error):
 def test_domain_spec(psd, error):
     with pytest.raises(error):
         DomainSpec(np.array(psd), n_signals=1, length=16, seed=0)
+
+
+@pytest.mark.parametrize("psd, error", BAD_PSDS)
+def test_make_shifted_domains_base(psd, error):
+    with pytest.raises(error, match="base PSD"):
+        make_shifted_domains(np.array(psd), 2, 1.0, n_signals=1, length=16)
 
 
 @pytest.mark.parametrize("psd, error", BAD_PSDS)

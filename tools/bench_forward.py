@@ -1,4 +1,4 @@
-"""Stage-by-stage and layer-by-layer timings of the PSDNorm forward pass.
+"""Interleaved A/B timings of the PSDNorm forward pass, by stage and layer.
 
 Run from the root of a checkout:
 
@@ -6,39 +6,38 @@ Run from the root of a checkout:
     python tools/bench_forward.py --out BENCH_forward.json \\
         --before ../psdnorm-parent --pairs 10 --seconds 8
 
-The first form times, over a fixed (N, c, l, f) grid that includes the
-shapes of perfbench's three workloads, each stage of one train-mode forward
-(centre + Welch, batch barycenter, running update, tap synthesis, filtering),
-the whole train and eval forward, the InstanceNorm floor and the tracemalloc
-peak of the train forward, then each layer of the ``train_batches`` stack
-and the ``domain_corpus`` unit call (three fresh domain specs, drawn and
-evaluated by ``evaluate_alignment`` for each of the six methods).  Every
-time is the best of the runs in half a second (at least five), with BLAS
-pinned to one thread.  It then runs ``psdnorm align`` over the
-``long_recording`` file set (four (2, 2^19) files, f = 64) in a fresh
-process, which records how far its own ``ru_maxrss`` rises above its value
-after the imports during the first call, the tracemalloc peak of a second
-call, and the best call time.
+One process imports three copies of the library: the ``--before``
+checkout's (this tree's when it is absent), this tree's, and this tree's
+again.  It times, over a fixed (N, c, l, f) grid that includes the shapes of
+perfbench's three workloads, each stage of a train forward, the whole train
+and eval forward and the InstanceNorm floor, then each layer of the
+``train_batches`` stack, the ``domain_corpus`` unit call and ``psdnorm
+align`` over the ``long_recording`` files.  Each call runs in AB_PAIRS
+rounds of interleaved samples, one per copy, in an order that cycles
+through all six, so every copy sees the same spells of host load.  A sample
+repeats the call until it lasts MIN_SAMPLE_S of process CPU time (one
+repeat count per row).  BLAS is pinned to one thread.
 
-The grid, stack and unit call are timed in STAGE_ROUNDS rounds, each in
-a fresh process, and every ``*_ms`` time is the minimum over the rounds.
-``--before DIR`` names a checkout of the commit to compare with.  The
-rounds then alternate which tree's library runs first, so that both
-trees see the same spells of host load, and that tree's times go under
-``"stages_before"`` (each row's stages and its whole train and eval
-forward, the stack and the ``domain_corpus`` unit call); ``align`` is
-measured with each tree's library, and ``--pairs`` pairs of perfbench runs
-(``--seconds`` each, ``--seed``) alternate which tree runs first; the file
-keeps every run, each side's median and quartiles, and how many pairs the
-change won.
+A timed row holds each copy's median call time (``before_ms``,
+``after_ms``, ``again_ms``) and two ratios of medians, each with its
+bootstrap 95 % CI over the rounds and the rounds the after copy won:
+``after_over_before`` is the change, ``after_over_again`` the row's A/A
+control.  The A/A CI shows how far equal code strays on this host; a row
+reads as changed only where its B/A CI excludes 1 by more than that.  Grid
+rows and ``align`` also hold each tree's tracemalloc peak of one call.
+With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
+``--seed``) then alternate which tree runs first; the file keeps every run,
+each side's median and quartiles, and how many pairs the change won.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import itertools
 import json
+import math
 import os
-import resource
 import statistics
 import subprocess
 import sys
@@ -59,13 +58,12 @@ ROOT = Path(__file__).resolve().parents[1]
 #: stack's batch sit on either side of ``apply_mapping``'s time-domain /
 #: FFT crossover, and a long row at f = 8 is filtered in the time domain
 #: in blocks, where the long_recording file (f = 64) takes overlap-save.
-GRID = [
-    (64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4), (64, 4, 1024, 5),
-    (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8),
-    (8, 4, 4096, 8),
-    (1, 2, 2 ** 19, 64), (1, 2, 2 ** 19, 8),
-    (64, 4, 1024, 32), (64, 4, 1024, 64), (8, 4, 4096, 256),
-]
+GRID = [(64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4), (64, 4, 1024, 5),
+        (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8), (8, 4, 4096, 8),
+        (1, 2, 2 ** 19, 64), (1, 2, 2 ** 19, 8),
+        (64, 4, 1024, 32), (64, 4, 1024, 64), (8, 4, 4096, 256)]
+STAGES = ("centre_welch", "batch_barycenter", "running_update", "synthesis",
+          "filtering")
 STACK_SHAPE, STACK_FS = (64, 4, 1024), (16, 8, 4)
 #: perfbench's domain_corpus unit call: K domains of N (c, l) signals drawn
 #: from shifted ones((c, f)) PSDs at shift 1, then every method at Welch f.
@@ -73,20 +71,71 @@ CORPUS = {"domains": 3, "signals": 8, "channels": 2, "length": 4096, "f": 8}
 #: perfbench's long_recording align call: four (2, 2^19) files, f = 64.
 ALIGN_FILES, ALIGN_SHAPE, ALIGN_F = 4, (2, 2 ** 19), 64
 WORKLOADS = ("train_batches", "long_recording", "domain_corpus")
-#: Rounds of the stage timings per tree, alternating between the trees.
-STAGE_ROUNDS = 3
+
+#: The library copies, in the order of the list that ``compare`` times.
+COPIES = ("before", "after", "again")
+#: All six orders of the copies: each runs first, second and last equally often.
+ORDERS = list(itertools.permutations(range(len(COPIES))))
+#: Rounds of interleaved samples per timed call, a multiple of the orders.
+AB_PAIRS = 42
+#: Process CPU seconds that one sample lasts at least.
+MIN_SAMPLE_S = 0.02
+#: Bootstrap resamples of the rounds behind each 95 % CI.
+RESAMPLES = 2000
 
 
-def best_ms(fn, seconds: float = 0.5) -> float:
-    """Best time of fn() over at least 5 runs and ``seconds``, after one
-    warm-up run: the minimum drops runs that other processes slowed."""
-    fn()
-    times, start = [], time.perf_counter()
-    while len(times) < 5 or time.perf_counter() - start < seconds:
-        t = time.perf_counter()
+def load_copy(tree: Path, name: str):
+    """The psdnorm package of ``tree``, imported as ``name``.  Its modules
+    import each other relatively, so copies share no module or state."""
+    package = tree / "src" / "psdnorm"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def sample(fn, n: int, clock) -> float:
+    t = clock()
+    for _ in range(n):
         fn()
-        times.append(time.perf_counter() - t)
-    return round(1000 * min(times), 3)
+    return clock() - t
+
+
+def ratio(new: list, base: list) -> dict:
+    """median(new) / median(base) over paired rounds, the 2.5 and 97.5
+    percentiles of that ratio over RESAMPLES resamples of the rounds, and
+    the number of rounds in which new took less time than base."""
+    import numpy as np
+
+    new, base = np.asarray(new), np.asarray(base)
+    rounds = np.random.default_rng(0).integers(0, len(new), (RESAMPLES, len(new)))
+    boot = np.median(new[rounds], axis=1) / np.median(base[rounds], axis=1)
+    return {"ratio": round(float(np.median(new) / np.median(base)), 4),
+            "ci95": [round(float(q), 4) for q in np.percentile(boot, [2.5, 97.5])],
+            "wins": int(np.sum(new < base))}
+
+
+def compare(fns, clock=time.process_time) -> dict:
+    """Time the before, after and again calls ``fns``: a warm-up call of
+    each, then AB_PAIRS rounds of one sample of each, a sample being as many
+    calls as make the after call last MIN_SAMPLE_S."""
+    for fn in fns:
+        fn()
+    n = 1
+    while (elapsed := sample(fns[1], n, clock)) < MIN_SAMPLE_S:
+        n = max(n + 1, math.ceil(n * MIN_SAMPLE_S / elapsed)) if elapsed else 2 * n
+    samples = [[] for _ in fns]
+    for i in range(AB_PAIRS):
+        for k in ORDERS[i % len(ORDERS)]:
+            samples[k].append(1000 * sample(fns[k], n, clock) / n)
+    before, after, again = samples
+    return {"calls_per_sample": n,
+            **{f"{side}_ms": round(statistics.median(s), 4)
+               for side, s in zip(COPIES, samples)},
+            "after_over_before": ratio(after, before),
+            "after_over_again": ratio(after, again)}
 
 
 def peak_mib(fn) -> float:
@@ -107,153 +156,115 @@ def batch(shape, seed: int = 0):
     return rng.standard_normal(shape) * rng.uniform(0.5, 2.0, shape[:2] + (1,)) + 1.0
 
 
-def trained_layer(b, f: int):
-    """A layer after one train pass over b, so later passes take the
-    running-update branch."""
-    import psdnorm
+def grid_calls(lib, b, f: int) -> dict:
+    """A grid row's calls with library copy ``lib``: each stage of the train
+    forward of a layer trained once on b (so it takes the running-update
+    branch), the whole forward and the InstanceNorm floor."""
+    layer = lib.psdnorm_forward(lib.PsdNormLayer(filter_size=f), b)[1]
+    cfg = layer.welch
+    psds = lib.centered_psd(b, cfg)
+    batch_bary = lib.wasserstein_barycenter(psds)
+    target = lib.running_update(layer.barycenter, batch_bary, layer.momentum)
+    taps = lib.monge_filter(psds, target)
+    return {
+        "centre_welch": lambda: lib.centered_psd(b, cfg),
+        "batch_barycenter": lambda: lib.wasserstein_barycenter(psds),
+        "running_update": lambda: lib.running_update(
+            layer.barycenter, batch_bary, layer.momentum),
+        "synthesis": lambda: lib.monge_filter(psds, target),
+        "filtering": lambda: lib.apply_mapping(b, taps),
+        "train": lambda: lib.psdnorm_forward(layer, b),
+        "eval": lambda: lib.psdnorm_forward(layer, b, "eval"),
+        "instancenorm": lambda: lib.instancenorm_forward(b),
+    }
 
-    return psdnorm.psdnorm_forward(psdnorm.PsdNormLayer(filter_size=f), b)[1]
+
+def stack_calls(lib, b) -> dict:
+    """Each layer of the train_batches stack on its own input, the whole
+    stack in train and eval mode, and the InstanceNorm floor."""
+    _, layers, _ = lib.psdnorm_stack_forward(STACK_FS, b)
+    calls, x = {}, b
+    for i, layer in enumerate(layers, 1):
+        calls[f"layer_{i}"] = lambda layer=layer, x=x: lib.psdnorm_forward(layer, x)
+        x = lib.psdnorm_forward(layer, x)[0]
+    return {**calls,
+            "stack_train": lambda: lib.psdnorm_stack_forward(STACK_FS, b, layers=layers),
+            "stack_eval": lambda: lib.psdnorm_stack_forward(STACK_FS, b, "eval", layers),
+            "instancenorm": lambda: lib.instancenorm_forward(b)}
 
 
-def stage_times() -> dict:
-    import psdnorm
-    from psdnorm.layers import centered_psd
+def corpus_calls(lib) -> dict:
+    """The ``domain_corpus`` unit call: fresh specs (so nothing drawn or
+    estimated by an earlier call is reused), then ``evaluate_alignment``
+    for each method."""
+    import numpy as np
 
+    def unit():
+        specs = lib.make_shifted_domains(
+            np.ones((CORPUS["channels"], CORPUS["f"])), CORPUS["domains"], 1.0,
+            n_signals=CORPUS["signals"], length=CORPUS["length"])
+        return [lib.evaluate_alignment(specs, m) for m in lib.synth.METHODS]
+
+    return {"unit": unit}
+
+
+def timed(calls: list[dict]) -> dict:
+    """Each named call of the before, after and again copies' ``calls``,
+    compared."""
+    return {name: compare([copy[name] for copy in calls]) for name in calls[0]}
+
+
+def forward_rows(libs) -> dict:
+    """The grid, the stack and the ``domain_corpus`` unit call, timed on the
+    before, after and again library copies ``libs``."""
     grid = []
     for n, c, l, f in GRID:
         b = batch((n, c, l))
-        layer = trained_layer(b, f)
-        cfg = layer.welch
-        psds = centered_psd(b, cfg)
-        batch_bary = psdnorm.wasserstein_barycenter(psds)
-        target = psdnorm.running_update(layer.barycenter, batch_bary, layer.momentum)
-        taps = psdnorm.monge_filter(psds, target)
-        stages = {
-            "centre_welch": best_ms(lambda: centered_psd(b, cfg)),
-            "batch_barycenter": best_ms(lambda: psdnorm.wasserstein_barycenter(psds)),
-            "running_update": best_ms(lambda: psdnorm.running_update(
-                layer.barycenter, batch_bary, layer.momentum)),
-            "synthesis": best_ms(lambda: psdnorm.monge_filter(psds, target)),
-            "filtering": best_ms(lambda: psdnorm.apply_mapping(b, taps)),
-        }
-        train = best_ms(lambda: psdnorm.psdnorm_forward(layer, b))
-        floor = best_ms(lambda: psdnorm.instancenorm_forward(b))
+        calls = [grid_calls(lib, b, f) for lib in libs]
+        rows = timed(calls)
+        stages = {name: rows.pop(name) for name in STAGES}
         grid.append({
-            "shape": f"{n}x{c}x{l}", "f": f,
-            "stages_ms": stages,
-            "train_ms": train,
-            "eval_ms": best_ms(lambda: psdnorm.psdnorm_forward(layer, b, "eval")),
-            "instancenorm_ms": floor,
-            "instancenorm_floor_ratio": round(train / floor, 2),
-            "train_peak_mib": peak_mib(lambda: psdnorm.psdnorm_forward(layer, b)),
+            "shape": f"{n}x{c}x{l}", "f": f, "stages": stages, **rows,
+            "train_peak_mib": {side: peak_mib(copy["train"])
+                               for side, copy in zip(COPIES, calls[:2])},
             "input_mib": round(b.nbytes / 2 ** 20, 3),
         })
-
     b = batch(STACK_SHAPE)
-    _, layers, _ = psdnorm.psdnorm_stack_forward(STACK_FS, b)
-    per_layer, out = [], b
-    for layer in layers:
-        x = out
-        per_layer.append(best_ms(lambda: psdnorm.psdnorm_forward(layer, x)))
-        out, _ = psdnorm.psdnorm_forward(layer, x)
-    stack = {
-        "shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
-        "per_layer_train_ms": per_layer,
-        "stack_train_ms": best_ms(
-            lambda: psdnorm.psdnorm_stack_forward(STACK_FS, b, layers=layers)),
-        "stack_eval_ms": best_ms(
-            lambda: psdnorm.psdnorm_stack_forward(STACK_FS, b, "eval", layers)),
-        "instancenorm_ms": best_ms(lambda: psdnorm.instancenorm_forward(b)),
-    }
-    return {"environment": environment(), "grid": grid, "stack": stack,
-            "evaluate_alignment": corpus_unit()}
+    return {"grid": grid,
+            "stack": {"shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
+                      **timed([stack_calls(lib, b) for lib in libs])},
+            "evaluate_alignment": {**CORPUS, "methods": list(libs[1].synth.METHODS),
+                                   **timed([corpus_calls(lib) for lib in libs])}}
 
 
-def corpus_unit() -> dict:
-    """The best time of the ``domain_corpus`` unit call: fresh specs (so
-    nothing drawn or estimated by an earlier call is reused), then
-    ``evaluate_alignment`` for each method."""
+def align_row(libs, directory: Path) -> dict:
+    """``psdnorm align`` over the long_recording file set, drawn as perfbench
+    draws it at seed 0 into ``directory``, timed on the library copies
+    ``libs``, each writing its own output directory."""
     import numpy as np
-    import psdnorm
-
-    def unit():
-        specs = psdnorm.make_shifted_domains(
-            np.ones((CORPUS["channels"], CORPUS["f"])), CORPUS["domains"], 1.0,
-            n_signals=CORPUS["signals"], length=CORPUS["length"])
-        return [psdnorm.evaluate_alignment(specs, m) for m in psdnorm.synth.METHODS]
-
-    return {**CORPUS, "methods": list(psdnorm.synth.METHODS),
-            "unit_ms": best_ms(unit)}
-
-
-def merge_rounds(rounds: list[dict]) -> dict:
-    """One stage-timing document from the rounds of it: each time (any
-    number under a key that ends in ``_ms``) the minimum over the rounds,
-    each other value the first round's, and each row's InstanceNorm floor
-    ratio taken again from its merged times."""
-
-    def merge(values, timed):
-        first = values[0]
-        if isinstance(first, dict):
-            return {k: merge([v[k] for v in values], timed or k.endswith("_ms"))
-                    for k in first}
-        if isinstance(first, list):
-            return [merge(list(vs), timed) for vs in zip(*values)]
-        return min(values) if timed else first
-
-    doc = merge(rounds, False)
-    for row in doc["grid"]:
-        row["instancenorm_floor_ratio"] = round(row["train_ms"] / row["instancenorm_ms"], 2)
-    return doc
-
-
-def write_align_inputs(directory: Path) -> dict:
-    """Write the long_recording file set, drawn as perfbench draws it at
-    seed 0, into ``directory``."""
-    import numpy as np
-    import psdnorm
-    import psdnorm.io
 
     c, l = ALIGN_SHAPE
-    specs = psdnorm.make_shifted_domains(np.ones((c, ALIGN_F)), ALIGN_FILES, 1.0,
+    specs = libs[1].make_shifted_domains(np.ones((c, ALIGN_F)), ALIGN_FILES, 1.0,
                                          n_signals=1, length=l, seed=0)
-    for i, spec in enumerate(specs):
-        psdnorm.io.write_signal(directory / f"rec{i}.psdn",
-                                psdnorm.sample_gaussian_with_psd(spec)[0])
-    return {"files": len(specs)}
+    paths = [str(directory / f"rec{i}.psdn") for i in range(len(specs))]
+    write_signal = importlib.import_module(f"{libs[1].__name__}.io").write_signal
+    for path, spec in zip(paths, specs):
+        write_signal(path, libs[1].sample_gaussian_with_psd(spec)[0])
 
+    def align_calls(lib, side):
+        main = importlib.import_module(f"{lib.__name__}.cli").main
+        argv = ["align", *paths, "--f", str(ALIGN_F), "--out", str(directory / side)]
 
-def align_memory(directory: Path) -> dict:
-    """``psdnorm align`` over the files of ``directory``.  Run in a fresh
-    process: ``ru_maxrss`` of the process is a high-water mark, so only
-    its rise during the first call, over its value after the imports,
-    measures that call."""
-    import psdnorm.cli
+        def align():
+            if main(argv) != 0:
+                raise RuntimeError(f"align failed with the {side} library")
+        return {"call": align}
 
-    paths = sorted(map(str, directory.glob("rec*.psdn")))
-    argv = ["align", *paths, "--f", str(ALIGN_F), "--out", str(directory / "out")]
-
-    def align():
-        if psdnorm.cli.main(argv) != 0:
-            raise RuntimeError("align failed")
-
-    imported = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB
-    align()
-    rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - imported
+    calls = [align_calls(lib, side) for lib, side in zip(libs, COPIES)]
     return {"files": len(paths), "shape": list(ALIGN_SHAPE), "f": ALIGN_F,
-            "import_maxrss_mib": round(imported / 1024, 2),
-            "maxrss_above_import_mib": round(rise / 1024, 2),
-            "peak_mib": peak_mib(align),
-            "call_ms": best_ms(align)}
-
-
-def in_tree(tree: Path, what: str, directory: Path | None = None) -> dict:
-    """Run this file's ``--measure what`` with the library of ``tree``."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    where = ["--dir", str(directory)] if directory else []
-    proc = subprocess.run([sys.executable, __file__, "--measure", what, *where],
-                          env=env, capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+            **timed(calls),
+            "peak_mib": {side: peak_mib(copy["call"])
+                         for side, copy in zip(COPIES, calls[:2])}}
 
 
 def perfbench(tree: Path, workload: str, seconds: float, seed: int) -> dict:
@@ -285,50 +296,38 @@ def summarize(before: list[dict], after: list[dict]) -> dict:
     return out
 
 
-def environment() -> dict:
+def environment(before: bool) -> dict:
     import numpy as np
 
     return {"python": sys.version.split()[0], "numpy": np.__version__,
             "cores": len(os.sched_getaffinity(0)),
-            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS}}
+            "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS},
+            "before_tree": before, "ab_pairs": AB_PAIRS,
+            "min_sample_ms": 1000 * MIN_SAMPLE_S, "bootstrap_resamples": RESAMPLES}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, help="write the JSON here, not to stdout")
     parser.add_argument("--before", type=Path, help="checkout of the commit to compare with")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="perfbench run pairs")
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--measure", help=argparse.SUPPRESS,
-                        choices=("stages", "align_inputs", "align"))
-    parser.add_argument("--dir", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.before and args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
     for var in THREAD_VARS:
         os.environ[var] = "1"
 
-    if args.measure:
-        measure = {"stages": stage_times,
-                   "align_inputs": lambda: write_align_inputs(args.dir),
-                   "align": lambda: align_memory(args.dir)}[args.measure]
-        print(json.dumps(measure()))
-        return 0
-    if args.before and args.pairs < 2:
-        parser.error("--pairs must be at least 2 to give quartiles")
-    trees = {"after": ROOT}
-    if args.before:
-        trees = {"before": args.before.resolve(), **trees}
-    rounds = {side: [] for side in trees}
-    for i in range(STAGE_ROUNDS):
-        for side in (list(trees) if i % 2 == 0 else list(trees)[::-1]):
-            rounds[side].append(in_tree(trees[side], "stages"))
-    doc = merge_rounds(rounds["after"])
+    trees = {"before": (args.before or ROOT).resolve(), "after": ROOT}
+    libs = [load_copy(tree, f"psdnorm_{side}")
+            for side, tree in zip(COPIES, (trees["before"], ROOT, ROOT))]
+    start = time.perf_counter()
+    doc = {"environment": environment(bool(args.before)), **forward_rows(libs)}
     with tempfile.TemporaryDirectory() as directory:
-        in_tree(ROOT, "align_inputs", Path(directory))
-        doc["align"] = {side: in_tree(tree, "align", Path(directory))
-                        for side, tree in trees.items()}
+        doc["align"] = align_row(libs, Path(directory))
+    doc["ab_wall_s"] = round(time.perf_counter() - start, 1)
     if args.before:
-        doc["stages_before"] = merge_rounds(rounds["before"])
         runs = {w: {"before": [], "after": []} for w in WORKLOADS}
         for i in range(args.pairs):
             for workload in WORKLOADS:
