@@ -36,11 +36,13 @@ from .layers import (  # noqa: F401
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_forward,
+    batchnorm_update,
     centered_psd,
     instancenorm_forward,
     layernorm_forward,
     psdnorm_forward,
     psdnorm_stack_forward,
+    psdnorm_update,
     tma_fit,
     tma_transform,
 )

@@ -11,8 +11,8 @@ channel row of one file, and its mapped result, whatever the number and
 length of the files; ``psd`` reads its files the same way.  Both check
 every file's header, its length against ``--f`` included, before they read
 any row.  ``layer`` checks every file's header, its length against the
-psdnorm layer's filter size included, then reads the rows of all files into
-one preallocated batch.
+psdnorm layer's filter size included, and loads and checks ``--state-in``,
+then reads the rows of all files into one preallocated batch.
 
 Exit codes: 0 success, 2 I/O failure, 3 shape/validation failure (a
 malformed command line, and a shape too large to allocate, included), 4
@@ -223,15 +223,27 @@ def _load_matching_state(path, kind: str, **flags):
     return layer
 
 
+# The field that holds each stateful kind's statistics, and their name.
+_LAYER_STATS = {"psdnorm": ("barycenter", "barycenter"),
+                "batchnorm": ("running_mean", "running statistics")}
+
+
+def _load_eval_state(path, kind: str, **flags):
+    """``_load_matching_state``, which must hold the statistics that an
+    eval-mode forward reads (else EvalWithoutStatsError naming the file)."""
+    layer = _load_matching_state(path, kind, **flags)
+    field, stats = _LAYER_STATS[kind]
+    if getattr(layer, field) is None:
+        raise EvalWithoutStatsError(f"state file {path} carries no {stats}")
+    return layer
+
+
 def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
     if args.target == "barycenter":
         return wasserstein_barycenter(psds)
     if args.target == "unit":
         return np.ones_like(psds[0])
-    layer = _load_matching_state(args.target, "psdnorm", welch=cfg)  # a path
-    if layer.barycenter is None:
-        raise EvalWithoutStatsError(f"state file {args.target} carries no barycenter")
-    return layer.barycenter
+    return _load_eval_state(args.target, "psdnorm", welch=cfg).barycenter  # a path
 
 
 def _aligned_rows(path, shape, taps, cfg: WelchConfig, post: list):
@@ -307,7 +319,9 @@ def cmd_layer(args) -> int:
     """Run one layer forward over the batch of all input files, which are
     checked by their headers (against the layer's Welch config for
     ``--kind psdnorm``) before any sample is read and then read row by row
-    into the one (N, c, l) float64 batch.  Each setting flag sets the layer
+    into the one (N, c, l) float64 batch.  ``--state-in`` is loaded before
+    that, and in eval mode it must hold the layer's statistics, as ``align
+    --target`` requires of its state.  Each setting flag sets the layer
     field of the same meaning; a flag not given leaves the library's
     default, and one that the kind has no setting for is refused."""
     layer_class, forward, fields = _LAYER_KINDS[args.kind]
@@ -333,6 +347,10 @@ def cmd_layer(args) -> int:
         if shape != shapes[0]:
             raise ShapeMismatchError(f"{path}: signal shape {shape} differs from"
                                      f" {args.inputs[0]}'s {shapes[0]}")
+    if args.state_in:
+        load = _load_eval_state if args.mode == "eval" else _load_matching_state
+        layer = load(args.state_in, args.kind,
+                     **{name: getattr(layer, name) for name in fields})
     batch = np.empty((len(shapes),) + shapes[0])
     for x, path in zip(batch, args.inputs):
         for i, row in enumerate(read_rows(path, shapes[0])):
@@ -342,10 +360,6 @@ def cmd_layer(args) -> int:
         if layer is None:
             out = forward(batch, **settings)
         else:
-            if args.state_in:
-                layer = _load_matching_state(
-                    args.state_in, args.kind,
-                    **{name: getattr(layer, name) for name in fields})
             out, layer = forward(layer, batch, args.mode)
     out = _float32(out, f"{args.kind} output")
 

@@ -6,6 +6,12 @@ layers are frozen dataclasses holding only state, and the mode ("train" or
 "eval") is an argument of each forward call.  Train-mode calls return an
 updated copy alongside the normalized batch; eval-mode calls are pure.
 Layers hold arrays, so they compare and hash by identity.
+
+Each layer rule is written once.  ``psdnorm_update`` is the PSDNorm
+barycenter step and ``batchnorm_update`` the BatchNorm statistics step:
+their forwards call them, and so do TMA and the benchmark, which need a
+layer's state without its output.  One ``_normalize`` serves InstanceNorm,
+LayerNorm and BatchNorm.
 """
 
 from __future__ import annotations
@@ -38,6 +44,13 @@ MODES = ("train", "eval")
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ParameterOutOfRangeError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _check_channels(stats, c: int) -> None:
+    """A batch of ``c`` channels must match a layer's per-channel
+    statistics ``stats`` (None: nothing accumulated yet)."""
+    if stats is not None and c != len(stats):
+        raise ShapeMismatchError(f"batch has {c} channels, the layer has {len(stats)}")
 
 
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
@@ -106,25 +119,33 @@ class PsdNormLayer:
                                _read_only(check_psd(bary, "barycenter")))
 
 
+def psdnorm_update(layer: PsdNormLayer, psds, mode: str = "train") -> PsdNormLayer:
+    """The barycenter step of one forward pass whose centred sample PSDs
+    are ``psds`` (N, c, f).  Train mode returns a copy of the layer whose
+    running barycenter took one geodesic step of ``momentum`` toward the
+    batch barycenter (a fresh layer adopts it); eval mode returns the layer,
+    which must hold a barycenter.  TMA (``tma_fit``) is a fresh layer's
+    first step."""
+    _check_mode(mode)
+    if mode == "eval":
+        if layer.barycenter is None:
+            raise EvalWithoutStatsError("eval-mode forward requires an accumulated"
+                                        " barycenter")
+        return layer
+    bary = running_update(layer.barycenter, wasserstein_barycenter(psds),
+                          layer.momentum)
+    return replace(layer, barycenter=bary, update_count=layer.update_count + 1)
+
+
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer).  One
-    ``centered_psd``, one ``monge_filter`` over the (N, c, f) batch of PSDs
-    and one ``apply_mapping`` serve the whole batch."""
-    _check_mode(mode)
+    ``centered_psd``, one ``psdnorm_update``, one ``monge_filter`` over the
+    (N, c, f) batch of PSDs and one ``apply_mapping`` serve the whole
+    batch."""
     b = signal_batch(batch)
-    if mode == "eval" and layer.barycenter is None:
-        raise EvalWithoutStatsError("eval-mode forward requires an accumulated"
-                                    " barycenter")
-    if layer.barycenter is not None and b.shape[1] != len(layer.barycenter):
-        raise ShapeMismatchError(f"batch has {b.shape[1]} channels,"
-                                 f" the layer has {len(layer.barycenter)}")
-
+    _check_channels(layer.barycenter, b.shape[1])
     psds = centered_psd(b, layer.welch)
-    if mode == "train":
-        bary = running_update(layer.barycenter, wasserstein_barycenter(psds),
-                              layer.momentum)
-        layer = replace(layer, barycenter=bary, update_count=layer.update_count + 1)
-
+    layer = psdnorm_update(layer, psds, mode)
     return apply_mapping(b, monge_filter(psds, layer.barycenter)), layer
 
 
@@ -172,10 +193,8 @@ def tma_fit(domains, welch: WelchConfig) -> PsdNormLayer:
         if b.shape[1] != batches[0].shape[1]:
             raise ShapeMismatchError(f"domain {i} has {b.shape[1]} channels,"
                                      f" domain 0 has {batches[0].shape[1]}")
-    psds = [centered_psd(b, welch) for b in batches]
-    return PsdNormLayer(**asdict(welch),
-                        barycenter=wasserstein_barycenter(np.concatenate(psds)),
-                        update_count=1)
+    psds = np.concatenate([centered_psd(b, welch) for b in batches])
+    return psdnorm_update(PsdNormLayer(**asdict(welch)), psds)
 
 
 def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
@@ -189,11 +208,18 @@ def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
 # Baseline normalizers
 # ---------------------------------------------------------------------------
 
+def _normalize(b: np.ndarray, mu, var, eps: float) -> np.ndarray:
+    """(b - mu) / sqrt(var + eps), built in one output array."""
+    out = b - mu
+    out /= np.sqrt(var + eps)
+    return out
+
+
 def _standardize(batch, axis, eps: float) -> np.ndarray:
     eps = check_number("eps", eps, 0)
     b = signal_batch(batch)
-    mu = b.mean(axis=axis, keepdims=True)
-    return (b - mu) / np.sqrt(b.var(axis=axis, keepdims=True) + eps)
+    return _normalize(b, b.mean(axis=axis, keepdims=True),
+                      b.var(axis=axis, keepdims=True), eps)
 
 
 def instancenorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
@@ -248,37 +274,41 @@ class BatchNormLayer:
             raise ParameterOutOfRangeError("running_var must be >= 0")
 
 
-def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
-    """One forward pass; returns (normalized batch, updated layer)."""
+def batchnorm_update(layer: BatchNormLayer, batch, mode: str = "train"):
+    """The statistics step of one forward pass; returns the per-channel
+    (mean, variance) that the pass normalizes with, and the updated layer.
+    Train mode pools the batch's statistics over batch and time and moves
+    the running statistics toward them; eval mode returns the running
+    statistics and the layer, which must hold them."""
     _check_mode(mode)
     b = signal_batch(batch)
     n, c, l = b.shape
-    if layer.running_mean is not None and len(layer.running_mean) != c:
-        raise ShapeMismatchError(f"batch has {c} channels,"
-                                 f" the layer has {len(layer.running_mean)}")
-
-    if mode == "train":
-        if n * l < 2:
-            raise ParameterOutOfRangeError(
-                "train-mode batchnorm needs at least 2 pooled samples"
-            )
-        mu = b.mean(axis=(0, 2))
-        var = b.var(axis=(0, 2))
-        m = layer.stat_momentum
-        r_mean = layer.running_mean if layer.running_mean is not None else np.zeros(c)
-        r_var = layer.running_var if layer.running_var is not None else np.ones(c)
-        layer = replace(
-            layer,
-            running_mean=(1.0 - m) * r_mean + m * mu,
-            running_var=(1.0 - m) * r_var + m * var,
-            num_batches_tracked=layer.num_batches_tracked + 1,
-        )
-    else:
+    _check_channels(layer.running_mean, c)
+    if mode == "eval":
         if layer.running_mean is None:
             raise EvalWithoutStatsError(
                 "eval-mode batchnorm requires trained running statistics"
             )
-        mu = layer.running_mean
-        var = layer.running_var
+        return layer.running_mean, layer.running_var, layer
+    if n * l < 2:
+        raise ParameterOutOfRangeError(
+            "train-mode batchnorm needs at least 2 pooled samples"
+        )
+    mu = b.mean(axis=(0, 2))
+    var = b.var(axis=(0, 2))
+    m = layer.stat_momentum
+    r_mean = layer.running_mean if layer.running_mean is not None else np.zeros(c)
+    r_var = layer.running_var if layer.running_var is not None else np.ones(c)
+    return mu, var, replace(
+        layer,
+        running_mean=(1.0 - m) * r_mean + m * mu,
+        running_var=(1.0 - m) * r_var + m * var,
+        num_batches_tracked=layer.num_batches_tracked + 1,
+    )
 
-    return (b - mu[:, None]) / np.sqrt(var[:, None] + layer.eps), layer
+
+def batchnorm_forward(layer: BatchNormLayer, batch, mode: str = "train"):
+    """One forward pass; returns (normalized batch, updated layer)."""
+    b = signal_batch(batch)
+    mu, var, layer = batchnorm_update(layer, b, mode)
+    return _normalize(b, mu[:, None], var[:, None], layer.eps), layer

@@ -8,12 +8,13 @@ are produced serially or in parallel.  A ``DomainSpec`` therefore keeps its
 sample (``DomainSpec.signals``): it is drawn on first read and shared,
 read-only, by every method evaluated on that spec.  It keeps the sample's
 centred Welch PSDs the same way (``DomainSpec.centered_psds``), estimated
-once per Welch config.
+once per Welch config.  The benchmark states no layer rule of its own: it
+fits BatchNorm with ``batchnorm_update`` and TMA with ``psdnorm_update``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,10 +27,13 @@ from .errors import (
 from .geometry import bures_distance, wasserstein_barycenter
 from .layers import (
     BatchNormLayer,
+    PsdNormLayer,
     batchnorm_forward,
+    batchnorm_update,
     centered_psd,
     instancenorm_forward,
     layernorm_forward,
+    psdnorm_update,
 )
 from .monge import apply_mapping, monge_filter
 from .spectral import WelchConfig, check_integer, check_number, check_psd
@@ -195,15 +199,14 @@ def evaluate_alignment(domains, method: str,
     elif method == "layernorm":
         out_batches = [layernorm_forward(b) for b in batches]
     elif method == "batchnorm":
-        layer = BatchNormLayer()
-        _, layer = batchnorm_forward(layer, np.concatenate(batches))
+        # One train step over all domains pooled, then each domain in eval.
+        _, _, layer = batchnorm_update(BatchNormLayer(), np.concatenate(batches))
         out_batches = [batchnorm_forward(layer, b, "eval")[0] for b in batches]
     else:  # tma, psdnorm
-        # The barycenter of ``tma_fit``, which a fresh psdnorm layer's one
-        # train pass adopts, and the eval forward of its layer, from the
+        # ``tma_fit``'s layer and the eval forward of each domain, from the
         # cached PSDs.
-        bary = wasserstein_barycenter(np.concatenate(psds))
-        out_batches = [apply_mapping(b, monge_filter(p, bary))
+        layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
+        out_batches = [apply_mapping(b, monge_filter(p, layer.barycenter))
                        for b, p in zip(batches, psds)]
 
     # For "none" the post distances would repeat the pre ones bit for bit.

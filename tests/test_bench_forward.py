@@ -150,6 +150,7 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
                   row["instancenorm"]]:
         assert list(entry) == timed and entry["calls_per_sample"] == 1
     assert set(row["train_peak_mib"]) == {"before", "after"}
+    assert set(row["instancenorm_peak_mib"]) == {"before", "after"}
     layers = [f"layer_{i}" for i in range(1, len(bench.STACK_FS) + 1)]
     assert [k for k in doc["stack"] if k not in ("shape", "fs")] == [
         *layers, "stack_train", "stack_eval", "instancenorm"]

@@ -13,6 +13,7 @@ import json
 import numpy as np
 import pytest
 
+import psdnorm.cli
 from psdnorm import (
     BatchNormLayer,
     DomainSpec,
@@ -142,6 +143,31 @@ def test_align_to_a_state_without_barycenter_exits_4(tmp_path, capsys):
     error = read_error(capsys)
     assert error["kind"] == "state" and "carries no barycenter" in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, fresh, stats", [
+    pytest.param("psdnorm", PsdNormLayer(filter_size=F), "barycenter", id="psdnorm"),
+    pytest.param("batchnorm", BatchNormLayer(), "running statistics", id="batchnorm"),
+])
+def test_layer_eval_from_a_state_without_stats_exits_4_naming_it(
+        tmp_path, capsys, monkeypatch, kind, fresh, stats):
+    state = tmp_path / "fresh.json"
+    save_state(state, fresh)
+    reads, read_rows = [], psdnorm.cli.read_rows
+
+    def spy(path, shape):
+        reads.append(path)
+        return read_rows(path, shape)
+
+    monkeypatch.setattr(psdnorm.cli, "read_rows", spy)
+    out = tmp_path / "out"
+    flags = ["--f", str(F)] if kind == "psdnorm" else []
+    code = main(["layer", signal_file(tmp_path), "--kind", kind, *flags, "--mode",
+                 "eval", "--state-in", str(state), "--out", str(out)])
+    assert code == EXIT_STATE
+    assert read_error(capsys) == {"kind": "state",
+                                  "message": f"state file {state} carries no {stats}"}
+    assert reads == [] and not out.exists()
 
 
 def one_domain():

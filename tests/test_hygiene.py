@@ -66,6 +66,36 @@ def test_no_two_sided_fft(path):
     assert two_sided_ffts(path.read_text()) == []
 
 
+def callers(source: str, callee: str) -> set[str]:
+    """The top-level functions and classes of a module that call ``callee``,
+    as a bare name or an attribute; "<module>" for a call outside them."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 else "<module>")
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name == callee:
+                    found.add(owner)
+    return found
+
+
+def test_checker_finds_the_callers():
+    source = "def a():\n    return g(1)\ndef b():\n    return m.g(2)\n" \
+             "def c():\n    return g\nx = g(3)\n"
+    assert callers(source, "g") == {"a", "b", "<module>"}
+
+
+def test_running_update_is_called_only_by_psdnorm_update():
+    """The running barycenter is stepped in one place: every layer, TMA and
+    the benchmark reach it through ``psdnorm_update``."""
+    owners = set().union(*(callers(p.read_text(), "running_update") for p in MODULES))
+    assert owners == {"psdnorm_update"}
+
+
 def traced_names() -> list[str]:
     """The ``module.function`` keys of ``TRACED`` in the benchmark's tracer,
     read without importing the benchmark."""

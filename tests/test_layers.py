@@ -1,5 +1,6 @@
 """Tests for the stateful normalization layers."""
 
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from psdnorm import (
     WelchConfig,
     apply_mapping,
     batchnorm_forward,
+    batchnorm_update,
     bures_distance,
     centered_psd,
     evaluate_alignment,
@@ -28,6 +30,7 @@ from psdnorm import (
     monge_filter,
     psdnorm_forward,
     psdnorm_stack_forward,
+    psdnorm_update,
     tma_fit,
     tma_transform,
     wasserstein_barycenter,
@@ -78,6 +81,19 @@ class TestPsdNormForward:
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(layer1.barycenter, layer.barycenter)
         assert layer1.update_count == layer.update_count
+
+    def test_update_is_one_geodesic_step_toward_the_batch_barycenter(self):
+        psds = centered_psd(np.random.default_rng(40).standard_normal((3, 2, 64)),
+                            WelchConfig(4))
+        fresh = psdnorm_update(PsdNormLayer(filter_size=4), psds)
+        np.testing.assert_array_equal(fresh.barycenter, wasserstein_barycenter(psds))
+        start = PsdNormLayer(filter_size=4, momentum=0.3, barycenter=np.full((2, 4), 2.0),
+                             update_count=1)
+        stepped = psdnorm_update(start, psds, "train")
+        np.testing.assert_array_equal(stepped.barycenter, geodesic_interpolate(
+            start.barycenter, wasserstein_barycenter(psds), 0.3))
+        assert (fresh.update_count, stepped.update_count) == (1, 2)
+        assert psdnorm_update(start, psds, "eval") is start
 
     def test_eval_without_barycenter(self):
         with pytest.raises(EvalWithoutStatsError):
@@ -295,6 +311,19 @@ class TestTma:
         np.testing.assert_array_equal(
             out, np.stack([tma_transform(aligner, g) for g in domains[0]]))
 
+    def test_state_equals_the_hand_built_layer(self, tmp_path):
+        rng = np.random.default_rng(19)
+        domains = [rng.standard_normal((3, 2, 256)) + 1.0,
+                   rng.standard_normal((2, 2, 256)) * 3.0]
+        cfg = WelchConfig(8)
+        psds = np.concatenate([centered_psd(d, cfg) for d in domains])
+        by_hand = PsdNormLayer(**asdict(cfg), barycenter=wasserstein_barycenter(psds),
+                               update_count=1)
+        save_state(tmp_path / "fit.json", tma_fit(domains, cfg))
+        save_state(tmp_path / "by_hand.json", by_hand)
+        assert ((tmp_path / "fit.json").read_bytes()
+                == (tmp_path / "by_hand.json").read_bytes())
+
     def test_single_signal_corpus_is_centering(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 64)) + 1.0
@@ -431,6 +460,19 @@ class TestBatchNorm:
         with pytest.raises(EvalWithoutStatsError):
             batchnorm_forward(BatchNormLayer(), np.zeros((1, 1, 8)), "eval")
 
+    def test_update_returns_the_statistics_the_forward_normalizes_with(self):
+        batch = np.random.default_rng(42).standard_normal((3, 2, 16)) * 2.0 + 1.0
+        mu, var, layer = batchnorm_update(BatchNormLayer(), batch)
+        np.testing.assert_array_equal(mu, batch.mean(axis=(0, 2)))
+        np.testing.assert_array_equal(var, batch.var(axis=(0, 2)))
+        out, trained = batchnorm_forward(BatchNormLayer(), batch)
+        assert dumps_json(state_to_dict(layer)) == dumps_json(state_to_dict(trained))
+        np.testing.assert_array_equal(
+            out, (batch - mu[:, None]) / np.sqrt(var[:, None] + layer.eps))
+        r_mean, r_var, same = batchnorm_update(layer, batch, "eval")
+        assert r_mean is layer.running_mean and r_var is layer.running_var
+        assert same is layer
+
     @pytest.mark.parametrize("fields, error", [
         ({"running_mean": np.zeros(2)}, ShapeMismatchError),
         ({"running_var": np.ones(2)}, ShapeMismatchError),
@@ -470,6 +512,40 @@ class TestBatchNorm:
         layer = BatchNormLayer(running_mean=np.zeros(3), running_var=np.ones(3))
         with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
             batchnorm_forward(layer, np.ones((2, 2, 8)), mode)
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc peak above the starting level during fn()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestAffinePeaks:
+    """The standardizing forwards build their output in place: they peak at
+    the output, with no second output-sized temporary."""
+
+    BATCH = np.random.default_rng(43).standard_normal((64, 4, 1024)) + 1.0
+    TRAINED = batchnorm_forward(BatchNormLayer(), BATCH)[1]
+
+    @pytest.mark.parametrize("forward", [
+        pytest.param(instancenorm_forward, id="instancenorm"),
+        pytest.param(layernorm_forward, id="layernorm"),
+        pytest.param(lambda b: batchnorm_forward(BatchNormLayer(), b)[0],
+                     id="batchnorm train"),
+        pytest.param(lambda b: batchnorm_forward(TestAffinePeaks.TRAINED, b, "eval")[0],
+                     id="batchnorm eval"),
+    ])
+    def test_peak_is_within_the_output(self, forward):
+        out = []
+        peak = peak_bytes(lambda: out.append(forward(self.BATCH)))
+        assert out[0].nbytes == 2 * 2 ** 20
+        assert peak <= 1.1 * out[0].nbytes
 
 
 class TestOwnership:

@@ -284,6 +284,17 @@ class TestEvaluateAlignment:
         # 3 domain samples, then 3 outputs of each method but "none".
         assert len(calls) == 3 + 5 * 3
 
+    def test_batchnorm_runs_no_train_forward(self, monkeypatch):
+        modes, forward = [], psdnorm.synth.batchnorm_forward
+
+        def spy(layer, batch, mode="train"):
+            modes.append(mode)
+            return forward(layer, batch, mode)
+
+        monkeypatch.setattr(psdnorm.synth, "batchnorm_forward", spy)
+        evaluate_alignment(self.small_domains(), "batchnorm")
+        assert modes == ["eval", "eval"]
+
     def test_degenerate_pre_gives_ratio_one(self):
         rep = evaluate_alignment(self.small_domains(strength=0.0), "none")
         assert rep.reduction_ratio == 1.0

@@ -24,7 +24,8 @@ bootstrap 95 % CI over the rounds and the rounds the after copy won:
 ``after_over_before`` is the change, ``after_over_again`` the row's A/A
 control.  The A/A CI shows how far equal code strays on this host; a row
 reads as changed only where its B/A CI excludes 1 by more than that.  Grid
-rows and ``align`` also hold each tree's tracemalloc peak of one call.
+rows also hold each tree's tracemalloc peak of one train forward and of one
+InstanceNorm call, and ``align`` that of one call.
 With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
 ``--seed``) then alternate which tree runs first; the file keeps every run,
 each side's median and quartiles, and how many pairs the change won.
@@ -227,6 +228,8 @@ def forward_rows(libs) -> dict:
             "shape": f"{n}x{c}x{l}", "f": f, "stages": stages, **rows,
             "train_peak_mib": {side: peak_mib(copy["train"])
                                for side, copy in zip(COPIES, calls[:2])},
+            "instancenorm_peak_mib": {side: peak_mib(copy["instancenorm"])
+                                      for side, copy in zip(COPIES, calls[:2])},
             "input_mib": round(b.nbytes / 2 ** 20, 3),
         })
     b = batch(STACK_SHAPE)
