@@ -64,6 +64,7 @@ from .monge import apply_mapping, monge_filter
 from .spectral import (
     WINDOW_KINDS,
     WelchConfig,
+    check_finite,
     check_integer,
     check_number,
     floored,
@@ -178,15 +179,15 @@ def _centred(row: np.ndarray) -> np.ndarray:
 
 
 def _float32(y: np.ndarray, what: str) -> np.ndarray:
-    """``y`` cast to float32, where it must be finite (else
-    NonFiniteInputError naming ``what``): the check of every signal that a
-    command writes."""
+    """``y`` cast to float32, where it must be finite (else NonFiniteInputError
+    naming ``what``): the check of every signal that a command writes."""
     with np.errstate(over="ignore"):
         y = y.astype(np.float32)
-    if not np.all(np.isfinite(y)):
+    try:
+        return check_finite(y, what)
+    except NonFiniteInputError:
         raise NonFiniteInputError(f"{what} is not finite in float32;"
-                                  " nothing was written")
-    return y
+                                  " nothing was written") from None
 
 
 def cmd_psd(args) -> int:

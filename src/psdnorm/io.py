@@ -30,14 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    NonFiniteInputError,
-    ParameterOutOfRangeError,
-    PsdNormError,
-    ShapeMismatchError,
-)
+from .errors import ParameterOutOfRangeError, PsdNormError, ShapeMismatchError
 from .layers import BatchNormLayer, PsdNormLayer
-from .spectral import as_signals
+from .spectral import as_signals, check_finite
 
 MAGIC = b"PSDN"
 FORMAT_VERSION = 1
@@ -121,9 +116,7 @@ def _read_row(path, fh, length: int) -> np.ndarray:
     if len(row) != length:
         raise SignalFileError(f"{path}: file ends {len(row)} samples into a row of"
                               f" {length}; it changed after its header was read")
-    if not np.all(np.isfinite(row)):
-        raise NonFiniteInputError(f"{path}: non-finite samples (NaN or Inf)")
-    return row.astype(float)
+    return check_finite(row, str(path)).astype(float)
 
 
 def read_rows(path, shape) -> Iterator[np.ndarray]:

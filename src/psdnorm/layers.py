@@ -11,7 +11,7 @@ Each layer rule is written once.  ``psdnorm_update`` is the PSDNorm
 barycenter step and ``batchnorm_update`` the BatchNorm statistics step:
 their forwards call them, and so do TMA and the benchmark, which need a
 layer's state without its output.  One ``_normalize`` serves InstanceNorm,
-LayerNorm and BatchNorm.
+LayerNorm and BatchNorm.  Every forward refuses NaN or Inf (``check_finite``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     EvalWithoutStatsError,
-    NonFiniteInputError,
     ParameterOutOfRangeError,
     ShapeMismatchError,
 )
@@ -31,6 +30,7 @@ from .monge import apply_mapping, monge_filter
 from .spectral import (
     WelchConfig,
     as_signals,
+    check_finite,
     check_integer,
     check_number,
     check_psd,
@@ -57,7 +57,7 @@ def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD of a (c, l) signal, or of each signal of an (N, c, l) batch,
     after removing each channel's mean (one centred copy of x)."""
     x = as_signals(x)
-    return welch_psd(x - x.mean(axis=-1, keepdims=True), cfg)
+    return welch_psd(x - check_finite(x.mean(axis=-1, keepdims=True)), cfg)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -218,8 +218,8 @@ def _normalize(b: np.ndarray, mu, var, eps: float) -> np.ndarray:
 def _standardize(batch, axis, eps: float) -> np.ndarray:
     eps = check_number("eps", eps, 0)
     b = signal_batch(batch)
-    return _normalize(b, b.mean(axis=axis, keepdims=True),
-                      b.var(axis=axis, keepdims=True), eps)
+    mu = check_finite(b.mean(axis=axis, keepdims=True))
+    return _normalize(b, mu, b.var(axis=axis, keepdims=True), eps)
 
 
 def instancenorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
@@ -265,9 +265,7 @@ class BatchNormLayer:
             value = np.asarray(getattr(self, name), dtype=float)
             if value.ndim != 1:
                 raise ShapeMismatchError(f"{name} must be 1-D, got shape {value.shape}")
-            if not np.all(np.isfinite(value)):
-                raise NonFiniteInputError(f"{name} contains NaN or Inf")
-            object.__setattr__(self, name, _read_only(value))
+            object.__setattr__(self, name, _read_only(check_finite(value, name)))
         if len(self.running_mean) != len(self.running_var):
             raise ShapeMismatchError("running_mean and running_var differ in length")
         if np.any(self.running_var < 0):
@@ -289,12 +287,13 @@ def batchnorm_update(layer: BatchNormLayer, batch, mode: str = "train"):
             raise EvalWithoutStatsError(
                 "eval-mode batchnorm requires trained running statistics"
             )
+        check_finite(b)
         return layer.running_mean, layer.running_var, layer
     if n * l < 2:
         raise ParameterOutOfRangeError(
             "train-mode batchnorm needs at least 2 pooled samples"
         )
-    mu = b.mean(axis=(0, 2))
+    mu = check_finite(b.mean(axis=(0, 2)))
     var = b.var(axis=(0, 2))
     m = layer.stat_momentum
     r_mean = layer.running_mean if layer.running_mean is not None else np.zeros(c)

@@ -58,8 +58,9 @@ def apply_mapping(x, h) -> np.ndarray:
     identical length-f DFT but a rippled magnitude response between the f
     frequency gridpoints; zero-phase placement keeps the response a smooth
     interpolation of sqrt(p_tgt / p_src).  Both placements coincide when
-    f equals the signal length.  Empty taps raise ShapeMismatchError, and
-    taps with NaN or Inf raise NonFiniteInputError.
+    f equals the signal length.  Empty taps raise ShapeMismatchError; taps
+    with NaN or Inf, and rows whose mean is not finite (a NaN or Inf sample
+    or an overflowing sum), raise NonFiniteInputError.
 
     The dispatch rule is f <= 16, and the two forms differ only in the
     contraction.  Both centre a chunk of whole rows of up to BUDGET_BYTES,
@@ -83,8 +84,8 @@ def apply_mapping(x, h) -> np.ndarray:
     l, f = x.shape[-1], h.shape[-1]
     if f > l:
         raise LengthTooShortError(f"signal length {l} < filter size {f}")
-    rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f))
-    means = rows.mean(axis=1, keepdims=True)
+    rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f), "filter taps")
+    means = check_finite(rows.mean(axis=1, keepdims=True))
     out = np.empty_like(rows)
     direct = f <= 16
     pad = f - 1 if direct else 0  # wrap-around that a whole row needs

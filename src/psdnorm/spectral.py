@@ -14,15 +14,14 @@ mapping filters depend only on PSD ratios, which are invariant to this
 global scale choice.
 
 The kernels treat each channel row on its own and hold at most
-``BUDGET_BYTES`` in any temporary, beside one row's finiteness mask: Welch
-sums each row's segment Gram matrix from strided views of the row, one per
-residue class of non-overlapping segments (or, for large f or few segments,
-its segment power over blocks of segments), and ``monge.apply_mapping``
-filters chunks of rows, or blocks of one long row: taps of f <= 16 by one
-``einsum`` over a strided view of a padded buffer (Welch's read-in-place
-trick), longer ones by FFT.  Classes, chunks and blocks depend only on the
-row length and f, and rows never share arithmetic, so a signal gets the
-same bits alone as in a batch.
+``BUDGET_BYTES`` in any temporary: Welch sums each row's segment Gram matrix
+from strided views of the row, one per residue class of non-overlapping
+segments (or, for large f or few segments, its segment power over blocks of
+segments), and ``monge.apply_mapping`` filters chunks of rows, or blocks of
+one long row: taps of f <= 16 by one ``einsum`` over a strided view of a
+padded buffer (Welch's read-in-place trick), longer ones by FFT.  Classes,
+chunks and blocks depend only on the row length and f, and rows never share
+arithmetic, so a signal gets the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ def chunk_slices(n: int, item_bytes: int) -> list[slice]:
 def as_signals(x) -> np.ndarray:
     """x as a float (c, l) signal or (N, c, l) batch, a 1-D array read as one
     channel: the one shape check of a signal.  Any other shape, or an empty
-    axis, raises ShapeMismatchError.  Finiteness is not checked here: Welch
-    checks it in the pass it makes over the data anyway."""
+    axis, raises ShapeMismatchError.  Finiteness is ``check_finite``'s, which
+    each entry point applies to a statistic or a pass it makes anyway."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[np.newaxis, :]
@@ -108,9 +107,17 @@ def check_integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-def check_finite(x: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteInputError("input contains NaN or Inf")
+def check_finite(x, name: str = "input") -> np.ndarray:
+    """x as an array, with no NaN or Inf (else NonFiniteInputError naming
+    ``name``): the one finiteness test.  Its masks fit BUDGET_BYTES: a larger x
+    is tested in slices of its flat view, or of axis 0 (recursing into a row)."""
+    x = np.asarray(x)
+    if x.size > BUDGET_BYTES:
+        rows = x.reshape(-1) if x.ndim == 1 or x.flags.c_contiguous else x
+        for s in chunk_slices(len(rows), rows[0].size):
+            check_finite(rows[s] if s.stop - s.start > 1 else rows[s.start], name)
+    elif not np.isfinite(x).all():
+        raise NonFiniteInputError(f"{name} contains NaN or Inf (non-finite values)")
     return x
 
 
@@ -145,9 +152,7 @@ class WelchConfig:
 def check_positive(p, name: str) -> np.ndarray:
     """p as a float array, which must be finite and strictly positive: the
     bin test of ``check_psd``, and all that the elementwise geometry needs."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise NonFiniteInputError(f"{name} contains NaN or Inf")
+    p = check_finite(np.asarray(p, dtype=float), name)
     if not np.all(p > 0):
         raise NonPositivePsdError(f"{name} must be strictly positive")
     return p
@@ -250,7 +255,7 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     if gram_form:
         basis = _welch_basis(w)
         q = -(-f // stride)  # residue classes of segments that never overlap
-        row_bytes = max(8 * f * (f + 2), length)  # contraction, finiteness mask
+        row_bytes = 8 * f * (f + 2)  # the contraction
     else:
         block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
         row_bytes = 8 * f * block

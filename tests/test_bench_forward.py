@@ -149,8 +149,9 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
     for entry in [*row["stages"].values(), row["train"], row["eval"],
                   row["instancenorm"]]:
         assert list(entry) == timed and entry["calls_per_sample"] == 1
-    assert set(row["train_peak_mib"]) == {"before", "after"}
-    assert set(row["instancenorm_peak_mib"]) == {"before", "after"}
+    for peak in ("train_peak_mib", "welch_peak_mib", "instancenorm_peak_mib"):
+        assert set(row[peak]) == {"before", "after"}
+        assert all(mib > 0 for mib in row[peak].values())
     layers = [f"layer_{i}" for i in range(1, len(bench.STACK_FS) + 1)]
     assert [k for k in doc["stack"] if k not in ("shape", "fs")] == [
         *layers, "stack_train", "stack_eval", "instancenorm"]

@@ -68,7 +68,8 @@ def test_no_two_sided_fft(path):
 
 def callers(source: str, callee: str) -> set[str]:
     """The top-level functions and classes of a module that call ``callee``,
-    as a bare name or an attribute; "<module>" for a call outside them."""
+    as a bare name or an attribute (a dotted ``callee``, such as
+    ``np.isfinite``, only as written); "<module>" for a call outside them."""
     found = set()
     for node in ast.parse(source).body:
         owner = (node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -76,7 +77,8 @@ def callers(source: str, callee: str) -> set[str]:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 func = sub.func
-                name = (func.id if isinstance(func, ast.Name) else
+                name = (ast.unparse(func) if "." in callee else
+                        func.id if isinstance(func, ast.Name) else
                         func.attr if isinstance(func, ast.Attribute) else None)
                 if name == callee:
                     found.add(owner)
@@ -89,11 +91,26 @@ def test_checker_finds_the_callers():
     assert callers(source, "g") == {"a", "b", "<module>"}
 
 
+def test_checker_finds_a_dotted_callee_as_written():
+    source = "def a(x):\n    return np.all(np.isfinite(x))\n" \
+             "def b(v):\n    return math.isfinite(v)\n"
+    assert callers(source, "np.isfinite") == {"a"}
+
+
 def test_running_update_is_called_only_by_psdnorm_update():
     """The running barycenter is stepped in one place: every layer, TMA and
     the benchmark reach it through ``psdnorm_update``."""
     owners = set().union(*(callers(p.read_text(), "running_update") for p in MODULES))
     assert owners == {"psdnorm_update"}
+
+
+def test_np_isfinite_is_called_only_by_check_finite():
+    """Finiteness has one test, which keeps its masks within BUDGET_BYTES:
+    every entry point reaches ``np.isfinite`` through
+    ``spectral.check_finite``.  ``math.isfinite`` tests scalars."""
+    owners = {(p.stem, owner) for p in MODULES
+              for owner in callers(p.read_text(), "np.isfinite")}
+    assert owners == {("spectral", "check_finite")}
 
 
 def traced_names() -> list[str]:

@@ -8,6 +8,11 @@ and a PSDN file with an empty axis exits 3 in every command that reads it.
 The filter taps of ``apply_mapping`` are checked where they enter too: empty
 taps raise ``ShapeMismatchError`` and taps with NaN or Inf
 ``NonFiniteInputError``, for short taps and long ones alike.
+
+``spectral.check_finite`` decides finiteness for all of them: a NaN or Inf
+sample raises ``NonFiniteInputError`` everywhere, at an interior sample and
+at a trailing one that no Welch segment reads, and a PSDN file holding one
+exits 3 in every command that reads it.
 """
 
 import json
@@ -35,10 +40,13 @@ from psdnorm import (
 )
 from psdnorm.cli import EXIT_VALIDATION, main
 from psdnorm.io import write_signal
+from psdnorm.spectral import n_segments
 
 F = 4
 CFG = WelchConfig(F)
 TRAINED = PsdNormLayer(filter_size=F, barycenter=np.ones((1, F)), update_count=1)
+BN_TRAINED = BatchNormLayer(running_mean=np.zeros(1), running_var=np.ones(1),
+                            num_batches_tracked=1)
 
 MALFORMED = [
     pytest.param(np.float64(1.0), id="0-D"),
@@ -65,6 +73,8 @@ ENTRY_POINTS = [
     pytest.param(layernorm_forward, id="layernorm_forward"),
     pytest.param(lambda x: batchnorm_forward(BatchNormLayer(), x),
                  id="batchnorm_forward"),
+    pytest.param(lambda x: batchnorm_forward(BN_TRAINED, x, "eval"),
+                 id="batchnorm_forward eval"),
 ]
 
 
@@ -92,6 +102,49 @@ def test_nonfinite_taps_raise(f, bad):
     h[1, 0, f // 2] = bad
     with pytest.raises(NonFiniteInputError):
         apply_mapping(np.zeros((2, 2, 64)), h)
+
+
+#: A length whose last sample no Welch segment of CFG reads: its 31
+#: segments of 4 samples, 2 apart, end at sample 63.
+L_TRAILING = 65
+NON_FINITE = [pytest.param(np.nan, id="NaN"), pytest.param(np.inf, id="+Inf"),
+              pytest.param(-np.inf, id="-Inf")]
+
+
+def test_trailing_sample_is_read_by_no_segment():
+    last_end = (n_segments(L_TRAILING, CFG) - 1) * CFG.stride + F
+    assert last_end == L_TRAILING - 1
+
+
+def signal_with(bad, where: int) -> np.ndarray:
+    """A (1, L_TRAILING) signal holding ``bad`` at sample ``where``."""
+    x = np.random.default_rng(where).standard_normal((1, L_TRAILING)) + 1.0
+    x[0, where] = bad
+    return x
+
+
+@pytest.mark.parametrize("where", [10, L_TRAILING - 1], ids=["interior", "trailing"])
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_nonfinite_sample_raises(call, bad, where):
+    with pytest.raises(NonFiniteInputError):
+        call(signal_with(bad, where))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_batchnorm_train_blames_the_input_not_its_state(bad):
+    with pytest.raises(NonFiniteInputError) as caught:
+        batchnorm_forward(BatchNormLayer(), signal_with(bad, 10))
+    message = str(caught.value)
+    assert message.startswith("input ") and "running_mean" not in message
+
+
+def test_a_row_whose_sum_overflows_is_refused():
+    # Every sample is finite, but the row mean is not: unrefused, the row
+    # would map to Inf or NaN.
+    x = np.full((2, 64), 1e308)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteInputError):
+        apply_mapping(x, np.ones((2, F)))
 
 
 def test_tma_transform_refuses_a_batch():
@@ -147,4 +200,18 @@ def test_empty_signal_file_exits_3(tmp_path, capsys, argv, shape):
     error = json.loads(lines[0])["error"]
     assert error["kind"] == "validation" and sig in error["message"]
     assert [str(w.message) for w in caught] == []
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("argv", CLI_CALLS)
+def test_nonfinite_signal_file_exits_3(tmp_path, capsys, argv, bad):
+    sig = str(tmp_path / "bad.psdn")
+    write_signal(sig, signal_with(bad, L_TRAILING - 1))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(argv(sig, out)) == EXIT_VALIDATION
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "validation" and sig in error["message"]
+    assert "non-finite" in error["message"]
     assert list(out.iterdir()) == []

@@ -19,7 +19,14 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm import spectral
-from psdnorm.spectral import BUDGET_BYTES, floored, n_segments, psd_floor, welch_psd_raw
+from psdnorm.spectral import (
+    BUDGET_BYTES,
+    check_finite,
+    floored,
+    n_segments,
+    psd_floor,
+    welch_psd_raw,
+)
 
 from oracles import fourier_matrix, rfft_welch_raw, whole_signal_mapping
 
@@ -465,6 +472,44 @@ class TestCentering:
         )
 
 
+#: Layouts of a (3, 5, 16391) array, of more than BUDGET_BYTES items: C
+#: order, whose flat view check_finite tests in slices, and views with no
+#: flat view, whose first axis it slices: Fortran order and two strided
+#: views in slices of many rows, and a strided row larger than the budget
+#: on its own.
+SHAPE = (3, 5, 2 ** 14 + 7)
+LAYOUTS = [pytest.param(lambda a: a, id="C"), pytest.param(lambda a: a.T, id="Fortran"),
+           pytest.param(lambda a: a[:, ::2], id="strided"),
+           pytest.param(lambda a: a.transpose(1, 0, 2)[1:], id="permuted"),
+           pytest.param(lambda a: a.reshape(1, -1)[:, ::2], id="one long row")]
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finds_a_nonfinite_value_anywhere(self, layout, bad):
+        view = layout(np.ones(SHAPE))
+        assert view.size > BUDGET_BYTES and check_finite(view) is view
+        # Both ends, both sides of the first slice's end, and a few more.
+        rng = np.random.default_rng(39)
+        for k in [0, BUDGET_BYTES - 1, BUDGET_BYTES, view.size - 1,
+                  *rng.integers(0, view.size, 4)]:
+            a = np.ones(SHAPE)
+            layout(a)[np.unravel_index(k, view.shape)] = bad
+            with pytest.raises(NonFiniteInputError,
+                               match=r"^taps contains NaN or Inf \(non-finite values\)$"):
+                check_finite(layout(a), "taps")
+
+    @pytest.mark.parametrize("make", [lambda: np.ones((2, 2 ** 19)),
+                                      lambda: np.ones((2, 2 ** 20))[:, ::2]],
+                             ids=["contiguous", "strided"])
+    def test_masks_keep_to_the_byte_budget(self, make):
+        # A mask of the whole (2, 2^19) array would take 16 BUDGET_BYTES,
+        # and a flat copy of the strided one 128.
+        x = make()
+        assert peak_bytes(lambda: check_finite(x)) <= BUDGET_BYTES + 4096
+
+
 def test_long_signal_memory_is_bounded():
     # Whole-signal kernels peak at 4x the input; blocks and chunks keep each
     # temporary within BUDGET_BYTES beside the one centred or output copy.
@@ -481,11 +526,21 @@ def test_long_signal_memory_is_bounded():
 
 
 def test_welch_copies_no_segments():
-    # The Gram form reads each residue class of segments in place: beside
-    # one row's finiteness mask (l bytes) it holds Gram matrices and their
-    # contraction, within twice BUDGET_BYTES.  A copy of a row's
+    # The Gram form reads each residue class of segments in place: it holds
+    # Gram matrices and their contraction, within twice BUDGET_BYTES, and a
+    # finiteness mask of at most BUDGET_BYTES.  A copy of a row's
     # half-overlapping segments would take 16 l bytes.
     x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
     cfg = WelchConfig(64)
     welch_psd_raw(x, cfg)
     assert peak_bytes(lambda: welch_psd_raw(x, cfg)) <= x.shape[1] + 2 * BUDGET_BYTES
+
+
+def test_welch_keeps_to_the_byte_budget():
+    # No temporary exceeds BUDGET_BYTES, the finiteness mask of a long row
+    # included: check_finite tests the row in pieces.  A mask of the whole
+    # row would take l = 8 BUDGET_BYTES.
+    x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
+    cfg = WelchConfig(64)
+    welch_psd_raw(x, cfg)
+    assert peak_bytes(lambda: welch_psd_raw(x, cfg)) <= 3 * BUDGET_BYTES

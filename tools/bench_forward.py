@@ -24,8 +24,9 @@ bootstrap 95 % CI over the rounds and the rounds the after copy won:
 ``after_over_before`` is the change, ``after_over_again`` the row's A/A
 control.  The A/A CI shows how far equal code strays on this host; a row
 reads as changed only where its B/A CI excludes 1 by more than that.  Grid
-rows also hold each tree's tracemalloc peak of one train forward and of one
-InstanceNorm call, and ``align`` that of one call.
+rows also hold each tree's tracemalloc peak of one train forward, of one
+``welch_psd`` call and of one InstanceNorm call, and ``align`` that of one
+call.
 With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
 ``--seed``) then alternate which tree runs first; the file keeps every run,
 each side's median and quartiles, and how many pairs the change won.
@@ -228,6 +229,8 @@ def forward_rows(libs) -> dict:
             "shape": f"{n}x{c}x{l}", "f": f, "stages": stages, **rows,
             "train_peak_mib": {side: peak_mib(copy["train"])
                                for side, copy in zip(COPIES, calls[:2])},
+            "welch_peak_mib": {side: peak_mib(lambda lib=lib: lib.welch_psd(
+                b, lib.WelchConfig(f))) for side, lib in zip(COPIES, libs[:2])},
             "instancenorm_peak_mib": {side: peak_mib(copy["instancenorm"])
                                       for side, copy in zip(COPIES, calls[:2])},
             "input_mib": round(b.nbytes / 2 ** 20, 3),
