@@ -10,8 +10,12 @@ Layers hold arrays, so they compare and hash by identity.
 Each layer rule is written once.  ``psdnorm_update`` is the PSDNorm
 barycenter step and ``batchnorm_update`` the BatchNorm statistics step:
 their forwards call them, and so do TMA and the benchmark, which need a
-layer's state without its output.  One ``_normalize`` serves InstanceNorm,
-LayerNorm and BatchNorm.  Every forward refuses NaN or Inf (``check_finite``).
+layer's state without its output.  ``standardize_stats`` is the statistics
+step of InstanceNorm and LayerNorm, over their ``POOLING_AXES``, and
+``EPS`` every baseline's default eps; the benchmark reads both here.  One
+``_normalize`` serves InstanceNorm, LayerNorm and BatchNorm.  Every forward
+refuses NaN or Inf (``check_finite``, or ``finite_mean`` for a mean it
+takes anyway).
 """
 
 from __future__ import annotations
@@ -29,13 +33,16 @@ from .geometry import running_update, wasserstein_barycenter
 from .monge import apply_mapping, monge_filter
 from .spectral import (
     WelchConfig,
+    _read_only,
     as_signals,
     check_finite,
     check_integer,
     check_number,
     check_psd,
+    finite_mean,
     signal_batch,
     welch_psd,
+    welch_psd_raw,
 )
 
 MODES = ("train", "eval")
@@ -53,19 +60,23 @@ def _check_channels(stats, c: int) -> None:
         raise ShapeMismatchError(f"batch has {c} channels, the layer has {len(stats)}")
 
 
+def _centred_copy(x) -> np.ndarray:
+    """A copy of the (c, l) signal or (N, c, l) batch x less each channel's
+    mean."""
+    x = as_signals(x)
+    return x - finite_mean(x, -1)
+
+
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD of a (c, l) signal, or of each signal of an (N, c, l) batch,
     after removing each channel's mean (one centred copy of x)."""
-    x = as_signals(x)
-    return welch_psd(x - check_finite(x.mean(axis=-1, keepdims=True)), cfg)
+    return welch_psd(_centred_copy(x), cfg)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only copy of ``a``, so that no caller can change a layer's
-    array after its checks."""
-    a = a.copy()
-    a.flags.writeable = False
-    return a
+def centered_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
+    """``centered_psd`` before the positivity floor: ``floored`` of it gives
+    ``centered_psd``'s bits."""
+    return welch_psd_raw(_centred_copy(x), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +219,13 @@ def tma_transform(aligner: PsdNormLayer, x) -> np.ndarray:
 # Baseline normalizers
 # ---------------------------------------------------------------------------
 
+#: The default eps of every baseline normalizer.
+EPS = 1e-5
+#: The axes of an (N, c, l) batch that each per-sample baseline pools its
+#: statistics over: InstanceNorm per (signal, channel), LayerNorm per signal.
+POOLING_AXES = {"instancenorm": 2, "layernorm": (1, 2)}
+
+
 def _normalize(b: np.ndarray, mu, var, eps: float) -> np.ndarray:
     """(b - mu) / sqrt(var + eps), built in one output array."""
     out = b - mu
@@ -215,21 +233,27 @@ def _normalize(b: np.ndarray, mu, var, eps: float) -> np.ndarray:
     return out
 
 
+def standardize_stats(b: np.ndarray, axis):
+    """The statistics step of an InstanceNorm or LayerNorm pass: the mean
+    and biased variance of an (N, c, l) batch over ``axis``
+    (``POOLING_AXES``), each keeping ``axis`` at length 1."""
+    return finite_mean(b, axis), b.var(axis=axis, keepdims=True)
+
+
 def _standardize(batch, axis, eps: float) -> np.ndarray:
     eps = check_number("eps", eps, 0)
     b = signal_batch(batch)
-    mu = check_finite(b.mean(axis=axis, keepdims=True))
-    return _normalize(b, mu, b.var(axis=axis, keepdims=True), eps)
+    return _normalize(b, *standardize_stats(b, axis), eps)
 
 
-def instancenorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
+def instancenorm_forward(batch, eps: float = EPS) -> np.ndarray:
     """Per-sample, per-channel standardization with biased variance."""
-    return _standardize(batch, 2, eps)
+    return _standardize(batch, POOLING_AXES["instancenorm"], eps)
 
 
-def layernorm_forward(batch, eps: float = 1e-5) -> np.ndarray:
+def layernorm_forward(batch, eps: float = EPS) -> np.ndarray:
     """Per-sample standardization over all channels and time steps."""
-    return _standardize(batch, (1, 2), eps)
+    return _standardize(batch, POOLING_AXES["layernorm"], eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +267,7 @@ class BatchNormLayer:
     finite 1-D arrays of one length, the variance non-negative.
     """
 
-    eps: float = 1e-5
+    eps: float = EPS
     stat_momentum: float = 0.1
     running_mean: np.ndarray | None = None
     running_var: np.ndarray | None = None
@@ -293,7 +317,7 @@ def batchnorm_update(layer: BatchNormLayer, batch, mode: str = "train"):
         raise ParameterOutOfRangeError(
             "train-mode batchnorm needs at least 2 pooled samples"
         )
-    mu = check_finite(b.mean(axis=(0, 2)))
+    mu = finite_mean(b, (0, 2)).reshape(c)
     var = b.var(axis=(0, 2))
     m = layer.stat_momentum
     r_mean = layer.running_mean if layer.running_mean is not None else np.zeros(c)

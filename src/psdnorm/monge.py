@@ -21,6 +21,7 @@ from .spectral import (
     check_finite,
     check_psd,
     chunk_slices,
+    finite_mean,
 )
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
@@ -85,7 +86,7 @@ def apply_mapping(x, h) -> np.ndarray:
     if f > l:
         raise LengthTooShortError(f"signal length {l} < filter size {f}")
     rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f), "filter taps")
-    means = check_finite(rows.mean(axis=1, keepdims=True))
+    means = finite_mean(rows, 1)
     out = np.empty_like(rows)
     direct = f <= 16
     pad = f - 1 if direct else 0  # wrap-around that a whole row needs

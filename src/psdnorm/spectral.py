@@ -26,6 +26,7 @@ arithmetic, so a signal gets the same bits alone as in a batch.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -121,6 +122,16 @@ def check_finite(x, name: str = "input") -> np.ndarray:
     return x
 
 
+def finite_mean(x: np.ndarray, axis) -> np.ndarray:
+    """The mean of x over ``axis``, kept as axes of length 1, which must be
+    finite (``check_finite``): a NaN or Inf sample makes it NaN or Inf, and
+    so does a sum past the float range, whose numpy warning the error
+    replaces."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=axis, keepdims=True)
+    return check_finite(mean, "input mean")
+
+
 @dataclass(frozen=True)
 class WelchConfig:
     """Parameters of the Welch PSD estimator.
@@ -207,14 +218,31 @@ def floored(p: np.ndarray) -> np.ndarray:
     return np.maximum(p, psd_floor(p))
 
 
-def _welch_basis(w: np.ndarray) -> np.ndarray:
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, so that no caller can change a kept array
+    after its checks."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=32)
+def _welch_window(kind: str, f: int) -> np.ndarray:
+    """``make_window(kind, f)``, built once per (kind, f) and read-only."""
+    return _read_only(make_window(kind, f))
+
+
+@functools.lru_cache(maxsize=32)
+def _welch_basis(kind: str, f: int) -> np.ndarray:
     """(f, f + 2) columns a_k = w * cos and b_k = w * sin of the one-sided
-    DFT bins k = 0..f//2: a segment s has power (s @ a_k)^2 + (s @ b_k)^2 in
-    bin k, so segments with Gram matrix C sum to a_k' C a_k + b_k' C b_k."""
-    f = len(w)
+    DFT bins k = 0..f//2, for the window w = ``_welch_window(kind, f)``: a
+    segment s has power (s @ a_k)^2 + (s @ b_k)^2 in bin k, so segments with
+    Gram matrix C sum to a_k' C a_k + b_k' C b_k.  Built once per (kind, f)
+    and read-only."""
+    w = _welch_window(kind, f)
     angle = 2.0 * np.pi / f * (np.outer(np.arange(f), np.arange(f // 2 + 1)) % f)
-    return np.concatenate([w[:, np.newaxis] * np.cos(angle),
-                           w[:, np.newaxis] * np.sin(angle)], axis=1)
+    return _read_only(np.concatenate([w[:, np.newaxis] * np.cos(angle),
+                                      w[:, np.newaxis] * np.sin(angle)], axis=1))
 
 
 def _segments(rows: np.ndarray, start: int, count: int, step: int,
@@ -250,13 +278,13 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     length = x.shape[-1]
     n_seg = n_segments(length, cfg)
     rows = x.reshape(-1, length)
-    w = make_window(cfg.window_kind, f)
     gram_form = n_seg >= 2 * f and 8 * f * (f + 2) <= BUDGET_BYTES
     if gram_form:
-        basis = _welch_basis(w)
+        basis = _welch_basis(cfg.window_kind, f)
         q = -(-f // stride)  # residue classes of segments that never overlap
         row_bytes = 8 * f * (f + 2)  # the contraction
     else:
+        w = _welch_window(cfg.window_kind, f)
         block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
         row_bytes = 8 * f * block
     k = f // 2 + 1

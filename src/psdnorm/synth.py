@@ -7,9 +7,17 @@ so generation is deterministic, cross-platform, and identical whether signals
 are produced serially or in parallel.  A ``DomainSpec`` therefore keeps its
 sample (``DomainSpec.signals``): it is drawn on first read and shared,
 read-only, by every method evaluated on that spec.  It keeps the sample's
-centred Welch PSDs the same way (``DomainSpec.centered_psds``), estimated
-once per Welch config.  The benchmark states no layer rule of its own: it
-fits BatchNorm with ``batchnorm_update`` and TMA with ``psdnorm_update``.
+centred Welch PSDs the same way, raw and floored from one Welch pass per
+config (``DomainSpec.raw_centered_psds``, ``DomainSpec.centered_psds``).
+
+The benchmark states no layer rule, pooling axis or eps of its own: it fits
+BatchNorm with ``batchnorm_update``, TMA with ``psdnorm_update``, and takes
+InstanceNorm's and LayerNorm's statistics from ``standardize_stats`` over
+``POOLING_AXES``.  Only TMA and PSDNorm filter the signals.  The affine
+baselines map each centred channel to x / sqrt(var + eps), and Welch is a
+quadratic form of the centred signal, so their post PSDs are the raw ones
+over var + eps, floored after: 9 Welch estimates for six methods on three
+domains (18 when the baselines ran their forwards).
 """
 
 from __future__ import annotations
@@ -26,17 +34,25 @@ from .errors import (
 )
 from .geometry import bures_distance, wasserstein_barycenter
 from .layers import (
+    EPS,
+    POOLING_AXES,
     BatchNormLayer,
     PsdNormLayer,
-    batchnorm_forward,
     batchnorm_update,
     centered_psd,
-    instancenorm_forward,
-    layernorm_forward,
+    centered_psd_raw,
     psdnorm_update,
+    standardize_stats,
 )
 from .monge import apply_mapping, monge_filter
-from .spectral import WelchConfig, check_integer, check_number, check_psd
+from .spectral import (
+    WelchConfig,
+    _read_only,
+    check_integer,
+    check_number,
+    check_psd,
+    floored,
+)
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
 
@@ -76,13 +92,22 @@ class DomainSpec:
 
     def centered_psds(self, welch: WelchConfig) -> np.ndarray:
         """``centered_psd(self.signals, welch)``, the (n_signals, c, f) PSDs
-        of the sample, estimated on the first call with each Welch config
-        and kept read-only for the life of the spec."""
-        cache = self.__dict__.setdefault("_centered_psds", {})
+        of the sample: ``floored(self.raw_centered_psds(welch))``."""
+        return self._welch(welch)[1]
+
+    def raw_centered_psds(self, welch: WelchConfig) -> np.ndarray:
+        """``centered_psd_raw(self.signals, welch)``, the sample's PSDs
+        before the positivity floor."""
+        return self._welch(welch)[0]
+
+    def _welch(self, welch: WelchConfig) -> tuple:
+        """The raw and floored centred PSDs of the sample, from one Welch
+        pass on the first call with each Welch config, kept read-only for
+        the life of the spec."""
+        cache = self.__dict__.setdefault("_psds", {})
         if welch not in cache:
-            p = centered_psd(self.signals, welch)
-            p.flags.writeable = False
-            cache[welch] = p
+            raw = centered_psd_raw(self.signals, welch)
+            cache[welch] = _read_only(raw), _read_only(floored(raw))
         return cache[welch]
 
 
@@ -156,13 +181,33 @@ def _pairwise_bures(psds) -> np.ndarray:
     return d
 
 
-def _mean_psd(batch: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    return wasserstein_barycenter(centered_psd(batch, cfg))
-
-
 def _offdiag_mean(d: np.ndarray) -> float:
     k = d.shape[0]
     return float(d.sum() / (k * (k - 1)))
+
+
+def _post_psds(domains, method: str, welch: WelchConfig) -> list:
+    """The centred PSDs of each domain's sample after ``method`` (not
+    "none").  TMA and PSDNorm filter the signals: ``tma_fit``'s layer, from
+    the cached PSDs, and the eval forward of each domain.  An affine
+    baseline's are the cached raw PSDs over its var + eps, floored after,
+    as ``welch_psd`` floors: scaling the floored ones instead would move
+    every clamped bin."""
+    if method in ("tma", "psdnorm"):
+        psds = [d.centered_psds(welch) for d in domains]
+        layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
+        return [centered_psd(apply_mapping(d.signals, monge_filter(p, layer.barycenter)),
+                             welch) for d, p in zip(domains, psds)]
+    if method == "batchnorm":
+        # Each domain's eval forward divides by the running variance of one
+        # train step over all domains pooled.
+        layer = batchnorm_update(BatchNormLayer(),
+                                 np.concatenate([d.signals for d in domains]))[2]
+        variances = [layer.running_var[:, np.newaxis] + layer.eps] * len(domains)
+    else:
+        variances = [standardize_stats(d.signals, POOLING_AXES[method])[1] + EPS
+                     for d in domains]
+    return [floored(d.raw_centered_psds(welch) / v) for d, v in zip(domains, variances)]
 
 
 def evaluate_alignment(domains, method: str,
@@ -172,11 +217,14 @@ def evaluate_alignment(domains, method: str,
 
     Distances are between per-domain barycenters of sample PSDs estimated at
     the benchmark Welch config (default: f = bins of the first domain PSD).
-    A spec draws its sample and estimates its PSDs
-    (``DomainSpec.centered_psds``) once per Welch config, however many
-    methods read them; only the PSDs of normalized outputs are estimated
-    per call.  When the pre-alignment distances are all zero the reduction
-    ratio is reported as 1.0.
+    A spec draws its sample and estimates its PSDs, raw and floored
+    (``DomainSpec.centered_psds``), in one Welch pass per config, however
+    many methods read them.  The affine baselines (InstanceNorm, LayerNorm
+    and BatchNorm) scale the raw PSDs in closed form; only TMA and PSDNorm
+    filter the signals and estimate the PSDs of their outputs, so the six
+    methods make 9 Welch estimates over three domains.  When the
+    pre-alignment distances are all zero the reduction ratio is reported
+    as 1.0.
     """
     check_integer("domain count", len(domains), 2)
     if method not in METHODS:
@@ -188,30 +236,11 @@ def evaluate_alignment(domains, method: str,
     if welch is None:
         welch = WelchConfig(domains[0].psd.shape[1])
 
-    batches = [d.signals for d in domains]
-    psds = [d.centered_psds(welch) for d in domains]
-    pre = _pairwise_bures([wasserstein_barycenter(p) for p in psds])
-
-    if method == "none":
-        out_batches = batches
-    elif method == "instancenorm":
-        out_batches = [instancenorm_forward(b) for b in batches]
-    elif method == "layernorm":
-        out_batches = [layernorm_forward(b) for b in batches]
-    elif method == "batchnorm":
-        # One train step over all domains pooled, then each domain in eval.
-        _, _, layer = batchnorm_update(BatchNormLayer(), np.concatenate(batches))
-        out_batches = [batchnorm_forward(layer, b, "eval")[0] for b in batches]
-    else:  # tma, psdnorm
-        # ``tma_fit``'s layer and the eval forward of each domain, from the
-        # cached PSDs.
-        layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
-        out_batches = [apply_mapping(b, monge_filter(p, layer.barycenter))
-                       for b, p in zip(batches, psds)]
-
+    pre = _pairwise_bures([wasserstein_barycenter(d.centered_psds(welch))
+                           for d in domains])
     # For "none" the post distances would repeat the pre ones bit for bit.
-    post = (pre.copy() if out_batches is batches
-            else _pairwise_bures([_mean_psd(b, welch) for b in out_batches]))
+    post = (pre.copy() if method == "none" else _pairwise_bures(
+        [wasserstein_barycenter(p) for p in _post_psds(domains, method, welch)]))
 
     pre_mean = _offdiag_mean(pre)
     ratio = 1.0 if pre_mean == 0.0 else _offdiag_mean(post) / pre_mean

@@ -139,9 +139,10 @@ def whole_signal_mapping(x, h) -> np.ndarray:
 
 
 def uncached_evaluate_alignment(domains, method, welch=None):
-    """``evaluate_alignment`` with every PSD estimated on each call: one
-    ``centered_psd`` per domain sample for the pre distances, and ``tma`` and
-    ``psdnorm`` through ``tma_fit`` and an eval ``psdnorm_forward``.
+    """``evaluate_alignment`` with every PSD estimated on each call and every
+    method run over the signals: one ``centered_psd`` per domain sample for
+    the pre distances, each baseline's forward, and ``tma`` and ``psdnorm``
+    through ``tma_fit`` and an eval ``psdnorm_forward``.
     Returns (pre distances, post distances, reduction ratio)."""
     if welch is None:
         welch = WelchConfig(domains[0].psd.shape[1])

@@ -123,7 +123,7 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
     # The synthesis stage must time the call that the forward makes: one
     # (N, c, f) batch of source PSDs against the one (c, f) target.  The
     # domain_corpus unit call evaluates every method on one spec list.
-    shapes, evaluated = [], []
+    shapes, evaluated, spec_lists = [], [], []
     for lib in libs:
         def recording_monge_filter(p_src, p_tgt, monge_filter=lib.monge_filter):
             shapes.append((p_src.shape, p_tgt.shape))
@@ -132,6 +132,7 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
         def recording_evaluate_alignment(specs, method,
                                          evaluate_alignment=lib.evaluate_alignment):
             evaluated.append((len(specs), specs[0].signals.shape, method))
+            spec_lists.append(specs)  # kept, so that no two share an id
             return evaluate_alignment(specs, method)
 
         monkeypatch.setattr(lib, "monge_filter", recording_monge_filter)
@@ -157,8 +158,16 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
         *layers, "stack_train", "stack_eval", "instancenorm"]
     methods = libs[1].synth.METHODS
     assert set(evaluated) == {(2, (1, 1, 64), m) for m in methods}
-    assert len(evaluated) == len(methods) * (len(libs) + 1 + len(libs) * bench.AB_PAIRS)
-    assert list(doc["evaluate_alignment"]["unit"]) == timed
+    # The unit call and the per-method rows each evaluate every method in
+    # each copy's warm-up call, the calibration call and every round.
+    calls = len(libs) + 1 + len(libs) * bench.AB_PAIRS
+    assert len(evaluated) == 2 * len(methods) * calls
+    # One spec list per unit call, and one per copy for the per-method rows.
+    assert len({id(specs) for specs in spec_lists}) == calls + len(libs)
+    corpus = doc["evaluate_alignment"]
+    assert list(corpus["unit"]) == timed
+    assert list(corpus["per_method"]) == list(methods)
+    assert all(list(row) == timed for row in corpus["per_method"].values())
     assert elapsed < 1.0
 
 

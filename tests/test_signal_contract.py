@@ -139,12 +139,27 @@ def test_batchnorm_train_blames_the_input_not_its_state(bad):
     assert message.startswith("input ") and "running_mean" not in message
 
 
-def test_a_row_whose_sum_overflows_is_refused():
+#: The entry points that take the mean of each row of their input: all but
+#: Welch, which reads no mean, and BatchNorm eval, which subtracts a stored one.
+MEAN_ENTRY_POINTS = [p for p in ENTRY_POINTS
+                     if p.id not in ("welch_psd", "batchnorm_forward eval")]
+
+
+@pytest.mark.parametrize("call", MEAN_ENTRY_POINTS)
+def test_a_row_whose_sum_overflows_is_refused(call):
     # Every sample is finite, but the row mean is not: unrefused, the row
-    # would map to Inf or NaN.
-    x = np.full((2, 64), 1e308)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteInputError):
-        apply_mapping(x, np.ones((2, F)))
+    # would map to Inf or NaN.  The error says so, in place of numpy's
+    # overflow warning, which the test run turns into an error.
+    with pytest.raises(NonFiniteInputError, match="^input mean contains"):
+        call(np.full((1, 64), 1e308))
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS)
+def test_a_row_holding_both_infinities_raises_no_warning(call):
+    x = np.ones((1, 64))
+    x[0, :2] = np.inf, -np.inf  # a sum of NaN, not of Inf
+    with pytest.raises(NonFiniteInputError):
+        call(x)
 
 
 def test_tma_transform_refuses_a_batch():

@@ -160,6 +160,30 @@ class TestWindows:
         with pytest.raises(ParameterOutOfRangeError, match="must be an integer >= 1"):
             make_window("hann", f)
 
+    @pytest.mark.parametrize("kind", ["hann", "boxcar"])
+    def test_welch_builds_each_window_and_basis_once(self, kind, monkeypatch):
+        # Welch keeps one read-only window and basis per (kind, f), equal to
+        # fresh ones, while make_window still returns a fresh writable array.
+        w, basis = spectral._welch_window(kind, 8), spectral._welch_basis(kind, 8)
+        assert spectral._welch_window(kind, 8) is w
+        assert spectral._welch_basis(kind, 8) is basis
+        np.testing.assert_array_equal(w, make_window(kind, 8))
+        np.testing.assert_array_equal(basis, spectral._welch_basis.__wrapped__(kind, 8))
+        for a in (w, basis):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        fresh = make_window(kind, 8)
+        assert fresh.flags.writeable and fresh is not make_window(kind, 8)
+        # Welch with the kept arrays gives the bits of Welch building its own,
+        # in the Gram form and in the per-segment rfft form.
+        x = np.random.default_rng(38).standard_normal((2, 3, 200))
+        cfgs = [WelchConfig(8, window_kind=kind), WelchConfig(64, window_kind=kind)]
+        kept = [welch_psd_raw(x, cfg) for cfg in cfgs]
+        for name in ("_welch_window", "_welch_basis"):
+            monkeypatch.setattr(spectral, name, getattr(spectral, name).__wrapped__)
+        for cfg, p in zip(cfgs, kept):
+            np.testing.assert_array_equal(welch_psd_raw(x, cfg), p)
+
 
 class TestSegment:
     def test_counts_and_starts(self):
@@ -304,9 +328,9 @@ class TestWelch:
         assert n_segments(x.shape[1], cfg) == n_seg
         bases, welch_basis = [], spectral._welch_basis
         monkeypatch.setattr(spectral, "_welch_basis",
-                            lambda w: bases.append(w) or welch_basis(w))
+                            lambda kind, f: bases.append(f) or welch_basis(kind, f))
         ours = welch_psd_raw(x, cfg)
-        assert len(bases) == gram  # the Gram form, and only it, builds a basis
+        assert len(bases) == gram  # the Gram form, and only it, reads a basis
         ref = rfft_welch_raw(x, cfg)
         assert np.max(np.abs(ours - ref) / ref) <= 1e-12
         signal = pytest.importorskip("scipy.signal")

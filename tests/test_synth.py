@@ -1,11 +1,11 @@
 """Tests for synthetic signal generation and the alignment benchmark."""
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import psdnorm.layers
 import psdnorm.synth
 from psdnorm import (
     DomainSpec,
@@ -13,13 +13,18 @@ from psdnorm import (
     NonPositivePsdError,
     ParameterOutOfRangeError,
     WelchConfig,
+    batchnorm_forward,
     bures_distance,
     centered_psd,
     evaluate_alignment,
+    instancenorm_forward,
+    layernorm_forward,
     make_shifted_domains,
     sample_gaussian_with_psd,
     welch_psd,
 )
+from psdnorm.layers import centered_psd_raw
+from psdnorm.spectral import floored, welch_psd_raw
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
@@ -136,15 +141,25 @@ class TestDomainSample:
         assert {a, b, a} == {a, b}
 
 
-def count_welch_calls(monkeypatch) -> list:
-    """Record each ``welch_psd`` call that ``centered_psd`` makes."""
-    calls, welch = [], psdnorm.layers.welch_psd
+def spy_calls(monkeypatch, *functions) -> list:
+    """Record the name and arguments of each call of ``functions`` through
+    any module of the package that binds them, so that no route around one
+    import can hide a call.  Spied on, ``welch_psd_raw`` counts every Welch
+    estimate, raw or floored: ``welch_psd`` makes one through it too."""
+    calls = []
 
-    def counting(x, cfg):
-        calls.append(cfg)
-        return welch(x, cfg)
+    def recording(fn):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, args))
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(psdnorm.layers, "welch_psd", counting)
+    for name, module in list(sys.modules.items()):
+        if name == "psdnorm" or name.startswith("psdnorm."):
+            for attr, value in list(vars(module).items()):
+                for fn in functions:
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, recording(fn))
     return calls
 
 
@@ -154,28 +169,34 @@ class TestDomainPsds:
     def test_psds_equal_a_fresh_estimate_and_are_read_only(self):
         spec = flat_spec(c=2, n=3, length=256, seed=4)
         for cfg in (WelchConfig(8), self.CFG):
-            p = spec.centered_psds(cfg)
+            p, raw = spec.centered_psds(cfg), spec.raw_centered_psds(cfg)
             np.testing.assert_array_equal(p, centered_psd(spec.signals, cfg))
-            with pytest.raises(ValueError):
-                p[0, 0, 0] = 1.0
+            np.testing.assert_array_equal(raw, centered_psd_raw(spec.signals, cfg))
+            np.testing.assert_array_equal(p, floored(raw))
+            for a in (p, raw):
+                with pytest.raises(ValueError):
+                    a[0, 0, 0] = 1.0
 
     def test_estimated_once_per_config(self, monkeypatch):
-        calls = count_welch_calls(monkeypatch)
+        calls = spy_calls(monkeypatch, welch_psd_raw)
         spec = flat_spec(n=2, length=256, seed=5)
         a = spec.centered_psds(WelchConfig(8))
         assert spec.centered_psds(WelchConfig(8, 4)) is a  # equal configs
+        raw = spec.raw_centered_psds(WelchConfig(8, 4))
+        assert spec.raw_centered_psds(WelchConfig(8)) is raw
         b = spec.centered_psds(self.CFG)
         assert b is not a and not np.shares_memory(a, b)
+        assert not np.shares_memory(a, raw)
         assert spec.centered_psds(self.CFG) is b
-        assert calls == [WelchConfig(8), self.CFG]
+        assert [args[1] for _, args in calls] == [WelchConfig(8), self.CFG]
 
     def test_replaced_spec_estimates_afresh(self, monkeypatch):
         spec = flat_spec(n=2, length=256, seed=6)
         p = spec.centered_psds(self.CFG)
-        calls = count_welch_calls(monkeypatch)
+        calls = spy_calls(monkeypatch, welch_psd_raw)
         copy = replace(spec)
         q = copy.centered_psds(self.CFG)
-        assert calls == [self.CFG]
+        assert [args[1] for _, args in calls] == [self.CFG]
         assert q is not p
         np.testing.assert_array_equal(q, p)
 
@@ -228,6 +249,17 @@ class TestShiftedDomains:
             make_shifted_domains(np.ones((1, 8)), 2, strength)
 
 
+#: The methods whose post PSDs ``evaluate_alignment`` takes in closed form.
+AFFINE = ("instancenorm", "layernorm", "batchnorm")
+
+
+def assert_matches_executed(rep, post, ratio):
+    """A report's post distances and ratio equal those of the executed
+    forwards within 1e-12 relative."""
+    np.testing.assert_allclose(rep.post_distances, post, rtol=1e-12, atol=0)
+    assert rep.reduction_ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+
+
 class TestEvaluateAlignment:
     def small_domains(self, seed=0, strength=1.0):
         return make_shifted_domains(
@@ -264,7 +296,9 @@ class TestEvaluateAlignment:
 
     def test_reports_equal_the_uncached_oracle(self):
         # One spec list for both configs: the PSDs kept for the first must
-        # not serve the second.
+        # not serve the second.  The methods that filter the signals give
+        # the oracle's bits; the affine baselines' closed form gives its
+        # executed forwards' post distances to roundoff.
         specs = make_shifted_domains(np.ones((2, 8)), 3, 1.0, n_signals=3,
                                      length=512, seed=15)
         for cfg in (None, WelchConfig(8, 3, "boxcar")):
@@ -272,28 +306,45 @@ class TestEvaluateAlignment:
                 rep = evaluate_alignment(specs, method, cfg)
                 pre, post, ratio = uncached_evaluate_alignment(specs, method, cfg)
                 np.testing.assert_array_equal(rep.pre_distances, pre)
-                np.testing.assert_array_equal(rep.post_distances, post)
-                assert rep.reduction_ratio == ratio
+                if method in AFFINE:
+                    assert_matches_executed(rep, post, ratio)
+                else:
+                    np.testing.assert_array_equal(rep.post_distances, post)
+                    assert rep.reduction_ratio == ratio
+
+    @pytest.mark.parametrize("method", AFFINE)
+    def test_clamped_bins_match_the_executed_forward(self, method):
+        # A channel at 1e-12 of the other sits under the floor of each
+        # sample PSD, so the closed form must scale the raw PSDs, not the
+        # floored ones, and floor after.
+        specs = make_shifted_domains(np.array([[1.0] * 8, [1e-12] * 8]), 3, 1.0,
+                                     n_signals=3, length=512, seed=17)
+        for cfg in (None, WelchConfig(8, 3, "boxcar")):
+            welch = cfg or WelchConfig(8)
+            assert np.any(specs[0].centered_psds(welch)
+                          != specs[0].raw_centered_psds(welch))  # clamped bins
+            rep = evaluate_alignment(specs, method, cfg)
+            _, post, ratio = uncached_evaluate_alignment(specs, method, cfg)
+            assert_matches_executed(rep, post, ratio)
 
     def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
-        calls = count_welch_calls(monkeypatch)
+        calls = spy_calls(monkeypatch, welch_psd_raw)
         specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
                                      length=256, seed=16)
         for method in psdnorm.synth.METHODS:
             evaluate_alignment(specs, method)
-        # 3 domain samples, then 3 outputs of each method but "none".
-        assert len(calls) == 3 + 5 * 3
+        # 3 domain samples, then the 3 outputs of each of tma and psdnorm.
+        assert len(calls) == 3 + 2 * 3
 
-    def test_batchnorm_runs_no_train_forward(self, monkeypatch):
-        modes, forward = [], psdnorm.synth.batchnorm_forward
-
-        def spy(layer, batch, mode="train"):
-            modes.append(mode)
-            return forward(layer, batch, mode)
-
-        monkeypatch.setattr(psdnorm.synth, "batchnorm_forward", spy)
-        evaluate_alignment(self.small_domains(), "batchnorm")
-        assert modes == ["eval", "eval"]
+    def test_affine_baselines_run_no_forward(self, monkeypatch):
+        calls = spy_calls(monkeypatch, instancenorm_forward, layernorm_forward,
+                          batchnorm_forward)
+        domains = self.small_domains()
+        for method in psdnorm.synth.METHODS:
+            evaluate_alignment(domains, method)
+        assert calls == []
+        psdnorm.layernorm_forward(domains[0].signals)  # the spy is live
+        assert [name for name, _ in calls] == ["layernorm_forward"]
 
     def test_degenerate_pre_gives_ratio_one(self):
         rep = evaluate_alignment(self.small_domains(strength=0.0), "none")

@@ -11,8 +11,9 @@ checkout's (this tree's when it is absent), this tree's, and this tree's
 again.  It times, over a fixed (N, c, l, f) grid that includes the shapes of
 perfbench's three workloads, each stage of a train forward, the whole train
 and eval forward and the InstanceNorm floor, then each layer of the
-``train_batches`` stack, the ``domain_corpus`` unit call and ``psdnorm
-align`` over the ``long_recording`` files.  Each call runs in AB_PAIRS
+``train_batches`` stack, the ``domain_corpus`` unit call, each of its
+methods on specs estimated beforehand, and ``psdnorm align`` over the
+``long_recording`` files.  Each call runs in AB_PAIRS
 rounds of interleaved samples, one per copy, in an order that cycles
 through all six, so every copy sees the same spells of host load.  A sample
 repeats the call until it lasts MIN_SAMPLE_S of process CPU time (one
@@ -198,16 +199,25 @@ def stack_calls(lib, b) -> dict:
 def corpus_calls(lib) -> dict:
     """The ``domain_corpus`` unit call: fresh specs (so nothing drawn or
     estimated by an earlier call is reused), then ``evaluate_alignment``
-    for each method."""
+    for each method.  Then each method on its own, on specs whose samples
+    are drawn and whose PSDs are estimated beforehand, so that a row times
+    the method's own work."""
     import numpy as np
 
-    def unit():
-        specs = lib.make_shifted_domains(
+    def specs():
+        return lib.make_shifted_domains(
             np.ones((CORPUS["channels"], CORPUS["f"])), CORPUS["domains"], 1.0,
             n_signals=CORPUS["signals"], length=CORPUS["length"])
-        return [lib.evaluate_alignment(specs, m) for m in lib.synth.METHODS]
 
-    return {"unit": unit}
+    def unit():
+        fresh = specs()
+        return [lib.evaluate_alignment(fresh, m) for m in lib.synth.METHODS]
+
+    kept = specs()
+    for spec in kept:
+        spec.centered_psds(lib.WelchConfig(CORPUS["f"]))
+    return {"unit": unit,
+            **{m: lambda m=m: lib.evaluate_alignment(kept, m) for m in lib.synth.METHODS}}
 
 
 def timed(calls: list[dict]) -> dict:
@@ -217,7 +227,7 @@ def timed(calls: list[dict]) -> dict:
 
 
 def forward_rows(libs) -> dict:
-    """The grid, the stack and the ``domain_corpus`` unit call, timed on the
+    """The grid, the stack and the ``domain_corpus`` calls, timed on the
     before, after and again library copies ``libs``."""
     grid = []
     for n, c, l, f in GRID:
@@ -236,11 +246,12 @@ def forward_rows(libs) -> dict:
             "input_mib": round(b.nbytes / 2 ** 20, 3),
         })
     b = batch(STACK_SHAPE)
+    corpus = timed([corpus_calls(lib) for lib in libs])
     return {"grid": grid,
             "stack": {"shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
                       **timed([stack_calls(lib, b) for lib in libs])},
             "evaluate_alignment": {**CORPUS, "methods": list(libs[1].synth.METHODS),
-                                   **timed([corpus_calls(lib) for lib in libs])}}
+                                   "unit": corpus.pop("unit"), "per_method": corpus}}
 
 
 def align_row(libs, directory: Path) -> dict:
