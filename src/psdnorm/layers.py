@@ -40,6 +40,7 @@ from .spectral import (
     check_number,
     check_psd,
     finite_mean,
+    finite_var,
     signal_batch,
     welch_psd,
     welch_psd_raw,
@@ -237,7 +238,7 @@ def standardize_stats(b: np.ndarray, axis):
     """The statistics step of an InstanceNorm or LayerNorm pass: the mean
     and biased variance of an (N, c, l) batch over ``axis``
     (``POOLING_AXES``), each keeping ``axis`` at length 1."""
-    return finite_mean(b, axis), b.var(axis=axis, keepdims=True)
+    return finite_mean(b, axis), finite_var(b, axis)
 
 
 def _standardize(batch, axis, eps: float) -> np.ndarray:
@@ -318,7 +319,7 @@ def batchnorm_update(layer: BatchNormLayer, batch, mode: str = "train"):
             "train-mode batchnorm needs at least 2 pooled samples"
         )
     mu = finite_mean(b, (0, 2)).reshape(c)
-    var = b.var(axis=(0, 2))
+    var = finite_var(b, (0, 2)).reshape(c)
     m = layer.stat_momentum
     r_mean = layer.running_mean if layer.running_mean is not None else np.zeros(c)
     r_var = layer.running_var if layer.running_var is not None else np.ones(c)

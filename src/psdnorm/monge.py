@@ -5,18 +5,20 @@ elementwise gain sqrt(p_tgt / p_src).  For conjugate-symmetric PSDs that
 gain is real and even, so its inverse DFT is a real length-f filter bank
 whose circular convolution realizes the mapping in the time domain.
 ``apply_mapping`` reads one centred, wrap-padded buffer and the taps in
-lag order, and contracts them directly for f <= 16, at f multiply-adds per
-sample, and by FFT for longer taps.
+lag order.  It contracts them by two BLAS products of the buffer's f-sample
+tiles with each row's Toeplitz matrix of its lags when that matrix fits in
+the row's buffer (f <= 64 on long enough rows), and by FFT otherwise.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from .errors import LengthTooShortError, ShapeMismatchError
 from .spectral import (
     BUDGET_BYTES,
-    _segments,
     as_signals,
     check_finite,
     check_psd,
@@ -63,19 +65,22 @@ def apply_mapping(x, h) -> np.ndarray:
     with NaN or Inf, and rows whose mean is not finite (a NaN or Inf sample
     or an overflowing sum), raise NonFiniteInputError.
 
-    The dispatch rule is f <= 16, and the two forms differ only in the
-    contraction.  Both centre a chunk of whole rows of up to BUDGET_BYTES,
-    or else one row at a time in blocks of that size, into one reused
-    buffer that starts f//2 samples before the first output, wrapping
-    around the row's ends, and read the taps in lag order, so that each
-    output sample is the dot product of the lags with the f buffer samples
-    from its own column on.  Short taps filter in the time domain, at f
-    multiply-adds per sample: one ``einsum`` over a read-only strided
-    (rows, l, f) view of the buffer, for which a whole row carries f - 1
-    wrapped samples more.  Longer taps filter by FFT, whose cost per
-    sample grows with log l instead of f: an rfft/irfft correlation of the
-    buffer with the lags, circular over a whole row and overlap-save over
-    a block, whose first outputs it keeps.
+    Both forms centre a chunk of whole rows of up to BUDGET_BYTES, or else
+    one row at a time in blocks of that size, into one reused buffer that
+    starts f//2 samples before the first output, wrapping around the row's
+    ends, and read the taps in lag order, so that each output sample is the
+    dot product of the lags with the f buffer samples from its own column
+    on.  The Toeplitz form serves taps whose (2f - 1, f) Toeplitz matrix
+    T[t, a] = lags[t - a] fits in the row's buffer, and so in BUDGET_BYTES:
+    f <= 64, on rows of more than (2f - 3) f samples.  Its buffer is a whole
+    number of f-sample tiles B[0..J], and output tile j is
+    B[j] @ T[:f] + B[j + 1, :f - 1] @ T[f:], two BLAS products per buffer
+    at 2f - 1 multiply-adds per sample (one product, a scaling, for f = 1),
+    with each row's T built once per chunk and counted in the chunk beside
+    its buffer.  Other taps filter by FFT, whose cost per sample grows with
+    log l instead of f: an rfft/irfft correlation of the buffer with the
+    lags, circular over a whole row and overlap-save over a block, whose
+    first outputs it keeps.
     """
     x = as_signals(x)
     h = np.atleast_2d(np.asarray(h, dtype=float))
@@ -88,32 +93,85 @@ def apply_mapping(x, h) -> np.ndarray:
     rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f), "filter taps")
     means = finite_mean(rows, 1)
     out = np.empty_like(rows)
-    direct = f <= 16
-    pad = f - 1 if direct else 0  # wrap-around that a whole row needs
     m = max(BUDGET_BYTES // 8, 1 << (2 * f - 1).bit_length())  # block length
-    step, width = (l, l + pad) if l + pad <= m else (m - f + 1, m)
+    tiles = min(-(-l // f), m // f - 1)  # output tiles of the Toeplitz form
+    matrix = (2 * f - 1) * f  # floats of one row's Toeplitz matrix
+    # a buffer of tiles + 1 tiles holds at most m floats, BUDGET_BYTES // 8
+    # for every f whose matrix it can hold (f <= 64)
+    if matrix <= (tiles + 1) * f:
+        # and the next tile, whose first f - 1 samples the last tile reads
+        step, width = tiles * f, (tiles + (f > 1)) * f
+    else:
+        matrix = 0
+        step, width = (l, l) if l <= m else (m - f + 1, m)
     halo = f // 2
     order = (halo - np.arange(f)) % f  # lag order
-    chunks = chunk_slices(len(rows), 8 * width)
+    chunks = chunk_slices(len(rows), 8 * (width + matrix))
     buffer = np.empty((len(rows[chunks[0]]), width))
+    product = _tiled_product if matrix else _fft_product
     for r in chunks:
-        # take returns C order, so that einsum takes the same inner loop for
-        # any number of rows
         lags = taps[r].take(order, axis=1)
         block = buffer[:len(lags)]
         # conjugate, so that the FFT correlates the buffer with the lags as
-        # the einsum does
-        response = None if direct else np.fft.rfft(lags, n=width, axis=1).conj()
+        # the Toeplitz products do
+        kernel = _toeplitz(lags) if matrix else np.fft.rfft(lags, n=width, axis=1).conj()
         for start in range(0, l, step):
             n = min(step, l - start)
             _centred(rows[r], means[r], start - halo, block)
-            if direct:
-                np.einsum("rls,rs->rl", _segments(block, 0, n, 1, f), lags,
-                          out=out[r, start:start + n])
-            else:
-                out[r, start:start + n] = np.fft.irfft(
-                    np.fft.rfft(block, axis=1) * response, n=width, axis=1)[:, :n]
+            product(block, kernel, out[r, start:start + n])
     return out.reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _toeplitz_index(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2f - 1, f) lag t - a mod f of Toeplitz entry (t, a), and a mask
+    that is 0 where t - a is no lag of 0..f - 1 and 1 elsewhere: built once
+    per f.  The mask is read-only; the index is not, because ``np.take``
+    copies a read-only index, which would add a matrix's bytes to the
+    filter's peak."""
+    s = np.arange(2 * f - 1)[:, np.newaxis] - np.arange(f)
+    index, mask = s % f, ((s >= 0) & (s < f)).astype(float)
+    mask.flags.writeable = False
+    return index, mask
+
+
+def _toeplitz(lags: np.ndarray) -> np.ndarray:
+    """The (R, 2f - 1, f) Toeplitz matrices T[t, a] = lags[t - a] of (R, f)
+    lags, zero where t - a is no lag, in C order for BLAS."""
+    index, mask = _toeplitz_index(lags.shape[1])
+    matrices = lags.take(index, axis=1)
+    matrices *= mask
+    return matrices
+
+
+def _tiled_product(block: np.ndarray, matrices: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (R, n) out the first columns of the correlation of an
+    (R, width) buffer, width a multiple of f, with the lags of the
+    ``_toeplitz`` matrices: the ceil(n / f) output tiles are each row's
+    f-sample tiles times its matrix's first f rows, plus the next tiles'
+    first f - 1 samples times its last f - 1 rows.  The products go
+    straight into out when it is C-ordered and a whole number of tiles
+    wide (whole rows of a multiple of f, or a block of one row)."""
+    f = matrices.shape[2]
+    if f == 1:  # one-sample tiles, with no next tile: the products are a scaling
+        np.multiply(block[:, :out.shape[1]], matrices[:, 0], out=out)
+        return
+    count = -(-out.shape[1] // f)
+    tiles = block.reshape(len(block), -1, f)[:, :count + 1]
+    whole = out.flags.c_contiguous and out.shape[1] == count * f
+    dest = out.reshape(len(block), count, f) if whole else np.empty((len(block), count, f))
+    np.matmul(tiles[:, :-1], matrices[:, :f], out=dest)
+    dest += tiles[:, 1:, :f - 1] @ matrices[:, f:]
+    if not whole:
+        out[:] = dest.reshape(len(block), -1)[:, :out.shape[1]]
+
+
+def _fft_product(block: np.ndarray, response: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (R, n) out the first columns of the circular
+    correlation of an (R, width) buffer with the lags whose conjugated rfft
+    is ``response``."""
+    out[:] = np.fft.irfft(np.fft.rfft(block, axis=1) * response, n=block.shape[1],
+                          axis=1)[:, :out.shape[1]]
 
 
 def _centred(rows: np.ndarray, means: np.ndarray, lo: int, out: np.ndarray) -> None:

@@ -18,10 +18,11 @@ The kernels treat each channel row on its own and hold at most
 from strided views of the row, one per residue class of non-overlapping
 segments (or, for large f or few segments, its segment power over blocks of
 segments), and ``monge.apply_mapping`` filters chunks of rows, or blocks of
-one long row: taps of f <= 16 by one ``einsum`` over a strided view of a
-padded buffer (Welch's read-in-place trick), longer ones by FFT.  Classes,
-chunks and blocks depend only on the row length and f, and rows never share
-arithmetic, so a signal gets the same bits alone as in a batch.
+one long row: taps of f <= 64 on long enough rows by BLAS products of a
+padded buffer's f-sample tiles, read in place, with each row's Toeplitz
+matrix of its taps, other taps by FFT.  Classes, chunks and blocks depend
+only on the row length and f, and rows never share arithmetic, so a signal
+gets the same bits alone as in a batch.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def finite_mean(x: np.ndarray, axis) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=axis, keepdims=True)
     return check_finite(mean, "input mean")
+
+
+def finite_var(x: np.ndarray, axis) -> np.ndarray:
+    """The biased variance of x over ``axis``, kept as axes of length 1,
+    which must be finite (``check_finite``): finite samples whose squares
+    pass the float range make it Inf, and the error replaces numpy's
+    overflow warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = x.var(axis=axis, keepdims=True)
+    return check_finite(var, "input variance")
 
 
 @dataclass(frozen=True)
@@ -271,7 +282,8 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     serves rows of at least 2f segments whose (f, f + 2) contraction fits
     BUDGET_BYTES (f <= 89); other rows sum |rfft(w * segment)|^2 over
     blocks of segments.  Every row, trailing samples included, must be
-    finite (else NonFiniteInputError).
+    finite, and so must its power, which finite samples past the square
+    root of the float range make Inf (else NonFiniteInputError).
     """
     x = as_signals(x)
     f, stride = cfg.filter_size, cfg.stride
@@ -289,22 +301,25 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
         row_bytes = 8 * f * block
     k = f // 2 + 1
     half = np.empty((len(rows), k))
-    for r in chunk_slices(len(rows), row_bytes):
-        check_finite(rows[r])
-        if gram_form:
-            gram = np.zeros((len(rows[r]), f, f))
-            for j in range(q):
-                segs = _segments(rows[r], j * stride, -(-(n_seg - j) // q),
-                                 q * stride, f)
-                gram += segs.transpose(0, 2, 1) @ segs
-            power = np.sum((gram @ basis) * basis, axis=1)
-            acc = power[:, :k] + power[:, k:]
-        else:
-            acc = np.zeros(half[r].shape)
-            for s in range(0, n_seg, block):
-                segs = _segments(rows[r], s * stride, min(block, n_seg - s), stride, f)
-                acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
-        half[r] = acc / n_seg
+    # finite samples whose squares pass the float range sum to Inf or NaN:
+    # the check of each chunk's power replaces numpy's overflow warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in chunk_slices(len(rows), row_bytes):
+            check_finite(rows[r])
+            if gram_form:
+                gram = np.zeros((len(rows[r]), f, f))
+                for j in range(q):
+                    segs = _segments(rows[r], j * stride, -(-(n_seg - j) // q),
+                                     q * stride, f)
+                    gram += segs.transpose(0, 2, 1) @ segs
+                power = np.sum((gram @ basis) * basis, axis=1)
+                acc = power[:, :k] + power[:, k:]
+            else:
+                acc = np.zeros(half[r].shape)
+                for s in range(0, n_seg, block):
+                    segs = _segments(rows[r], s * stride, min(block, n_seg - s), stride, f)
+                    acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
+            half[r] = check_finite(acc, "input power") / n_seg
     p = np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
     return p.reshape(x.shape[:-1] + (f,))
 

@@ -12,7 +12,9 @@ taps raise ``ShapeMismatchError`` and taps with NaN or Inf
 ``spectral.check_finite`` decides finiteness for all of them: a NaN or Inf
 sample raises ``NonFiniteInputError`` everywhere, at an interior sample and
 at a trailing one that no Welch segment reads, and a PSDN file holding one
-exits 3 in every command that reads it.
+exits 3 in every command that reads it.  Finite samples whose row sum or
+squares pass the float range raise it too, naming the input's mean, power
+or variance.
 """
 
 import json
@@ -95,7 +97,7 @@ def test_empty_taps_raise_shape_mismatch(x, h):
         apply_mapping(x, h)
 
 
-@pytest.mark.parametrize("f", [4, 32], ids=["time domain", "FFT"])
+@pytest.mark.parametrize("f", [4, 32], ids=["Toeplitz", "FFT"])  # at l = 64
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_taps_raise(f, bad):
     h = np.ones((2, 2, f))
@@ -152,6 +154,23 @@ def test_a_row_whose_sum_overflows_is_refused(call):
     # overflow warning, which the test run turns into an error.
     with pytest.raises(NonFiniteInputError, match="^input mean contains"):
         call(np.full((1, 64), 1e308))
+
+
+#: The entry points that take a power or a variance of their input: all but
+#: ``apply_mapping`` and BatchNorm eval, which neither square a sample.
+POWER_ENTRY_POINTS = [p for p in ENTRY_POINTS
+                      if p.id not in ("apply_mapping", "batchnorm_forward eval")]
+
+
+@pytest.mark.parametrize("call", POWER_ENTRY_POINTS)
+def test_a_row_whose_squares_overflow_is_refused(call):
+    # Every sample and the row mean (0) are finite, but each square passes
+    # the float range: unrefused, Welch returns Inf bins and the
+    # standardizing forwards zero rows.  The error names the input's power
+    # or variance, in place of numpy's overflow warning.
+    with pytest.raises(NonFiniteInputError,
+                       match="^input (power|variance) contains"):
+        call(np.tile([1e200, -1e200], (1, 32)))
 
 
 @pytest.mark.parametrize("call", ENTRY_POINTS)

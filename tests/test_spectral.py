@@ -18,7 +18,7 @@ from psdnorm import (
     monge_filter,
     welch_psd,
 )
-from psdnorm import spectral
+from psdnorm import monge, spectral
 from psdnorm.spectral import (
     BUDGET_BYTES,
     check_finite,
@@ -83,19 +83,47 @@ DISPATCH_EDGES = [(8, 15, False), (8, 16, True), (64, 127, False), (64, 128, Tru
 #: Block length of ``apply_mapping`` for f <= 4096.
 BLOCK = BUDGET_BYTES // 8
 
-#: Signal lengths for f taps: l = f; a short row; the longest row that each
-#: form filters whole (l + f - 1 columns with the wrap-around in the time
-#: domain, l in the FFT) and the shortest it filters in blocks; and several
-#: blocks, no multiple of the block step for any f.
+#: Signal lengths for f taps: l = f; a short row; the batch rows of 1024;
+#: both sides of the row length above which the Toeplitz form's (2f - 1, f)
+#: matrix fits in a whole row's buffer of ceil(l / f) + 1 tiles, (2f - 3) f;
+#: the longest row that each form filters whole (ceil(l / f) + 1 tiles of f
+#: within BLOCK for the Toeplitz form, l within BLOCK by FFT) and the
+#: shortest it filters in blocks; and several blocks, no multiple of the
+#: block step for any f.
 SHORT_TAP_EDGES = [
     pytest.param(lambda f: f, id="l=f"),
     pytest.param(lambda f: f + 5, id="short"),
-    pytest.param(lambda f: BLOCK - f + 1, id="whole, time domain"),
-    pytest.param(lambda f: BLOCK - f + 2, id="blocks, time domain"),
+    pytest.param(lambda f: max(f, 1024), id="l=1024"),
+    pytest.param(lambda f: max(f, (2 * f - 3) * f), id="rule edge, FFT"),
+    pytest.param(lambda f: max(f, (2 * f - 3) * f + 1), id="rule edge, Toeplitz"),
+    pytest.param(lambda f: (BLOCK // f - 1) * f, id="whole, Toeplitz"),
+    pytest.param(lambda f: (BLOCK // f - 1) * f + 1, id="blocks, Toeplitz"),
     pytest.param(lambda f: BLOCK, id="whole, FFT"),
     pytest.param(lambda f: BLOCK + 1, id="blocks, FFT"),
     pytest.param(lambda f: 3 * BLOCK + 101, id="several blocks"),
 ]
+
+#: (l, f, form): both sides of the Toeplitz form's rule at each length it
+#: depends on, with the form ``apply_mapping`` must take for a (1, l) row.
+FILTER_FORMS = [(1, 1, "toeplitz"), (2, 2, "fft"), (3, 2, "toeplitz"),
+                (64, 4, "toeplitz"), (64, 32, "fft"),
+                (1024, 16, "toeplitz"), (1024, 23, "toeplitz"), (1024, 24, "fft"),
+                (1024, 32, "fft"), (1024, 64, "fft"),
+                (8000, 64, "fft"), (8001, 64, "toeplitz"),
+                (2 ** 19, 64, "toeplitz"), (2 ** 19, 65, "fft"), (4096, 256, "fft")]
+
+
+def filter_form(monkeypatch, l: int, f: int) -> str:
+    """The form in which ``apply_mapping`` filters a (1, l) row with f taps."""
+    forms = []
+    for name, form in (("_tiled_product", "toeplitz"), ("_fft_product", "fft")):
+        product = getattr(monge, name)
+        monkeypatch.setattr(monge, name, lambda *a, product=product, form=form:
+                            forms.append(form) or product(*a))
+    apply_mapping(np.ones((1, l)), np.ones((1, f)))
+    monkeypatch.undo()
+    assert len(set(forms)) == 1
+    return forms[0]
 
 
 def peak_bytes(fn) -> int:
@@ -430,7 +458,11 @@ class TestCircularConvolve:
         error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
         assert error <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 32, 33, 64])
+    @pytest.mark.parametrize("l, f, form", FILTER_FORMS)
+    def test_form_follows_the_rule(self, monkeypatch, l, f, form):
+        assert filter_form(monkeypatch, l, f) == form
+
+    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 23, 24, 32, 33, 64, 65])
     @pytest.mark.parametrize("length", SHORT_TAP_EDGES)
     def test_both_forms_match_whole_signal(self, f, length):
         l = length(f)
@@ -440,15 +472,16 @@ class TestCircularConvolve:
         error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
         assert error <= 1e-12 * np.max(np.abs(x))
 
-    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16, 17, 33, 64])
+    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16, 17, 23, 24, 33, 64, 65])
     @pytest.mark.parametrize("shape", [(11, 3, 1024), (3, 2, 5000),
                                        (1, 2, 3 * BLOCK + 101)],
                              ids=["chunks of rows", "one-row chunks", "blocks"])
     def test_row_gets_the_same_bits_alone_and_in_a_batch(self, shape, f):
-        # 33 rows of 1024 samples take chunks of 7 or 8 rows and a shorter
-        # last one; rows of 5000 take one-row chunks, in which einsum sees
-        # no row axis; a longer row goes in blocks.  f > 16 takes the FFT
-        # form in each of these.
+        # 33 rows of 1024 samples take chunks of 3 to 8 rows and a shorter
+        # last one; rows of 5000 take one-row chunks, in which each BLAS
+        # product sees one row; a longer row goes in blocks.  The Toeplitz
+        # form serves f <= 23 at 1024, f <= 50 at 5000 and f <= 64 on the
+        # long row, the FFT the rest.
         rng = np.random.default_rng(f)
         x = rng.standard_normal(shape) + 2.0
         h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)
@@ -537,8 +570,8 @@ class TestCheckFinite:
 def test_long_signal_memory_is_bounded():
     # Whole-signal kernels peak at 4x the input; blocks and chunks keep each
     # temporary within BUDGET_BYTES beside the one centred or output copy.
-    # f = 64 filters by FFT and f = 8 in the time domain, where a padded
-    # copy of the whole row would peak at about 2x.
+    # f = 64 and f = 8 both filter the long row by Toeplitz products in
+    # blocks, where a padded copy of the whole row would peak at about 2x.
     x = np.random.default_rng(35).standard_normal((2, 2 ** 19))
     for f in (64, 8):
         cfg = WelchConfig(f)
@@ -547,6 +580,21 @@ def test_long_signal_memory_is_bounded():
         apply_mapping(x, h)  # warm FFT plans outside the measured calls
         assert peak_bytes(lambda: centered_psd(x, cfg)) <= 1.25 * x.nbytes
         assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes
+
+
+@pytest.mark.parametrize("shape, f", [((64, 4, 1024), 4), ((64, 4, 1024), 16),
+                                      ((64, 4, 1024), 64), ((1, 2, 2 ** 19), 8),
+                                      ((1, 2, 2 ** 19), 64), ((1, 2, 2 ** 19), 65)])
+def test_filter_keeps_to_the_byte_budget(shape, f):
+    # Beside its output, a chunk or block holds its buffer, each row's
+    # Toeplitz matrix or FFT response and the product's temporaries, each
+    # within BUDGET_BYTES: the Toeplitz form at f = 4, 16 and on the long
+    # row at f <= 64, the FFT at f = 64 on rows of 1024 and at f = 65.
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal(shape)
+    h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)
+    apply_mapping(x, h)  # warm FFT plans and the Toeplitz index
+    assert peak_bytes(lambda: apply_mapping(x, h)) - x.nbytes <= 4.5 * BUDGET_BYTES
 
 
 def test_welch_copies_no_segments():
