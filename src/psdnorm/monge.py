@@ -7,7 +7,7 @@ whose circular convolution realizes the mapping in the time domain.
 ``apply_mapping`` reads one centred, wrap-padded buffer and the taps in
 lag order.  It contracts them by two BLAS products of the buffer's f-sample
 tiles with each row's Toeplitz matrix of its lags when that matrix fits in
-the row's buffer (f <= 64 on long enough rows), and by FFT otherwise.
+the row's buffer, and by FFT otherwise; its docstring states the rule.
 """
 
 from __future__ import annotations

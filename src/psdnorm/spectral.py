@@ -16,13 +16,15 @@ global scale choice.
 The kernels treat each channel row on its own and hold at most
 ``BUDGET_BYTES`` in any temporary: Welch sums each row's segment Gram matrix
 from strided views of the row, one per residue class of non-overlapping
-segments (or, for large f or few segments, its segment power over blocks of
-segments), and ``monge.apply_mapping`` filters chunks of rows, or blocks of
-one long row: taps of f <= 64 on long enough rows by BLAS products of a
-padded buffer's f-sample tiles, read in place, with each row's Toeplitz
-matrix of its taps, other taps by FFT.  Classes, chunks and blocks depend
-only on the row length and f, and rows never share arithmetic, so a signal
-gets the same bits alone as in a batch.
+segments, or its segment power over blocks of segments, and
+``monge.apply_mapping`` filters chunks of rows, or blocks of one long row,
+by BLAS products of a padded buffer's f-sample tiles with each row's
+Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
+``apply_mapping`` each state the rule by which they pick a form.  Classes,
+chunks and blocks depend only on the row length and f, and rows never
+share arithmetic, so a signal gets the same bits alone as in a batch; a
+Fortran-ordered batch is the exception, since numpy sums its row means
+(and its segment powers at f = 1) in another order.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+from conftest import FORMS
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_forward.py"
 
@@ -43,9 +45,9 @@ def charging_stubs(clock, costs, log):
 
 
 def burn(seconds):
-    """Spend ``seconds`` of process CPU time, which a sleep would not."""
-    end = time.process_time() + seconds
-    while time.process_time() < end:
+    """Spend ``seconds`` of this thread's CPU time, which a sleep would not."""
+    end = time.thread_time() + seconds
+    while time.thread_time() < end:
         pass
 
 
@@ -103,7 +105,8 @@ def test_a_copy_that_burns_more_cpu_reads_as_resolved(monkeypatch):
     def slower():
         burn(0.00125)
 
-    row = bench.compare([lambda: burn(0.001), slower, slower])
+    # thread time: BLAS workers that earlier tests started count toward process time
+    row = bench.compare([lambda: burn(0.001), slower, slower], time.thread_time)
 
     assert row["after_over_before"]["ci95"][0] > 1.1
     assert row["after_over_before"]["wins"] == 0
@@ -187,3 +190,11 @@ def test_align_row_on_tiny_files(monkeypatch, tmp_path):
     assert all((tmp_path / side).is_dir() for side in bench.COPIES)
     assert doc["call"]["after_ms"] > 0
     assert all(peak > 0 for peak in doc["peak_mib"].values())
+
+
+def test_grid_reaches_both_welch_forms_and_each_filter_form_and_mode(kernel_spy):
+    # a form depends on the row length and f alone; no grid row reads blocks of
+    # segments or filters by FFT in blocks
+    assert {kernel_spy.observe(kernel, l, f).key for _, _, l, f in
+            load_tool().GRID for kernel in ("welch", "filter")} == FORMS - {
+        ("welch", "rfft", "blocks"), ("filter", "fft", "blocks")}

@@ -10,7 +10,6 @@ from psdnorm import (
     NonFiniteInputError,
     PsdNormLayer,
     ShapeMismatchError,
-    WelchConfig,
     batchnorm_forward,
     psdnorm_forward,
 )

@@ -202,13 +202,15 @@ class TestBatchInvariance:
     """Row j of a batched call equals the call on signal j alone, bit for bit:
     chunks of rows, residue classes and blocks of segments never depend on N."""
 
-    # Long rows: 1 row per chunk, two residue classes of segments in the Gram
-    # form and overlap-save filtering.  Short rows: several rows per chunk,
-    # whole-row filtering; the Gram form for f = 8, the per-segment rfft in
-    # one block for f = 128.
     SHAPES = [pytest.param(3, 2, 3 * (BUDGET_BYTES // 8) // 2, 64, id="long"),
               pytest.param(40, 3, 300, 8, id="short"),
               pytest.param(5, 3, 2000, 128, id="short-rfft")]
+
+    def test_shapes_reach_both_forms_of_each_kernel_and_both_filter_modes(self, kernel_spy):
+        keys = {kernel_spy.observe(kernel, l, f).key for _, _, l, f in
+                (param.values for param in self.SHAPES) for kernel in ("welch", "filter")}
+        assert {key[1] for key in keys} == {"gram", "rfft", "toeplitz", "fft"}
+        assert {key[2] for key in keys if key[0] == "filter"} == {"whole", "blocks"}
 
     @pytest.mark.parametrize("n, c, l, f", SHAPES)
     def test_rows_equal_single_calls(self, n, c, l, f):

@@ -97,7 +97,7 @@ def test_empty_taps_raise_shape_mismatch(x, h):
         apply_mapping(x, h)
 
 
-@pytest.mark.parametrize("f", [4, 32], ids=["Toeplitz", "FFT"])  # at l = 64
+@pytest.mark.parametrize("f", [4, 32])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_taps_raise(f, bad):
     h = np.ones((2, 2, f))

@@ -18,7 +18,7 @@ from psdnorm import (
     monge_filter,
     welch_psd,
 )
-from psdnorm import monge, spectral
+from psdnorm import spectral
 from psdnorm.spectral import (
     BUDGET_BYTES,
     check_finite,
@@ -28,7 +28,7 @@ from psdnorm.spectral import (
     welch_psd_raw,
 )
 
-from oracles import fourier_matrix, rfft_welch_raw, whole_signal_mapping
+from oracles import fourier_matrix
 
 
 def direct_welch(x, f, stride, window):
@@ -46,84 +46,6 @@ def direct_welch(x, f, stride, window):
                     acc += seg[k] * cmath.exp(-2j * cmath.pi * k * b / f)
                 p[m, b] += abs(acc) ** 2
     return p / n_seg
-
-
-def several_blocks(f, stride, extra=0):
-    """A length of 2 * (BUDGET_BYTES // (8 f)) + 3 + ``extra`` segments.  The
-    rfft form sums them over two blocks of segments and part of a third; the
-    Gram form over ceil(f / stride) residue classes, of unequal lengths when
-    the count is no multiple of that.  For stride > 1 the length also leaves
-    trailing samples that no segment covers."""
-    n = 2 * (BUDGET_BYTES // (8 * f)) + 3 + extra
-    length = (n - 1) * stride + f + stride - 1
-    return length - 1 if stride > 1 and length % stride == 0 else length
-
-
-def every_remainder(f, stride):
-    """``several_blocks`` lengths whose segment counts leave each remainder
-    mod ceil(f / stride), the Gram form's number of residue classes; one
-    length for f > 89, which only the rfft form serves."""
-    classes = -(-f // stride) if 8 * f * (f + 2) <= BUDGET_BYTES else 1
-    return [several_blocks(f, stride, extra) for extra in range(classes)]
-
-
-#: (f, stride): every stride of the small filter sizes, and three of f = 64,
-#: all in the Gram form; f = 128 and 257 take the per-segment rfft.  Each
-#: case runs over ``every_remainder`` of its lengths.
-WELCH_CASES = [(f, s) for f in (1, 2, 3, 7, 8) for s in range(1, f + 1)] + [
-    (f, s) for f in (64, 128, 257) for s in (1, f // 2, f)]
-
-#: (f, segments) on both sides of each edge of the Gram form's rule,
-#: n_seg >= 2f and 8 f (f + 2) <= BUDGET_BYTES (f <= 89), with the form
-#: each must take.
-DISPATCH_EDGES = [(8, 15, False), (8, 16, True), (64, 127, False), (64, 128, True),
-                  (89, 178, True), (90, 180, False)]
-
-
-#: Block length of ``apply_mapping`` for f <= 4096.
-BLOCK = BUDGET_BYTES // 8
-
-#: Signal lengths for f taps: l = f; a short row; the batch rows of 1024;
-#: both sides of the row length above which the Toeplitz form's (2f - 1, f)
-#: matrix fits in a whole row's buffer of ceil(l / f) + 1 tiles, (2f - 3) f;
-#: the longest row that each form filters whole (ceil(l / f) + 1 tiles of f
-#: within BLOCK for the Toeplitz form, l within BLOCK by FFT) and the
-#: shortest it filters in blocks; and several blocks, no multiple of the
-#: block step for any f.
-SHORT_TAP_EDGES = [
-    pytest.param(lambda f: f, id="l=f"),
-    pytest.param(lambda f: f + 5, id="short"),
-    pytest.param(lambda f: max(f, 1024), id="l=1024"),
-    pytest.param(lambda f: max(f, (2 * f - 3) * f), id="rule edge, FFT"),
-    pytest.param(lambda f: max(f, (2 * f - 3) * f + 1), id="rule edge, Toeplitz"),
-    pytest.param(lambda f: (BLOCK // f - 1) * f, id="whole, Toeplitz"),
-    pytest.param(lambda f: (BLOCK // f - 1) * f + 1, id="blocks, Toeplitz"),
-    pytest.param(lambda f: BLOCK, id="whole, FFT"),
-    pytest.param(lambda f: BLOCK + 1, id="blocks, FFT"),
-    pytest.param(lambda f: 3 * BLOCK + 101, id="several blocks"),
-]
-
-#: (l, f, form): both sides of the Toeplitz form's rule at each length it
-#: depends on, with the form ``apply_mapping`` must take for a (1, l) row.
-FILTER_FORMS = [(1, 1, "toeplitz"), (2, 2, "fft"), (3, 2, "toeplitz"),
-                (64, 4, "toeplitz"), (64, 32, "fft"),
-                (1024, 16, "toeplitz"), (1024, 23, "toeplitz"), (1024, 24, "fft"),
-                (1024, 32, "fft"), (1024, 64, "fft"),
-                (8000, 64, "fft"), (8001, 64, "toeplitz"),
-                (2 ** 19, 64, "toeplitz"), (2 ** 19, 65, "fft"), (4096, 256, "fft")]
-
-
-def filter_form(monkeypatch, l: int, f: int) -> str:
-    """The form in which ``apply_mapping`` filters a (1, l) row with f taps."""
-    forms = []
-    for name, form in (("_tiled_product", "toeplitz"), ("_fft_product", "fft")):
-        product = getattr(monge, name)
-        monkeypatch.setattr(monge, name, lambda *a, product=product, form=form:
-                            forms.append(form) or product(*a))
-    apply_mapping(np.ones((1, l)), np.ones((1, f)))
-    monkeypatch.undo()
-    assert len(set(forms)) == 1
-    return forms[0]
 
 
 def peak_bytes(fn) -> int:
@@ -326,48 +248,6 @@ class TestWelch:
         assert worst < 1e-12
 
 
-    @pytest.mark.parametrize("kind", ["hann", "boxcar"])
-    @pytest.mark.parametrize("f, stride", WELCH_CASES)
-    def test_matches_rfft_oracle_over_blocks(self, f, stride, kind):
-        cfg = WelchConfig(f, stride=stride, window_kind=kind)
-        rng = np.random.default_rng(31)
-        for length in every_remainder(f, stride):
-            x = rng.standard_normal((2, length))
-            ref = rfft_welch_raw(x, cfg)
-            assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12, length
-
-    @pytest.mark.parametrize("kind", ["hann", "boxcar"])
-    @pytest.mark.parametrize("f, stride", WELCH_CASES)
-    def test_matches_scipy_over_blocks(self, f, stride, kind):
-        signal = pytest.importorskip("scipy.signal")
-        cfg = WelchConfig(f, stride=stride, window_kind=kind)
-        rng = np.random.default_rng(32)
-        for length in every_remainder(f, stride):
-            x = rng.standard_normal((2, length))
-            _, ref = signal.welch(x, fs=1, window=kind, nperseg=f, noverlap=f - stride,
-                                  detrend=False, return_onesided=False,
-                                  scaling="density")
-            assert np.max(np.abs(welch_psd_raw(x, cfg) - ref) / ref) <= 1e-12, length
-
-    @pytest.mark.parametrize("f, n_seg, gram", DISPATCH_EDGES)
-    def test_dispatch_edges_match_oracles(self, f, n_seg, gram, monkeypatch):
-        cfg = WelchConfig(f)
-        x = np.random.default_rng(36).standard_normal((3, (n_seg - 1) * cfg.stride + f))
-        assert n_segments(x.shape[1], cfg) == n_seg
-        bases, welch_basis = [], spectral._welch_basis
-        monkeypatch.setattr(spectral, "_welch_basis",
-                            lambda kind, f: bases.append(f) or welch_basis(kind, f))
-        ours = welch_psd_raw(x, cfg)
-        assert len(bases) == gram  # the Gram form, and only it, reads a basis
-        ref = rfft_welch_raw(x, cfg)
-        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
-        signal = pytest.importorskip("scipy.signal")
-        _, ref = signal.welch(x, fs=1, window="hann", nperseg=f, noverlap=f - cfg.stride,
-                              detrend=False, return_onesided=False, scaling="density")
-        assert np.max(np.abs(ours - ref) / ref) <= 1e-12
-
-    # A NaN or Inf where no segment reads it (a trailing sample), or in a
-    # row of a late chunk, must still raise: the check covers whole rows.
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("f, n_seg", [(8, 16), (128, 3)], ids=["gram", "rfft"])
     def test_nonfinite_anywhere_in_any_row_rejected(self, f, n_seg, bad):
@@ -449,49 +329,6 @@ class TestCircularConvolve:
         rhs = a * apply_mapping(x, h) + b * apply_mapping(y, h)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
-    @pytest.mark.parametrize("f", [1, 7, 8, 64, 5001])
-    def test_overlap_save_matches_whole_signal(self, f):
-        # Longer than a block, and no multiple of the block step for any f.
-        rng = np.random.default_rng(34)
-        x = rng.standard_normal((2, 3 * (BUDGET_BYTES // 8) + 101)) + 2.0
-        h = rng.standard_normal((2, f)) / np.sqrt(f)
-        error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
-        assert error <= 1e-12 * np.max(np.abs(x))
-
-    @pytest.mark.parametrize("l, f, form", FILTER_FORMS)
-    def test_form_follows_the_rule(self, monkeypatch, l, f, form):
-        assert filter_form(monkeypatch, l, f) == form
-
-    @pytest.mark.parametrize("f", [1, 2, 7, 16, 17, 23, 24, 32, 33, 64, 65])
-    @pytest.mark.parametrize("length", SHORT_TAP_EDGES)
-    def test_both_forms_match_whole_signal(self, f, length):
-        l = length(f)
-        rng = np.random.default_rng(l + f)
-        x = rng.standard_normal((2, l)) + 2.0
-        h = rng.standard_normal((2, f)) / np.sqrt(f)
-        error = np.max(np.abs(apply_mapping(x, h) - whole_signal_mapping(x, h)))
-        assert error <= 1e-12 * np.max(np.abs(x))
-
-    @pytest.mark.parametrize("f", [1, 4, 7, 8, 15, 16, 17, 23, 24, 33, 64, 65])
-    @pytest.mark.parametrize("shape", [(11, 3, 1024), (3, 2, 5000),
-                                       (1, 2, 3 * BLOCK + 101)],
-                             ids=["chunks of rows", "one-row chunks", "blocks"])
-    def test_row_gets_the_same_bits_alone_and_in_a_batch(self, shape, f):
-        # 33 rows of 1024 samples take chunks of 3 to 8 rows and a shorter
-        # last one; rows of 5000 take one-row chunks, in which each BLAS
-        # product sees one row; a longer row goes in blocks.  The Toeplitz
-        # form serves f <= 23 at 1024, f <= 50 at 5000 and f <= 64 on the
-        # long row, the FFT the rest.
-        rng = np.random.default_rng(f)
-        x = rng.standard_normal(shape) + 2.0
-        h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)
-        out = apply_mapping(x, h)
-        for j in range(shape[0]):
-            np.testing.assert_array_equal(apply_mapping(x[j], h[j]), out[j])
-            for k in range(shape[1]):
-                np.testing.assert_array_equal(apply_mapping(x[j, k], h[j, k])[0],
-                                              out[j, k])
-
     def test_channel_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             apply_mapping(np.zeros((2, 8)), np.zeros((3, 2)))
@@ -570,8 +407,8 @@ class TestCheckFinite:
 def test_long_signal_memory_is_bounded():
     # Whole-signal kernels peak at 4x the input; blocks and chunks keep each
     # temporary within BUDGET_BYTES beside the one centred or output copy.
-    # f = 64 and f = 8 both filter the long row by Toeplitz products in
-    # blocks, where a padded copy of the whole row would peak at about 2x.
+    # The filter reads the long row in blocks, where a padded copy of the
+    # whole row would peak at about 2x.
     x = np.random.default_rng(35).standard_normal((2, 2 ** 19))
     for f in (64, 8):
         cfg = WelchConfig(f)
@@ -588,8 +425,7 @@ def test_long_signal_memory_is_bounded():
 def test_filter_keeps_to_the_byte_budget(shape, f):
     # Beside its output, a chunk or block holds its buffer, each row's
     # Toeplitz matrix or FFT response and the product's temporaries, each
-    # within BUDGET_BYTES: the Toeplitz form at f = 4, 16 and on the long
-    # row at f <= 64, the FFT at f = 64 on rows of 1024 and at f = 65.
+    # within BUDGET_BYTES, whichever form the shape takes.
     rng = np.random.default_rng(40)
     x = rng.standard_normal(shape)
     h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)

@@ -18,7 +18,7 @@ from psdnorm.cli import EXIT_IO, EXIT_OK, EXIT_STATE, EXIT_VALIDATION, main  # n
 from psdnorm.io import StateFileError, load_state, state_to_dict, write_signal  # noqa: E402
 
 EXIT_CODES = {EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_STATE}
-FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+FUZZ = settings(max_examples=40)  # the profile that tests/conftest.py loads sets the rest
 
 # JSON integers are unbounded; 10 ** 400 is beyond the float range.
 numbers = st.integers() | st.floats() | st.just(10 ** 400)

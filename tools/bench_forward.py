@@ -56,12 +56,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: layer's default f = 5 on that batch (odd, so Welch's Gram form sums three
 #: residue classes of segments), the domain_corpus fit, per-domain and
 #: per-signal (N = 1) calls, the complexity gate's base shape, one
-#: long_recording file, and two filter sizes whose rows Welch sums by
-#: per-segment rfft instead of the Gram form.  f = 16 and f = 32 on the
-#: stack's batch sit on either side of ``apply_mapping``'s Toeplitz / FFT
-#: rule, which changes form between f = 23 and f = 24 on rows of 1024, as
-#: do f = 64 and f = 256 on rows of 1024 and 4096; the long rows at f = 8
-#: and f = 64 (the long_recording file) take Toeplitz products in blocks.
+#: long_recording file at the workload's f = 64 and at f = 8, and three
+#: larger f on rows of 1024 and 4096.  tests/test_bench_forward.py checks
+#: which forms of Welch and of the filter the rows reach.
 GRID = [(64, 4, 1024, 16), (64, 4, 1024, 8), (64, 4, 1024, 4), (64, 4, 1024, 5),
         (24, 2, 4096, 8), (8, 2, 4096, 8), (1, 2, 4096, 8), (8, 4, 4096, 8),
         (1, 2, 2 ** 19, 64), (1, 2, 2 ** 19, 8),
