@@ -19,6 +19,10 @@ import numpy as np
 from .errors import LengthTooShortError, ShapeMismatchError
 from .spectral import (
     BUDGET_BYTES,
+    WelchConfig,
+    _quadratic_bins,
+    _two_sided,
+    _welch_basis,
     as_signals,
     check_finite,
     check_psd,
@@ -104,8 +108,7 @@ def apply_mapping(x, h) -> np.ndarray:
     else:
         matrix = 0
         step, width = (l, l) if l <= m else (m - f + 1, m)
-    halo = f // 2
-    order = (halo - np.arange(f)) % f  # lag order
+    halo, order = f // 2, _lag_order(f)
     chunks = chunk_slices(len(rows), 8 * (width + matrix))
     buffer = np.empty((len(rows[chunks[0]]), width))
     product = _tiled_product if matrix else _fft_product
@@ -120,6 +123,44 @@ def apply_mapping(x, h) -> np.ndarray:
             _centred(rows[r], means[r], start - halo, block)
             product(block, kernel, out[r, start:start + n])
     return out.reshape(x.shape)
+
+
+def mapped_psd_raw(grams, h, cfg: WelchConfig) -> np.ndarray:
+    """The raw Welch PSD (``welch_psd_raw`` under cfg) of the mapped signal
+    ``apply_mapping(x, h)``, from the window Grams ``window_grams(x - mean,
+    cfg)`` of x's centred rows: (c, f) for (c, 2f - 1, 2f - 1) Grams and
+    (c, f) taps, (N, c, f) for a batch of each.
+
+    A mapped segment is W T, for the segment's window W and the row's
+    (2f - 1, f) ``_toeplitz`` matrix T of its lags, so bin k of its mean
+    periodogram is u_k' G u_k over the cosine and sine columns u_k of
+    T times ``_welch_basis``.  Chunks of rows hold at most BUDGET_BYTES in
+    temporaries.  Grams that do not match the taps raise ShapeMismatchError;
+    taps with NaN or Inf raise NonFiniteInputError.
+    """
+    f, w = cfg.filter_size, 2 * cfg.filter_size - 1
+    grams, h = np.asarray(grams, dtype=float), np.atleast_2d(np.asarray(h, dtype=float))
+    if h.shape[-1] != f or grams.shape != h.shape[:-1] + (w, w):
+        raise ShapeMismatchError(f"window Grams of shape {grams.shape} do not match"
+                                 f" taps of shape {h.shape} at f = {f}")
+    taps, grams = check_finite(h.reshape(-1, f), "filter taps"), grams.reshape(-1, w, w)
+    basis, order = _welch_basis(cfg.window_kind, f), _lag_order(f)
+    half = np.empty((len(taps), f // 2 + 1))
+    # the Toeplitz matrices, their product with the basis and its product with the Grams
+    for r in chunk_slices(len(taps), 8 * w * (3 * f + 4)):
+        half[r] = _quadratic_bins(grams[r], _toeplitz(taps[r].take(order, axis=1)) @ basis)
+    return _two_sided(half, f).reshape(h.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _lag_order(f: int) -> np.ndarray:
+    """The lag order of f taps: lag a is the tap at circular lag f//2 - a,
+    index (f//2 - a) mod f, so that a filter output is the dot product of
+    the lags with the f samples that start f//2 before it.  Built once per
+    f and read-only."""
+    order = (f // 2 - np.arange(f)) % f
+    order.flags.writeable = False
+    return order
 
 
 @functools.lru_cache(maxsize=32)

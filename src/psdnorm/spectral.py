@@ -20,7 +20,10 @@ segments, or its segment power over blocks of segments, and
 ``monge.apply_mapping`` filters chunks of rows, or blocks of one long row,
 by BLAS products of a padded buffer's f-sample tiles with each row's
 Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
-``apply_mapping`` each state the rule by which they pick a form.  Classes,
+``apply_mapping`` each state the rule by which they pick a form.
+``window_grams`` sums the Grams of each row's wider windows, from which
+``monge.mapped_psd_raw`` gives the Welch PSD of any mapping of the row,
+from strided views of the row's stride-wide tiles.  Classes,
 chunks and blocks depend only on the row length and f, and rows never
 share arithmetic, so a signal gets the same bits alone as in a batch; a
 Fortran-ordered batch is the exception, since numpy sums its row means
@@ -268,6 +271,24 @@ def _segments(rows: np.ndarray, start: int, count: int, step: int,
                       writeable=False)
 
 
+def _quadratic_bins(gram: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The (R, k) sums v' C v over the cosine and the sine column v of each
+    bin of ``vectors``, (n, 2k) or (R, n, 2k) with the k = f//2 + 1 cosine
+    columns first, as ``_welch_basis`` lays them out, for each (n, n)
+    matrix C of the (R, n, n) ``gram``: one product, multiplied in place,
+    so that no second temporary of its size is held."""
+    product = gram @ vectors
+    product *= vectors
+    power = product.sum(axis=1)
+    k = vectors.shape[-1] // 2
+    return power[:, :k] + power[:, k:]
+
+
+def _two_sided(half: np.ndarray, f: int) -> np.ndarray:
+    """The f bins of (R, f//2 + 1) one-sided bins: bin f - k copies bin k."""
+    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
+
+
 def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD without the positivity floor (may contain zeros).
 
@@ -301,8 +322,7 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
         w = _welch_window(cfg.window_kind, f)
         block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
         row_bytes = 8 * f * block
-    k = f // 2 + 1
-    half = np.empty((len(rows), k))
+    half = np.empty((len(rows), f // 2 + 1))
     # finite samples whose squares pass the float range sum to Inf or NaN:
     # the check of each chunk's power replaces numpy's overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,16 +334,14 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
                     segs = _segments(rows[r], j * stride, -(-(n_seg - j) // q),
                                      q * stride, f)
                     gram += segs.transpose(0, 2, 1) @ segs
-                power = np.sum((gram @ basis) * basis, axis=1)
-                acc = power[:, :k] + power[:, k:]
+                acc = _quadratic_bins(gram, basis)
             else:
                 acc = np.zeros(half[r].shape)
                 for s in range(0, n_seg, block):
                     segs = _segments(rows[r], s * stride, min(block, n_seg - s), stride, f)
                     acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
             half[r] = check_finite(acc, "input power") / n_seg
-    p = np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
-    return p.reshape(x.shape[:-1] + (f,))
+    return _two_sided(half, f).reshape(x.shape[:-1] + (f,))
 
 
 def welch_psd(x, cfg: WelchConfig) -> np.ndarray:
@@ -342,3 +360,110 @@ def n_segments(length: int, cfg: WelchConfig) -> int:
             f"signal length {length} < filter size {cfg.filter_size}"
         )
     return (length - cfg.filter_size) // cfg.stride + 1
+
+
+class _GramPlan:
+    """How ``window_grams`` sums the windows of rows of l samples, from
+    stride-wide tiles: tile j holds samples j*stride - f//2 .. + stride,
+    indices taken modulo l, and window i is the first 2f - 1 samples of the
+    m tiles i .. i + m - 1.  So block (p + d, p) of the m x m blocks of the
+    sum of W'W is the sum over j in [p, p + n_seg) of tile j + d times tile
+    j: one core sum over the tiles j in [first, first + count), which every
+    block of offset d includes and whose tiles lie in the row, plus the
+    edge products outside it that the block reaches.  Depends only on
+    (l, f, stride); its arrays are read-only."""
+
+    def __init__(self, l: int, f: int, stride: int):
+        self.segments = n_seg = n_segments(l, WelchConfig(f, stride))
+        self.halo, self.stride = f // 2, stride
+        self.tiles = m = -(-(2 * f - 1) // stride)
+        # core tiles j: every block reaches them (m - 1 <= j < n_seg), and
+        # they and the m - 1 tiles after them lie in the row, unwrapped
+        self.first = first = max(-(-self.halo // stride), m - 1)
+        self.count = max(0, min(n_seg - 1, (l + self.halo) // stride - m) - first + 1)
+        ends = [n_seg + m - 1 - d for d in range(m)]  # past the last tile j of offset d
+        edges = [np.r_[:min(first, end), first + self.count:end] for end in ends]
+        j = np.concatenate(edges).astype(int)
+        d = np.repeat(np.arange(m), [len(e) for e in edges])
+        copied = np.union1d(j, j + d)  # the edge tiles, whose samples ``index`` holds
+        self.index = (copied[:, np.newaxis] * stride - self.halo + np.arange(stride)) % l
+        self.left, self.right = np.searchsorted(copied, j), np.searchsorted(copied, j + d)
+        # block k is (p + d, p), for each offset d and p = 0 .. m - 1 - d; it
+        # adds the edge products of offset d that it reaches and d's core sum
+        self.offset = np.repeat(np.arange(m), np.arange(m, 0, -1))
+        self.col = np.concatenate([np.arange(m - k) for k in range(m)])
+        p, d_k = self.col[:, np.newaxis], self.offset[:, np.newaxis]
+        reach = (d_k == d) & (p <= j) & (j < p + n_seg)
+        self.mask = np.concatenate([reach, d_k == np.arange(m)], axis=1).astype(float)
+        for a in (self.index, self.left, self.right, self.offset, self.col, self.mask):
+            a.flags.writeable = False
+        # the edge tiles, both sides of their products, all products, the
+        # blocks and the sum, as if all were held at once
+        self.row_bytes = 8 * (self.index.size + 2 * len(j) * stride
+                              + sum(self.mask.shape) * stride ** 2 + (m * stride) ** 2)
+
+    def sums(self, rows: np.ndarray) -> np.ndarray:
+        """The (R, m stride, m stride) sum over windows of W'W of each of the
+        (R, l) rows.  Each product of the edge tiles and each offset's core
+        sum, a BLAS product of the rows' strided views of the core tiles and
+        of those d tiles on, is one contiguous (R, stride, stride) term, so
+        that one product with ``mask`` adds them into blocks; the edge
+        products are matmuls, since a broadcast multiply takes a ufunc
+        buffer of 64 KiB."""
+        s, m, edges, terms = self.stride, self.tiles, len(self.left), self.mask.shape[1]
+        products = np.empty((terms, len(rows), s, s))
+        copies = rows[:, self.index].transpose(1, 0, 2)
+        np.matmul(copies[self.right, :, :, np.newaxis], copies[self.left, :, np.newaxis],
+                  out=products[:edges])
+        count = self.count
+        core = _segments(rows, self.first * s - self.halo, count and count + m - 1, s, s)
+        for d in range(m):
+            np.matmul(core[:, d:d + count].transpose(0, 2, 1), core[:, :count],
+                      out=products[edges + d])
+        lower = (self.mask @ products.reshape(terms, -1)).reshape(len(self.mask), -1, s, s)
+        del products  # before the grid is allocated
+        grid = np.empty((len(rows), m, s, m, s))
+        grid[:, self.col + self.offset, :, self.col] = lower
+        grid[:, self.col, :, self.col + self.offset] = lower.transpose(0, 1, 3, 2)
+        return grid.reshape(len(rows), m * s, m * s)
+
+
+@functools.lru_cache(maxsize=32)
+def _gram_plan(l: int, f: int, stride: int) -> _GramPlan:
+    """``_GramPlan(l, f, stride)``, built once per (l, f, stride)."""
+    return _GramPlan(l, f, stride)
+
+
+def window_grams(x, cfg: WelchConfig) -> np.ndarray:
+    """The mean over Welch segments of W'W for each channel row of a (c, l)
+    signal or an (N, c, l) batch, a (..., 2f - 1, 2f - 1) array: W is the
+    2f - 1 samples, indices taken modulo l, that start f//2 before the
+    segment, which are those that ``monge.apply_mapping`` reads for the
+    segment's outputs.  Its central (f, f) block, from row and column f//2,
+    is the mean segment Gram of ``welch_psd_raw``, and
+    ``monge.mapped_psd_raw`` gives from it the Welch PSD of any mapping of a
+    centred x.
+
+    The sum is built from stride-wide tiles (``_GramPlan``): for each tile
+    offset d, one product of the row's (count, stride) strided view of its
+    core tiles with the view d tiles on, which BLAS reads in place, plus
+    products of the few edge tiles, copied, which wrap around the row's
+    ends or fall outside some block's range.  Each is added to the blocks
+    whose range includes it, so nothing is subtracted, and it costs about
+    the Gram form's f^2 per segment.  Chunks of rows hold at most
+    BUDGET_BYTES in temporaries, but for a row whose own exceed it (about
+    104 f^2 bytes at the default stride: f > 24), which is built alone.  The
+    Grams must be finite (else NonFiniteInputError): a NaN or Inf sample in
+    a window makes them NaN, and so do finite samples past the square root
+    of the float range.
+    """
+    x = as_signals(x)
+    f, l = cfg.filter_size, x.shape[-1]
+    plan, w, rows = _gram_plan(l, f, cfg.stride), 2 * f - 1, x.reshape(-1, l)
+    out = np.empty((len(rows), w, w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in chunk_slices(len(rows), plan.row_bytes):
+            out[r] = plan.sums(rows[r])[:, :w, :w]
+            out[r] /= plan.segments  # in place: a strided operand would take a ufunc buffer
+            check_finite(out[r], "input power")
+    return out.reshape(x.shape[:-1] + (w, w))

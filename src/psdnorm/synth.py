@@ -8,16 +8,21 @@ are produced serially or in parallel.  A ``DomainSpec`` therefore keeps its
 sample (``DomainSpec.signals``): it is drawn on first read and shared,
 read-only, by every method evaluated on that spec.  It keeps the sample's
 centred Welch PSDs the same way, raw and floored from one Welch pass per
-config (``DomainSpec.raw_centered_psds``, ``DomainSpec.centered_psds``).
+config (``DomainSpec.raw_centered_psds``, ``DomainSpec.centered_psds``),
+and, from the first method that maps the signals, their window Grams
+(``DomainSpec.window_grams``).
 
 The benchmark states no layer rule, pooling axis or eps of its own: it fits
 BatchNorm with ``batchnorm_update``, TMA with ``psdnorm_update``, and takes
 InstanceNorm's and LayerNorm's statistics from ``standardize_stats`` over
-``POOLING_AXES``.  Only TMA and PSDNorm filter the signals.  The affine
-baselines map each centred channel to x / sqrt(var + eps), and Welch is a
-quadratic form of the centred signal, so their post PSDs are the raw ones
-over var + eps, floored after: 9 Welch estimates for six methods on three
-domains (18 when the baselines ran their forwards).
+``POOLING_AXES``.  No method filters the signals.  Welch is a quadratic form
+of the centred signal: the affine baselines map each centred channel to
+x / sqrt(var + eps), so their post PSDs are the raw ones over var + eps,
+floored after, and TMA and PSDNorm map it by a filter, so theirs are
+quadratic forms of its window Grams (``monge.mapped_psd_raw``).  Six methods
+on three domains make 3 Welch estimates and 3 Gram builds (18 Welch
+estimates when every method ran its forward and TMA and PSDNorm re-ran
+Welch on its output).
 """
 
 from __future__ import annotations
@@ -39,12 +44,12 @@ from .layers import (
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_update,
-    centered_psd,
+    _centred_copy,
     centered_psd_raw,
     psdnorm_update,
     standardize_stats,
 )
-from .monge import apply_mapping, monge_filter
+from .monge import mapped_psd_raw, monge_filter
 from .spectral import (
     WelchConfig,
     _read_only,
@@ -52,6 +57,7 @@ from .spectral import (
     check_number,
     check_psd,
     floored,
+    window_grams,
 )
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
@@ -108,6 +114,20 @@ class DomainSpec:
         if welch not in cache:
             raw = centered_psd_raw(self.signals, welch)
             cache[welch] = _read_only(raw), _read_only(floored(raw))
+        return cache[welch]
+
+    def window_grams(self, welch: WelchConfig) -> np.ndarray:
+        """``window_grams`` of the centred sample (the centred copy that
+        ``centered_psd_raw`` makes), the (n_signals, c, 2f - 1, 2f - 1)
+        Grams from which ``mapped_psd_raw`` gives the PSDs of any mapping of
+        it: built on the first call with each Welch config, so a spec that
+        no method maps holds none, and kept read-only for the life of the
+        spec."""
+        cache = self.__dict__.setdefault("_grams", {})
+        if welch not in cache:
+            grams = window_grams(_centred_copy(self.signals), welch)
+            grams.flags.writeable = False
+            cache[welch] = grams
         return cache[welch]
 
 
@@ -188,16 +208,18 @@ def _offdiag_mean(d: np.ndarray) -> float:
 
 def _post_psds(domains, method: str, welch: WelchConfig) -> list:
     """The centred PSDs of each domain's sample after ``method`` (not
-    "none").  TMA and PSDNorm filter the signals: ``tma_fit``'s layer, from
-    the cached PSDs, and the eval forward of each domain.  An affine
-    baseline's are the cached raw PSDs over its var + eps, floored after,
-    as ``welch_psd`` floors: scaling the floored ones instead would move
-    every clamped bin."""
+    "none"), each floored as ``welch_psd`` floors.  TMA's and PSDNorm's are
+    those of each domain's eval forward under ``tma_fit``'s layer, fitted
+    from the cached PSDs: ``mapped_psd_raw`` of the domain's window Grams
+    under the forward's taps.  An affine baseline's are the cached raw PSDs
+    over its var + eps: scaling the floored ones instead would move every
+    clamped bin."""
     if method in ("tma", "psdnorm"):
         psds = [d.centered_psds(welch) for d in domains]
         layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
-        return [centered_psd(apply_mapping(d.signals, monge_filter(p, layer.barycenter)),
-                             welch) for d, p in zip(domains, psds)]
+        return [floored(mapped_psd_raw(d.window_grams(welch),
+                                       monge_filter(p, layer.barycenter), welch))
+                for d, p in zip(domains, psds)]
     if method == "batchnorm":
         # Each domain's eval forward divides by the running variance of one
         # train step over all domains pooled.
@@ -220,9 +242,11 @@ def evaluate_alignment(domains, method: str,
     A spec draws its sample and estimates its PSDs, raw and floored
     (``DomainSpec.centered_psds``), in one Welch pass per config, however
     many methods read them.  The affine baselines (InstanceNorm, LayerNorm
-    and BatchNorm) scale the raw PSDs in closed form; only TMA and PSDNorm
-    filter the signals and estimate the PSDs of their outputs, so the six
-    methods make 9 Welch estimates over three domains.  When the
+    and BatchNorm) scale the raw PSDs in closed form.  TMA and PSDNorm take
+    the PSDs of their mapped signals as quadratic forms of the sample's
+    window Grams (``DomainSpec.window_grams``), built once per config by
+    the first of them to run, and filter no signal; so the six methods make
+    3 Welch estimates and 3 Gram builds over three domains.  When the
     pre-alignment distances are all zero the reduction ratio is reported
     as 1.0.
     """

@@ -1,12 +1,26 @@
-"""Shared test set-up: one deterministic hypothesis profile, and the
-``kernel_spy`` fixture, which records the form each kernel call takes."""
+"""Shared test set-up: one deterministic hypothesis profile, the
+``kernel_spy`` fixture, which records the form each kernel call takes, and
+``peak_bytes``."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
 from psdnorm import WelchConfig, monge, spectral
+
+
+def peak_bytes(fn) -> int:
+    """tracemalloc peak above the starting level during fn()."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_configure(config):

@@ -165,8 +165,10 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
     # each copy's warm-up call, the calibration call and every round.
     calls = len(libs) + 1 + len(libs) * bench.AB_PAIRS
     assert len(evaluated) == 2 * len(methods) * calls
-    # One spec list per unit call, and one per copy for the per-method rows.
-    assert len({id(specs) for specs in spec_lists}) == calls + len(libs)
+    # One sample per unit call, and one per copy for the per-method rows,
+    # whose every call takes fresh copies of that copy's kept specs.
+    assert len({id(specs[0].signals) for specs in spec_lists}) == calls + len(libs)
+    assert len({id(specs[0]) for specs in spec_lists}) == calls + len(methods) * calls
     corpus = doc["evaluate_alignment"]
     assert list(corpus["unit"]) == timed
     assert list(corpus["per_method"]) == list(methods)

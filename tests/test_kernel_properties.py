@@ -2,17 +2,26 @@
 whose docstrings alone state the rules by which they choose a form: ``edges``
 finds with the kernel spy where each form and mode begins, both sides and a row
 of several blocks meet the oracles, and so do hypothesis draws.  The one pin is
-perfbench's traffic."""
+perfbench's traffic.  Then the post-mapping PSD from ``window_grams`` and
+``mapped_psd_raw`` against Welch of the mapped signal, and their peak memory."""
 
 import functools
 
 import numpy as np
 import pytest
 
-from psdnorm import WelchConfig, apply_mapping, monge_filter
-from psdnorm.spectral import BUDGET_BYTES, welch_psd_raw
+from psdnorm import (
+    NonFiniteInputError,
+    ShapeMismatchError,
+    WelchConfig,
+    apply_mapping,
+    centered_psd,
+    monge_filter,
+)
+from psdnorm.monge import RATIO_CAP, mapped_psd_raw
+from psdnorm.spectral import BUDGET_BYTES, welch_psd_raw, window_grams
 
-from conftest import FORMS, KernelSpy
+from conftest import FORMS, KernelSpy, peak_bytes
 from oracles import DENSE_MAX_LEN, dense_monge_oracle, rfft_welch_raw, whole_signal_mapping
 
 try:
@@ -189,3 +198,77 @@ def test_monge_filters_are_deltas_and_at_f_equal_l_the_dense_map(c, f, seed):
     x = np.random.default_rng(seed + 1).standard_normal((c, f)) + 2.0
     out = apply_mapping(x, monge_filter(p_src, p_tgt))
     assert np.max(np.abs(out - dense_monge_oracle(p_src, p_tgt, x))) <= 1e-6 * np.max(np.abs(x))
+
+
+def mapped_psds(x, h, cfg):
+    """``mapped_psd_raw`` of x's centred window Grams, and ``welch_psd_raw`` of
+    the mapped signal."""
+    grams = window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
+    return mapped_psd_raw(grams, h, cfg), welch_psd_raw(apply_mapping(x, h), cfg)
+
+
+@draws(lambda st: {"n": st.integers(1, 3), "c": st.integers(1, 3),
+                   "f": st.integers(1, 24).flatmap(lambda f: st.tuples(
+                       st.just(f), st.integers(1, f))),
+                   "extra": st.integers(0, 11).flatmap(lambda e: st.integers(2 ** e >> 1, 2 ** e)),
+                   "seed": st.integers(0, 2 ** 32 - 1),
+                   "window": st.sampled_from(("hann", "boxcar"))}, spied=False)
+def test_mapped_psds_from_window_grams_match_welch_of_the_mapped_signal(
+        n, c, f, extra, seed, window):
+    # every stride 1..f, odd f, l = f and trailing samples; a bin far below its
+    # row's peak (boxcar's bin 0 at l = f is zero but for rounding) is held to
+    # 1e-14 of the peak, as scipy is
+    (f, stride), rng = f, np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, f + extra)) + 2.0
+    h = rng.standard_normal((n, c, f)) / np.sqrt(f)
+    close(*mapped_psds(x, h, WelchConfig(f, stride, window)), 1e-14)
+
+
+@pytest.mark.parametrize("f, stride", [(1, 1), (4, 2), (5, 5), (8, 3), (16, 8), (31, 7)])
+def test_window_grams_read_the_samples_that_wrap_around_each_end(f, stride):
+    x = np.random.default_rng(f).standard_normal((2, 2, 3 * f + 2))
+    x[..., 0], x[..., -1] = 1e8, -1e8
+    h = np.random.default_rng(f + 1).standard_normal((2, 2, f)) / np.sqrt(f)
+    close(*mapped_psds(x, h, WelchConfig(f, stride)))
+
+
+@pytest.mark.parametrize("f", [4, 7, 8, 16, 32])
+def test_whitened_random_walks_keep_their_bins_within_1e_9(f):
+    # a walk's bins span about 1e4 to 1e5, under RATIO_CAP, so no gain is
+    # capped; whitening leaves the quadratic form's rounding relative to the
+    # largest source bins (worst here: 6.2e-12)
+    x = np.cumsum(np.random.default_rng(f).standard_normal((3, 2, 4096)), axis=-1)
+    cfg = WelchConfig(f)
+    p = centered_psd(x, cfg)
+    spread = p.max(axis=-1) / p.min(axis=-1)
+    assert spread.max() > 1e3 and spread.max() < RATIO_CAP
+    a, b = mapped_psds(x, monge_filter(p, np.ones(p.shape[1:])), cfg)
+    assert np.max(np.abs(a - b) / b) <= 1e-9
+
+
+@pytest.mark.parametrize("shape, f, stride", [((8, 2, 4096), 8, 0), ((64, 4, 1024), 16, 0),
+                                              ((4, 2, 1024), 8, 1), ((8, 2, 4096), 24, 0)])
+def test_window_grams_and_mapped_psds_peak_at_their_output_plus_the_budget(shape, f, stride):
+    # f = 24 is the largest at which one row's temporaries fit the budget
+    rng, cfg = np.random.default_rng(7), WelchConfig(f, stride)
+    x, h = rng.standard_normal(shape), rng.standard_normal(shape[:-1] + (f,))
+    grams = window_grams(x, cfg)
+    assert peak_bytes(lambda: window_grams(x, cfg)) <= grams.nbytes + BUDGET_BYTES
+    p = mapped_psd_raw(grams, h, cfg)
+    assert peak_bytes(lambda: mapped_psd_raw(grams, h, cfg)) <= p.nbytes + BUDGET_BYTES
+
+
+@pytest.mark.filterwarnings("error")
+def test_window_grams_and_mapped_psds_refuse_what_they_cannot_read():
+    cfg, x = WelchConfig(4), np.ones((2, 1, 64))
+    for bad in (np.nan, 1e200):  # a NaN sample, and squares past the float range
+        y = x.copy()
+        y[1, 0, 5] = bad
+        with pytest.raises(NonFiniteInputError, match="input power"):
+            window_grams(y, cfg)
+    grams = window_grams(x, cfg)
+    for g, h in ((grams, np.ones((2, 1, 5))), (grams[:1], np.ones((2, 1, 4)))):
+        with pytest.raises(ShapeMismatchError, match="window Grams"):
+            mapped_psd_raw(g, h, cfg)
+    with pytest.raises(NonFiniteInputError, match="filter taps"):
+        mapped_psd_raw(grams, np.full((2, 1, 4), np.inf), cfg)

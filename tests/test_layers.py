@@ -1,6 +1,5 @@
 """Tests for the stateful normalization layers."""
 
-import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -38,6 +37,8 @@ from psdnorm import (
 )
 from psdnorm.io import dumps_json, load_state, save_state, state_to_dict
 from psdnorm.spectral import BUDGET_BYTES
+
+from conftest import peak_bytes
 
 
 # A JSON integer beyond the float range.
@@ -514,18 +515,6 @@ class TestBatchNorm:
         layer = BatchNormLayer(running_mean=np.zeros(3), running_var=np.ones(3))
         with pytest.raises(ShapeMismatchError, match="batch has 2 channels, the layer has 3"):
             batchnorm_forward(layer, np.ones((2, 2, 8)), mode)
-
-
-def peak_bytes(fn) -> int:
-    """tracemalloc peak above the starting level during fn()."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestAffinePeaks:

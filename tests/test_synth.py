@@ -24,7 +24,7 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.layers import centered_psd_raw
-from psdnorm.spectral import floored, welch_psd_raw
+from psdnorm.spectral import floored, welch_psd_raw, window_grams
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
@@ -190,6 +190,16 @@ class TestDomainPsds:
         assert spec.centered_psds(self.CFG) is b
         assert [args[1] for _, args in calls] == [WelchConfig(8), self.CFG]
 
+    def test_window_grams_equal_a_fresh_build_and_are_read_only(self):
+        spec = flat_spec(c=2, n=3, length=256, seed=4)
+        centred = spec.signals - spec.signals.mean(axis=-1, keepdims=True)
+        for cfg in (WelchConfig(8), self.CFG):
+            grams = spec.window_grams(cfg)
+            np.testing.assert_array_equal(grams, window_grams(centred, cfg))
+            assert spec.window_grams(cfg) is grams
+            with pytest.raises(ValueError):
+                grams[0, 0, 0, 0] = 1.0
+
     def test_replaced_spec_estimates_afresh(self, monkeypatch):
         spec = flat_spec(n=2, length=256, seed=6)
         p = spec.centered_psds(self.CFG)
@@ -295,10 +305,10 @@ class TestEvaluateAlignment:
         assert a.reduction_ratio == b.reduction_ratio
 
     def test_reports_equal_the_uncached_oracle(self):
-        # One spec list for both configs: the PSDs kept for the first must
-        # not serve the second.  The methods that filter the signals give
-        # the oracle's bits; the affine baselines' closed form gives its
-        # executed forwards' post distances to roundoff.
+        # One spec list for both configs: the PSDs and Grams kept for the
+        # first must not serve the second.  "none" gives the oracle's bits;
+        # the closed forms of the other methods give their executed
+        # forwards' post distances to roundoff.
         specs = make_shifted_domains(np.ones((2, 8)), 3, 1.0, n_signals=3,
                                      length=512, seed=15)
         for cfg in (None, WelchConfig(8, 3, "boxcar")):
@@ -306,11 +316,11 @@ class TestEvaluateAlignment:
                 rep = evaluate_alignment(specs, method, cfg)
                 pre, post, ratio = uncached_evaluate_alignment(specs, method, cfg)
                 np.testing.assert_array_equal(rep.pre_distances, pre)
-                if method in AFFINE:
-                    assert_matches_executed(rep, post, ratio)
-                else:
+                if method == "none":
                     np.testing.assert_array_equal(rep.post_distances, post)
                     assert rep.reduction_ratio == ratio
+                else:
+                    assert_matches_executed(rep, post, ratio)
 
     @pytest.mark.parametrize("method", AFFINE)
     def test_clamped_bins_match_the_executed_forward(self, method):
@@ -328,13 +338,25 @@ class TestEvaluateAlignment:
             assert_matches_executed(rep, post, ratio)
 
     def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
-        calls = spy_calls(monkeypatch, welch_psd_raw)
+        calls = spy_calls(monkeypatch, welch_psd_raw, window_grams,
+                          psdnorm.apply_mapping)
         specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
                                      length=256, seed=16)
+        grams = []
         for method in psdnorm.synth.METHODS:
             evaluate_alignment(specs, method)
-        # 3 domain samples, then the 3 outputs of each of tma and psdnorm.
-        assert len(calls) == 3 + 2 * 3
+            grams.append(sum(name == "window_grams" for name, _ in calls))
+        # tma builds each domain's Grams, psdnorm reuses them
+        assert grams == [0, 0, 0, 0, 3, 3]
+        # 3 domain samples; no signal is filtered
+        assert [name for name, _ in calls] == ["welch_psd_raw"] * 3 + ["window_grams"] * 3
+        cfg = WelchConfig(8, 3, "boxcar")
+        evaluate_alignment(specs, "psdnorm", cfg)
+        evaluate_alignment(specs, "tma", cfg)
+        assert [(name, args[1]) for name, args in calls[6:]] == (
+            [("welch_psd_raw", cfg)] * 3 + [("window_grams", cfg)] * 3)
+        psdnorm.apply_mapping(specs[0].signals, np.ones((2, 1, 8)))  # the spy is live
+        assert calls[-1][0] == "apply_mapping"
 
     def test_affine_baselines_run_no_forward(self, monkeypatch):
         calls = spy_calls(monkeypatch, instancenorm_forward, layernorm_forward,

@@ -36,6 +36,7 @@ each side's median and quartiles, and how many pairs the change won.
 from __future__ import annotations
 
 import argparse
+import copy
 import importlib.util
 import itertools
 import json
@@ -197,9 +198,12 @@ def stack_calls(lib, b) -> dict:
 def corpus_calls(lib) -> dict:
     """The ``domain_corpus`` unit call: fresh specs (so nothing drawn or
     estimated by an earlier call is reused), then ``evaluate_alignment``
-    for each method.  Then each method on its own, on specs whose samples
-    are drawn and whose PSDs are estimated beforehand, so that a row times
-    the method's own work."""
+    for each method.  Then each method on its own, on shallow copies of
+    specs whose samples are drawn and whose PSDs are estimated beforehand,
+    so that a row times the method's own work: a copy shares the sample and
+    the PSDs, but whatever else a method keeps on a spec (the window Grams
+    of ``tma`` and ``psdnorm``) it builds afresh on each call, as the unit
+    call does."""
     import numpy as np
 
     def specs():
@@ -215,7 +219,8 @@ def corpus_calls(lib) -> dict:
     for spec in kept:
         spec.centered_psds(lib.WelchConfig(CORPUS["f"]))
     return {"unit": unit,
-            **{m: lambda m=m: lib.evaluate_alignment(kept, m) for m in lib.synth.METHODS}}
+            **{m: lambda m=m: lib.evaluate_alignment([copy.copy(s) for s in kept], m)
+               for m in lib.synth.METHODS}}
 
 
 def timed(calls: list[dict]) -> dict:
