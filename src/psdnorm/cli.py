@@ -64,6 +64,7 @@ from .monge import apply_mapping, monge_filter
 from .spectral import (
     WINDOW_KINDS,
     WelchConfig,
+    _centre,
     check_finite,
     check_integer,
     check_number,
@@ -172,12 +173,6 @@ def _signal_shapes(paths, cfg: WelchConfig) -> list[tuple[int, int]]:
     return shapes
 
 
-def _centred(row: np.ndarray) -> np.ndarray:
-    """``row`` with its mean subtracted in place."""
-    row -= row.mean(axis=-1, keepdims=True)
-    return row
-
-
 def _float32(y: np.ndarray, what: str) -> np.ndarray:
     """``y`` cast to float32, where it must be finite (else NonFiniteInputError
     naming ``what``): the check of every signal that a command writes."""
@@ -256,7 +251,7 @@ def _aligned_rows(path, shape, taps, cfg: WelchConfig, post: list):
         y = apply_mapping(next(rows), h)
         y32 = _float32(y, f"{path}: aligned output")
         yield y32[0]
-        post.append(welch_psd(_centred(y), cfg))
+        post.append(welch_psd(_centre(y), cfg))
         del y, y32  # here, not earlier: freeing y32 before Welch slowed align ~10 %
 
 
@@ -271,7 +266,7 @@ def cmd_align(args) -> int:
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".aligned.psdn")
     shapes = _signal_shapes(args.inputs, cfg)
-    psds = [_file_psd(map(_centred, read_rows(p, shape)), cfg)
+    psds = [_file_psd(map(_centre, read_rows(p, shape)), cfg)
             for p, shape in zip(args.inputs, shapes)]
     target = _resolve_target(args, psds, cfg)
     for path, p in zip(args.inputs, psds):

@@ -15,7 +15,10 @@ step of InstanceNorm and LayerNorm, over their ``POOLING_AXES``, and
 ``EPS`` every baseline's default eps; the benchmark reads both here.  One
 ``_normalize`` serves InstanceNorm, LayerNorm and BatchNorm.  Every forward
 refuses NaN or Inf (``check_finite``, or ``finite_mean`` for a mean it
-takes anyway).
+takes anyway).  Every forward builds its output in one copy of its batch:
+the PSDNorm forward centres a C-ordered copy, estimates its PSDs from it
+and filters it in place, and each later layer of a stack does the same to
+the copy the first made, so a stack holds one batch.
 """
 
 from __future__ import annotations
@@ -30,10 +33,12 @@ from .errors import (
     ShapeMismatchError,
 )
 from .geometry import running_update, wasserstein_barycenter
-from .monge import apply_mapping, monge_filter
+from .monge import _filter, monge_filter
 from .spectral import (
     WelchConfig,
+    _centre,
     _read_only,
+    _unit_rows,
     as_signals,
     check_finite,
     check_integer,
@@ -62,10 +67,13 @@ def _check_channels(stats, c: int) -> None:
 
 
 def _centred_copy(x) -> np.ndarray:
-    """A copy of the (c, l) signal or (N, c, l) batch x less each channel's
-    mean."""
+    """A C-ordered copy of the (c, l) signal or (N, c, l) batch x less each
+    channel's mean, made in one pass when x's rows are laid out as C rows
+    (``_unit_rows``); other rows are copied first and centred in place."""
     x = as_signals(x)
-    return x - finite_mean(x, -1)
+    if _unit_rows(x):
+        return np.subtract(x, finite_mean(x, -1), order="C")
+    return _centre(x.copy(order="C"))
 
 
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
@@ -150,15 +158,28 @@ def psdnorm_update(layer: PsdNormLayer, psds, mode: str = "train") -> PsdNormLay
 
 
 def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
-    """One forward pass; returns (normalized batch, updated layer).  One
-    ``centered_psd``, one ``psdnorm_update``, one ``monge_filter`` over the
-    (N, c, f) batch of PSDs and one ``apply_mapping`` serve the whole
-    batch."""
+    """One forward pass; returns (normalized batch, updated layer).  The
+    output is one C-ordered copy of the batch: centred, read by one Welch
+    pass, then filtered in place, after one ``psdnorm_update`` and one
+    ``monge_filter`` over the (N, c, f) batch of PSDs.  The batch itself is
+    never written."""
     b = signal_batch(batch)
     _check_channels(layer.barycenter, b.shape[1])
-    psds = centered_psd(b, layer.welch)
+    return _forward_in_place(layer, _centred_copy(b), mode)
+
+
+def _forward_in_place(layer: PsdNormLayer, b: np.ndarray, mode: str):
+    """``psdnorm_forward`` of the centred, C-ordered (N, c, l) batch b,
+    which the caller hands over and has checked against the layer's
+    channels: b is filtered in place and returned, so the pass holds no
+    second batch."""
+    psds = welch_psd(b, layer.welch)
     layer = psdnorm_update(layer, psds, mode)
-    return apply_mapping(b, monge_filter(psds, layer.barycenter)), layer
+    taps = monge_filter(psds, layer.barycenter).reshape(-1, layer.filter_size)
+    del psds  # before the filter's temporaries
+    rows = b.reshape(-1, b.shape[-1])  # a view, as b is C-ordered
+    _filter(rows, None, taps, rows)
+    return b, layer
 
 
 def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
@@ -170,6 +191,9 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
     training or to run in eval mode; their filter sizes must equal ``fs``.
     Returns (normalized batch, updated layers, per-stage barycenter
     snapshots); each snapshot is its layer's own read-only barycenter.
+    The first layer's ``psdnorm_forward`` copies the batch; each later
+    layer centres and filters that copy in place, so the stack holds one
+    batch.
     """
     fs = [check_integer("filter size", f, 1) for f in fs]
     check_integer("filter size count", len(fs), 1)
@@ -182,13 +206,13 @@ def psdnorm_stack_forward(fs, batch, mode: str = "train", layers=None):
         raise ParameterOutOfRangeError(
             f"layer filter sizes {sizes} differ from fs {fs}"
         )
-    out = batch  # the first forward checks it
-    new_layers, snapshots = [], []
-    for layer in layers:
-        out, layer = psdnorm_forward(layer, out, mode)
+    out, layer = psdnorm_forward(layers[0], batch, mode)
+    new_layers = [layer]
+    for layer in layers[1:]:
+        _check_channels(layer.barycenter, out.shape[1])
+        out, layer = _forward_in_place(layer, _centre(out), mode)
         new_layers.append(layer)
-        snapshots.append(layer.barycenter)
-    return out, new_layers, snapshots
+    return out, new_layers, [layer.barycenter for layer in new_layers]
 
 
 # ---------------------------------------------------------------------------

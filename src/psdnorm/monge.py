@@ -8,6 +8,10 @@ whose circular convolution realizes the mapping in the time domain.
 lag order.  It contracts them by two BLAS products of the buffer's f-sample
 tiles with each row's Toeplitz matrix of its lags when that matrix fits in
 the row's buffer, and by FFT otherwise; its docstring states the rule.
+One private kernel, ``_filter``, serves it and the layer forward, which
+filters its own centred copy in place: each buffer then takes the samples
+that an earlier block overwrote from two small carries, so it holds the
+same values, and the output the same bits, as ``apply_mapping``'s.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from .spectral import (
     BUDGET_BYTES,
     WelchConfig,
     _quadratic_bins,
+    _row_means,
     _two_sided,
     _welch_basis,
     as_signals,
     check_finite,
     check_psd,
     chunk_slices,
-    finite_mean,
 )
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
@@ -95,8 +99,23 @@ def apply_mapping(x, h) -> np.ndarray:
     if f > l:
         raise LengthTooShortError(f"signal length {l} < filter size {f}")
     rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f), "filter taps")
-    means = finite_mean(rows, 1)
     out = np.empty_like(rows)
+    _filter(rows, _row_means(rows), taps, out)
+    return out.reshape(x.shape)
+
+
+def _filter(rows: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (R, l) out the filtered (R, l) rows, less their (R, 1)
+    means unless ``means`` is None (rows already centred), by the finite (R, f)
+    taps: ``apply_mapping``'s forms and rule.  out may be the rows
+    themselves, which must then be C-ordered.  A row read in several blocks
+    then runs them from last to first, and each buffer takes the samples
+    that an earlier block overwrote from two carries of f samples in all:
+    the first input samples of the block just done, which the last outputs
+    before it read, and the row's last f//2 samples, which block 0 reads
+    around the row's start.  So every buffer holds what it holds for a
+    fresh out."""
+    l, f = rows.shape[1], taps.shape[1]
     m = max(BUDGET_BYTES // 8, 1 << (2 * f - 1).bit_length())  # block length
     tiles = min(-(-l // f), m // f - 1)  # output tiles of the Toeplitz form
     matrix = (2 * f - 1) * f  # floats of one row's Toeplitz matrix
@@ -109,6 +128,9 @@ def apply_mapping(x, h) -> np.ndarray:
         matrix = 0
         step, width = (l, l) if l <= m else (m - f + 1, m)
     halo, order = f // 2, _lag_order(f)
+    reach = width - step - halo  # samples past a block's outputs that its buffer reads
+    starts = range(0, l, step)[::-1]
+    carries = out is rows and len(starts) > 1  # only then does a block read what one wrote
     chunks = chunk_slices(len(rows), 8 * (width + matrix))
     buffer = np.empty((len(rows[chunks[0]]), width))
     product = _tiled_product if matrix else _fft_product
@@ -118,11 +140,14 @@ def apply_mapping(x, h) -> np.ndarray:
         # conjugate, so that the FFT correlates the buffer with the lags as
         # the Toeplitz products do
         kernel = _toeplitz(lags) if matrix else np.fft.rfft(lags, n=width, axis=1).conj()
-        for start in range(0, l, step):
-            n = min(step, l - start)
-            _centred(rows[r], means[r], start - halo, block)
-            product(block, kernel, out[r, start:start + n])
-    return out.reshape(x.shape)
+        del lags  # before the carries and the products' temporaries
+        saved = [(l - halo, rows[r, l - halo:].copy())] if carries else []
+        for start in starts:
+            _centred(rows[r], None if means is None else means[r], start - halo, block,
+                     saved)
+            if carries:
+                saved[1:] = [(start, rows[r, start:start + reach].copy())]
+            product(block, kernel, out[r, start:start + step])
 
 
 def mapped_psd_raw(grams, h, cfg: WelchConfig) -> np.ndarray:
@@ -215,16 +240,22 @@ def _fft_product(block: np.ndarray, response: np.ndarray, out: np.ndarray) -> No
                           axis=1)[:, :out.shape[1]]
 
 
-def _centred(rows: np.ndarray, means: np.ndarray, lo: int, out: np.ndarray) -> None:
+def _centred(rows: np.ndarray, means, lo: int, out: np.ndarray, saved=()) -> None:
     """Fill out with columns lo, lo + 1, ... of rows, indices taken modulo
-    the row length, minus the rows' means.  The means are subtracted once
-    over the whole of out: numpy allocates an iterator buffer per operand
-    for a subtraction into a strided piece of it, which would set the
-    filter's peak memory."""
-    l, col = rows.shape[1], 0
-    while col < out.shape[1]:
+    the row length, then each (column, samples) of ``saved`` over the
+    columns it holds, less the rows' means unless they are None.  The means
+    are subtracted once over the whole of out: numpy allocates an iterator
+    buffer per operand for a subtraction into a strided piece of it, which
+    would set the filter's peak memory."""
+    l, width, col = rows.shape[1], out.shape[1], 0
+    while col < width:
         src = (lo + col) % l
-        n = min(out.shape[1] - col, l - src)
+        n = min(width - col, l - src)
         out[:, col:col + n] = rows[:, src:src + n]
         col += n
-    out -= means
+    for first, samples in saved:
+        for col in range((first - lo) % l, width, l):
+            n = min(samples.shape[1], width - col)
+            out[:, col:col + n] = samples[:, :n]
+    if means is not None:
+        out -= means

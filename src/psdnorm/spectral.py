@@ -24,10 +24,11 @@ Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
 ``window_grams`` sums the Grams of each row's wider windows, from which
 ``monge.mapped_psd_raw`` gives the Welch PSD of any mapping of the row,
 from strided views of the row's stride-wide tiles.  Classes,
-chunks and blocks depend only on the row length and f, and rows never
-share arithmetic, so a signal gets the same bits alone as in a batch; a
-Fortran-ordered batch is the exception, since numpy sums its row means
-(and its segment powers at f = 1) in another order.
+chunks and blocks depend only on the row length and f, rows never share
+arithmetic, and row means and Welch sums are taken over rows laid out
+as C-ordered rows are (a chunk of rows of another layout, a Fortran-
+ordered batch's, is copied first), so a signal gets the same bits alone
+as in a batch, whatever its memory layout.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ SYMMETRY_RTOL = 1e-9
 #: At 64 KiB a batch forward peaks within a few hundred KiB of the one output
 #: copy it must make, and a long row is filtered in 8192-sample blocks.
 BUDGET_BYTES = 1 << 16
+
+#: The smallest PSD peak that sets its own floor: 1e-10 times it is exactly
+#: the smallest normal float, the floor of every PSD below it.
+_FLOOR_PEAK = np.finfo(float).tiny / 1e-10
 
 
 def chunk_slices(n: int, item_bytes: int) -> list[slice]:
@@ -136,6 +141,34 @@ def finite_mean(x: np.ndarray, axis) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=axis, keepdims=True)
     return check_finite(mean, "input mean")
+
+
+def _unit_rows(x: np.ndarray) -> bool:
+    """Whether each row of x (its last axis) lies at unit stride and no
+    other axis longer than 1 has a smaller stride: rows that numpy sums,
+    and BLAS reads, as it does C-ordered rows.  Numpy sums the rows of a
+    Fortran-ordered batch across, in memory order, and the segment powers
+    of a row at another stride in another order, which changes their
+    bits."""
+    return x.flags.c_contiguous or x.strides[-1] == x.itemsize and all(
+        abs(s) >= x.itemsize for s, n in zip(x.strides[:-1], x.shape[:-1]) if n > 1)
+
+
+def _row_means(rows: np.ndarray) -> np.ndarray:
+    """``finite_mean`` of each row of the 2-D rows, summed as over C-ordered
+    rows: rows of another layout (``_unit_rows``) are copied a chunk at a
+    time, so each row gets the bits it gets alone."""
+    if _unit_rows(rows):
+        return finite_mean(rows, 1)
+    return np.concatenate([finite_mean(rows[r].copy(), 1)
+                           for r in chunk_slices(len(rows), 8 * rows.shape[1])])
+
+
+def _centre(x: np.ndarray) -> np.ndarray:
+    """The C-ordered x less each row's ``finite_mean`` over its last axis,
+    subtracted in place; returns x."""
+    x -= finite_mean(x, -1)
+    return x
 
 
 def finite_var(x: np.ndarray, axis) -> np.ndarray:
@@ -222,9 +255,12 @@ def make_window(kind: str, f: int) -> np.ndarray:
 
 
 def psd_floor(p: np.ndarray) -> np.ndarray:
-    """Positivity floor applied to Welch estimates: 1e-10 * max(1, max(p))
-    over each (c, f) PSD, so each signal of an (N, c, f) batch has its own."""
-    return 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=1.0)
+    """Positivity floor applied to Welch estimates: 1e-10 * max(p) over each
+    (c, f) PSD, so each signal of an (N, c, f) batch has its own, and a
+    signal scaled by a has its floor scaled by a^2.  No floor is below the
+    smallest normal float, which an all-zero PSD (a constant signal)
+    takes."""
+    return 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=_FLOOR_PEAK)
 
 
 def floored(p: np.ndarray) -> np.ndarray:
@@ -323,22 +359,25 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
         block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
         row_bytes = 8 * f * block
     half = np.empty((len(rows), f // 2 + 1))
+    # a chunk of rows of another layout than C's (``_unit_rows``) is
+    # copied, and counted
+    copied = 0 if _unit_rows(rows) else 8 * length
     # finite samples whose squares pass the float range sum to Inf or NaN:
     # the check of each chunk's power replaces numpy's overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in chunk_slices(len(rows), row_bytes):
-            check_finite(rows[r])
+        for r in chunk_slices(len(rows), row_bytes + copied):
+            chunk = check_finite(rows[r].copy() if copied else rows[r])
             if gram_form:
-                gram = np.zeros((len(rows[r]), f, f))
+                gram = np.zeros((len(chunk), f, f))
                 for j in range(q):
-                    segs = _segments(rows[r], j * stride, -(-(n_seg - j) // q),
+                    segs = _segments(chunk, j * stride, -(-(n_seg - j) // q),
                                      q * stride, f)
                     gram += segs.transpose(0, 2, 1) @ segs
                 acc = _quadratic_bins(gram, basis)
             else:
                 acc = np.zeros(half[r].shape)
                 for s in range(0, n_seg, block):
-                    segs = _segments(rows[r], s * stride, min(block, n_seg - s), stride, f)
+                    segs = _segments(chunk, s * stride, min(block, n_seg - s), stride, f)
                     acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
             half[r] = check_finite(acc, "input power") / n_seg
     return _two_sided(half, f).reshape(x.shape[:-1] + (f,))

@@ -158,7 +158,9 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
         assert all(mib > 0 for mib in row[peak].values())
     layers = [f"layer_{i}" for i in range(1, len(bench.STACK_FS) + 1)]
     assert [k for k in doc["stack"] if k not in ("shape", "fs")] == [
-        *layers, "stack_train", "stack_eval", "instancenorm"]
+        *layers, "stack_train", "stack_eval", "instancenorm", "train_peak_mib"]
+    assert set(doc["stack"]["train_peak_mib"]) == {"before", "after"}
+    assert all(mib > 0 for mib in doc["stack"]["train_peak_mib"].values())
     methods = libs[1].synth.METHODS
     assert set(evaluated) == {(2, (1, 1, 64), m) for m in methods}
     # The unit call and the per-method rows each evaluate every method in

@@ -12,14 +12,16 @@ import pytest
 
 from psdnorm import (
     NonFiniteInputError,
+    PsdNormLayer,
     ShapeMismatchError,
     WelchConfig,
     apply_mapping,
     centered_psd,
     monge_filter,
+    psdnorm_forward,
 )
-from psdnorm.monge import RATIO_CAP, mapped_psd_raw
-from psdnorm.spectral import BUDGET_BYTES, welch_psd_raw, window_grams
+from psdnorm.monge import RATIO_CAP, _filter, mapped_psd_raw
+from psdnorm.spectral import BUDGET_BYTES, _centre, welch_psd_raw, window_grams
 
 from conftest import FORMS, KernelSpy, peak_bytes
 from oracles import DENSE_MAX_LEN, dense_monge_oracle, rfft_welch_raw, whole_signal_mapping
@@ -42,7 +44,8 @@ SCANS = [*(("filter", f, 0) for f in SIZES),
            if f <= 8 or s in (f // 2, f) or s == 1 and f in (64, 128, 257))]
 LAYOUTS = {"C": lambda x: x, "Fortran": np.asfortranarray,
            "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
-           "reversed": lambda x: x[..., ::-1].copy()[..., ::-1]}
+           "reversed": lambda x: x[..., ::-1].copy()[..., ::-1],
+           "cropped": lambda x: np.pad(x, ((0, 0), (0, 0), (1, 2)))[..., 1:-2]}
 
 
 @functools.cache
@@ -75,12 +78,21 @@ def close(p, ref, floor=0.0):
     assert np.all(np.abs(p - ref) <= 1e-12 * ref + floor * ref.max(axis=-1, keepdims=True))
 
 
-def check(spy, x, how, bits=True):
+def filtered_in_place(x, h):
+    """x's rows filtered as the forward filters them: centred in a C-ordered
+    copy, which the filter then overwrites."""
+    rows = _centre(x.reshape(-1, x.shape[-1]).copy())
+    _filter(rows, None, h.reshape(len(rows), -1), rows)
+    return rows.reshape(x.shape)
+
+
+def check(spy, x, how):
     """Checks an (N, c, l) batch's ``welch_psd_raw`` (``how`` a config),
     mirrored exactly and ``close`` to the rfft Welch and scipy's, or its
     ``apply_mapping`` (``how`` the taps), within 1e-12 of x's largest sample of
-    the whole-signal mapping; with ``bits``, rows alone keep their bits.
-    Returns the key of a dry call on one row, which takes the same form."""
+    the whole-signal mapping and bit for bit the in-place filter's; rows
+    alone keep their bits, whatever x's memory layout.  Returns the key of a
+    dry call on one row, which takes the same form."""
     welch = isinstance(how, WelchConfig)
     name = "welch" if welch else "filter"
     kernel = (lambda y, i=None: welch_psd_raw(y, how)) if welch else (
@@ -97,7 +109,8 @@ def check(spy, x, how, bits=True):
         f, stride = how.shape[-1], 0
         ref = np.stack([whole_signal_mapping(xj, hj) for xj, hj in zip(x, how)])
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(x))
-    for j in range(len(x) if bits else 0):
+        assert filtered_in_place(x, how).tobytes() == out.tobytes()
+    for j in range(len(x)):
         np.testing.assert_array_equal(kernel(x[j], j), out[j])
         for k in range(x.shape[1]):
             np.testing.assert_array_equal(kernel(x[j, k], (j, k))[0], out[j, k])
@@ -135,7 +148,6 @@ def test_perfbench_shapes_take_gram_welch_and_toeplitz_filters(kernel_spy, shape
                                                          "toeplitz", blocks)
 
 
-@pytest.mark.xfail(strict=True, reason="numpy sums a Fortran-ordered batch in another order")
 @pytest.mark.parametrize("how", [np.ones((3, 2, 8)), WelchConfig(1)], ids=["filter", "welch"])
 def test_fortran_ordered_rows_keep_their_bits_alone(kernel_spy, how):
     x = np.asfortranarray(np.random.default_rng(41).standard_normal((3, 2, 1000)))
@@ -168,7 +180,7 @@ def test_filter_draws_match_the_oracle_and_are_equivariant_and_linear(
     rng = np.random.default_rng(seed)
     x, z = (LAYOUTS[layout](rng.standard_normal((n, c, f + extra)) + 2.0) for _ in "xz")
     h = rng.standard_normal((n, c, f)) / np.sqrt(f)
-    event(" ".join(check(kernel_spy, x, h, bits=layout != "Fortran")))  # see the xfail
+    event(" ".join(check(kernel_spy, x, h)))
     y, tol = apply_mapping(x, h), 1e-12 * (np.max(np.abs(x)) + np.max(np.abs(z)))
     np.testing.assert_allclose(apply_mapping(np.roll(x, shift, -1), h),
                                np.roll(y, shift, -1), rtol=0, atol=tol)
@@ -184,7 +196,7 @@ def test_welch_draws_match_the_oracles_and_scale_by_a_squared(
         kernel_spy, n, c, f, extra, seed, layout, stride, window, a):
     x = LAYOUTS[layout](np.random.default_rng(seed).standard_normal((n, c, f + extra)))
     cfg = WelchConfig(f, stride and 1 + (stride - 1) % f, window)  # 0: the default
-    event(" ".join(check(kernel_spy, x, cfg, bits=layout != "Fortran")))
+    event(" ".join(check(kernel_spy, x, cfg)))
     close(welch_psd_raw(a * x, cfg), a * a * welch_psd_raw(x, cfg))
 
 
@@ -198,6 +210,17 @@ def test_monge_filters_are_deltas_and_at_f_equal_l_the_dense_map(c, f, seed):
     x = np.random.default_rng(seed + 1).standard_normal((c, f)) + 2.0
     out = apply_mapping(x, monge_filter(p_src, p_tgt))
     assert np.max(np.abs(out - dense_monge_oracle(p_src, p_tgt, x))) <= 1e-6 * np.max(np.abs(x))
+
+
+@draws(lambda st: {"f": st.integers(1, 32), "a": st.floats(1e-100, 1e100),
+                   "seed": st.integers(0, 2 ** 32 - 1)}, examples=30, spied=False)
+def test_train_forwards_are_scale_equivariant(f, a, seed):
+    # the PSD floor scales with each PSD's largest bin, so a signal stored in
+    # volts is normalized as the same signal in microvolts
+    x = np.cumsum(np.random.default_rng(seed).standard_normal((4, 2, 256)), axis=-1)
+    layer = PsdNormLayer(filter_size=f)
+    y, scaled = psdnorm_forward(layer, x)[0], psdnorm_forward(layer, a * x)[0]
+    assert np.max(np.abs(scaled / a - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 def mapped_psds(x, h, cfg):

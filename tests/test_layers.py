@@ -539,6 +539,23 @@ class TestAffinePeaks:
         assert peak <= 1.1 * out[0].nbytes
 
 
+class TestStackPeak:
+    """Each forward filters the centred copy it makes in place, and each later
+    layer of a stack centres and filters that copy, so the stack holds one
+    batch: the output, plus Welch's and the filter's temporaries."""
+
+    BATCH = TestAffinePeaks.BATCH
+    FS = (16, 8, 4)
+    LAYERS = psdnorm_stack_forward(FS, BATCH)[1]
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_peak_is_the_output_plus_four_budgets(self, mode):
+        out = []
+        peak = peak_bytes(lambda: out.append(
+            psdnorm_stack_forward(self.FS, self.BATCH, mode, self.LAYERS)[0]))
+        assert peak <= out[0].nbytes + 4 * BUDGET_BYTES
+
+
 class TestOwnership:
     """Each layer setting has one owner: ``PsdNormLayer`` keeps its Welch
     settings as its own fields, and every layer array is a read-only copy."""
@@ -563,6 +580,17 @@ class TestOwnership:
     def test_invalid_welch_fields_rejected(self, settings):
         with pytest.raises(ParameterOutOfRangeError):
             PsdNormLayer(**settings)
+
+    def test_read_only_inputs_pass_through_unchanged(self):
+        x = np.random.default_rng(44).standard_normal((3, 2, 300)) + 1.0
+        x.flags.writeable = False
+        before = x.tobytes()
+        layer = psdnorm_forward(PsdNormLayer(filter_size=8), x)[1]
+        psdnorm_forward(layer, x, "eval")
+        psdnorm_stack_forward([8, 4], x)
+        apply_mapping(x, np.ones((3, 2, 8)) / 8)
+        tma_transform(layer, x[0])
+        assert x.tobytes() == before
 
     def test_barycenter_is_a_read_only_copy(self):
         b = np.ones((2, 4))

@@ -279,12 +279,12 @@ class TestWelch:
 
     def test_floor_is_per_signal(self):
         # The loud signals' floor, 1e-10 of their largest bin, is far above
-        # the silent signal's own floor of 1e-10.
+        # the silent signal's own floor, the smallest normal float.
         b = np.random.default_rng(33).standard_normal((3, 2, 256)) * 1e6
         b[1] = 0.0
         cfg = WelchConfig(8)
         p = welch_psd(b, cfg)
-        assert np.all(p[1] == 1e-10)
+        assert np.all(p[1] == np.finfo(float).tiny)
         assert np.all(psd_floor(p)[[0, 2]] > 1.0)
         for j in range(3):
             np.testing.assert_array_equal(p[j], welch_psd(b[j], cfg))

@@ -26,8 +26,8 @@ bootstrap 95 % CI over the rounds and the rounds the after copy won:
 control.  The A/A CI shows how far equal code strays on this host; a row
 reads as changed only where its B/A CI excludes 1 by more than that.  Grid
 rows also hold each tree's tracemalloc peak of one train forward, of one
-``welch_psd`` call and of one InstanceNorm call, and ``align`` that of one
-call.
+``welch_psd`` call and of one InstanceNorm call, the stack that of one
+train-mode stack, and ``align`` that of one call.
 With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
 ``--seed``) then alternate which tree runs first; the file keeps every run,
 each side's median and quartiles, and how many pairs the change won.
@@ -249,10 +249,13 @@ def forward_rows(libs) -> dict:
             "input_mib": round(b.nbytes / 2 ** 20, 3),
         })
     b = batch(STACK_SHAPE)
+    stack = [stack_calls(lib, b) for lib in libs]
     corpus = timed([corpus_calls(lib) for lib in libs])
     return {"grid": grid,
             "stack": {"shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
-                      **timed([stack_calls(lib, b) for lib in libs])},
+                      **timed(stack),
+                      "train_peak_mib": {side: peak_mib(copy["stack_train"])
+                                         for side, copy in zip(COPIES, stack[:2])}},
             "evaluate_alignment": {**CORPUS, "methods": list(libs[1].synth.METHODS),
                                    "unit": corpus.pop("unit"), "per_method": corpus}}
 
