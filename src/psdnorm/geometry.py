@@ -4,8 +4,10 @@ For centered Gaussians whose covariances share the circulant (Fourier-
 diagonal) structure, all geometry reduces to elementwise operations on the
 square roots of PSD matrices: barycenters are squared means of square roots,
 geodesics are linear interpolation of square roots, and the distance is the
-l2 distance between square roots.  Every function takes finite, strictly
-positive PSDs (``check_positive``); symmetry is not needed here.
+l2 distance between square roots.  Every public function takes finite,
+strictly positive PSDs (``check_positive``); symmetry is not needed here.
+The private cores ``_barycenter`` and ``_bures`` take them unchecked, from
+callers that built them.
 """
 
 from __future__ import annotations
@@ -22,12 +24,25 @@ def _check_same_shape(p: np.ndarray, q: np.ndarray) -> None:
 
 
 def wasserstein_barycenter(psds) -> np.ndarray:
-    """Barycenter of K PSDs: elementwise ((1/K) sum_k sqrt(P_k))^2."""
-    psds = [np.asarray(p, dtype=float) for p in psds]
-    check_integer("PSD count", len(psds), 1)
-    for p in psds[1:]:
-        _check_same_shape(psds[0], p)
-    return np.mean(np.sqrt(check_positive(np.stack(psds), "PSDs")), axis=0) ** 2
+    """Barycenter of K PSDs, a sequence of arrays of one shape or a (K, ...)
+    array: elementwise ((1/K) sum_k sqrt(P_k))^2."""
+    try:
+        stacked = np.asarray(psds, dtype=float)
+    except ValueError:  # a ragged sequence: name the first shape that differs
+        shapes = [np.shape(p) for p in psds]
+        bad = next((s for s in shapes if s != shapes[0]), None)
+        if bad is None:
+            raise
+        raise ShapeMismatchError(f"PSD shapes differ: {shapes[0]} vs {bad}") from None
+    check_integer("PSD count", len(stacked), 1)
+    return _barycenter(check_positive(np.ascontiguousarray(stacked), "PSDs"))
+
+
+def _barycenter(psds: np.ndarray) -> np.ndarray:
+    """``wasserstein_barycenter`` of the C-ordered (K, ...) array of finite,
+    strictly positive PSDs: in C order the mean sums over K as it does for a
+    stacked sequence, whatever layout the caller's array had."""
+    return np.mean(np.sqrt(psds), axis=0) ** 2
 
 
 def geodesic_interpolate(p_src, p_tgt, t: float) -> np.ndarray:
@@ -49,6 +64,11 @@ def bures_distance(p, q) -> float:
     p = check_positive(p, "p")
     q = check_positive(q, "q")
     _check_same_shape(p, q)
+    return _bures(p, q)
+
+
+def _bures(p: np.ndarray, q: np.ndarray) -> float:
+    """``bures_distance`` of two finite, strictly positive PSDs of one shape."""
     return float(np.linalg.norm(np.sqrt(p) - np.sqrt(q)))
 
 

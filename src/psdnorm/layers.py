@@ -15,7 +15,10 @@ step of InstanceNorm and LayerNorm, over their ``POOLING_AXES``, and
 ``EPS`` every baseline's default eps; the benchmark reads both here.  One
 ``_normalize`` serves InstanceNorm, LayerNorm and BatchNorm.  Every forward
 refuses NaN or Inf (``check_finite``, or ``finite_mean`` for a mean it
-takes anyway).  Every forward builds its output in one copy of its batch:
+takes anyway); the PSDNorm forward then hands what it builds from its
+input to private cores unchecked, Welch's (``spectral._welch_raw``) and
+the taps' (``monge._taps``).  Every forward builds its output in one copy
+of its batch:
 the PSDNorm forward centres a C-ordered copy, estimates its PSDs from it
 and filters it in place, and each later layer of a stack does the same to
 the copy the first made, so a stack holds one batch.
@@ -33,12 +36,13 @@ from .errors import (
     ShapeMismatchError,
 )
 from .geometry import running_update, wasserstein_barycenter
-from .monge import _filter, monge_filter
+from .monge import _filter, _taps
 from .spectral import (
     WelchConfig,
     _centre,
     _read_only,
     _unit_rows,
+    _welch_raw,
     as_signals,
     check_finite,
     check_integer,
@@ -46,9 +50,8 @@ from .spectral import (
     check_psd,
     finite_mean,
     finite_var,
+    floored,
     signal_batch,
-    welch_psd,
-    welch_psd_raw,
 )
 
 MODES = ("train", "eval")
@@ -71,21 +74,25 @@ def _centred_copy(x) -> np.ndarray:
     channel's mean, made in one pass when x's rows are laid out as C rows
     (``_unit_rows``); other rows are copied first and centred in place."""
     x = as_signals(x)
-    if _unit_rows(x):
-        return np.subtract(x, finite_mean(x, -1), order="C")
-    return _centre(x.copy(order="C"))
+    if not _unit_rows(x):
+        return _centre(x.copy(order="C"))
+    mean = finite_mean(x, -1)
+    with np.errstate(over="ignore"):  # as in ``_centre``
+        return np.subtract(x, mean, order="C")
 
 
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD of a (c, l) signal, or of each signal of an (N, c, l) batch,
     after removing each channel's mean (one centred copy of x)."""
-    return welch_psd(_centred_copy(x), cfg)
+    return floored(centered_psd_raw(x, cfg))
 
 
 def centered_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     """``centered_psd`` before the positivity floor: ``floored`` of it gives
-    ``centered_psd``'s bits."""
-    return welch_psd_raw(_centred_copy(x), cfg)
+    ``centered_psd``'s bits.  ``finite_mean`` has refused every row of x
+    that holds NaN or Inf, so Welch's core reads the centred copy
+    unchecked."""
+    return _welch_raw(_centred_copy(x), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +168,8 @@ def psdnorm_forward(layer: PsdNormLayer, batch, mode: str = "train"):
     """One forward pass; returns (normalized batch, updated layer).  The
     output is one C-ordered copy of the batch: centred, read by one Welch
     pass, then filtered in place, after one ``psdnorm_update`` and one
-    ``monge_filter`` over the (N, c, f) batch of PSDs.  The batch itself is
-    never written."""
+    synthesis of taps (``monge_filter``'s core) over the (N, c, f) batch of
+    PSDs.  The batch itself is never written."""
     b = signal_batch(batch)
     _check_channels(layer.barycenter, b.shape[1])
     return _forward_in_place(layer, _centred_copy(b), mode)
@@ -172,10 +179,14 @@ def _forward_in_place(layer: PsdNormLayer, b: np.ndarray, mode: str):
     """``psdnorm_forward`` of the centred, C-ordered (N, c, l) batch b,
     which the caller hands over and has checked against the layer's
     channels: b is filtered in place and returned, so the pass holds no
-    second batch."""
-    psds = welch_psd(b, layer.welch)
+    second batch.  It checks nothing it builds itself: b's rows passed
+    ``finite_mean``, so Welch's core reads them, and the taps core takes
+    their floored PSDs, finite, positive and exactly symmetric, and the
+    layer's barycenter, which passed ``check_psd`` when the layer was
+    built."""
+    psds = floored(_welch_raw(b, layer.welch))
     layer = psdnorm_update(layer, psds, mode)
-    taps = monge_filter(psds, layer.barycenter).reshape(-1, layer.filter_size)
+    taps = _taps(psds, layer.barycenter).reshape(-1, layer.filter_size)
     del psds  # before the filter's temporaries
     rows = b.reshape(-1, b.shape[-1])  # a view, as b is C-ordered
     _filter(rows, None, taps, rows)

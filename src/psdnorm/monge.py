@@ -12,6 +12,8 @@ One private kernel, ``_filter``, serves it and the layer forward, which
 filters its own centred copy in place: each buffer then takes the samples
 that an earlier block overwrote from two small carries, so it holds the
 same values, and the output the same bits, as ``apply_mapping``'s.
+Likewise ``_taps`` is ``monge_filter`` without its checks, for the forward
+and the benchmark, which hand it PSDs they built themselves.
 """
 
 from __future__ import annotations
@@ -54,10 +56,25 @@ def monge_filter(p_src, p_tgt) -> np.ndarray:
     if p_src.ndim > 3 or p_src.shape[-2:] != p_tgt.shape:
         raise ShapeMismatchError(f"source PSD shape {p_src.shape} is not the target's"
                                  f" {p_tgt.shape}, nor a batch of that shape")
+    rows = check_psd(p_src.reshape(-1, p_tgt.shape[1]), "source PSD")
+    return _taps(rows.reshape(p_src.shape), p_tgt)
+
+
+def _taps(p_src: np.ndarray, p_tgt: np.ndarray) -> np.ndarray:
+    """``monge_filter`` of the (c, f) or (N, c, f) p_src and the (c, f)
+    p_tgt, which the caller has made valid: floored Welch PSDs, exactly
+    symmetric, and a layer's barycenter, which passed ``check_psd`` when the
+    layer was built.  Only bins 0..f//2 are read, which are all that irfft
+    reads.  A ratio past the float range (a constant signal's PSD, floored
+    at the smallest normal float, under a target above about 4) is Inf,
+    which the cap takes as it takes any ratio above it."""
     f = p_tgt.shape[1]
-    rows = check_psd(p_src.reshape(-1, f), "source PSD")
-    gain = np.sqrt(np.minimum(p_tgt / rows.reshape(p_src.shape), RATIO_CAP))
-    return np.fft.irfft(gain[..., : f // 2 + 1], n=f, axis=-1)
+    half = slice(0, f // 2 + 1)
+    with np.errstate(over="ignore"):
+        gain = p_tgt[:, half] / p_src[..., half]
+    np.minimum(gain, RATIO_CAP, out=gain)
+    np.sqrt(gain, out=gain)  # in place, so that no second array is held
+    return np.fft.irfft(gain, n=f, axis=-1)
 
 
 def apply_mapping(x, h) -> np.ndarray:
@@ -161,7 +178,9 @@ def mapped_psd_raw(grams, h, cfg: WelchConfig) -> np.ndarray:
     periodogram is u_k' G u_k over the cosine and sine columns u_k of
     T times ``_welch_basis``.  Chunks of rows hold at most BUDGET_BYTES in
     temporaries.  Grams that do not match the taps raise ShapeMismatchError;
-    taps with NaN or Inf raise NonFiniteInputError.
+    taps with NaN or Inf raise NonFiniteInputError, and so does a mapped
+    power past the float range ("input power"), as in ``welch_psd_raw``, so
+    that the PSDs are finite.
     """
     f, w = cfg.filter_size, 2 * cfg.filter_size - 1
     grams, h = np.asarray(grams, dtype=float), np.atleast_2d(np.asarray(h, dtype=float))
@@ -172,8 +191,10 @@ def mapped_psd_raw(grams, h, cfg: WelchConfig) -> np.ndarray:
     basis, order = _welch_basis(cfg.window_kind, f), _lag_order(f)
     half = np.empty((len(taps), f // 2 + 1))
     # the Toeplitz matrices, their product with the basis and its product with the Grams
-    for r in chunk_slices(len(taps), 8 * w * (3 * f + 4)):
-        half[r] = _quadratic_bins(grams[r], _toeplitz(taps[r].take(order, axis=1)) @ basis)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check replaces the warning
+        for r in chunk_slices(len(taps), 8 * w * (3 * f + 4)):
+            power = _quadratic_bins(grams[r], _toeplitz(taps[r].take(order, axis=1)) @ basis)
+            half[r] = check_finite(power, "input power")
     return _two_sided(half, f).reshape(h.shape)
 
 

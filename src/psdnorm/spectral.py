@@ -29,6 +29,19 @@ arithmetic, and row means and Welch sums are taken over rows laid out
 as C-ordered rows are (a chunk of rows of another layout, a Fortran-
 ordered batch's, is copied first), so a signal gets the same bits alone
 as in a batch, whatever its memory layout.
+
+Input is validated where it enters, once.  The public functions check
+what they are given: ``welch_psd_raw`` and ``welch_psd`` refuse a row
+shorter than f, then any NaN or Inf sample (``check_finite``), and
+``window_grams`` refuses non-finite Grams.  The pipelines that build their
+own values call private cores that trust them: ``_welch_raw`` takes a
+centred copy whose rows ``finite_mean`` has already refused if they held
+NaN or Inf, and keeps only the checks that no caller can make for it, of
+each row's power and of the trailing samples that no segment reads (a
+centring that overflows can make either Inf).  Likewise ``monge._taps``
+takes floored Welch PSDs and a layer's barycenter, and
+``geometry._barycenter`` and ``geometry._bures`` take the benchmark's own
+PSDs, each valid by construction.
 """
 
 from __future__ import annotations
@@ -166,8 +179,12 @@ def _row_means(rows: np.ndarray) -> np.ndarray:
 
 def _centre(x: np.ndarray) -> np.ndarray:
     """The C-ordered x less each row's ``finite_mean`` over its last axis,
-    subtracted in place; returns x."""
-    x -= finite_mean(x, -1)
+    subtracted in place; returns x.  A sample near the float range whose
+    mean has the other sign centres to Inf, which Welch refuses
+    (``_welch_raw``) in place of numpy's overflow warning."""
+    mean = finite_mean(x, -1)
+    with np.errstate(over="ignore"):
+        x -= mean
     return x
 
 
@@ -300,11 +317,18 @@ def _welch_basis(kind: str, f: int) -> np.ndarray:
 def _segments(rows: np.ndarray, start: int, count: int, step: int,
               f: int) -> np.ndarray:
     """Read-only (R, count, f) view of the f-sample segments of each row
-    that start at column ``start`` and ``step`` columns apart."""
+    that start at column ``start`` and ``step`` columns apart: a reshape of
+    the columns they cover when they are contiguous (step == f, as for
+    every Gram-form class at an even f's default stride), which is cheaper
+    to make than a strided view and has its strides."""
     head = rows[:, start:]
-    return as_strided(head, (len(head), count, f),
-                      (head.strides[0], step * head.strides[1], head.strides[1]),
-                      writeable=False)
+    if step != f:
+        return as_strided(head, (len(head), count, f),
+                          (head.strides[0], step * head.strides[1], head.strides[1]),
+                          writeable=False)
+    view = head[:, :count * f].reshape(len(head), count, f)
+    view.flags.writeable = False
+    return view
 
 
 def _quadratic_bins(gram: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -340,11 +364,22 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     is copied.  That form costs f^2 per segment and f^3 per row, so it
     serves rows of at least 2f segments whose (f, f + 2) contraction fits
     BUDGET_BYTES (f <= 89); other rows sum |rfft(w * segment)|^2 over
-    blocks of segments.  Every row, trailing samples included, must be
-    finite, and so must its power, which finite samples past the square
-    root of the float range make Inf (else NonFiniteInputError).
+    blocks of segments.  A row shorter than f raises LengthTooShortError;
+    every row, trailing samples included, must then be finite, and so must
+    its power, which finite samples past the square root of the float range
+    make Inf (else NonFiniteInputError).
     """
     x = as_signals(x)
+    n_segments(x.shape[-1], cfg)  # a short row is refused before its samples are read
+    return _welch_raw(check_finite(x), cfg)
+
+
+def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
+    """``welch_psd_raw`` of the (c, l) or (N, c, l) float array x, whose
+    samples the caller has found finite (``check_finite``), or made from
+    rows that ``finite_mean`` found finite (a centred copy).  Centring can
+    still overflow to Inf, so the power of each row is checked ("input
+    power"), and so are the trailing samples that no segment reads."""
     f, stride = cfg.filter_size, cfg.stride
     length = x.shape[-1]
     n_seg = n_segments(length, cfg)
@@ -358,6 +393,9 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
         w = _welch_window(cfg.window_kind, f)
         block = min(n_seg, max(1, BUDGET_BYTES // (8 * f)))  # segments per block
         row_bytes = 8 * f * block
+    read = (n_seg - 1) * stride + f  # the columns that segments read
+    if read < length:
+        check_finite(rows[:, read:])
     half = np.empty((len(rows), f // 2 + 1))
     # a chunk of rows of another layout than C's (``_unit_rows``) is
     # copied, and counted
@@ -366,7 +404,7 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
     # the check of each chunk's power replaces numpy's overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
         for r in chunk_slices(len(rows), row_bytes + copied):
-            chunk = check_finite(rows[r].copy() if copied else rows[r])
+            chunk = rows[r].copy() if copied else rows[r]
             if gram_form:
                 gram = np.zeros((len(chunk), f, f))
                 for j in range(q):

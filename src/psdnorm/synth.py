@@ -22,7 +22,10 @@ floored after, and TMA and PSDNorm map it by a filter, so theirs are
 quadratic forms of its window Grams (``monge.mapped_psd_raw``).  Six methods
 on three domains make 3 Welch estimates and 3 Gram builds (18 Welch
 estimates when every method ran its forward and TMA and PSDNorm re-ran
-Welch on its output).
+Welch on its output).  The benchmark builds every PSD it reads, so it
+takes its taps, barycenters and distances from the private cores
+(``monge._taps``, ``geometry._barycenter``, ``geometry._bures``), which
+check nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import (
     ParameterOutOfRangeError,
     ShapeMismatchError,
 )
-from .geometry import bures_distance, wasserstein_barycenter
+from .geometry import _barycenter, _bures
 from .layers import (
     EPS,
     POOLING_AXES,
@@ -49,7 +52,7 @@ from .layers import (
     psdnorm_update,
     standardize_stats,
 )
-from .monge import mapped_psd_raw, monge_filter
+from .monge import _taps, mapped_psd_raw
 from .spectral import (
     WelchConfig,
     _read_only,
@@ -193,11 +196,13 @@ class AlignmentReport:
 
 
 def _pairwise_bures(psds) -> np.ndarray:
+    """The (K, K) Bures distances between K PSDs that the benchmark built
+    itself, finite and positive."""
     k = len(psds)
     d = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            d[i, j] = d[j, i] = bures_distance(psds[i], psds[j])
+            d[i, j] = d[j, i] = _bures(psds[i], psds[j])
     return d
 
 
@@ -218,7 +223,7 @@ def _post_psds(domains, method: str, welch: WelchConfig) -> list:
         psds = [d.centered_psds(welch) for d in domains]
         layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
         return [floored(mapped_psd_raw(d.window_grams(welch),
-                                       monge_filter(p, layer.barycenter), welch))
+                                       _taps(p, layer.barycenter), welch))
                 for d, p in zip(domains, psds)]
     if method == "batchnorm":
         # Each domain's eval forward divides by the running variance of one
@@ -260,11 +265,10 @@ def evaluate_alignment(domains, method: str,
     if welch is None:
         welch = WelchConfig(domains[0].psd.shape[1])
 
-    pre = _pairwise_bures([wasserstein_barycenter(d.centered_psds(welch))
-                           for d in domains])
+    pre = _pairwise_bures([_barycenter(d.centered_psds(welch)) for d in domains])
     # For "none" the post distances would repeat the pre ones bit for bit.
     post = (pre.copy() if method == "none" else _pairwise_bures(
-        [wasserstein_barycenter(p) for p in _post_psds(domains, method, welch)]))
+        [_barycenter(p) for p in _post_psds(domains, method, welch)]))
 
     pre_mean = _offdiag_mean(pre)
     ratio = 1.0 if pre_mean == 0.0 else _offdiag_mean(post) / pre_mean

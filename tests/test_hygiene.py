@@ -113,6 +113,21 @@ def test_np_isfinite_is_called_only_by_check_finite():
     assert owners == {("spectral", "check_finite")}
 
 
+def test_psds_are_checked_only_where_they_enter():
+    """A PSD is checked where it enters the library: a layer's barycenter,
+    ``monge_filter``'s operands, a generating or base PSD of the benchmark,
+    and the geometry's public operands.  The forward, TMA and
+    ``evaluate_alignment`` hand the PSDs they build to private cores, so a
+    re-check of one of them would show here."""
+    owners = {(p.stem, owner) for p in MODULES for callee in ("check_psd", "check_positive")
+              for owner in callers(p.read_text(), callee)}
+    assert owners == {("layers", "PsdNormLayer"), ("monge", "monge_filter"),
+                      ("synth", "DomainSpec"), ("synth", "make_shifted_domains"),
+                      ("spectral", "check_psd"), ("geometry", "bures_distance"),
+                      ("geometry", "geodesic_interpolate"), ("geometry", "running_update"),
+                      ("geometry", "wasserstein_barycenter")}
+
+
 def traced_names() -> list[str]:
     """The ``module.function`` keys of ``TRACED`` in the benchmark's tracer,
     read without importing the benchmark."""

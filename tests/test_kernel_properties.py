@@ -6,6 +6,7 @@ perfbench's traffic.  Then the post-mapping PSD from ``window_grams`` and
 ``mapped_psd_raw`` against Welch of the mapped signal, and their peak memory."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,13 @@ from psdnorm import (
     centered_psd,
     monge_filter,
     psdnorm_forward,
+    psdnorm_stack_forward,
+    psdnorm_update,
+    welch_psd,
 )
-from psdnorm.monge import RATIO_CAP, _filter, mapped_psd_raw
-from psdnorm.spectral import BUDGET_BYTES, _centre, welch_psd_raw, window_grams
+from psdnorm import layers
+from psdnorm.monge import RATIO_CAP, _filter, _taps, mapped_psd_raw
+from psdnorm.spectral import BUDGET_BYTES, _centre, check_psd, welch_psd_raw, window_grams
 
 from conftest import FORMS, KernelSpy, peak_bytes
 from oracles import DENSE_MAX_LEN, dense_monge_oracle, rfft_welch_raw, whole_signal_mapping
@@ -221,6 +226,115 @@ def test_train_forwards_are_scale_equivariant(f, a, seed):
     layer = PsdNormLayer(filter_size=f)
     y, scaled = psdnorm_forward(layer, x)[0], psdnorm_forward(layer, a * x)[0]
     assert np.max(np.abs(scaled / a - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def walks(seed, shape=(4, 2, 256)):
+    return np.cumsum(np.random.default_rng(seed).standard_normal(shape), axis=-1)
+
+
+@draws(lambda st: {"f": st.integers(1, 32), "a": st.floats(1e-100, 1e100),
+                   "seed": st.integers(0, 2 ** 32 - 1)}, examples=30, spied=False)
+def test_eval_forwards_are_scale_equivariant_until_a_ratio_is_capped(f, a, seed):
+    # a batch and a barycenter scaled by a and a^2 map to the output scaled
+    # by a; the batch alone maps to the same output, as the target is fixed,
+    # until some bin's ratio of the barycenter to its PSD reaches RATIO_CAP
+    x = walks(seed)
+    layer = psdnorm_forward(PsdNormLayer(filter_size=f), x)[1]
+    y = psdnorm_forward(layer, x, "eval")[0]
+    tol = 1e-12 * np.max(np.abs(y))
+    both = replace(layer, barycenter=a * a * layer.barycenter)
+    assert np.max(np.abs(psdnorm_forward(both, a * x, "eval")[0] / a - y)) <= tol
+    capped = np.max(layer.barycenter / centered_psd(a * x, layer.welch)) >= RATIO_CAP
+    event("capped" if capped else "uncapped")
+    if not capped:
+        assert np.max(np.abs(psdnorm_forward(layer, a * x, "eval")[0] - y)) <= tol
+
+
+@draws(lambda st: {"f": st.integers(1, 32), "seed": st.integers(0, 2 ** 32 - 1),
+                   "order": st.permutations(range(4))}, examples=30, spied=False)
+def test_channel_permutations_keep_every_bit(f, seed, order):
+    # channels share no arithmetic: not in Welch, the barycenter or the filter
+    x, order = walks(seed, (3, 4, 200)), list(order)
+    pair = [PsdNormLayer(filter_size=f)] * 2  # fed x and x with permuted channels
+    for _ in range(2):  # a fresh layer's step, then a running update
+        (y, pair[0]), (z, pair[1]) = (psdnorm_forward(pair[0], x),
+                                      psdnorm_forward(pair[1], x[:, order]))
+        assert y[:, order].tobytes() == z.tobytes()
+        assert pair[0].barycenter[order].tobytes() == pair[1].barycenter.tobytes()
+    y, z = (psdnorm_forward(layer, b, "eval")[0] for layer, b in zip(pair, (x, x[:, order])))
+    assert y[:, order].tobytes() == z.tobytes()
+
+
+@draws(lambda st: {"f": st.integers(1, 32), "seed": st.integers(0, 2 ** 32 - 1),
+                   "order": st.permutations(range(6))}, examples=30, spied=False)
+def test_batch_permutations_stay_within_a_few_ulps(f, seed, order):
+    # only the barycenter's mean over the batch depends on its order; an eval
+    # forward reads none, so it keeps every bit
+    x, order = walks(seed, (6, 2, 200)), list(order)
+    (y, layer), (z, permuted) = (psdnorm_forward(PsdNormLayer(filter_size=f), b)
+                                 for b in (x, x[order]))
+    ulp = np.finfo(float).eps
+    assert np.max(np.abs(permuted.barycenter - layer.barycenter)
+                  / layer.barycenter) <= 8 * ulp
+    assert np.max(np.abs(z - y[order])) <= 8 * ulp * np.max(np.abs(y))
+    assert (psdnorm_forward(layer, x[order], "eval")[0].tobytes()
+            == psdnorm_forward(layer, x, "eval")[0][order].tobytes())
+
+
+def trusting_forwards(monkeypatch):
+    """Replaces ``layers._taps`` with one that checks what the forward hands it:
+    every batch of source PSDs, as (N * c, f) rows, and the target, a running
+    barycenter, must pass ``check_psd``.  Returns the list of the source
+    shapes it is handed, one per call."""
+    calls = []
+
+    def checked(p_src, p_tgt):
+        check_psd(p_src.reshape(-1, p_tgt.shape[1]), "source PSD")
+        check_psd(p_tgt, "target PSD")
+        calls.append(p_src.shape)
+        return _taps(p_src, p_tgt)
+
+    monkeypatch.setattr(layers, "_taps", checked)
+    return calls
+
+
+@draws(lambda st: {"n": st.integers(1, 3), "c": st.integers(1, 3),
+                   "f": st.integers(1, 16), "extra": st.integers(0, 8),
+                   "log_a": st.floats(-100, 100), "constant": st.integers(0, 3),
+                   "seed": st.integers(0, 2 ** 32 - 1)}, examples=100)
+def test_the_taps_core_and_the_running_barycenters_get_valid_psds(
+        monkeypatch, n, c, f, extra, log_a, constant, seed):
+    # rows of about f samples at scales 1e-100 to 1e100, some of them constant
+    # (an all-zero PSD, floored), through a layer and a stack of f, f//2
+    calls = trusting_forwards(monkeypatch)
+    x = 10.0 ** log_a * np.random.default_rng(seed).standard_normal((n, c, f + extra))
+    x.reshape(-1, x.shape[-1])[:constant] = 10.0 ** log_a
+    layer, fs = PsdNormLayer(filter_size=f), [f, max(1, f // 2)]
+    stack = None
+    for mode in ("train", "train", "eval"):
+        layer = psdnorm_forward(layer, x, mode)[1]
+        stack = psdnorm_stack_forward(fs, x, mode, stack)[1]
+        for bary in [layer.barycenter, *(s.barycenter for s in stack)]:
+            check_psd(bary, "running barycenter")
+    assert len(calls) == 9
+
+
+@draws(lambda st: {"n": st.integers(1, 3), "c": st.integers(1, 3),
+                   "f": st.integers(1, 16), "extra": st.integers(0, 64),
+                   "log_a": st.floats(-100, 100), "constant": st.integers(0, 3),
+                   "seed": st.integers(0, 2 ** 32 - 1)}, spied=False)
+def test_forwards_equal_the_checked_public_path_bit_for_bit(
+        n, c, f, extra, log_a, constant, seed):
+    x = 10.0 ** log_a * np.random.default_rng(seed).standard_normal((n, c, f + extra))
+    x.reshape(-1, x.shape[-1])[:constant] = 10.0 ** log_a
+    layer = PsdNormLayer(filter_size=f)
+    for mode in ("train", "train", "eval"):
+        psds = welch_psd(x - x.mean(axis=-1, keepdims=True), layer.welch)
+        stepped = psdnorm_update(layer, psds, mode)
+        expected = apply_mapping(x, monge_filter(psds, stepped.barycenter))
+        out, layer = psdnorm_forward(layer, x, mode)
+        assert out.tobytes() == expected.tobytes()
+        assert layer.barycenter.tobytes() == stepped.barycenter.tobytes()
 
 
 def mapped_psds(x, h, cfg):

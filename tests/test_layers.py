@@ -36,6 +36,7 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.io import dumps_json, load_state, save_state, state_to_dict
+from psdnorm.monge import _taps
 from psdnorm.spectral import BUDGET_BYTES
 
 from conftest import peak_bytes
@@ -160,9 +161,9 @@ class TestPsdNormForward:
 
         def counting(p_src, p_tgt):
             calls.append(np.shape(p_src))
-            return monge_filter(p_src, p_tgt)
+            return _taps(p_src, p_tgt)
 
-        monkeypatch.setattr("psdnorm.layers.monge_filter", counting)
+        monkeypatch.setattr("psdnorm.layers._taps", counting)
         batch = np.random.default_rng(17).standard_normal((8, 3, 64))
         layer = PsdNormLayer(filter_size=4, barycenter=np.ones((3, 4)), update_count=1)
         psdnorm_forward(layer, batch, mode)
@@ -197,6 +198,41 @@ class TestPsdNormForward:
             PsdNormLayer(filter_size=4, barycenter=barycenter, update_count=1)
         with pytest.raises(error):
             replace(PsdNormLayer(filter_size=4), barycenter=barycenter, update_count=1)
+
+    def test_a_constant_signal_maps_with_no_overflow_warning(self):
+        # its PSD is floored at the smallest normal float, under which a
+        # barycenter bin above about 4 has a ratio past the float range: the
+        # cap takes it, and the centred signal maps to zeros
+        layer = PsdNormLayer(filter_size=4, barycenter=np.full((2, 4), 10.0), update_count=1)
+        out, _ = psdnorm_forward(layer, np.full((1, 2, 64), 3.0), "eval")
+        np.testing.assert_array_equal(out, 0.0)
+
+
+#: A Welch config whose segments, of 8 samples 8 apart, read 80 samples.
+BOXCAR = {"filter_size": 8, "stride": 8, "window_kind": "boxcar"}
+BOXCAR_LAYER = PsdNormLayer(**BOXCAR, barycenter=np.ones((1, 8)), update_count=1)
+CENTRING_ENTRY_POINTS = [
+    pytest.param(lambda x: psdnorm_forward(PsdNormLayer(**BOXCAR), x), id="train"),
+    pytest.param(lambda x: psdnorm_forward(BOXCAR_LAYER, x, "eval"), id="eval"),
+    pytest.param(lambda x: psdnorm_stack_forward([8, 4], x), id="stack"),
+    pytest.param(lambda x: tma_fit([x], WelchConfig(**BOXCAR)), id="tma_fit"),
+    pytest.param(lambda x: tma_transform(BOXCAR_LAYER, x), id="tma_transform"),
+    pytest.param(lambda x: centered_psd(x, WelchConfig(**BOXCAR)), id="centered_psd"),
+]
+
+
+@pytest.mark.parametrize("l, at, message", [(80, 0, "input power"),
+                                            (83, 80, "input contains")],
+                         ids=["read by a segment", "trailing"])
+@pytest.mark.parametrize("call", CENTRING_ENTRY_POINTS)
+def test_a_centred_copy_that_overflows_is_refused(call, l, at, message):
+    # finite samples whose mean, -1e306, is finite too, but the largest float
+    # less that mean is Inf: in a sample that a segment reads, its power is
+    # refused, and past the last segment the sample itself
+    x = np.full((1, l), -1e306)
+    x[0, at:at + 3] = np.finfo(float).max, -0.9e308, -0.927e308
+    with pytest.raises(NonFiniteInputError, match=f"^{message}"):
+        call(x)
 
 
 class TestBatchInvariance:

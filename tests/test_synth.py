@@ -24,7 +24,7 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm.layers import centered_psd_raw
-from psdnorm.spectral import floored, welch_psd_raw, window_grams
+from psdnorm.spectral import _welch_raw, floored, window_grams
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
@@ -144,8 +144,9 @@ class TestDomainSample:
 def spy_calls(monkeypatch, *functions) -> list:
     """Record the name and arguments of each call of ``functions`` through
     any module of the package that binds them, so that no route around one
-    import can hide a call.  Spied on, ``welch_psd_raw`` counts every Welch
-    estimate, raw or floored: ``welch_psd`` makes one through it too."""
+    import can hide a call.  Spied on, Welch's core ``_welch_raw`` counts
+    every Welch estimate, raw or floored: ``welch_psd_raw`` and
+    ``welch_psd`` make theirs through it too."""
     calls = []
 
     def recording(fn):
@@ -178,7 +179,7 @@ class TestDomainPsds:
                     a[0, 0, 0] = 1.0
 
     def test_estimated_once_per_config(self, monkeypatch):
-        calls = spy_calls(monkeypatch, welch_psd_raw)
+        calls = spy_calls(monkeypatch, _welch_raw)
         spec = flat_spec(n=2, length=256, seed=5)
         a = spec.centered_psds(WelchConfig(8))
         assert spec.centered_psds(WelchConfig(8, 4)) is a  # equal configs
@@ -203,7 +204,7 @@ class TestDomainPsds:
     def test_replaced_spec_estimates_afresh(self, monkeypatch):
         spec = flat_spec(n=2, length=256, seed=6)
         p = spec.centered_psds(self.CFG)
-        calls = spy_calls(monkeypatch, welch_psd_raw)
+        calls = spy_calls(monkeypatch, _welch_raw)
         copy = replace(spec)
         q = copy.centered_psds(self.CFG)
         assert [args[1] for _, args in calls] == [self.CFG]
@@ -338,7 +339,7 @@ class TestEvaluateAlignment:
             assert_matches_executed(rep, post, ratio)
 
     def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
-        calls = spy_calls(monkeypatch, welch_psd_raw, window_grams,
+        calls = spy_calls(monkeypatch, _welch_raw, window_grams,
                           psdnorm.apply_mapping)
         specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
                                      length=256, seed=16)
@@ -349,12 +350,12 @@ class TestEvaluateAlignment:
         # tma builds each domain's Grams, psdnorm reuses them
         assert grams == [0, 0, 0, 0, 3, 3]
         # 3 domain samples; no signal is filtered
-        assert [name for name, _ in calls] == ["welch_psd_raw"] * 3 + ["window_grams"] * 3
+        assert [name for name, _ in calls] == ["_welch_raw"] * 3 + ["window_grams"] * 3
         cfg = WelchConfig(8, 3, "boxcar")
         evaluate_alignment(specs, "psdnorm", cfg)
         evaluate_alignment(specs, "tma", cfg)
         assert [(name, args[1]) for name, args in calls[6:]] == (
-            [("welch_psd_raw", cfg)] * 3 + [("window_grams", cfg)] * 3)
+            [("_welch_raw", cfg)] * 3 + [("window_grams", cfg)] * 3)
         psdnorm.apply_mapping(specs[0].signals, np.ones((2, 1, 8)))  # the spy is live
         assert calls[-1][0] == "apply_mapping"
 

@@ -25,9 +25,10 @@ bootstrap 95 % CI over the rounds and the rounds the after copy won:
 ``after_over_before`` is the change, ``after_over_again`` the row's A/A
 control.  The A/A CI shows how far equal code strays on this host; a row
 reads as changed only where its B/A CI excludes 1 by more than that.  Grid
-rows also hold each tree's tracemalloc peak of one train forward, of one
-``welch_psd`` call and of one InstanceNorm call, the stack that of one
-train-mode stack, and ``align`` that of one call.
+rows also hold each tree's tracemalloc peak of a train forward, of a
+``welch_psd`` call and of an InstanceNorm call, the stack that of a
+train-mode stack, and ``align`` that of a call, each the median of
+PEAK_CALLS calls.
 With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
 ``--seed``) then alternate which tree runs first; the file keeps every run,
 each side's median and quartiles, and how many pairs the change won.
@@ -84,6 +85,9 @@ AB_PAIRS = 42
 MIN_SAMPLE_S = 0.02
 #: Bootstrap resamples of the rounds behind each 95 % CI.
 RESAMPLES = 2000
+#: Calls whose median tracemalloc peak a peak field reads: one call's peak
+#: strays by some KiB (six ``align`` calls over one file set, by 13.6 KiB).
+PEAK_CALLS = 3
 
 
 def load_copy(tree: Path, name: str):
@@ -141,12 +145,17 @@ def compare(fns, clock=time.process_time) -> dict:
 
 
 def peak_mib(fn) -> float:
+    """The median over PEAK_CALLS calls of fn of the tracemalloc peak above
+    the level the call starts at, in MiB."""
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        fn()
-        return round((tracemalloc.get_traced_memory()[1] - base) / 2 ** 20, 3)
+        peaks = []
+        for _ in range(PEAK_CALLS):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return round(statistics.median(peaks) / 2 ** 20, 3)
     finally:
         tracemalloc.stop()
 
@@ -326,7 +335,8 @@ def environment(before: bool) -> dict:
             "cores": len(os.sched_getaffinity(0)),
             "thread_vars": {v: os.environ.get(v) for v in THREAD_VARS},
             "before_tree": before, "ab_pairs": AB_PAIRS,
-            "min_sample_ms": 1000 * MIN_SAMPLE_S, "bootstrap_resamples": RESAMPLES}
+            "min_sample_ms": 1000 * MIN_SAMPLE_S, "bootstrap_resamples": RESAMPLES,
+            "peak_calls": PEAK_CALLS}
 
 
 def main(argv=None) -> int:
