@@ -40,7 +40,7 @@ from .errors import (
     PsdNormError,
     ShapeMismatchError,
 )
-from .geometry import bures_distance, wasserstein_barycenter
+from .geometry import _bures, wasserstein_barycenter
 from .io import (
     SignalFileError,
     StateFileError,
@@ -65,13 +65,13 @@ from .spectral import (
     WINDOW_KINDS,
     WelchConfig,
     _centre,
+    _welch_raw,
     check_finite,
     check_integer,
     check_number,
     floored,
     n_segments,
     psd_floor,
-    welch_psd,
 )
 from .synth import METHODS, evaluate_alignment, make_shifted_domains
 
@@ -153,11 +153,11 @@ def _output_paths(out_dir: Path, inputs, suffix: str) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 def _file_psd(rows, cfg: WelchConfig) -> np.ndarray:
-    """``welch_psd`` of the signal whose channel rows ``rows`` yields: each
-    row's estimate, floored again over the whole PSD, has the bits of the
-    whole-signal estimate.  ``map``, unlike a loop variable, holds no row
-    while the next one is read."""
-    return floored(np.concatenate(list(map(welch_psd, rows, itertools.repeat(cfg)))))
+    """``welch_psd`` of the signal whose rows ``rows`` yields, which
+    ``read_rows`` and ``_signal_shapes`` have checked: their raw estimates,
+    floored once over the whole PSD, have its bits.  ``map``, unlike a loop
+    variable, holds no row while the next one is read."""
+    return floored(np.stack(list(map(_welch_raw, rows, itertools.repeat(cfg)))))
 
 
 def _signal_shapes(paths, cfg: WelchConfig) -> list[tuple[int, int]]:
@@ -244,14 +244,14 @@ def _resolve_target(args, psds, cfg: WelchConfig) -> np.ndarray:
 
 def _aligned_rows(path, shape, taps, cfg: WelchConfig, post: list):
     """Yield each row of the signal file at ``path`` mapped by its row of
-    ``taps`` and cast by ``_float32``; then append the ``welch_psd`` of the
-    centred float64 result to ``post``."""
+    ``taps`` and cast by ``_float32``; then append the raw Welch PSD of the
+    centred float64 result to ``post``, for the caller to floor."""
     rows = read_rows(path, shape)
     for h in taps:
         y = apply_mapping(next(rows), h)
         y32 = _float32(y, f"{path}: aligned output")
         yield y32[0]
-        post.append(welch_psd(_centre(y), cfg))
+        post.append(_welch_raw(_centre(y), cfg))
         del y, y32  # here, not earlier: freeing y32 before Welch slowed align ~10 %
 
 
@@ -284,8 +284,8 @@ def cmd_align(args) -> int:
             records.append({
                 "input": str(path),
                 "output": str(out_path),
-                "pre_distance": bures_distance(p, target),
-                "post_distance": bures_distance(floored(np.concatenate(post)), target),
+                "pre_distance": _bures(p, target),
+                "post_distance": _bures(floored(np.concatenate(post)), target),
             })
         report = {
             "config": _run_config(args, {"target": args.target}),

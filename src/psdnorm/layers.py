@@ -19,9 +19,9 @@ takes anyway); the PSDNorm forward then hands what it builds from its
 input to private cores unchecked, Welch's (``spectral._welch_raw``) and
 the taps' (``monge._taps``).  Every forward builds its output in one copy
 of its batch:
-the PSDNorm forward centres a C-ordered copy, estimates its PSDs from it
-and filters it in place, and each later layer of a stack does the same to
-the copy the first made, so a stack holds one batch.
+the PSDNorm forward centres a copy (``spectral._centred_copy``), estimates
+its PSDs from it and filters it in place, and each later layer of a stack
+does the same to the copy the first made, so a stack holds one batch.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .monge import _filter, _taps
 from .spectral import (
     WelchConfig,
     _centre,
+    _centred_copy,
     _read_only,
-    _unit_rows,
     _welch_raw,
     as_signals,
     check_finite,
@@ -69,30 +69,12 @@ def _check_channels(stats, c: int) -> None:
         raise ShapeMismatchError(f"batch has {c} channels, the layer has {len(stats)}")
 
 
-def _centred_copy(x) -> np.ndarray:
-    """A C-ordered copy of the (c, l) signal or (N, c, l) batch x less each
-    channel's mean, made in one pass when x's rows are laid out as C rows
-    (``_unit_rows``); other rows are copied first and centred in place."""
-    x = as_signals(x)
-    if not _unit_rows(x):
-        return _centre(x.copy(order="C"))
-    mean = finite_mean(x, -1)
-    with np.errstate(over="ignore"):  # as in ``_centre``
-        return np.subtract(x, mean, order="C")
-
-
 def centered_psd(x, cfg: WelchConfig) -> np.ndarray:
     """Welch PSD of a (c, l) signal, or of each signal of an (N, c, l) batch,
-    after removing each channel's mean (one centred copy of x)."""
-    return floored(centered_psd_raw(x, cfg))
-
-
-def centered_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
-    """``centered_psd`` before the positivity floor: ``floored`` of it gives
-    ``centered_psd``'s bits.  ``finite_mean`` has refused every row of x
-    that holds NaN or Inf, so Welch's core reads the centred copy
-    unchecked."""
-    return _welch_raw(_centred_copy(x), cfg)
+    after removing each channel's mean (one centred copy of x, whose rows
+    ``finite_mean`` has refused if they held NaN or Inf, so Welch's core
+    reads it unchecked)."""
+    return floored(_welch_raw(_centred_copy(as_signals(x)), cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -28,20 +28,22 @@ chunks and blocks depend only on the row length and f, rows never share
 arithmetic, and row means and Welch sums are taken over rows laid out
 as C-ordered rows are (a chunk of rows of another layout, a Fortran-
 ordered batch's, is copied first), so a signal gets the same bits alone
-as in a batch, whatever its memory layout.
+as in a batch, whatever its memory layout.  ``_row_means`` is the one row
+mean that reads that rule (``_unit_rows``); ``_centred_copy`` subtracts it
+in the copy that the forward, ``centered_psd`` and the benchmark read.
 
 Input is validated where it enters, once.  The public functions check
 what they are given: ``welch_psd_raw`` and ``welch_psd`` refuse a row
 shorter than f, then any NaN or Inf sample (``check_finite``), and
 ``window_grams`` refuses non-finite Grams.  The pipelines that build their
-own values call private cores that trust them: ``_welch_raw`` takes a
-centred copy whose rows ``finite_mean`` has already refused if they held
-NaN or Inf, and keeps only the checks that no caller can make for it, of
-each row's power and of the trailing samples that no segment reads (a
-centring that overflows can make either Inf).  Likewise ``monge._taps``
+own values call private cores that trust them: ``_welch_raw`` takes rows
+that ``finite_mean`` (of a centred copy) or ``io.read_rows`` (in ``cli``)
+has found finite, and keeps only the checks that no caller can make for
+it, of each row's power and of the trailing samples that no segment reads
+(a centring that overflows can make either Inf).  Likewise ``monge._taps``
 takes floored Welch PSDs and a layer's barycenter, and
-``geometry._barycenter`` and ``geometry._bures`` take the benchmark's own
-PSDs, each valid by construction.
+``geometry._barycenter`` and ``geometry._bures`` take PSDs that their
+callers built, the benchmark and ``align``, each valid by construction.
 """
 
 from __future__ import annotations
@@ -167,14 +169,15 @@ def _unit_rows(x: np.ndarray) -> bool:
         abs(s) >= x.itemsize for s, n in zip(x.strides[:-1], x.shape[:-1]) if n > 1)
 
 
-def _row_means(rows: np.ndarray) -> np.ndarray:
-    """``finite_mean`` of each row of the 2-D rows, summed as over C-ordered
-    rows: rows of another layout (``_unit_rows``) are copied a chunk at a
-    time, so each row gets the bits it gets alone."""
-    if _unit_rows(rows):
-        return finite_mean(rows, 1)
-    return np.concatenate([finite_mean(rows[r].copy(), 1)
-                           for r in chunk_slices(len(rows), 8 * rows.shape[1])])
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """``finite_mean`` of each row of the (..., l) float array x of two or
+    more axes, summed as over C-ordered rows: x of another layout
+    (``_unit_rows``) is copied a chunk of its first axis at a time, so each
+    row gets the bits it gets alone."""
+    if _unit_rows(x):
+        return finite_mean(x, -1)
+    return np.concatenate([finite_mean(x[r].copy(), -1)
+                           for r in chunk_slices(len(x), x[0].nbytes)])
 
 
 def _centre(x: np.ndarray) -> np.ndarray:
@@ -186,6 +189,13 @@ def _centre(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         x -= mean
     return x
+
+
+def _centred_copy(x: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of x less each row's ``_row_means``, made in one
+    pass over x whatever its layout; it overflows as ``_centre`` does."""
+    with np.errstate(over="ignore"):
+        return np.subtract(x, _row_means(x), order="C")
 
 
 def finite_var(x: np.ndarray, axis) -> np.ndarray:
@@ -375,9 +385,9 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
 
 
 def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    """``welch_psd_raw`` of the (c, l) or (N, c, l) float array x, whose
-    samples the caller has found finite (``check_finite``), or made from
-    rows that ``finite_mean`` found finite (a centred copy).  Centring can
+    """``welch_psd_raw`` of the (..., l) float array x, a (..., f) array,
+    whose samples the caller has found finite (``check_finite``), or made
+    from rows that ``finite_mean`` found finite (a centred copy).  Centring can
     still overflow to Inf, so the power of each row is checked ("input
     power"), and so are the trailing samples that no segment reads."""
     f, stride = cfg.filter_size, cfg.stride

@@ -23,9 +23,9 @@ quadratic forms of its window Grams (``monge.mapped_psd_raw``).  Six methods
 on three domains make 3 Welch estimates and 3 Gram builds (18 Welch
 estimates when every method ran its forward and TMA and PSDNorm re-ran
 Welch on its output).  The benchmark builds every PSD it reads, so it
-takes its taps, barycenters and distances from the private cores
-(``monge._taps``, ``geometry._barycenter``, ``geometry._bures``), which
-check nothing.
+takes its PSDs, taps, barycenters and distances from the private cores
+(``spectral._welch_raw``, ``monge._taps``, ``geometry._barycenter``,
+``geometry._bures``), which check nothing.
 """
 
 from __future__ import annotations
@@ -47,15 +47,15 @@ from .layers import (
     BatchNormLayer,
     PsdNormLayer,
     batchnorm_update,
-    _centred_copy,
-    centered_psd_raw,
     psdnorm_update,
     standardize_stats,
 )
 from .monge import _taps, mapped_psd_raw
 from .spectral import (
     WelchConfig,
+    _centred_copy,
     _read_only,
+    _welch_raw,
     check_integer,
     check_number,
     check_psd,
@@ -105,8 +105,8 @@ class DomainSpec:
         return self._welch(welch)[1]
 
     def raw_centered_psds(self, welch: WelchConfig) -> np.ndarray:
-        """``centered_psd_raw(self.signals, welch)``, the sample's PSDs
-        before the positivity floor."""
+        """``_welch_raw(_centred_copy(self.signals), welch)``, the sample's
+        centred PSDs before the positivity floor."""
         return self._welch(welch)[0]
 
     def _welch(self, welch: WelchConfig) -> tuple:
@@ -115,17 +115,16 @@ class DomainSpec:
         the life of the spec."""
         cache = self.__dict__.setdefault("_psds", {})
         if welch not in cache:
-            raw = centered_psd_raw(self.signals, welch)
+            raw = _welch_raw(_centred_copy(self.signals), welch)
             cache[welch] = _read_only(raw), _read_only(floored(raw))
         return cache[welch]
 
     def window_grams(self, welch: WelchConfig) -> np.ndarray:
-        """``window_grams`` of the centred sample (the centred copy that
-        ``centered_psd_raw`` makes), the (n_signals, c, 2f - 1, 2f - 1)
-        Grams from which ``mapped_psd_raw`` gives the PSDs of any mapping of
-        it: built on the first call with each Welch config, so a spec that
-        no method maps holds none, and kept read-only for the life of the
-        spec."""
+        """``window_grams(_centred_copy(self.signals), welch)``, the
+        (n_signals, c, 2f - 1, 2f - 1) Grams from which ``mapped_psd_raw``
+        gives the PSDs of any mapping of the centred sample: built on the
+        first call with each Welch config, so a spec that no method maps
+        holds none, and kept read-only for the life of the spec."""
         cache = self.__dict__.setdefault("_grams", {})
         if welch not in cache:
             grams = window_grams(_centred_copy(self.signals), welch)

@@ -8,11 +8,13 @@ import pytest
 from psdnorm import (
     BatchNormLayer,
     NonFiniteInputError,
+    ParameterOutOfRangeError,
     PsdNormLayer,
     ShapeMismatchError,
     batchnorm_forward,
     psdnorm_forward,
 )
+from psdnorm.cli import EXIT_IO, main
 from psdnorm.io import (
     SignalFileError,
     StateFileError,
@@ -63,14 +65,19 @@ class TestSignalContainer:
         with pytest.raises(SignalFileError):
             read_signal(path)
 
-    def test_bad_version(self, tmp_path):
+    @pytest.mark.parametrize("at, message", [(4, "format version"), (18, "sample encoding")],
+                             ids=["version", "encoding"])
+    def test_bad_version(self, tmp_path, capsys, at, message):
         path = tmp_path / "sig.psdn"
         write_signal(path, np.zeros((1, 4)))
         raw = bytearray(path.read_bytes())
-        raw[4] = 99
+        raw[at] = 99  # the header's version, or its sample-encoding tag
         path.write_bytes(bytes(raw))
-        with pytest.raises(SignalFileError):
+        with pytest.raises(SignalFileError, match=f"unsupported {message} 99"):
             read_signal(path)
+        assert main(["psd", str(path), "--f", "4", "--out-csv", str(tmp_path / "p.csv"),
+                     "--out-json", str(tmp_path / "p.json")]) == EXIT_IO
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "io"
 
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ShapeMismatchError):
@@ -148,6 +155,12 @@ class TestStateDocuments:
         out_b, layer_b = psdnorm_forward(loaded, batch)
         np.testing.assert_array_equal(out_a, out_b)
         np.testing.assert_array_equal(layer_a.barycenter, layer_b.barycenter)
+
+    def test_unsupported_layer_type_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "s.json"
+        with pytest.raises(ParameterOutOfRangeError, match="unsupported layer type dict"):
+            save_state(path, {"kind": "psdnorm"})
+        assert not path.exists()
 
     def test_fresh_psdnorm_state(self, tmp_path):
         path = tmp_path / "fresh.json"

@@ -232,6 +232,20 @@ def walks(seed, shape=(4, 2, 256)):
     return np.cumsum(np.random.default_rng(seed).standard_normal(shape), axis=-1)
 
 
+@pytest.mark.parametrize("layout", sorted(set(LAYOUTS) - {"C"}))
+@pytest.mark.parametrize("shape, f", [((8, 2, 4096), 8), ((3, 2, 1000), 5)])
+def test_forwards_and_centred_psds_keep_the_c_batch_bits_in_any_layout(shape, f, layout):
+    # rows of another layout than C's have their means summed from copies,
+    # a chunk of signals at a time (one signal of (8, 2, 4096) fills a chunk)
+    b = walks(43, shape) + 3.0
+    x = LAYOUTS[layout](b)
+    (y, trained), (z, same) = (psdnorm_forward(PsdNormLayer(filter_size=f), a) for a in (b, x))
+    assert z.tobytes() == y.tobytes() and same.barycenter.tobytes() == trained.barycenter.tobytes()
+    assert psdnorm_forward(trained, x, "eval")[0].tobytes() == \
+        psdnorm_forward(trained, b, "eval")[0].tobytes()
+    assert centered_psd(x, trained.welch).tobytes() == centered_psd(b, trained.welch).tobytes()
+
+
 @draws(lambda st: {"f": st.integers(1, 32), "a": st.floats(1e-100, 1e100),
                    "seed": st.integers(0, 2 ** 32 - 1)}, examples=30, spied=False)
 def test_eval_forwards_are_scale_equivariant_until_a_ratio_is_capped(f, a, seed):

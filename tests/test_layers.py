@@ -499,6 +499,11 @@ class TestBatchNorm:
         with pytest.raises(EvalWithoutStatsError):
             batchnorm_forward(BatchNormLayer(), np.zeros((1, 1, 8)), "eval")
 
+    def test_train_needs_two_pooled_samples(self):
+        # one sample of each of two channels: N * l = 1
+        with pytest.raises(ParameterOutOfRangeError, match="at least 2 pooled samples"):
+            batchnorm_update(BatchNormLayer(), np.ones((1, 2, 1)))
+
     def test_update_returns_the_statistics_the_forward_normalizes_with(self):
         batch = np.random.default_rng(42).standard_normal((3, 2, 16)) * 2.0 + 1.0
         mu, var, layer = batchnorm_update(BatchNormLayer(), batch)

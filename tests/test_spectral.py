@@ -433,21 +433,12 @@ def test_filter_keeps_to_the_byte_budget(shape, f):
     assert peak_bytes(lambda: apply_mapping(x, h)) - x.nbytes <= 4.5 * BUDGET_BYTES
 
 
-def test_welch_copies_no_segments():
-    # The Gram form reads each residue class of segments in place: it holds
-    # Gram matrices and their contraction, within twice BUDGET_BYTES, and a
-    # finiteness mask of at most BUDGET_BYTES.  A copy of a row's
-    # half-overlapping segments would take 16 l bytes.
-    x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
-    cfg = WelchConfig(64)
-    welch_psd_raw(x, cfg)
-    assert peak_bytes(lambda: welch_psd_raw(x, cfg)) <= x.shape[1] + 2 * BUDGET_BYTES
-
-
 def test_welch_keeps_to_the_byte_budget():
     # No temporary exceeds BUDGET_BYTES, the finiteness mask of a long row
     # included: check_finite tests the row in pieces.  A mask of the whole
-    # row would take l = 8 BUDGET_BYTES.
+    # row would take l = 8 BUDGET_BYTES.  Nor does the Gram form copy a
+    # segment: it reads each residue class of segments in place, where a
+    # copy of a row's half-overlapping segments would take 16 l bytes.
     x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
     cfg = WelchConfig(64)
     welch_psd_raw(x, cfg)

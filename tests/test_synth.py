@@ -12,6 +12,7 @@ from psdnorm import (
     LengthTooShortError,
     NonPositivePsdError,
     ParameterOutOfRangeError,
+    ShapeMismatchError,
     WelchConfig,
     batchnorm_forward,
     bures_distance,
@@ -23,8 +24,7 @@ from psdnorm import (
     sample_gaussian_with_psd,
     welch_psd,
 )
-from psdnorm.layers import centered_psd_raw
-from psdnorm.spectral import _welch_raw, floored, window_grams
+from psdnorm.spectral import _welch_raw, floored, welch_psd_raw, window_grams
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
@@ -172,7 +172,8 @@ class TestDomainPsds:
         for cfg in (WelchConfig(8), self.CFG):
             p, raw = spec.centered_psds(cfg), spec.raw_centered_psds(cfg)
             np.testing.assert_array_equal(p, centered_psd(spec.signals, cfg))
-            np.testing.assert_array_equal(raw, centered_psd_raw(spec.signals, cfg))
+            centred = spec.signals - spec.signals.mean(axis=-1, keepdims=True)
+            np.testing.assert_array_equal(raw, welch_psd_raw(centred, cfg))
             np.testing.assert_array_equal(p, floored(raw))
             for a in (p, raw):
                 with pytest.raises(ValueError):
@@ -399,3 +400,5 @@ class TestEvaluateAlignment:
             evaluate_alignment(domains, "zscore")
         with pytest.raises(ParameterOutOfRangeError):
             evaluate_alignment(domains[:1], "none")
+        with pytest.raises(ShapeMismatchError, match="share PSD shape"):
+            evaluate_alignment([flat_spec(c=1), flat_spec(c=2)], "none")
