@@ -20,30 +20,30 @@ segments, or its segment power over blocks of segments, and
 ``monge.apply_mapping`` filters chunks of rows, or blocks of one long row,
 by BLAS products of a padded buffer's f-sample tiles with each row's
 Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
-``apply_mapping`` each state the rule by which they pick a form.
-``window_grams`` sums the Grams of each row's wider windows, from which
-``monge.mapped_psd_raw`` gives the Welch PSD of any mapping of the row,
-from strided views of the row's stride-wide tiles.  Classes,
-chunks and blocks depend only on the row length and f, rows never share
-arithmetic, and row means and Welch sums are taken over rows laid out
-as C-ordered rows are (a chunk of rows of another layout, a Fortran-
-ordered batch's, is copied first), so a signal gets the same bits alone
-as in a batch, whatever its memory layout.  ``_row_means`` is the one row
+``apply_mapping`` each state the rule by which they pick a form; which
+samples the filter reads for an output, and the Grams of those windows
+that the benchmark reads, are ``monge``'s alone.  Classes, chunks and
+blocks depend only on the row length and f, rows never share arithmetic,
+and row means and Welch sums are taken over rows laid out as C-ordered
+rows are (a chunk of rows of another layout, a Fortran-ordered batch's,
+is copied first, one long row at a time), so a signal gets the same bits
+alone as in a batch, whatever its memory layout.  ``_row_means`` is the one row
 mean that reads that rule (``_unit_rows``); ``_centred_copy`` subtracts it
 in the copy that the forward, ``centered_psd`` and the benchmark read.
 
 Input is validated where it enters, once.  The public functions check
 what they are given: ``welch_psd_raw`` and ``welch_psd`` refuse a row
-shorter than f, then any NaN or Inf sample (``check_finite``), and
-``window_grams`` refuses non-finite Grams.  The pipelines that build their
-own values call private cores that trust them: ``_welch_raw`` takes rows
-that ``finite_mean`` (of a centred copy) or ``io.read_rows`` (in ``cli``)
-has found finite, and keeps only the checks that no caller can make for
-it, of each row's power and of the trailing samples that no segment reads
-(a centring that overflows can make either Inf).  Likewise ``monge._taps``
-takes floored Welch PSDs and a layer's barycenter, and
-``geometry._barycenter`` and ``geometry._bures`` take PSDs that their
-callers built, the benchmark and ``align``, each valid by construction.
+shorter than f, then any NaN or Inf sample (``check_finite``).  The
+pipelines that build their own values call private cores that trust them:
+``_welch_raw`` takes rows that ``finite_mean`` (of a centred copy) or
+``io.read_rows`` (in ``cli``) has found finite, and keeps only the checks
+that no caller can make for it, of each row's power and of the trailing
+samples that no segment reads (a centring that overflows can make either
+Inf).  Likewise ``monge._taps`` takes floored Welch PSDs and a layer's
+barycenter, ``monge``'s window-Gram cores the benchmark's centred sample
+and taps, and ``geometry._barycenter`` and ``geometry._bures`` take PSDs
+that their callers built, the benchmark and ``align``, each valid by
+construction.
 """
 
 from __future__ import annotations
@@ -428,6 +428,7 @@ def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
                     segs = _segments(chunk, s * stride, min(block, n_seg - s), stride, f)
                     acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
             half[r] = check_finite(acc, "input power") / n_seg
+            del chunk, segs  # a row copy, which the next one must not meet
     return _two_sided(half, f).reshape(x.shape[:-1] + (f,))
 
 
@@ -447,110 +448,3 @@ def n_segments(length: int, cfg: WelchConfig) -> int:
             f"signal length {length} < filter size {cfg.filter_size}"
         )
     return (length - cfg.filter_size) // cfg.stride + 1
-
-
-class _GramPlan:
-    """How ``window_grams`` sums the windows of rows of l samples, from
-    stride-wide tiles: tile j holds samples j*stride - f//2 .. + stride,
-    indices taken modulo l, and window i is the first 2f - 1 samples of the
-    m tiles i .. i + m - 1.  So block (p + d, p) of the m x m blocks of the
-    sum of W'W is the sum over j in [p, p + n_seg) of tile j + d times tile
-    j: one core sum over the tiles j in [first, first + count), which every
-    block of offset d includes and whose tiles lie in the row, plus the
-    edge products outside it that the block reaches.  Depends only on
-    (l, f, stride); its arrays are read-only."""
-
-    def __init__(self, l: int, f: int, stride: int):
-        self.segments = n_seg = n_segments(l, WelchConfig(f, stride))
-        self.halo, self.stride = f // 2, stride
-        self.tiles = m = -(-(2 * f - 1) // stride)
-        # core tiles j: every block reaches them (m - 1 <= j < n_seg), and
-        # they and the m - 1 tiles after them lie in the row, unwrapped
-        self.first = first = max(-(-self.halo // stride), m - 1)
-        self.count = max(0, min(n_seg - 1, (l + self.halo) // stride - m) - first + 1)
-        ends = [n_seg + m - 1 - d for d in range(m)]  # past the last tile j of offset d
-        edges = [np.r_[:min(first, end), first + self.count:end] for end in ends]
-        j = np.concatenate(edges).astype(int)
-        d = np.repeat(np.arange(m), [len(e) for e in edges])
-        copied = np.union1d(j, j + d)  # the edge tiles, whose samples ``index`` holds
-        self.index = (copied[:, np.newaxis] * stride - self.halo + np.arange(stride)) % l
-        self.left, self.right = np.searchsorted(copied, j), np.searchsorted(copied, j + d)
-        # block k is (p + d, p), for each offset d and p = 0 .. m - 1 - d; it
-        # adds the edge products of offset d that it reaches and d's core sum
-        self.offset = np.repeat(np.arange(m), np.arange(m, 0, -1))
-        self.col = np.concatenate([np.arange(m - k) for k in range(m)])
-        p, d_k = self.col[:, np.newaxis], self.offset[:, np.newaxis]
-        reach = (d_k == d) & (p <= j) & (j < p + n_seg)
-        self.mask = np.concatenate([reach, d_k == np.arange(m)], axis=1).astype(float)
-        for a in (self.index, self.left, self.right, self.offset, self.col, self.mask):
-            a.flags.writeable = False
-        # the edge tiles, both sides of their products, all products, the
-        # blocks and the sum, as if all were held at once
-        self.row_bytes = 8 * (self.index.size + 2 * len(j) * stride
-                              + sum(self.mask.shape) * stride ** 2 + (m * stride) ** 2)
-
-    def sums(self, rows: np.ndarray) -> np.ndarray:
-        """The (R, m stride, m stride) sum over windows of W'W of each of the
-        (R, l) rows.  Each product of the edge tiles and each offset's core
-        sum, a BLAS product of the rows' strided views of the core tiles and
-        of those d tiles on, is one contiguous (R, stride, stride) term, so
-        that one product with ``mask`` adds them into blocks; the edge
-        products are matmuls, since a broadcast multiply takes a ufunc
-        buffer of 64 KiB."""
-        s, m, edges, terms = self.stride, self.tiles, len(self.left), self.mask.shape[1]
-        products = np.empty((terms, len(rows), s, s))
-        copies = rows[:, self.index].transpose(1, 0, 2)
-        np.matmul(copies[self.right, :, :, np.newaxis], copies[self.left, :, np.newaxis],
-                  out=products[:edges])
-        count = self.count
-        core = _segments(rows, self.first * s - self.halo, count and count + m - 1, s, s)
-        for d in range(m):
-            np.matmul(core[:, d:d + count].transpose(0, 2, 1), core[:, :count],
-                      out=products[edges + d])
-        lower = (self.mask @ products.reshape(terms, -1)).reshape(len(self.mask), -1, s, s)
-        del products  # before the grid is allocated
-        grid = np.empty((len(rows), m, s, m, s))
-        grid[:, self.col + self.offset, :, self.col] = lower
-        grid[:, self.col, :, self.col + self.offset] = lower.transpose(0, 1, 3, 2)
-        return grid.reshape(len(rows), m * s, m * s)
-
-
-@functools.lru_cache(maxsize=32)
-def _gram_plan(l: int, f: int, stride: int) -> _GramPlan:
-    """``_GramPlan(l, f, stride)``, built once per (l, f, stride)."""
-    return _GramPlan(l, f, stride)
-
-
-def window_grams(x, cfg: WelchConfig) -> np.ndarray:
-    """The mean over Welch segments of W'W for each channel row of a (c, l)
-    signal or an (N, c, l) batch, a (..., 2f - 1, 2f - 1) array: W is the
-    2f - 1 samples, indices taken modulo l, that start f//2 before the
-    segment, which are those that ``monge.apply_mapping`` reads for the
-    segment's outputs.  Its central (f, f) block, from row and column f//2,
-    is the mean segment Gram of ``welch_psd_raw``, and
-    ``monge.mapped_psd_raw`` gives from it the Welch PSD of any mapping of a
-    centred x.
-
-    The sum is built from stride-wide tiles (``_GramPlan``): for each tile
-    offset d, one product of the row's (count, stride) strided view of its
-    core tiles with the view d tiles on, which BLAS reads in place, plus
-    products of the few edge tiles, copied, which wrap around the row's
-    ends or fall outside some block's range.  Each is added to the blocks
-    whose range includes it, so nothing is subtracted, and it costs about
-    the Gram form's f^2 per segment.  Chunks of rows hold at most
-    BUDGET_BYTES in temporaries, but for a row whose own exceed it (about
-    104 f^2 bytes at the default stride: f > 24), which is built alone.  The
-    Grams must be finite (else NonFiniteInputError): a NaN or Inf sample in
-    a window makes them NaN, and so do finite samples past the square root
-    of the float range.
-    """
-    x = as_signals(x)
-    f, l = cfg.filter_size, x.shape[-1]
-    plan, w, rows = _gram_plan(l, f, cfg.stride), 2 * f - 1, x.reshape(-1, l)
-    out = np.empty((len(rows), w, w))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in chunk_slices(len(rows), plan.row_bytes):
-            out[r] = plan.sums(rows[r])[:, :w, :w]
-            out[r] /= plan.segments  # in place: a strided operand would take a ufunc buffer
-            check_finite(out[r], "input power")
-    return out.reshape(x.shape[:-1] + (w, w))

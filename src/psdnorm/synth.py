@@ -19,13 +19,13 @@ InstanceNorm's and LayerNorm's statistics from ``standardize_stats`` over
 of the centred signal: the affine baselines map each centred channel to
 x / sqrt(var + eps), so their post PSDs are the raw ones over var + eps,
 floored after, and TMA and PSDNorm map it by a filter, so theirs are
-quadratic forms of its window Grams (``monge.mapped_psd_raw``).  Six methods
-on three domains make 3 Welch estimates and 3 Gram builds (18 Welch
-estimates when every method ran its forward and TMA and PSDNorm re-ran
-Welch on its output).  The benchmark builds every PSD it reads, so it
-takes its PSDs, taps, barycenters and distances from the private cores
-(``spectral._welch_raw``, ``monge._taps``, ``geometry._barycenter``,
-``geometry._bures``), which check nothing.
+quadratic forms of its window Grams (``monge._mapped_psd_raw``).  Six
+methods on three domains make 3 Welch estimates and 3 Gram builds.  The
+benchmark builds every array it reads, so it takes its PSDs, Grams, taps,
+barycenters and distances from the private cores (``spectral._welch_raw``,
+``monge._window_grams``, ``monge._mapped_psd_raw``, ``monge._taps``,
+``geometry._barycenter``, ``geometry._bures``), which check only the power
+they sum.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .layers import (
     psdnorm_update,
     standardize_stats,
 )
-from .monge import _taps, mapped_psd_raw
+from .monge import _mapped_psd_raw, _taps, _window_grams
 from .spectral import (
     WelchConfig,
     _centred_copy,
@@ -60,7 +60,6 @@ from .spectral import (
     check_number,
     check_psd,
     floored,
-    window_grams,
 )
 
 METHODS = ("none", "instancenorm", "batchnorm", "layernorm", "tma", "psdnorm")
@@ -120,14 +119,14 @@ class DomainSpec:
         return cache[welch]
 
     def window_grams(self, welch: WelchConfig) -> np.ndarray:
-        """``window_grams(_centred_copy(self.signals), welch)``, the
-        (n_signals, c, 2f - 1, 2f - 1) Grams from which ``mapped_psd_raw``
+        """``monge._window_grams(_centred_copy(self.signals), welch)``, the
+        (n_signals, c, 2f - 1, 2f - 1) Grams from which ``_mapped_psd_raw``
         gives the PSDs of any mapping of the centred sample: built on the
         first call with each Welch config, so a spec that no method maps
         holds none, and kept read-only for the life of the spec."""
         cache = self.__dict__.setdefault("_grams", {})
         if welch not in cache:
-            grams = window_grams(_centred_copy(self.signals), welch)
+            grams = _window_grams(_centred_copy(self.signals), welch)
             grams.flags.writeable = False
             cache[welch] = grams
         return cache[welch]
@@ -214,15 +213,15 @@ def _post_psds(domains, method: str, welch: WelchConfig) -> list:
     """The centred PSDs of each domain's sample after ``method`` (not
     "none"), each floored as ``welch_psd`` floors.  TMA's and PSDNorm's are
     those of each domain's eval forward under ``tma_fit``'s layer, fitted
-    from the cached PSDs: ``mapped_psd_raw`` of the domain's window Grams
+    from the cached PSDs: ``_mapped_psd_raw`` of the domain's window Grams
     under the forward's taps.  An affine baseline's are the cached raw PSDs
     over its var + eps: scaling the floored ones instead would move every
     clamped bin."""
     if method in ("tma", "psdnorm"):
         psds = [d.centered_psds(welch) for d in domains]
         layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
-        return [floored(mapped_psd_raw(d.window_grams(welch),
-                                       _taps(p, layer.barycenter), welch))
+        return [floored(_mapped_psd_raw(d.window_grams(welch),
+                                        _taps(p, layer.barycenter), welch))
                 for d, p in zip(domains, psds)]
     if method == "batchnorm":
         # Each domain's eval forward divides by the running variance of one

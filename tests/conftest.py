@@ -1,6 +1,6 @@
 """Shared test set-up: one deterministic hypothesis profile, the
-``kernel_spy`` fixture, which records the form each kernel call takes, and
-``peak_bytes``."""
+``kernel_spy`` fixture, which records the form each kernel call takes,
+``peak_bytes`` and the memory ``LAYOUTS`` of a signal."""
 
 import tracemalloc
 from functools import partial
@@ -31,6 +31,13 @@ def pytest_configure(config):
     settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
     settings.load_profile("deterministic")
 
+
+#: Memory layouts of the same values, each a view or copy of an array:
+#: the kernels give each one the bits of its C-ordered copy ("cropped" needs three axes).
+LAYOUTS = {"C": lambda x: x, "Fortran": np.asfortranarray,
+           "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+           "reversed": lambda x: x[..., ::-1].copy()[..., ::-1],
+           "cropped": lambda x: np.pad(x, ((0, 0), (0, 0), (1, 2)))[..., 1:-2]}
 
 #: Every (kernel, form, mode) that ``KernelCall.key`` can read.
 FORMS = {("welch", "gram", "whole"), ("welch", "rfft", "whole"), ("welch", "rfft", "blocks"),

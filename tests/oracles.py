@@ -1,7 +1,8 @@
 """Independent references that only tests use: the unitary DFT matrix, the
-classical Gaussian Monge map, materialized densely, two-sided Gaussian
-synthesis, Welch by one rfft per segment, filtering by one rfft of the
-whole signal and the alignment benchmark with no PSD kept between calls."""
+classical Gaussian Monge map and the Bures-Wasserstein geometry,
+materialized densely, two-sided Gaussian synthesis, Welch by one rfft per
+segment, filtering by one rfft of the whole signal and the alignment
+benchmark with no PSD kept between calls."""
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,6 +87,72 @@ def _sym_inv_sqrt(s: np.ndarray) -> np.ndarray:
     if np.any(vals <= 0):
         raise NonPositivePsdError("covariance is not positive definite")
     return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def dense_covariance(p) -> np.ndarray:
+    """The f x f covariance U* diag(p) U of one channel's f-bin PSD p, for the
+    unitary DFT matrix U: circulant, and Hermitian positive definite."""
+    u = fourier_matrix(len(p))
+    return u.conj().T @ np.diag(p) @ u
+
+
+def dense_psd(sigma) -> np.ndarray:
+    """The PSD of a covariance that ``dense_covariance`` diagonalizes: the
+    real diagonal of U sigma U*."""
+    u = fourier_matrix(len(sigma))
+    return np.diag(u @ sigma @ u.conj().T).real
+
+
+def _sqrtm(a) -> np.ndarray:
+    from scipy.linalg import sqrtm  # scipy is a test extra, needed here only
+
+    return sqrtm(a)
+
+
+def dense_bures_distance(p, q) -> float:
+    """The Bures distance of the (c, f) PSDs p and q, over the channels'
+    dense covariances A and B: the square root of the sum over channels of
+    tr A + tr B - 2 tr (A^1/2 B A^1/2)^1/2."""
+    total = 0.0
+    for a, b in zip(map(dense_covariance, p), map(dense_covariance, q)):
+        root = _sqrtm(a)
+        total += np.trace(a + b - 2 * _sqrtm(root @ b @ root)).real
+    return float(np.sqrt(total))
+
+
+def dense_barycenter(psds, iterations: int = 100) -> np.ndarray:
+    """The Bures-Wasserstein barycenter of K (c, f) PSDs, per channel by the
+    fixed point of Alvarez-Esteban et al. (2016) on their dense covariances
+    C_k: S <- S^-1/2 (mean_k (S^1/2 C_k S^1/2)^1/2)^2 S^-1/2, from
+    S = mean_k C_k, for at most ``iterations`` steps, until a step moves S
+    by less than 1e-12 of its norm: rounding moves it by about 1e-14."""
+    psds = np.asarray(psds, dtype=float)
+    out = np.empty(psds.shape[1:])
+    for m in range(psds.shape[1]):
+        covs = [dense_covariance(p[m]) for p in psds]
+        s = np.mean(covs, axis=0)
+        for _ in range(iterations):
+            root = _sqrtm(s)
+            inverse = np.linalg.inv(root)
+            mean = np.mean([_sqrtm(root @ c @ root) for c in covs], axis=0)
+            s, last = inverse @ mean @ mean @ inverse, s
+            if np.linalg.norm(s - last) <= 1e-12 * np.linalg.norm(s):
+                break
+        out[m] = dense_psd(s)
+    return out
+
+
+def dense_geodesic(p, q, t: float) -> np.ndarray:
+    """The point at t on McCann's geodesic from the (c, f) PSD p to q, per
+    channel over the dense covariances A and B: M A M with
+    M = (1 - t) I + t T, for the Monge map T = A^-1/2 (A^1/2 B A^1/2)^1/2 A^-1/2."""
+    out = np.empty(np.shape(p))
+    for m, (a, b) in enumerate(zip(map(dense_covariance, p), map(dense_covariance, q))):
+        root = _sqrtm(a)
+        inverse = np.linalg.inv(root)
+        step = (1 - t) * np.eye(len(a)) + t * (inverse @ _sqrtm(root @ b @ root) @ inverse)
+        out[m] = dense_psd(step @ a @ step)
+    return out
 
 
 def two_sided_gaussian_sample(spec) -> np.ndarray:

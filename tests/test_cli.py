@@ -1145,6 +1145,40 @@ class TestLayerCommand:
         assert state1.read_bytes() == state2.read_bytes()
 
 
+class TestLayerMatchesAlign:
+    """``layer --kind psdnorm`` maps its batch by one forward and ``align``
+    maps each file a row at a time: under one target they write the same
+    bytes, on both filter forms and on rows filtered in several blocks."""
+
+    CASES = {"2x4096 f8": ((2, 4096), 8, 3), "3x1000 f5": ((3, 1000), 5, 2),
+             "2x32768 f64": ((2, 2 ** 15), 64, 2), "1x20000 f96": ((1, 20000), 96, 2)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_layer_writes_the_bytes_of_align(self, tmp_path, case):
+        from psdnorm import PsdNormLayer, psdnorm_forward
+
+        shape, f, n = self.CASES[case]
+        rng = np.random.default_rng(f)
+        paths = []
+        for i in range(n):
+            paths.append(str(tmp_path / f"s{i}.psdn"))
+            write_signal(paths[-1], np.cumsum(rng.standard_normal(shape), axis=-1))
+        # a state trained on other signals, whose barycenter is not the files'
+        state = str(tmp_path / "state.json")
+        save_state(state, psdnorm_forward(PsdNormLayer(filter_size=f),
+                                          rng.standard_normal((2,) + shape))[1])
+        runs = {"train": ["layer", "--kind", "psdnorm"],
+                "eval": ["layer", "--kind", "psdnorm", "--mode", "eval", "--state-in", state],
+                "barycenter": ["align", "--target", "barycenter"],
+                "state": ["align", "--target", state]}
+        for out, argv in runs.items():
+            assert main([*argv, *paths, "--f", str(f), "--out", str(tmp_path / out)]) == EXIT_OK
+        for i in range(n):
+            for layer_out, align_out in (("train", "barycenter"), ("eval", "state")):
+                assert ((tmp_path / layer_out / f"s{i}.out.psdn").read_bytes()
+                        == (tmp_path / align_out / f"s{i}.aligned.psdn").read_bytes())
+
+
 class TestBenchCommand:
     def test_repeated_method_exits_before_sampling(self, tmp_path, capsys,
                                                    monkeypatch):

@@ -2,8 +2,9 @@
 whose docstrings alone state the rules by which they choose a form: ``edges``
 finds with the kernel spy where each form and mode begins, both sides and a row
 of several blocks meet the oracles, and so do hypothesis draws.  The one pin is
-perfbench's traffic.  Then the post-mapping PSD from ``window_grams`` and
-``mapped_psd_raw`` against Welch of the mapped signal, and their peak memory."""
+perfbench's traffic.  Then the post-mapping PSD from ``monge._window_grams``
+and ``monge._mapped_psd_raw`` against Welch of the mapped signal, and their
+peak memory."""
 
 import functools
 from dataclasses import replace
@@ -14,7 +15,6 @@ import pytest
 from psdnorm import (
     NonFiniteInputError,
     PsdNormLayer,
-    ShapeMismatchError,
     WelchConfig,
     apply_mapping,
     centered_psd,
@@ -25,10 +25,10 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm import layers
-from psdnorm.monge import RATIO_CAP, _filter, _taps, mapped_psd_raw
-from psdnorm.spectral import BUDGET_BYTES, _centre, check_psd, welch_psd_raw, window_grams
+from psdnorm.monge import RATIO_CAP, _filter, _mapped_psd_raw, _taps, _window_grams
+from psdnorm.spectral import BUDGET_BYTES, _centre, check_psd, welch_psd_raw
 
-from conftest import FORMS, KernelSpy, peak_bytes
+from conftest import FORMS, LAYOUTS, KernelSpy, peak_bytes
 from oracles import DENSE_MAX_LEN, dense_monge_oracle, rfft_welch_raw, whole_signal_mapping
 
 try:
@@ -47,10 +47,6 @@ SIZES = [*range(1, 131), 257, 1000, 5001]
 SCANS = [*(("filter", f, 0) for f in SIZES),
          *(("welch", f, s) for f in SIZES for s in range(1, f + 1)
            if f <= 8 or s in (f // 2, f) or s == 1 and f in (64, 128, 257))]
-LAYOUTS = {"C": lambda x: x, "Fortran": np.asfortranarray,
-           "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
-           "reversed": lambda x: x[..., ::-1].copy()[..., ::-1],
-           "cropped": lambda x: np.pad(x, ((0, 0), (0, 0), (1, 2)))[..., 1:-2]}
 
 
 @functools.cache
@@ -352,10 +348,10 @@ def test_forwards_equal_the_checked_public_path_bit_for_bit(
 
 
 def mapped_psds(x, h, cfg):
-    """``mapped_psd_raw`` of x's centred window Grams, and ``welch_psd_raw`` of
-    the mapped signal."""
-    grams = window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
-    return mapped_psd_raw(grams, h, cfg), welch_psd_raw(apply_mapping(x, h), cfg)
+    """``_mapped_psd_raw`` of x's centred window Grams, and ``welch_psd_raw``
+    of the mapped signal."""
+    grams = _window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
+    return _mapped_psd_raw(grams, h, cfg), welch_psd_raw(apply_mapping(x, h), cfg)
 
 
 @draws(lambda st: {"n": st.integers(1, 3), "c": st.integers(1, 3),
@@ -403,23 +399,22 @@ def test_window_grams_and_mapped_psds_peak_at_their_output_plus_the_budget(shape
     # f = 24 is the largest at which one row's temporaries fit the budget
     rng, cfg = np.random.default_rng(7), WelchConfig(f, stride)
     x, h = rng.standard_normal(shape), rng.standard_normal(shape[:-1] + (f,))
-    grams = window_grams(x, cfg)
-    assert peak_bytes(lambda: window_grams(x, cfg)) <= grams.nbytes + BUDGET_BYTES
-    p = mapped_psd_raw(grams, h, cfg)
-    assert peak_bytes(lambda: mapped_psd_raw(grams, h, cfg)) <= p.nbytes + BUDGET_BYTES
+    grams = _window_grams(x, cfg)
+    assert peak_bytes(lambda: _window_grams(x, cfg)) <= grams.nbytes + BUDGET_BYTES
+    p = _mapped_psd_raw(grams, h, cfg)
+    assert peak_bytes(lambda: _mapped_psd_raw(grams, h, cfg)) <= p.nbytes + BUDGET_BYTES
 
 
 @pytest.mark.filterwarnings("error")
 def test_window_grams_and_mapped_psds_refuse_what_they_cannot_read():
+    # the benchmark hands the cores finite samples and taps, whose power can
+    # still pass the float range
     cfg, x = WelchConfig(4), np.ones((2, 1, 64))
     for bad in (np.nan, 1e200):  # a NaN sample, and squares past the float range
         y = x.copy()
         y[1, 0, 5] = bad
         with pytest.raises(NonFiniteInputError, match="input power"):
-            window_grams(y, cfg)
-    grams = window_grams(x, cfg)
-    for g, h in ((grams, np.ones((2, 1, 5))), (grams[:1], np.ones((2, 1, 4)))):
-        with pytest.raises(ShapeMismatchError, match="window Grams"):
-            mapped_psd_raw(g, h, cfg)
-    with pytest.raises(NonFiniteInputError, match="filter taps"):
-        mapped_psd_raw(grams, np.full((2, 1, 4), np.inf), cfg)
+            _window_grams(y, cfg)
+    grams = _window_grams(x, cfg)
+    with pytest.raises(NonFiniteInputError, match="input power"):
+        _mapped_psd_raw(grams * 1e300, np.full((2, 1, 4), 1e10), cfg)

@@ -24,7 +24,8 @@ from psdnorm import (
     sample_gaussian_with_psd,
     welch_psd,
 )
-from psdnorm.spectral import _welch_raw, floored, welch_psd_raw, window_grams
+from psdnorm.monge import _window_grams
+from psdnorm.spectral import _welch_raw, floored, welch_psd_raw
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
 
@@ -197,7 +198,7 @@ class TestDomainPsds:
         centred = spec.signals - spec.signals.mean(axis=-1, keepdims=True)
         for cfg in (WelchConfig(8), self.CFG):
             grams = spec.window_grams(cfg)
-            np.testing.assert_array_equal(grams, window_grams(centred, cfg))
+            np.testing.assert_array_equal(grams, _window_grams(centred, cfg))
             assert spec.window_grams(cfg) is grams
             with pytest.raises(ValueError):
                 grams[0, 0, 0, 0] = 1.0
@@ -340,23 +341,23 @@ class TestEvaluateAlignment:
             assert_matches_executed(rep, post, ratio)
 
     def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
-        calls = spy_calls(monkeypatch, _welch_raw, window_grams,
+        calls = spy_calls(monkeypatch, _welch_raw, _window_grams,
                           psdnorm.apply_mapping)
         specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
                                      length=256, seed=16)
         grams = []
         for method in psdnorm.synth.METHODS:
             evaluate_alignment(specs, method)
-            grams.append(sum(name == "window_grams" for name, _ in calls))
+            grams.append(sum(name == "_window_grams" for name, _ in calls))
         # tma builds each domain's Grams, psdnorm reuses them
         assert grams == [0, 0, 0, 0, 3, 3]
         # 3 domain samples; no signal is filtered
-        assert [name for name, _ in calls] == ["_welch_raw"] * 3 + ["window_grams"] * 3
+        assert [name for name, _ in calls] == ["_welch_raw"] * 3 + ["_window_grams"] * 3
         cfg = WelchConfig(8, 3, "boxcar")
         evaluate_alignment(specs, "psdnorm", cfg)
         evaluate_alignment(specs, "tma", cfg)
         assert [(name, args[1]) for name, args in calls[6:]] == (
-            [("_welch_raw", cfg)] * 3 + [("window_grams", cfg)] * 3)
+            [("_welch_raw", cfg)] * 3 + [("_window_grams", cfg)] * 3)
         psdnorm.apply_mapping(specs[0].signals, np.ones((2, 1, 8)))  # the spy is live
         assert calls[-1][0] == "apply_mapping"
 

@@ -1,0 +1,91 @@
+"""Bits that do not depend on the BLAS thread count: one fixed table of
+kernel calls runs in two subprocesses, with the BLAS thread variables at 1
+and at 2, and each row's output must hash alike in both.
+
+Run as a script, this file prints the table's SHA-256 per row as JSON."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import psdnorm
+from psdnorm import WelchConfig, apply_mapping, psdnorm_stack_forward
+from psdnorm.monge import _mapped_psd_raw, _window_grams
+from psdnorm.spectral import welch_psd_raw
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: Rows whose products take a BLAS path that the thread count picks, so
+#: that their bits may depend on it: the f = 64 window Grams, and the
+#: mapped PSDs read from them (ROADMAP item 18).
+THREAD_DEPENDENT = ("grams (1, 2, 65536) f=64", "mapped (1, 2, 65536) f=64")
+ROWS = ("welch gram (8, 2, 4096) f=8", "welch rfft (8, 4, 4096) f=96",
+        "filter toeplitz (1, 2, 65536) f=64", "filter fft (8, 4, 4096) f=96",
+        "stack train (64, 4, 1024) fs=(16, 8, 4)", "stack eval (64, 4, 1024) fs=(16, 8, 4)",
+        "grams (8, 2, 4096) f=8", "mapped (8, 2, 4096) f=8", *THREAD_DEPENDENT)
+
+
+def table() -> dict:
+    """{row: SHA-256 of the bytes of its outputs} over ``ROWS``: each form of
+    Welch and of the filter, a train and an eval stack forward, and the
+    benchmark's window Grams and mapped PSDs at f = 8 and 64."""
+    def draw(*shape):
+        return np.random.default_rng(shape).standard_normal(shape)
+
+    def taps(shape, f):
+        return draw(*shape[:-1], f) / np.sqrt(f)
+
+    out = {}
+    for form, shape, f in (("gram", (8, 2, 4096), 8), ("rfft", (8, 4, 4096), 96)):
+        out[f"welch {form} {shape} f={f}"] = [welch_psd_raw(draw(*shape), WelchConfig(f))]
+    for form, shape, f in (("toeplitz", (1, 2, 2 ** 16), 64), ("fft", (8, 4, 4096), 96)):
+        out[f"filter {form} {shape} f={f}"] = [apply_mapping(draw(*shape), taps(shape, f))]
+    x, fs = draw(64, 4, 1024), (16, 8, 4)
+    y, layers, _ = psdnorm_stack_forward(fs, x)
+    out[f"stack train {x.shape} fs={fs}"] = [y, *(layer.barycenter for layer in layers)]
+    out[f"stack eval {x.shape} fs={fs}"] = [psdnorm_stack_forward(fs, x, "eval", layers)[0]]
+    for shape, f in (((8, 2, 4096), 8), ((1, 2, 2 ** 16), 64)):
+        cfg, x = WelchConfig(f), draw(*shape)
+        grams = _window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
+        out[f"grams {shape} f={f}"] = [grams]
+        out[f"mapped {shape} f={f}"] = [_mapped_psd_raw(grams, taps(shape, f), cfg)]
+    return {row: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+            for row, arrays in out.items()}
+
+
+@pytest.fixture(scope="module")
+def hashes() -> list:
+    """``table()`` as two subprocesses print it, at 1 and at 2 BLAS threads."""
+    path = os.pathsep.join(filter(None, [str(Path(psdnorm.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, **dict.fromkeys(THREAD_VARIABLES, threads), "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                              text=True, check=True, timeout=600)
+        runs.append(json.loads(done.stdout))
+    return runs
+
+
+def test_the_table_has_its_rows(hashes):
+    assert [sorted(run) for run in hashes] == [sorted(ROWS)] * 2
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row, marks=pytest.mark.xfail(
+        row in THREAD_DEPENDENT, strict=False,
+        reason="its BLAS products may take another path at 2 threads (ROADMAP item 18)"))
+    for row in ROWS])
+def test_bits_do_not_depend_on_the_blas_thread_count(hashes, row):
+    one, two = hashes
+    assert one[row] == two[row]
+
+
+if __name__ == "__main__":
+    json.dump(table(), sys.stdout)
