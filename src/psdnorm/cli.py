@@ -100,9 +100,7 @@ def _run_config(args, extra=None) -> dict:
 
 
 def _welch_from_args(args) -> WelchConfig:
-    return WelchConfig(check_integer("--f", args.f, 1),
-                       stride=check_integer("--stride", args.stride, 0),
-                       window_kind=args.window)
+    return WelchConfig(args.f, stride=args.stride, window_kind=args.window)
 
 
 @contextmanager
@@ -298,8 +296,6 @@ def cmd_align(args) -> int:
 # Each ``layer`` setting flag and the layer field of the same meaning.
 _LAYER_FIELDS = {"f": "filter_size", "stride": "stride", "window": "window_kind",
                  "momentum": "momentum", "eps": "eps"}
-# The lower bound of each integer ``layer`` flag, checked under the flag's name.
-_LAYER_INTEGER_FLAGS = {"f": 1, "stride": 0}
 # Each ``layer --kind``: its layer class (None if it keeps no state), its
 # forward and the fields that its flags may set.
 _LAYER_KINDS = {
@@ -331,8 +327,6 @@ def cmd_layer(args) -> int:
                 raise ParameterOutOfRangeError(f"--kind {args.kind} has no setting"
                                                f" for --{flag}")
             settings[name] = getattr(args, flag)
-            if flag in _LAYER_INTEGER_FLAGS:
-                check_integer(f"--{flag}", settings[name], _LAYER_INTEGER_FLAGS[flag])
     layer = layer_class(**settings) if layer_class else None
     out_dir = Path(args.out)
     out_paths = _output_paths(out_dir, args.inputs, ".out.psdn")
@@ -439,11 +433,19 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterOutOfRangeError(f"{self.prog}: {message}")
 
 
+def _integer_flag(flag: str, low: int):
+    """An argparse ``type``: an integer >= low, else check_integer's error."""
+    def integer(text: str) -> int:
+        return check_integer(flag, int(text), low)
+    return integer
+
+
 def _add_welch_flags(p, default_f=None):
     """--f, --stride and --window, defaulting to ``default_f``, 0 and hann;
     with no ``default_f`` they have no default, so the layer's hold."""
-    p.add_argument("--f", type=int, help="filter size / PSD bins")
-    p.add_argument("--stride", type=int, help="segment stride (0 = f // 2)")
+    p.add_argument("--f", type=_integer_flag("--f", 1), help="filter size / PSD bins")
+    p.add_argument("--stride", type=_integer_flag("--stride", 0),
+                   help="segment stride (0 = f // 2)")
     p.add_argument("--window", choices=WINDOW_KINDS)
     if default_f is not None:
         p.set_defaults(f=default_f, stride=0, window="hann")

@@ -170,8 +170,7 @@ def _forward_in_place(layer: PsdNormLayer, b: np.ndarray, mode: str):
     layer = psdnorm_update(layer, psds, mode)
     taps = _taps(psds, layer.barycenter).reshape(-1, layer.filter_size)
     del psds  # before the filter's temporaries
-    rows = b.reshape(-1, b.shape[-1])  # a view, as b is C-ordered
-    _filter(rows, None, taps, rows)
+    _filter(b, None, taps, b)
     return b, layer
 
 

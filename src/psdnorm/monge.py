@@ -32,6 +32,7 @@ from .spectral import (
     BUDGET_BYTES,
     WelchConfig,
     _quadratic_bins,
+    _row_chunks,
     _row_means,
     _segments,
     _two_sided,
@@ -122,25 +123,23 @@ def apply_mapping(x, h) -> np.ndarray:
     l, f = x.shape[-1], h.shape[-1]
     if f > l:
         raise LengthTooShortError(f"signal length {l} < filter size {f}")
-    rows, taps = x.reshape(-1, l), check_finite(h.reshape(-1, f), "filter taps")
-    means = _row_means(rows)  # first: it copies a row of another layout than C's
-    out = np.empty_like(rows)
-    _filter(rows, means, taps, out)
-    return out.reshape(x.shape)
+    taps = check_finite(h.reshape(-1, f), "filter taps")
+    means = _row_means(x).reshape(-1, 1)  # first: it copies rows of another layout than C's
+    return _filter(x, means, taps, np.empty(x.shape))
 
 
-def _filter(rows: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> None:
-    """Write into the (R, l) out the filtered (R, l) rows, less their (R, 1)
-    means unless ``means`` is None (rows already centred), by the finite (R, f)
-    taps: ``apply_mapping``'s forms and rule.  out may be the rows
-    themselves, which must then be C-ordered.  A row read in several blocks
-    then runs them from last to first, and each buffer takes the samples
-    that an earlier block overwrote from two carries of f samples in all:
-    the first input samples of the block just done, which the last outputs
-    before it read, and the row's last f//2 samples, which block 0 reads
-    around the row's start.  So every buffer holds what it holds for a
-    fresh out."""
-    l, f = rows.shape[1], taps.shape[1]
+def _filter(x: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into the C-ordered out the R filtered rows of the (..., l) x of
+    its shape, less their (R, 1) means unless ``means`` is None (rows already
+    centred), by the finite (R, f) taps: ``apply_mapping``'s forms and rule.
+    Chunks of rows are views (``_row_chunks``): the buffer's copy fixes their
+    bits.  out may be x itself, and a row read in several blocks then runs
+    them from last to first, each buffer taking the samples that an earlier
+    block overwrote from two carries of f samples in all: the first input
+    samples of the block just done, which the last outputs before it read,
+    and the row's last f//2 samples, which block 0 reads around the row's
+    start.  So every buffer holds what it holds for a fresh out.  Returns out."""
+    l, f = x.shape[-1], taps.shape[1]
     m = max(BUDGET_BYTES // 8, 1 << (2 * f - 1).bit_length())  # block length
     tiles = min(-(-l // f), m // f - 1)  # output tiles of the Toeplitz form
     matrix = (2 * f - 1) * f  # floats of one row's Toeplitz matrix
@@ -155,24 +154,25 @@ def _filter(rows: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> None:
     halo, order = f // 2, _lag_order(f)
     reach = width - step - halo  # samples past a block's outputs that its buffer reads
     starts = range(0, l, step)[::-1]
-    carries = out is rows and len(starts) > 1  # only then does a block read what one wrote
-    chunks = chunk_slices(len(rows), 8 * (width + matrix))
-    buffer = np.empty((len(rows[chunks[0]]), width))
-    product = _tiled_product if matrix else _fft_product
-    for r in chunks:
+    carries = out is x and len(starts) > 1  # only then does a block read what one wrote
+    flat = out.reshape(-1, l)  # a view, as out is C-ordered
+    buffer, product = None, _tiled_product if matrix else _fft_product
+    for r, rows in _row_chunks(x, 8 * (width + matrix)):
+        if buffer is None:  # the first chunk, the largest
+            buffer = np.empty((len(rows), width))
         lags = taps[r].take(order, axis=1)
         block = buffer[:len(lags)]
         # conjugate, so that the FFT correlates the buffer with the lags as
         # the Toeplitz products do
         kernel = _toeplitz(lags) if matrix else np.fft.rfft(lags, n=width, axis=1).conj()
         del lags  # before the carries and the products' temporaries
-        saved = [(l - halo, rows[r, l - halo:].copy())] if carries else []
+        saved = [(l - halo, rows[:, l - halo:].copy())] if carries else []
         for start in starts:
-            _centred(rows[r], None if means is None else means[r], start - halo, block,
-                     saved)
+            _centred(rows, None if means is None else means[r], start - halo, block, saved)
             if carries:
-                saved[1:] = [(start, rows[r, start:start + reach].copy())]
-            product(block, kernel, out[r, start:start + step])
+                saved[1:] = [(start, rows[:, start:start + reach].copy())]
+            product(block, kernel, flat[r, start:start + step])
+    return out
 
 
 class _GramPlan:
@@ -266,11 +266,11 @@ def _window_grams(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     Samples past the square root of the float range make the Grams Inf or
     NaN (NonFiniteInputError, "input power")."""
     f, l = cfg.filter_size, x.shape[-1]
-    plan, w, rows = _gram_plan(l, f, cfg.stride), 2 * f - 1, x.reshape(-1, l)
-    out = np.empty((len(rows), w, w))
+    plan, w = _gram_plan(l, f, cfg.stride), 2 * f - 1
+    out = np.empty((x.size // l, w, w))
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in chunk_slices(len(rows), plan.row_bytes):
-            out[r] = plan.sums(rows[r])[:, :w, :w]
+        for r, rows in _row_chunks(x, plan.row_bytes):
+            out[r] = plan.sums(rows)[:, :w, :w]
             out[r] /= plan.segments  # in place: a strided operand would take a ufunc buffer
             check_finite(out[r], "input power")
     return out.reshape(x.shape[:-1] + (w, w))

@@ -22,14 +22,13 @@ by BLAS products of a padded buffer's f-sample tiles with each row's
 Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
 ``apply_mapping`` each state the rule by which they pick a form; which
 samples the filter reads for an output, and the Grams of those windows
-that the benchmark reads, are ``monge``'s alone.  Classes, chunks and
-blocks depend only on the row length and f, rows never share arithmetic,
-and row means and Welch sums are taken over rows laid out as C-ordered
-rows are (a chunk of rows of another layout, a Fortran-ordered batch's,
-is copied first, one long row at a time), so a signal gets the same bits
-alone as in a batch, whatever its memory layout.  ``_row_means`` is the one row
-mean that reads that rule (``_unit_rows``); ``_centred_copy`` subtracts it
-in the copy that the forward, ``centered_psd`` and the benchmark read.
+that the benchmark reads, are ``monge``'s alone.  Every kernel reads its
+rows in chunks of views (``_row_chunks``), and row means and Welch sums
+read each as C rows (``np.ascontiguousarray``, a copy if need be).  Rows
+never share arithmetic, and classes and blocks depend only on the row
+length and f, so a signal gets the same bits alone as in a batch, in any
+memory layout.  ``_centred_copy`` subtracts ``_row_means`` in the copy
+that the forward, ``centered_psd`` and the benchmark read.
 
 Input is validated where it enters, once.  The public functions check
 what they are given: ``welch_psd_raw`` and ``welch_psd`` refuse a row
@@ -158,26 +157,28 @@ def finite_mean(x: np.ndarray, axis) -> np.ndarray:
     return check_finite(mean, "input mean")
 
 
-def _unit_rows(x: np.ndarray) -> bool:
-    """Whether each row of x (its last axis) lies at unit stride and no
-    other axis longer than 1 has a smaller stride: rows that numpy sums,
-    and BLAS reads, as it does C-ordered rows.  Numpy sums the rows of a
-    Fortran-ordered batch across, in memory order, and the segment powers
-    of a row at another stride in another order, which changes their
-    bits."""
-    return x.flags.c_contiguous or x.strides[-1] == x.itemsize and all(
-        abs(s) >= x.itemsize for s, n in zip(x.strides[:-1], x.shape[:-1]) if n > 1)
+def _row_chunks(x: np.ndarray, row_bytes: int):
+    """(r, rows) for chunks of the rows of the (..., l) x, the first the
+    largest: r slices their C-order index, rows views as many as fit
+    BUDGET_BYTES at ``row_bytes`` each, of all rows when x's leading axes
+    merge in a view, else of one signal at a time, so no batch is copied."""
+    if x.flags.c_contiguous or x.ndim < 3 or 1 in x.shape[:2] or \
+            x.strides[0] == x.shape[1] * x.strides[1]:
+        rows = x.reshape(-1, x.shape[-1])  # a view
+        return ((r, rows[r]) for r in chunk_slices(len(rows), row_bytes))
+    c = x.shape[1]
+    return ((slice(n * c + r.start, n * c + min(r.stop, c)), signal[r])
+            for n, signal in enumerate(x) for r in chunk_slices(c, row_bytes))
 
 
 def _row_means(x: np.ndarray) -> np.ndarray:
-    """``finite_mean`` of each row of the (..., l) float array x of two or
-    more axes, summed as over C-ordered rows: x of another layout
-    (``_unit_rows``) is copied a chunk of its first axis at a time, so each
-    row gets the bits it gets alone."""
-    if _unit_rows(x):
+    """``finite_mean`` of each row of the (..., l) float array x, an (..., 1)
+    array, summed over C rows, so that a row gets its bits alone: a C-ordered
+    x's own, else chunks (``_row_chunks``) read through np.ascontiguousarray."""
+    if x.flags.c_contiguous:  # a mean holds no temporary, and needs no walk
         return finite_mean(x, -1)
-    return np.concatenate([finite_mean(x[r].copy(), -1)
-                           for r in chunk_slices(len(x), x[0].nbytes)])
+    return np.concatenate([finite_mean(np.ascontiguousarray(rows), -1) for _, rows in
+                           _row_chunks(x, 8 + 8 * x.shape[-1])]).reshape(x.shape[:-1] + (1,))
 
 
 def _centre(x: np.ndarray) -> np.ndarray:
@@ -386,14 +387,14 @@ def welch_psd_raw(x, cfg: WelchConfig) -> np.ndarray:
 
 def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     """``welch_psd_raw`` of the (..., l) float array x, a (..., f) array,
-    whose samples the caller has found finite (``check_finite``), or made
-    from rows that ``finite_mean`` found finite (a centred copy).  Centring can
-    still overflow to Inf, so the power of each row is checked ("input
-    power"), and so are the trailing samples that no segment reads."""
+    over chunks (``_row_chunks``) read as C rows, a copy that the chunk size
+    counts if need be.  The caller has found x finite (``check_finite``), or
+    made it from rows that ``finite_mean`` found finite (a centred copy).
+    Centring can still overflow to Inf, so each row's power is checked
+    ("input power"), and so are the trailing samples that no segment reads."""
     f, stride = cfg.filter_size, cfg.stride
     length = x.shape[-1]
     n_seg = n_segments(length, cfg)
-    rows = x.reshape(-1, length)
     gram_form = n_seg >= 2 * f and 8 * f * (f + 2) <= BUDGET_BYTES
     if gram_form:
         basis = _welch_basis(cfg.window_kind, f)
@@ -405,16 +406,14 @@ def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
         row_bytes = 8 * f * block
     read = (n_seg - 1) * stride + f  # the columns that segments read
     if read < length:
-        check_finite(rows[:, read:])
-    half = np.empty((len(rows), f // 2 + 1))
-    # a chunk of rows of another layout than C's (``_unit_rows``) is
-    # copied, and counted
-    copied = 0 if _unit_rows(rows) else 8 * length
+        check_finite(x[..., read:])
+    half = np.empty((x.size // length, f // 2 + 1))
+    copied = 0 if x.flags.c_contiguous else 8 * length  # a chunk's copy, if any
     # finite samples whose squares pass the float range sum to Inf or NaN:
     # the check of each chunk's power replaces numpy's overflow warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in chunk_slices(len(rows), row_bytes + copied):
-            chunk = rows[r].copy() if copied else rows[r]
+        for r, rows in _row_chunks(x, row_bytes + copied):
+            chunk = np.ascontiguousarray(rows)
             if gram_form:
                 gram = np.zeros((len(chunk), f, f))
                 for j in range(q):

@@ -32,12 +32,17 @@ def pytest_configure(config):
     settings.load_profile("deterministic")
 
 
-#: Memory layouts of the same values, each a view or copy of an array:
-#: the kernels give each one the bits of its C-ordered copy ("cropped" needs three axes).
+#: Memory layouts of the same values, each a view or copy of an array: the
+#: kernels give each one the bits of its C-ordered copy.  The last three
+#: need three axes; no view flattens the signals of "every-other" (every
+#: other signal of a batch) or of "channel-major" (each channel's signals
+#: laid out together) into rows.
 LAYOUTS = {"C": lambda x: x, "Fortran": np.asfortranarray,
            "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
            "reversed": lambda x: x[..., ::-1].copy()[..., ::-1],
-           "cropped": lambda x: np.pad(x, ((0, 0), (0, 0), (1, 2)))[..., 1:-2]}
+           "cropped": lambda x: np.pad(x, ((0, 0), (0, 0), (1, 2)))[..., 1:-2],
+           "every-other": lambda x: np.repeat(x, 2, axis=0)[::2],
+           "channel-major": lambda x: x.transpose(1, 0, 2).copy().transpose(1, 0, 2)}
 
 #: Every (kernel, form, mode) that ``KernelCall.key`` can read.
 FORMS = {("welch", "gram", "whole"), ("welch", "rfft", "whole"), ("welch", "rfft", "blocks"),

@@ -375,6 +375,9 @@ class TestCommandLine:
         pytest.param(["layer", "--kind", "psdnorm", "--stride", "-1", "--out", "o"],
                      "--stride must be an integer >= 0, got -1",
                      id="layer --stride -1"),
+        # checked as the command line is parsed, before the kind's settings
+        pytest.param(["layer", "--kind", "instancenorm", "--f", "0", "--out", "o"],
+                     "--f must be an integer >= 1, got 0", id="layer instancenorm --f 0"),
     ])
     def test_welch_flag_out_of_range_names_the_flag(self, tmp_path, capsys, monkeypatch,
                                                     argv, named):

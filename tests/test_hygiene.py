@@ -104,6 +104,17 @@ def test_running_update_is_called_only_by_psdnorm_update():
     assert owners == {"psdnorm_update"}
 
 
+def test_rows_come_only_from_the_row_walk():
+    """A caller's (..., l) array becomes rows in one place,
+    ``spectral._row_chunks``, which copies no batch whole whatever its
+    layout: the row means, Welch, the filter and the window Grams read
+    their rows only from it."""
+    owners = {(p.stem, owner) for p in MODULES
+              for owner in callers(p.read_text(), "_row_chunks")}
+    assert owners == {("spectral", "_row_means"), ("spectral", "_welch_raw"),
+                      ("monge", "_filter"), ("monge", "_window_grams")}
+
+
 def test_np_isfinite_is_called_only_by_check_finite():
     """Finiteness has one test, which keeps its masks within BUDGET_BYTES:
     every entry point reaches ``np.isfinite`` through

@@ -407,19 +407,28 @@ def test_long_signal_memory_is_bounded():
         assert peak_bytes(lambda: apply_mapping(x, h)) <= 1.25 * x.nbytes
 
 
+#: Layouts of each shape that the budget tests run: long rows in C order
+#: and two others, and a (4, 2, 2^17) batch in C order and in each layout
+#: whose rows no view of the whole batch holds.
+BUDGET_LAYOUTS = {(64, 4, 1024): ("C",), (2, 2 ** 19): ("C", "Fortran", "strided"),
+                  (1, 2, 2 ** 19): ("C", "Fortran", "strided"),
+                  (4, 2, 2 ** 17): ("C", "Fortran", "every-other", "channel-major")}
+
+
 @pytest.mark.parametrize("shape, f", [((64, 4, 1024), 4), ((64, 4, 1024), 16),
                                       ((64, 4, 1024), 64), ((1, 2, 2 ** 19), 8),
-                                      ((1, 2, 2 ** 19), 64), ((1, 2, 2 ** 19), 65)])
+                                      ((1, 2, 2 ** 19), 64), ((1, 2, 2 ** 19), 65),
+                                      ((4, 2, 2 ** 17), 8), ((4, 2, 2 ** 17), 64)])
 def test_filter_keeps_to_the_byte_budget(shape, f):
     # Beside its output, a chunk or block holds its buffer, each row's
     # Toeplitz matrix or FFT response and the product's temporaries, each
-    # within BUDGET_BYTES, whichever form the shape takes.  A long row of
-    # another layout than C's is copied for its mean, and freed before the
-    # output is allocated.
+    # within BUDGET_BYTES, whichever form the shape takes.  Rows of another
+    # layout than C's are copied for their means, a chunk at a time, and
+    # filtered from views: a copy of the whole batch would take 128 budgets.
     rng = np.random.default_rng(40)
     h = rng.standard_normal(shape[:2] + (f,)) / np.sqrt(f)
     x = rng.standard_normal(shape)
-    for layout in ("C", "Fortran", "strided") if shape[0] == 1 else ("C",):
+    for layout in BUDGET_LAYOUTS[shape]:
         y = SIGNAL_LAYOUTS[layout](x)
         apply_mapping(y, h)  # warm FFT plans and the Toeplitz index
         assert peak_bytes(lambda: apply_mapping(y, h)) - y.nbytes <= 4.5 * BUDGET_BYTES
@@ -431,10 +440,13 @@ def test_welch_keeps_to_the_byte_budget():
     # row would take l = 8 BUDGET_BYTES.  Nor does the Gram form copy a
     # segment: it reads each residue class of segments in place, where a
     # copy of a row's half-overlapping segments would take 16 l bytes.  A
-    # row of another layout than C's is copied, one at a time.
-    x = np.random.default_rng(38).standard_normal((2, 2 ** 19))
+    # row of another layout than C's may be copied, one at a time, but
+    # never the whole batch (128 budgets).
     cfg = WelchConfig(64)
-    for layout, copied in (("C", 0), ("Fortran", x[0].nbytes), ("strided", x[0].nbytes)):
-        y = SIGNAL_LAYOUTS[layout](x)
-        welch_psd_raw(y, cfg)
-        assert peak_bytes(lambda: welch_psd_raw(y, cfg)) <= copied + 3 * BUDGET_BYTES
+    for shape in ((2, 2 ** 19), (4, 2, 2 ** 17)):
+        x = np.random.default_rng(38).standard_normal(shape)
+        for layout in BUDGET_LAYOUTS[shape]:
+            y = SIGNAL_LAYOUTS[layout](x)
+            welch_psd_raw(y, cfg)
+            copied = 0 if layout == "C" else 8 * shape[-1]
+            assert peak_bytes(lambda: welch_psd_raw(y, cfg)) <= copied + 3 * BUDGET_BYTES

@@ -15,26 +15,34 @@ import numpy as np
 import pytest
 
 import psdnorm
-from psdnorm import WelchConfig, apply_mapping, psdnorm_stack_forward
+from psdnorm import (WelchConfig, apply_mapping, evaluate_alignment, make_shifted_domains,
+                     psdnorm_stack_forward)
 from psdnorm.monge import _mapped_psd_raw, _window_grams
 from psdnorm.spectral import welch_psd_raw
+from psdnorm.synth import METHODS
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 #: Rows whose products take a BLAS path that the thread count picks, so
-#: that their bits may depend on it: the f = 64 window Grams, and the
-#: mapped PSDs read from them (ROADMAP item 18).
-THREAD_DEPENDENT = ("grams (1, 2, 65536) f=64", "mapped (1, 2, 65536) f=64")
-ROWS = ("welch gram (8, 2, 4096) f=8", "welch rfft (8, 4, 4096) f=96",
+#: that their bits may depend on it: the f = 64 window Grams of a long row,
+#: the mapped PSDs read from them, and the reports built from those
+#: (ROADMAP item 18).
+THREAD_DEPENDENT = ("grams (1, 2, 65536) f=64", "mapped (1, 2, 65536) f=64",
+                    "evaluate_alignment 3 x (1, 2, 65536) f=64")
+ROWS = ("welch gram (8, 2, 4096) f=8", "welch gram Fortran (8, 2, 4096) f=8",
+        "welch rfft (8, 4, 4096) f=96",
         "filter toeplitz (1, 2, 65536) f=64", "filter fft (8, 4, 4096) f=96",
         "stack train (64, 4, 1024) fs=(16, 8, 4)", "stack eval (64, 4, 1024) fs=(16, 8, 4)",
-        "grams (8, 2, 4096) f=8", "mapped (8, 2, 4096) f=8", *THREAD_DEPENDENT)
+        "grams (8, 2, 4096) f=8", "mapped (8, 2, 4096) f=8",
+        "evaluate_alignment 3 x (8, 2, 4096) f=64", *THREAD_DEPENDENT)
 
 
 def table() -> dict:
     """{row: SHA-256 of the bytes of its outputs} over ``ROWS``: each form of
-    Welch and of the filter, a train and an eval stack forward, and the
-    benchmark's window Grams and mapped PSDs at f = 8 and 64."""
+    Welch, and the Gram form on a Fortran-ordered batch, each form of the
+    filter, a train and an eval stack forward, the benchmark's window Grams
+    and mapped PSDs at f = 8 and 64, and every method's
+    ``evaluate_alignment`` report at f = 64 on short rows and on a long one."""
     def draw(*shape):
         return np.random.default_rng(shape).standard_normal(shape)
 
@@ -44,6 +52,9 @@ def table() -> dict:
     out = {}
     for form, shape, f in (("gram", (8, 2, 4096), 8), ("rfft", (8, 4, 4096), 96)):
         out[f"welch {form} {shape} f={f}"] = [welch_psd_raw(draw(*shape), WelchConfig(f))]
+    shape = (8, 2, 4096)
+    out[f"welch gram Fortran {shape} f=8"] = [
+        welch_psd_raw(np.asfortranarray(draw(*shape)), WelchConfig(8))]
     for form, shape, f in (("toeplitz", (1, 2, 2 ** 16), 64), ("fft", (8, 4, 4096), 96)):
         out[f"filter {form} {shape} f={f}"] = [apply_mapping(draw(*shape), taps(shape, f))]
     x, fs = draw(64, 4, 1024), (16, 8, 4)
@@ -55,6 +66,12 @@ def table() -> dict:
         grams = _window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
         out[f"grams {shape} f={f}"] = [grams]
         out[f"mapped {shape} f={f}"] = [_mapped_psd_raw(grams, taps(shape, f), cfg)]
+    for n, l in ((8, 2 ** 12), (1, 2 ** 16)):  # the bench CLI's default shape, and a long row
+        domains = make_shifted_domains(np.ones((2, 64)), 3, 1.0, n_signals=n, length=l)
+        reports = [evaluate_alignment(domains, method) for method in METHODS]
+        out[f"evaluate_alignment 3 x {(n, 2, l)} f=64"] = [
+            a for r in reports
+            for a in (r.pre_distances, r.post_distances, np.float64(r.reduction_ratio))]
     return {row: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
             for row, arrays in out.items()}
 
