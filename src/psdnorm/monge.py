@@ -13,12 +13,9 @@ filters its own centred copy in place: each buffer then takes the samples
 that an earlier block overwrote from two small carries, so it holds the
 same values, and the output the same bits, as ``apply_mapping``'s.
 Likewise ``_taps`` is ``monge_filter`` without its checks, for the forward
-and the benchmark, which hand it PSDs they built themselves.
-
-An output reads the 2f - 1 samples that start f//2 before it, in this
-module alone: the benchmark's cores ``_window_grams`` (their Gram over a
-row's Welch segments) and ``_mapped_psd_raw`` (the Welch PSD of any
-mapping, from it) take the centred sample and taps that ``synth`` built.
+and the benchmark, which hand it PSDs they built themselves; the benchmark
+filters its own centred copy of each domain's sample with ``_filter`` too,
+so one filter kernel serves the layer, TMA, ``align`` and the benchmark.
 """
 
 from __future__ import annotations
@@ -30,18 +27,11 @@ import numpy as np
 from .errors import LengthTooShortError, ShapeMismatchError
 from .spectral import (
     BUDGET_BYTES,
-    WelchConfig,
-    _quadratic_bins,
     _row_chunks,
     _row_means,
-    _segments,
-    _two_sided,
-    _welch_basis,
     as_signals,
     check_finite,
     check_psd,
-    chunk_slices,
-    n_segments,
 )
 
 #: Cap on the per-bin power ratio p_tgt / p_src; guards against unbounded
@@ -173,129 +163,6 @@ def _filter(x: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> np.ndarr
                 saved[1:] = [(start, rows[:, start:start + reach].copy())]
             product(block, kernel, flat[r, start:start + step])
     return out
-
-
-class _GramPlan:
-    """How ``_window_grams`` sums the windows of rows of l samples, from
-    stride-wide tiles: tile j holds samples j*stride - f//2 .. + stride,
-    indices taken modulo l, and window i, the first 2f - 1 samples of the
-    m tiles i .. i + m - 1, is what ``_filter`` reads for segment i.  So
-    block (p + d, p) of the m x m blocks of the sum of W'W is the sum over
-    j in [p, p + n_seg) of tile j + d times tile j: one core sum over the
-    tiles j in [first, first + count), which every block of offset d
-    includes and whose tiles lie in the row, plus the edge products outside
-    it that the block reaches.  Depends only on (l, f, stride); its arrays
-    are read-only."""
-
-    def __init__(self, l: int, f: int, stride: int):
-        self.segments = n_seg = n_segments(l, WelchConfig(f, stride))
-        self.halo, self.stride = f // 2, stride
-        self.tiles = m = -(-(2 * f - 1) // stride)
-        # core tiles j: every block reaches them (m - 1 <= j < n_seg), and
-        # they and the m - 1 tiles after them lie in the row, unwrapped
-        self.first = first = max(-(-self.halo // stride), m - 1)
-        self.count = max(0, min(n_seg - 1, (l + self.halo) // stride - m) - first + 1)
-        ends = [n_seg + m - 1 - d for d in range(m)]  # past the last tile j of offset d
-        edges = [np.r_[:min(first, end), first + self.count:end] for end in ends]
-        j = np.concatenate(edges).astype(int)
-        d = np.repeat(np.arange(m), [len(e) for e in edges])
-        copied = np.union1d(j, j + d)  # the edge tiles, whose samples ``index`` holds
-        self.index = (copied[:, np.newaxis] * stride - self.halo + np.arange(stride)) % l
-        self.left, self.right = np.searchsorted(copied, j), np.searchsorted(copied, j + d)
-        # block k is (p + d, p), for each offset d and p = 0 .. m - 1 - d; it
-        # adds the edge products of offset d that it reaches and d's core sum
-        self.offset = np.repeat(np.arange(m), np.arange(m, 0, -1))
-        self.col = np.concatenate([np.arange(m - k) for k in range(m)])
-        p, d_k = self.col[:, np.newaxis], self.offset[:, np.newaxis]
-        reach = (d_k == d) & (p <= j) & (j < p + n_seg)
-        self.mask = np.concatenate([reach, d_k == np.arange(m)], axis=1).astype(float)
-        for a in (self.index, self.left, self.right, self.offset, self.col, self.mask):
-            a.flags.writeable = False
-        # the edge tiles, both sides of their products, all products, the
-        # blocks and the sum, as if all were held at once
-        self.row_bytes = 8 * (self.index.size + 2 * len(j) * stride
-                              + sum(self.mask.shape) * stride ** 2 + (m * stride) ** 2)
-
-    def sums(self, rows: np.ndarray) -> np.ndarray:
-        """The (R, m stride, m stride) sum over windows of W'W of each of the
-        (R, l) rows.  Each product of the edge tiles and each offset's core
-        sum, a BLAS product of the rows' strided views of the core tiles and
-        of those d tiles on, is one contiguous (R, stride, stride) term, so
-        that one product with ``mask`` adds them into blocks; the edge
-        products are matmuls, since a broadcast multiply takes a ufunc
-        buffer of 64 KiB."""
-        s, m, edges, terms = self.stride, self.tiles, len(self.left), self.mask.shape[1]
-        products = np.empty((terms, len(rows), s, s))
-        copies = rows[:, self.index].transpose(1, 0, 2)
-        np.matmul(copies[self.right, :, :, np.newaxis], copies[self.left, :, np.newaxis],
-                  out=products[:edges])
-        count = self.count
-        core = _segments(rows, self.first * s - self.halo, count and count + m - 1, s, s)
-        for d in range(m):
-            np.matmul(core[:, d:d + count].transpose(0, 2, 1), core[:, :count],
-                      out=products[edges + d])
-        lower = (self.mask @ products.reshape(terms, -1)).reshape(len(self.mask), -1, s, s)
-        del products  # before the grid is allocated
-        grid = np.empty((len(rows), m, s, m, s))
-        grid[:, self.col + self.offset, :, self.col] = lower
-        grid[:, self.col, :, self.col + self.offset] = lower.transpose(0, 1, 3, 2)
-        return grid.reshape(len(rows), m * s, m * s)
-
-
-@functools.lru_cache(maxsize=32)
-def _gram_plan(l: int, f: int, stride: int) -> _GramPlan:
-    """``_GramPlan(l, f, stride)``, built once per (l, f, stride)."""
-    return _GramPlan(l, f, stride)
-
-
-def _window_grams(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    """The mean over Welch segments of W'W for each row of the C-ordered
-    centred (..., l) float array x, a (..., 2f - 1, 2f - 1) array: W is the
-    window that ``_filter`` reads for the segment's outputs (``_GramPlan``).
-    Its central (f, f) block is the mean segment Gram of ``welch_psd_raw``.
-
-    The sum is built from stride-wide tiles (``_GramPlan``): for each tile
-    offset d, one product of the row's (count, stride) strided view of its
-    core tiles with the view d tiles on, which BLAS reads in place, plus
-    products of the few edge tiles, copied, which wrap around the row's
-    ends or fall outside some block's range.  Each is added to the blocks
-    whose range includes it, so nothing is subtracted, and it costs about
-    the Gram form's f^2 per segment.  Chunks of rows hold at most
-    BUDGET_BYTES in temporaries, but for a row whose own exceed it (about
-    104 f^2 bytes at the default stride: f > 24), which is built alone.
-    Samples past the square root of the float range make the Grams Inf or
-    NaN (NonFiniteInputError, "input power")."""
-    f, l = cfg.filter_size, x.shape[-1]
-    plan, w = _gram_plan(l, f, cfg.stride), 2 * f - 1
-    out = np.empty((x.size // l, w, w))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r, rows in _row_chunks(x, plan.row_bytes):
-            out[r] = plan.sums(rows)[:, :w, :w]
-            out[r] /= plan.segments  # in place: a strided operand would take a ufunc buffer
-            check_finite(out[r], "input power")
-    return out.reshape(x.shape[:-1] + (w, w))
-
-
-def _mapped_psd_raw(grams: np.ndarray, taps: np.ndarray, cfg: WelchConfig) -> np.ndarray:
-    """The raw Welch PSD (``welch_psd_raw`` under cfg) of a signal mapped by
-    ``apply_mapping`` with the (..., f) taps, from the (..., 2f - 1, 2f - 1)
-    ``_window_grams`` of its centred rows: a (..., f) array.  A mapped
-    segment is W T, for the segment's window W and the row's (2f - 1, f)
-    ``_toeplitz`` matrix T of its lags, so bin k of its mean periodogram is
-    u_k' G u_k over the cosine and sine columns u_k of T times
-    ``_welch_basis``.  Chunks of rows hold at most BUDGET_BYTES in
-    temporaries.  A mapped power past the float range raises
-    NonFiniteInputError ("input power"), as in ``welch_psd_raw``."""
-    f, w = cfg.filter_size, 2 * cfg.filter_size - 1
-    rows, grams = taps.reshape(-1, f), grams.reshape(-1, w, w)
-    basis, order = _welch_basis(cfg.window_kind, f), _lag_order(f)
-    half = np.empty((len(rows), f // 2 + 1))
-    # the Toeplitz matrices, their product with the basis and its product with the Grams
-    with np.errstate(over="ignore", invalid="ignore"):  # the check replaces the warning
-        for r in chunk_slices(len(rows), 8 * w * (3 * f + 4)):
-            power = _quadratic_bins(grams[r], _toeplitz(rows[r].take(order, axis=1)) @ basis)
-            half[r] = check_finite(power, "input power")
-    return _two_sided(half, f).reshape(taps.shape)
 
 
 @functools.lru_cache(maxsize=32)

@@ -21,13 +21,12 @@ segments, or its segment power over blocks of segments, and
 by BLAS products of a padded buffer's f-sample tiles with each row's
 Toeplitz matrix of its taps, or by FFT.  ``welch_psd_raw`` and
 ``apply_mapping`` each state the rule by which they pick a form; which
-samples the filter reads for an output, and the Grams of those windows
-that the benchmark reads, are ``monge``'s alone.  Every kernel reads its
-rows in chunks of views (``_row_chunks``), and row means and Welch sums
-read each as C rows (``np.ascontiguousarray``, a copy if need be).  Rows
-never share arithmetic, and classes and blocks depend only on the row
-length and f, so a signal gets the same bits alone as in a batch, in any
-memory layout.  ``_centred_copy`` subtracts ``_row_means`` in the copy
+samples the filter reads for an output is ``monge``'s alone.  Every kernel
+reads its rows in chunks of views (``_row_chunks``), and row means and
+Welch sums read each as C rows (``np.ascontiguousarray``, a copy if need
+be).  Rows never share arithmetic, and classes and blocks depend only on
+the row length and f, so a signal gets the same bits alone as in a batch,
+in any memory layout.  ``_centred_copy`` subtracts ``_row_means`` in the copy
 that the forward, ``centered_psd`` and the benchmark read.
 
 Input is validated where it enters, once.  The public functions check
@@ -39,10 +38,9 @@ pipelines that build their own values call private cores that trust them:
 that no caller can make for it, of each row's power and of the trailing
 samples that no segment reads (a centring that overflows can make either
 Inf).  Likewise ``monge._taps`` takes floored Welch PSDs and a layer's
-barycenter, ``monge``'s window-Gram cores the benchmark's centred sample
-and taps, and ``geometry._barycenter`` and ``geometry._bures`` take PSDs
-that their callers built, the benchmark and ``align``, each valid by
-construction.
+barycenter, ``monge._filter`` a centred copy and those taps, and
+``geometry._barycenter`` and ``geometry._bures`` take PSDs that their
+callers built, the benchmark and ``align``, each valid by construction.
 """
 
 from __future__ import annotations
@@ -344,10 +342,10 @@ def _segments(rows: np.ndarray, start: int, count: int, step: int,
 
 def _quadratic_bins(gram: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """The (R, k) sums v' C v over the cosine and the sine column v of each
-    bin of ``vectors``, (n, 2k) or (R, n, 2k) with the k = f//2 + 1 cosine
-    columns first, as ``_welch_basis`` lays them out, for each (n, n)
-    matrix C of the (R, n, n) ``gram``: one product, multiplied in place,
-    so that no second temporary of its size is held."""
+    bin of the (n, 2k) ``vectors``, with the k = f//2 + 1 cosine columns
+    first, as ``_welch_basis`` lays them out, for each (n, n) matrix C of
+    the (R, n, n) ``gram``: one product, multiplied in place, so that no
+    second temporary of its size is held."""
     product = gram @ vectors
     product *= vectors
     power = product.sum(axis=1)

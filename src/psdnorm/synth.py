@@ -9,21 +9,21 @@ sample (``DomainSpec.signals``): it is drawn on first read and shared,
 read-only, by every method evaluated on that spec.  It keeps the sample's
 centred Welch PSDs the same way, raw and floored from one Welch pass per
 config (``DomainSpec.raw_centered_psds``, ``DomainSpec.centered_psds``),
-and, from the first method that maps the signals, their window Grams
-(``DomainSpec.window_grams``).
+and the raw PSDs of its mapping toward each target that a method asks for
+(``DomainSpec.raw_mapped_psds``).
 
 The benchmark states no layer rule, pooling axis or eps of its own: it fits
 BatchNorm with ``batchnorm_update``, TMA with ``psdnorm_update``, and takes
 InstanceNorm's and LayerNorm's statistics from ``standardize_stats`` over
-``POOLING_AXES``.  No method filters the signals.  Welch is a quadratic form
-of the centred signal: the affine baselines map each centred channel to
-x / sqrt(var + eps), so their post PSDs are the raw ones over var + eps,
-floored after, and TMA and PSDNorm map it by a filter, so theirs are
-quadratic forms of its window Grams (``monge._mapped_psd_raw``).  Six
-methods on three domains make 3 Welch estimates and 3 Gram builds.  The
-benchmark builds every array it reads, so it takes its PSDs, Grams, taps,
-barycenters and distances from the private cores (``spectral._welch_raw``,
-``monge._window_grams``, ``monge._mapped_psd_raw``, ``monge._taps``,
+``POOLING_AXES``.  Welch is a quadratic form of the centred signal: the
+affine baselines map each centred channel to x / sqrt(var + eps), so their
+post PSDs are the raw ones over var + eps, floored after, and need no
+signal mapped.  TMA and PSDNorm map it by a filter, so theirs are a Welch
+pass over the sample filtered as the eval forward filters it, with the
+forward's own kernels.  Six methods on three domains make 6 Welch passes
+and 3 filters.  The benchmark builds every array it reads, so it takes its
+PSDs, taps, filtered copies, barycenters and distances from the private
+cores (``spectral._welch_raw``, ``monge._taps``, ``monge._filter``,
 ``geometry._barycenter``, ``geometry._bures``), which check only the power
 they sum.
 """
@@ -50,7 +50,7 @@ from .layers import (
     psdnorm_update,
     standardize_stats,
 )
-from .monge import _mapped_psd_raw, _taps, _window_grams
+from .monge import _filter, _taps
 from .spectral import (
     WelchConfig,
     _centred_copy,
@@ -118,18 +118,22 @@ class DomainSpec:
             cache[welch] = _read_only(raw), _read_only(floored(raw))
         return cache[welch]
 
-    def window_grams(self, welch: WelchConfig) -> np.ndarray:
-        """``monge._window_grams(_centred_copy(self.signals), welch)``, the
-        (n_signals, c, 2f - 1, 2f - 1) Grams from which ``_mapped_psd_raw``
-        gives the PSDs of any mapping of the centred sample: built on the
-        first call with each Welch config, so a spec that no method maps
-        holds none, and kept read-only for the life of the spec."""
-        cache = self.__dict__.setdefault("_grams", {})
-        if welch not in cache:
-            grams = _window_grams(_centred_copy(self.signals), welch)
-            grams.flags.writeable = False
-            cache[welch] = grams
-        return cache[welch]
+    def raw_mapped_psds(self, welch: WelchConfig, target: np.ndarray) -> np.ndarray:
+        """The raw centred PSDs, (n_signals, c, f), of the sample's eval
+        ``psdnorm_forward`` toward the (c, f) target under welch: the
+        forward's taps from ``centered_psds(welch)``, its filter in place on
+        a centred copy, and one Welch pass over it.  Computed on the first
+        call with each (welch, target) and kept read-only for the life of
+        the spec, so a spec that no method maps holds none."""
+        cache = self.__dict__.setdefault("_mapped", {})
+        key = welch, target.tobytes()
+        if key not in cache:
+            x = _centred_copy(self.signals)
+            taps = _taps(self.centered_psds(welch), target)
+            _filter(x, None, taps.reshape(-1, welch.filter_size), x)
+            cache[key] = _welch_raw(x, welch)
+            cache[key].flags.writeable = False
+        return cache[key]
 
 
 def sample_gaussian_with_psd(spec: DomainSpec) -> np.ndarray:
@@ -174,7 +178,8 @@ def make_shifted_domains(base, k: int, shift_strength: float,
     for i in range(k):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, i])))
         tilt = rng.uniform(-1.0, 1.0) * np.cos(2 * np.pi * freq)
-        psd = base * np.exp(shift_strength * tilt)[None, :]
+        with np.errstate(over="ignore"):  # an Inf bin is refused by ``check_psd``
+            psd = base * np.exp(shift_strength * tilt)[None, :]
         specs.append(
             DomainSpec(psd=psd, n_signals=n_signals, length=length,
                        seed=seed * 100_003 + i)
@@ -213,16 +218,14 @@ def _post_psds(domains, method: str, welch: WelchConfig) -> list:
     """The centred PSDs of each domain's sample after ``method`` (not
     "none"), each floored as ``welch_psd`` floors.  TMA's and PSDNorm's are
     those of each domain's eval forward under ``tma_fit``'s layer, fitted
-    from the cached PSDs: ``_mapped_psd_raw`` of the domain's window Grams
-    under the forward's taps.  An affine baseline's are the cached raw PSDs
-    over its var + eps: scaling the floored ones instead would move every
-    clamped bin."""
+    from the cached PSDs (``DomainSpec.raw_mapped_psds`` toward its
+    barycenter).  An affine baseline's are the cached raw PSDs over its
+    var + eps: scaling the floored ones instead would move every clamped
+    bin."""
     if method in ("tma", "psdnorm"):
-        psds = [d.centered_psds(welch) for d in domains]
-        layer = psdnorm_update(PsdNormLayer(**asdict(welch)), np.concatenate(psds))
-        return [floored(_mapped_psd_raw(d.window_grams(welch),
-                                        _taps(p, layer.barycenter), welch))
-                for d, p in zip(domains, psds)]
+        psds = np.concatenate([d.centered_psds(welch) for d in domains])
+        layer = psdnorm_update(PsdNormLayer(**asdict(welch)), psds)
+        return [floored(d.raw_mapped_psds(welch, layer.barycenter)) for d in domains]
     if method == "batchnorm":
         # Each domain's eval forward divides by the running variance of one
         # train step over all domains pooled.
@@ -246,10 +249,10 @@ def evaluate_alignment(domains, method: str,
     (``DomainSpec.centered_psds``), in one Welch pass per config, however
     many methods read them.  The affine baselines (InstanceNorm, LayerNorm
     and BatchNorm) scale the raw PSDs in closed form.  TMA and PSDNorm take
-    the PSDs of their mapped signals as quadratic forms of the sample's
-    window Grams (``DomainSpec.window_grams``), built once per config by
-    the first of them to run, and filter no signal; so the six methods make
-    3 Welch estimates and 3 Gram builds over three domains.  When the
+    the PSDs of each domain's eval forward toward their shared barycenter
+    (``DomainSpec.raw_mapped_psds``), filtered and read once per config and
+    target by the first of them to run; so the six methods make 6 Welch
+    passes and 3 filters over three domains.  When the
     pre-alignment distances are all zero the reduction ratio is reported
     as 1.0.
     """

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line front end, run in process."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -1221,6 +1222,20 @@ class TestBenchCommand:
         assert code == EXIT_VALIDATION
         message = read_error(capsys)["message"]
         assert f"--shift must be a finite number in [0, inf], got {value}" in message
+        assert not out.exists()
+
+    def test_shift_that_overflows_a_tilt_exits_3_with_only_the_error(self, tmp_path,
+                                                                      capsys):
+        # exp(800 a) passes the float range for some domain's a; its Inf bin
+        # must be refused as any other, with no numpy warning beside it.
+        out = tmp_path / "b"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["bench", "--shift", "800", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert [str(w.message) for w in caught] == []
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "generating PSD contains NaN or Inf (non-finite values)"
         assert not out.exists()
 
     def test_length_too_large_to_allocate_exits_3(self, tmp_path, capsys):

@@ -107,12 +107,23 @@ def test_running_update_is_called_only_by_psdnorm_update():
 def test_rows_come_only_from_the_row_walk():
     """A caller's (..., l) array becomes rows in one place,
     ``spectral._row_chunks``, which copies no batch whole whatever its
-    layout: the row means, Welch, the filter and the window Grams read
-    their rows only from it."""
+    layout: the row means, Welch and the filter read their rows only from
+    it."""
     owners = {(p.stem, owner) for p in MODULES
               for owner in callers(p.read_text(), "_row_chunks")}
     assert owners == {("spectral", "_row_means"), ("spectral", "_welch_raw"),
-                      ("monge", "_filter"), ("monge", "_window_grams")}
+                      ("monge", "_filter")}
+
+
+def test_signals_are_filtered_only_by_the_one_filter_kernel():
+    """One filter kernel, ``monge._filter``, serves the layer, TMA, ``align``
+    and the benchmark: ``apply_mapping`` (``align``), the forward's in-place
+    pass (the layer and TMA) and ``DomainSpec``'s mapped PSDs are its only
+    callers."""
+    owners = {(p.stem, owner) for p in MODULES
+              for owner in callers(p.read_text(), "_filter")}
+    assert owners == {("monge", "apply_mapping"), ("layers", "_forward_in_place"),
+                      ("synth", "DomainSpec")}
 
 
 def test_np_isfinite_is_called_only_by_check_finite():

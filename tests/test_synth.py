@@ -21,10 +21,12 @@ from psdnorm import (
     instancenorm_forward,
     layernorm_forward,
     make_shifted_domains,
+    psdnorm_forward,
     sample_gaussian_with_psd,
+    tma_fit,
     welch_psd,
 )
-from psdnorm.monge import _window_grams
+from psdnorm.monge import _filter
 from psdnorm.spectral import _welch_raw, floored, welch_psd_raw
 
 from oracles import two_sided_gaussian_sample, uncached_evaluate_alignment
@@ -193,15 +195,23 @@ class TestDomainPsds:
         assert spec.centered_psds(self.CFG) is b
         assert [args[1] for _, args in calls] == [WelchConfig(8), self.CFG]
 
-    def test_window_grams_equal_a_fresh_build_and_are_read_only(self):
+    def test_mapped_psds_are_welch_of_the_eval_forward_kept_per_target(self, monkeypatch):
         spec = flat_spec(c=2, n=3, length=256, seed=4)
-        centred = spec.signals - spec.signals.mean(axis=-1, keepdims=True)
+        calls = spy_calls(monkeypatch, _filter)
         for cfg in (WelchConfig(8), self.CFG):
-            grams = spec.window_grams(cfg)
-            np.testing.assert_array_equal(grams, _window_grams(centred, cfg))
-            assert spec.window_grams(cfg) is grams
+            layer = tma_fit([spec.signals], cfg)
+            p = spec.raw_mapped_psds(cfg, layer.barycenter)
+            out = psdnorm_forward(layer, spec.signals, "eval")[0]
+            assert p.tobytes() == welch_psd_raw(out, cfg).tobytes()
             with pytest.raises(ValueError):
-                grams[0, 0, 0, 0] = 1.0
+                p[0, 0, 0] = 1.0
+            del calls[:]
+            assert spec.raw_mapped_psds(cfg, layer.barycenter.copy()) is p  # an equal target
+            assert calls == []
+            other = spec.raw_mapped_psds(cfg, 2 * layer.barycenter)
+            fresh = replace(spec).raw_mapped_psds(cfg, layer.barycenter)
+            assert len(calls) == 2 and other is not p and fresh is not p
+            assert fresh.tobytes() == p.tobytes()
 
     def test_replaced_spec_estimates_afresh(self, monkeypatch):
         spec = flat_spec(n=2, length=256, seed=6)
@@ -308,9 +318,9 @@ class TestEvaluateAlignment:
         assert a.reduction_ratio == b.reduction_ratio
 
     def test_reports_equal_the_uncached_oracle(self):
-        # One spec list for both configs: the PSDs and Grams kept for the
-        # first must not serve the second.  "none" gives the oracle's bits;
-        # the closed forms of the other methods give their executed
+        # One spec list for both configs: the PSDs and mapped PSDs kept for
+        # the first must not serve the second.  "none" gives the oracle's
+        # bits; the closed forms of the other methods give their executed
         # forwards' post distances to roundoff.
         specs = make_shifted_domains(np.ones((2, 8)), 3, 1.0, n_signals=3,
                                      length=512, seed=15)
@@ -341,25 +351,26 @@ class TestEvaluateAlignment:
             assert_matches_executed(rep, post, ratio)
 
     def test_six_methods_estimate_each_domain_sample_once(self, monkeypatch):
-        calls = spy_calls(monkeypatch, _welch_raw, _window_grams,
-                          psdnorm.apply_mapping)
+        calls = spy_calls(monkeypatch, _welch_raw, _filter, psdnorm.apply_mapping)
         specs = make_shifted_domains(np.ones((1, 8)), 3, 1.0, n_signals=2,
                                      length=256, seed=16)
-        grams = []
+        filters = []
         for method in psdnorm.synth.METHODS:
             evaluate_alignment(specs, method)
-            grams.append(sum(name == "_window_grams" for name, _ in calls))
-        # tma builds each domain's Grams, psdnorm reuses them
-        assert grams == [0, 0, 0, 0, 3, 3]
-        # 3 domain samples; no signal is filtered
-        assert [name for name, _ in calls] == ["_welch_raw"] * 3 + ["_window_grams"] * 3
+            filters.append(sum(name == "_filter" for name, _ in calls))
+        # tma filters each domain's sample, psdnorm reuses its PSDs
+        assert filters == [0, 0, 0, 0, 3, 3]
+        # 3 domain samples, then each domain's filtered copy
+        assert [name for name, _ in calls] == (
+            ["_welch_raw"] * 3 + ["_filter", "_welch_raw"] * 3)
         cfg = WelchConfig(8, 3, "boxcar")
         evaluate_alignment(specs, "psdnorm", cfg)
         evaluate_alignment(specs, "tma", cfg)
-        assert [(name, args[1]) for name, args in calls[6:]] == (
-            [("_welch_raw", cfg)] * 3 + [("_window_grams", cfg)] * 3)
+        # the filter takes rows already centred: no means
+        assert [(name, args[1]) for name, args in calls[9:]] == (
+            [("_welch_raw", cfg)] * 3 + [("_filter", None), ("_welch_raw", cfg)] * 3)
         psdnorm.apply_mapping(specs[0].signals, np.ones((2, 1, 8)))  # the spy is live
-        assert calls[-1][0] == "apply_mapping"
+        assert [name for name, _ in calls[-2:]] == ["apply_mapping", "_filter"]
 
     def test_affine_baselines_run_no_forward(self, monkeypatch):
         calls = spy_calls(monkeypatch, instancenorm_forward, layernorm_forward,

@@ -1,6 +1,8 @@
 """Bits that do not depend on the BLAS thread count: one fixed table of
 kernel calls runs in two subprocesses, with the BLAS thread variables at 1
-and at 2, and each row's output must hash alike in both.
+and at 2, and each row's output must hash alike in both.  The benchmark's
+reports are built from Welch passes and the filter alone, so they are rows
+like any other.
 
 Run as a script, this file prints the table's SHA-256 per row as JSON."""
 
@@ -17,31 +19,23 @@ import pytest
 import psdnorm
 from psdnorm import (WelchConfig, apply_mapping, evaluate_alignment, make_shifted_domains,
                      psdnorm_stack_forward)
-from psdnorm.monge import _mapped_psd_raw, _window_grams
 from psdnorm.spectral import welch_psd_raw
 from psdnorm.synth import METHODS
 
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-#: Rows whose products take a BLAS path that the thread count picks, so
-#: that their bits may depend on it: the f = 64 window Grams of a long row,
-#: the mapped PSDs read from them, and the reports built from those
-#: (ROADMAP item 18).
-THREAD_DEPENDENT = ("grams (1, 2, 65536) f=64", "mapped (1, 2, 65536) f=64",
-                    "evaluate_alignment 3 x (1, 2, 65536) f=64")
 ROWS = ("welch gram (8, 2, 4096) f=8", "welch gram Fortran (8, 2, 4096) f=8",
         "welch rfft (8, 4, 4096) f=96",
         "filter toeplitz (1, 2, 65536) f=64", "filter fft (8, 4, 4096) f=96",
         "stack train (64, 4, 1024) fs=(16, 8, 4)", "stack eval (64, 4, 1024) fs=(16, 8, 4)",
-        "grams (8, 2, 4096) f=8", "mapped (8, 2, 4096) f=8",
-        "evaluate_alignment 3 x (8, 2, 4096) f=64", *THREAD_DEPENDENT)
+        "evaluate_alignment 3 x (8, 2, 4096) f=64",
+        "evaluate_alignment 3 x (1, 2, 65536) f=64")
 
 
 def table() -> dict:
     """{row: SHA-256 of the bytes of its outputs} over ``ROWS``: each form of
     Welch, and the Gram form on a Fortran-ordered batch, each form of the
-    filter, a train and an eval stack forward, the benchmark's window Grams
-    and mapped PSDs at f = 8 and 64, and every method's
+    filter, a train and an eval stack forward, and every method's
     ``evaluate_alignment`` report at f = 64 on short rows and on a long one."""
     def draw(*shape):
         return np.random.default_rng(shape).standard_normal(shape)
@@ -61,11 +55,6 @@ def table() -> dict:
     y, layers, _ = psdnorm_stack_forward(fs, x)
     out[f"stack train {x.shape} fs={fs}"] = [y, *(layer.barycenter for layer in layers)]
     out[f"stack eval {x.shape} fs={fs}"] = [psdnorm_stack_forward(fs, x, "eval", layers)[0]]
-    for shape, f in (((8, 2, 4096), 8), ((1, 2, 2 ** 16), 64)):
-        cfg, x = WelchConfig(f), draw(*shape)
-        grams = _window_grams(x - x.mean(axis=-1, keepdims=True), cfg)
-        out[f"grams {shape} f={f}"] = [grams]
-        out[f"mapped {shape} f={f}"] = [_mapped_psd_raw(grams, taps(shape, f), cfg)]
     for n, l in ((8, 2 ** 12), (1, 2 ** 16)):  # the bench CLI's default shape, and a long row
         domains = make_shifted_domains(np.ones((2, 64)), 3, 1.0, n_signals=n, length=l)
         reports = [evaluate_alignment(domains, method) for method in METHODS]
@@ -94,11 +83,7 @@ def test_the_table_has_its_rows(hashes):
     assert [sorted(run) for run in hashes] == [sorted(ROWS)] * 2
 
 
-@pytest.mark.parametrize("row", [
-    pytest.param(row, marks=pytest.mark.xfail(
-        row in THREAD_DEPENDENT, strict=False,
-        reason="its BLAS products may take another path at 2 threads (ROADMAP item 18)"))
-    for row in ROWS])
+@pytest.mark.parametrize("row", ROWS)
 def test_bits_do_not_depend_on_the_blas_thread_count(hashes, row):
     one, two = hashes
     assert one[row] == two[row]

@@ -210,7 +210,7 @@ def corpus_calls(lib) -> dict:
     for each method.  Then each method on its own, on shallow copies of
     specs whose samples are drawn and whose PSDs are estimated beforehand,
     so that a row times the method's own work: a copy shares the sample and
-    the PSDs, but whatever else a method keeps on a spec (the window Grams
+    the PSDs, but whatever else a method keeps on a spec (the mapped PSDs
     of ``tma`` and ``psdnorm``) it builds afresh on each call, as the unit
     call does."""
     import numpy as np
