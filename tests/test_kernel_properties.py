@@ -2,15 +2,20 @@
 whose docstrings alone state the rules by which they choose a form: ``edges``
 finds with the kernel spy where each form and mode begins, both sides and a row
 of several blocks meet the oracles, and so do hypothesis draws.  The one pin is
-perfbench's traffic."""
+perfbench's traffic.  Then the benchmark's post-mapping PSDs,
+``DomainSpec.raw_mapped_psds``, against Welch of the whole-signal mapping, and
+what they hold in memory."""
 
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from psdnorm import (
+    DomainSpec,
+    NonFiniteInputError,
     PsdNormLayer,
     WelchConfig,
     apply_mapping,
@@ -343,3 +348,100 @@ def test_forwards_equal_the_checked_public_path_bit_for_bit(
         assert out.tobytes() == expected.tobytes()
         assert layer.barycenter.tobytes() == stepped.barycenter.tobytes()
 
+
+
+def mirror(half, f):
+    """The (c, f) PSD whose bins 0..f//2 are half's columns, mirrored onto
+    bins f//2 + 1..f - 1 so that ``check_psd`` takes it exactly."""
+    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
+
+
+def random_psd(rng, c, f):
+    """A (c, f) PSD with log-uniform bins over one decade."""
+    return mirror(10.0 ** rng.uniform(-0.5, 0.5, (c, f // 2 + 1)), f)
+
+
+def mapped_psds(spec, target, cfg):
+    """``spec.raw_mapped_psds``, and the rfft Welch of each of the sample's
+    signals mapped whole, circularly, by the eval forward's taps."""
+    h = monge_filter(centered_psd(spec.signals, cfg), target)
+    ref = np.stack([rfft_welch_raw(whole_signal_mapping(xj, hj), cfg)
+                    for xj, hj in zip(spec.signals, h)])
+    return spec.raw_mapped_psds(cfg, target), ref
+
+
+@draws(lambda st: {"n": st.integers(1, 3), "c": st.integers(1, 3),
+                   "f": st.integers(1, 24).flatmap(lambda f: st.tuples(
+                       st.just(f), st.integers(1, f))),
+                   "extra": st.integers(0, 11).flatmap(lambda e: st.integers(2 ** e >> 1, 2 ** e)),
+                   "seed": st.integers(0, 2 ** 32 - 1),
+                   "window": st.sampled_from(("hann", "boxcar"))}, spied=False)
+def test_mapped_psds_match_welch_of_the_mapped_signal(n, c, f, extra, seed, window):
+    # every stride 1..f, odd f, l = f and trailing samples; a bin far below its
+    # row's peak (boxcar's bin 0 at l = f is zero but for rounding) is held to
+    # 1e-14 of the peak, as scipy is
+    (f, stride), rng = f, np.random.default_rng(seed)
+    spec = DomainSpec(random_psd(rng, c, f), n, f + extra, seed)
+    close(*mapped_psds(spec, random_psd(rng, c, f), WelchConfig(f, stride, window)), 1e-14)
+
+
+@pytest.mark.parametrize("f, stride", [(1, 1), (4, 2), (5, 5), (8, 3), (16, 8), (31, 7)])
+def test_mapped_psds_read_the_samples_that_wrap_around_each_end(f, stride):
+    # l = 3 f + 2: the last segments read filter outputs that sum samples from
+    # both ends, which the oracle's circular convolution sums alike
+    rng = np.random.default_rng(f)
+    spec = DomainSpec(random_psd(rng, 2, f), 2, 3 * f + 2, f)
+    close(*mapped_psds(spec, random_psd(rng, 2, f), WelchConfig(f, stride)))
+
+
+@pytest.mark.parametrize("f", [4, 7, 8, 16, 32])
+def test_whitened_random_walks_keep_their_bins_within_1e_9(f):
+    # a walk's spectrum, 1 / (4 sin^2(pi k / l)), puts the bins of its Welch
+    # PSD about 1e3 to 1e5 apart, under RATIO_CAP, so no gain is capped;
+    # whitening raises the smallest bins to the largest
+    l = 4096
+    k = np.arange(l // 2 + 1)
+    k[0] = 1  # the walk's infinite bin 0 as its bin 1
+    spec = DomainSpec(mirror(np.repeat(1 / (4 * np.sin(np.pi * k / l) ** 2)[None], 2, 0), l),
+                      3, l, f)
+    p = spec.centered_psds(WelchConfig(f))
+    spread = p.max(axis=-1) / p.min(axis=-1)
+    assert spread.max() > 1e3 and spread.max() < RATIO_CAP
+    a, b = mapped_psds(spec, np.ones(p.shape[1:]), WelchConfig(f))
+    assert np.max(np.abs(a - b) / b) <= 1e-9
+
+
+@pytest.mark.parametrize("shape, f, stride", [((8, 2, 4096), 8, 0), ((64, 4, 1024), 16, 0),
+                                              ((4, 2, 1024), 8, 1), ((8, 2, 4096), 24, 0)])
+def test_mapped_psds_peak_at_one_copy_of_the_sample_and_keep_only_their_output(
+        shape, f, stride):
+    # the filter's four and a half budgets, beside the centred copy, the taps
+    # and the output; after the call the spec holds the output and its key
+    n, c, l = shape
+    cfg, target = WelchConfig(f, stride), np.full((c, f), 2.0)
+    spec = DomainSpec(np.ones((c, f)), n, l, 7)
+    spec.raw_mapped_psds(cfg, target)  # warm FFT plans and the Toeplitz index
+    spec = replace(spec)
+    spec.centered_psds(cfg)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        p = spec.raw_mapped_psds(cfg, target)
+        kept, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    taps = 8 * n * c * f
+    assert peak <= spec.signals.nbytes + taps + p.nbytes + 4.5 * BUDGET_BYTES
+    assert kept <= p.nbytes + target.nbytes + 4096
+
+
+@pytest.mark.filterwarnings("error")
+def test_mapped_psds_refuse_what_they_cannot_read():
+    # the benchmark hands the cores finite samples and taps, whose power can
+    # still pass the float range: the sample's own, or its mapped copy's
+    cfg = WelchConfig(4)
+    for psd, target in ((1e307, 1.0), (1e303, 1e308)):
+        spec = DomainSpec(np.full((1, 4), psd), 2, 64, 0)
+        with pytest.raises(NonFiniteInputError, match="input power"):
+            spec.raw_mapped_psds(cfg, np.full((1, 4), target))

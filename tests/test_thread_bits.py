@@ -1,8 +1,8 @@
 """Bits that do not depend on the BLAS thread count: one fixed table of
 kernel calls runs in two subprocesses, with the BLAS thread variables at 1
 and at 2, and each row's output must hash alike in both.  The benchmark's
-reports are built from Welch passes and the filter alone, so they are rows
-like any other.
+mapped PSDs and reports are built from Welch passes and the filter alone, so
+they are rows like any other.
 
 Run as a script, this file prints the table's SHA-256 per row as JSON."""
 
@@ -28,6 +28,7 @@ ROWS = ("welch gram (8, 2, 4096) f=8", "welch gram Fortran (8, 2, 4096) f=8",
         "welch rfft (8, 4, 4096) f=96",
         "filter toeplitz (1, 2, 65536) f=64", "filter fft (8, 4, 4096) f=96",
         "stack train (64, 4, 1024) fs=(16, 8, 4)", "stack eval (64, 4, 1024) fs=(16, 8, 4)",
+        "mapped (8, 2, 4096) f=8", "mapped (1, 2, 65536) f=64",
         "evaluate_alignment 3 x (8, 2, 4096) f=64",
         "evaluate_alignment 3 x (1, 2, 65536) f=64")
 
@@ -35,8 +36,9 @@ ROWS = ("welch gram (8, 2, 4096) f=8", "welch gram Fortran (8, 2, 4096) f=8",
 def table() -> dict:
     """{row: SHA-256 of the bytes of its outputs} over ``ROWS``: each form of
     Welch, and the Gram form on a Fortran-ordered batch, each form of the
-    filter, a train and an eval stack forward, and every method's
-    ``evaluate_alignment`` report at f = 64 on short rows and on a long one."""
+    filter, a train and an eval stack forward, the benchmark's mapped PSDs
+    at f = 8 and 64, and every method's ``evaluate_alignment`` report at
+    f = 64 on short rows and on a long one."""
     def draw(*shape):
         return np.random.default_rng(shape).standard_normal(shape)
 
@@ -55,6 +57,9 @@ def table() -> dict:
     y, layers, _ = psdnorm_stack_forward(fs, x)
     out[f"stack train {x.shape} fs={fs}"] = [y, *(layer.barycenter for layer in layers)]
     out[f"stack eval {x.shape} fs={fs}"] = [psdnorm_stack_forward(fs, x, "eval", layers)[0]]
+    for (n, c, l), f in (((8, 2, 4096), 8), ((1, 2, 2 ** 16), 64)):
+        source, target = make_shifted_domains(np.ones((c, f)), 2, 1.0, n_signals=n, length=l)
+        out[f"mapped {(n, c, l)} f={f}"] = [source.raw_mapped_psds(WelchConfig(f), target.psd)]
     for n, l in ((8, 2 ** 12), (1, 2 ** 16)):  # the bench CLI's default shape, and a long row
         domains = make_shifted_domains(np.ones((2, 64)), 3, 1.0, n_signals=n, length=l)
         reports = [evaluate_alignment(domains, method) for method in METHODS]
