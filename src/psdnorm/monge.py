@@ -5,9 +5,11 @@ elementwise gain sqrt(p_tgt / p_src).  For conjugate-symmetric PSDs that
 gain is real and even, so its inverse DFT is a real length-f filter bank
 whose circular convolution realizes the mapping in the time domain.
 ``apply_mapping`` reads one centred, wrap-padded buffer and the taps in
-lag order.  It contracts them by two BLAS products of the buffer's f-sample
-tiles with each row's Toeplitz matrix of its lags when that matrix fits in
-the row's buffer, and by FFT otherwise; its docstring states the rule.
+lag order; ``_centred`` fills the buffer with one copy up to the row's end,
+then whole rows from its start.  It contracts them by two BLAS products of
+the buffer's f-sample tiles with each row's Toeplitz matrix of its lags
+(one gather of the taps) when that matrix fits in the row's buffer, and by
+FFT otherwise; its docstring states the rule.
 One private kernel, ``_filter``, serves it and the layer forward, which
 filters its own centred copy in place: each buffer then takes the samples
 that an earlier block overwrote from two small carries, so it holds the
@@ -150,12 +152,11 @@ def _filter(x: np.ndarray, means, taps: np.ndarray, out: np.ndarray) -> np.ndarr
     for r, rows in _row_chunks(x, 8 * (width + matrix)):
         if buffer is None:  # the first chunk, the largest
             buffer = np.empty((len(rows), width))
-        lags = taps[r].take(order, axis=1)
-        block = buffer[:len(lags)]
+        block = buffer[:len(rows)]
         # conjugate, so that the FFT correlates the buffer with the lags as
         # the Toeplitz products do
-        kernel = _toeplitz(lags) if matrix else np.fft.rfft(lags, n=width, axis=1).conj()
-        del lags  # before the carries and the products' temporaries
+        kernel = (_toeplitz(taps[r]) if matrix else
+                  np.fft.rfft(taps[r].take(order, axis=1), n=width, axis=1).conj())
         saved = [(l - halo, rows[:, l - halo:].copy())] if carries else []
         for start in starts:
             _centred(rows, None if means is None else means[r], start - halo, block, saved)
@@ -178,22 +179,23 @@ def _lag_order(f: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _toeplitz_index(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (2f - 1, f) lag t - a mod f of Toeplitz entry (t, a), and a mask
-    that is 0 where t - a is no lag of 0..f - 1 and 1 elsewhere: built once
-    per f.  The mask is read-only; the index is not, because ``np.take``
-    copies a read-only index, which would add a matrix's bytes to the
-    filter's peak."""
+    """The (2f - 1, f) index of Toeplitz entry (t, a) among f taps, that
+    of lag t - a mod f (``_lag_order``), and a mask that is 0 where t - a
+    is no lag of 0..f - 1 and 1 elsewhere: built once per f.  The mask is
+    read-only; the index is not, because ``np.take`` copies a read-only
+    index, which would add a matrix's bytes to the filter's peak."""
     s = np.arange(2 * f - 1)[:, np.newaxis] - np.arange(f)
-    index, mask = s % f, ((s >= 0) & (s < f)).astype(float)
+    index, mask = _lag_order(f)[s % f], ((s >= 0) & (s < f)).astype(float)
     mask.flags.writeable = False
     return index, mask
 
 
-def _toeplitz(lags: np.ndarray) -> np.ndarray:
-    """The (R, 2f - 1, f) Toeplitz matrices T[t, a] = lags[t - a] of (R, f)
-    lags, zero where t - a is no lag, in C order for BLAS."""
-    index, mask = _toeplitz_index(lags.shape[1])
-    matrices = lags.take(index, axis=1)
+def _toeplitz(taps: np.ndarray) -> np.ndarray:
+    """The (R, 2f - 1, f) Toeplitz matrices T[t, a] = lags[t - a] of the
+    lags of (R, f) taps, zero where t - a is no lag, in C order for BLAS:
+    one gather of the taps, whose index takes them in lag order."""
+    index, mask = _toeplitz_index(taps.shape[1])
+    matrices = taps.take(index, axis=1)
     matrices *= mask
     return matrices
 
@@ -211,11 +213,11 @@ def _tiled_product(block: np.ndarray, matrices: np.ndarray, out: np.ndarray) -> 
         np.multiply(block[:, :out.shape[1]], matrices[:, 0], out=out)
         return
     count = -(-out.shape[1] // f)
-    tiles = block.reshape(len(block), -1, f)[:, :count + 1]
-    whole = out.flags.c_contiguous and out.shape[1] == count * f
+    tiles = block.reshape(len(block), -1, f)
+    whole = out.shape[1] == count * f and out.flags.c_contiguous
     dest = out.reshape(len(block), count, f) if whole else np.empty((len(block), count, f))
-    np.matmul(tiles[:, :-1], matrices[:, :f], out=dest)
-    dest += tiles[:, 1:, :f - 1] @ matrices[:, f:]
+    np.matmul(tiles[:, :count], matrices[:, :f], out=dest)
+    dest += tiles[:, 1:count + 1, :f - 1] @ matrices[:, f:]
     if not whole:
         out[:] = dest.reshape(len(block), -1)[:, :out.shape[1]]
 
@@ -231,16 +233,18 @@ def _fft_product(block: np.ndarray, response: np.ndarray, out: np.ndarray) -> No
 def _centred(rows: np.ndarray, means, lo: int, out: np.ndarray, saved=()) -> None:
     """Fill out with columns lo, lo + 1, ... of rows, indices taken modulo
     the row length, then each (column, samples) of ``saved`` over the
-    columns it holds, less the rows' means unless they are None.  The means
+    columns it holds, less the rows' means unless they are None.  The
+    columns are one copy from lo mod l to the row's end, then one copy per
+    whole row from column 0, the last one cut at out's end.  The means
     are subtracted once over the whole of out: numpy allocates an iterator
     buffer per operand for a subtraction into a strided piece of it, which
     would set the filter's peak memory."""
-    l, width, col = rows.shape[1], out.shape[1], 0
-    while col < width:
-        src = (lo + col) % l
-        n = min(width - col, l - src)
-        out[:, col:col + n] = rows[:, src:src + n]
-        col += n
+    l, width = rows.shape[1], out.shape[1]
+    src = lo % l
+    n = min(width, l - src)
+    out[:, :n] = rows[:, src:src + n]
+    for col in range(n, width, l):
+        out[:, col:col + l] = rows[:, :width - col]
     for first, samples in saved:
         for col in range((first - lo) % l, width, l):
             n = min(samples.shape[1], width - col)

@@ -29,6 +29,14 @@ the row length and f, so a signal gets the same bits alone as in a batch,
 in any memory layout.  ``_centred_copy`` subtracts ``_row_means`` in the copy
 that the forward, ``centered_psd`` and the benchmark read.
 
+A single signal's forward is mostly fixed cost, so the helpers that every
+call runs spend no more numpy calls than their arithmetic needs, and keep
+numpy's bits: ``finite_mean`` is ``np.add.reduce`` divided in place by the
+count, ``x.mean``'s own arithmetic without its Python wrapper;
+``psd_floor`` reduces by ``np.maximum.reduce``; ``_row_chunks`` hands rows
+that fit one chunk over as a one-item tuple; and Welch sums, checks and
+scales each chunk's one-sided bins in place in its output.
+
 Input is validated where it enters, once.  The public functions check
 what they are given: ``welch_psd_raw`` and ``welch_psd`` refuse a row
 shorter than f, then any NaN or Inf sample (``check_finite``).  The
@@ -78,10 +86,13 @@ BUDGET_BYTES = 1 << 16
 _FLOOR_PEAK = np.finfo(float).tiny / 1e-10
 
 
-def chunk_slices(n: int, item_bytes: int) -> list[slice]:
+def chunk_slices(n: int, item_bytes: int) -> list[slice] | tuple[slice]:
     """Consecutive slices covering range(n), each of as many items of
-    ``item_bytes`` as fit in BUDGET_BYTES, and at least one."""
+    ``item_bytes`` as fit in BUDGET_BYTES, and at least one: one slice,
+    in a tuple, when all n fit."""
     step = max(1, BUDGET_BYTES // item_bytes)
+    if n <= step:
+        return (slice(0, n),)
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -140,18 +151,22 @@ def check_finite(x, name: str = "input") -> np.ndarray:
         rows = x.reshape(-1) if x.ndim == 1 or x.flags.c_contiguous else x
         for s in chunk_slices(len(rows), rows[0].size):
             check_finite(rows[s] if s.stop - s.start > 1 else rows[s.start], name)
-    elif not np.isfinite(x).all():
+    elif not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NonFiniteInputError(f"{name} contains NaN or Inf (non-finite values)")
     return x
 
 
 def finite_mean(x: np.ndarray, axis) -> np.ndarray:
-    """The mean of x over ``axis``, kept as axes of length 1, which must be
-    finite (``check_finite``): a NaN or Inf sample makes it NaN or Inf, and
-    so does a sum past the float range, whose numpy warning the error
-    replaces."""
+    """The mean of the float array x over ``axis``, an int or a tuple of
+    ints, kept as axes of length 1, which must be finite (``check_finite``):
+    a NaN or Inf sample makes it NaN or Inf, and so does a sum past the
+    float range, whose numpy warning the error replaces.  It is
+    ``x.mean``'s own arithmetic, ``np.add.reduce`` divided in place by the
+    count, and so its bits, without its Python wrapper."""
+    count = math.prod(x.shape[a] for a in axis) if isinstance(axis, tuple) else x.shape[axis]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=axis, keepdims=True)
+        mean = np.add.reduce(x, axis, keepdims=True)
+        mean /= count
     return check_finite(mean, "input mean")
 
 
@@ -159,11 +174,17 @@ def _row_chunks(x: np.ndarray, row_bytes: int):
     """(r, rows) for chunks of the rows of the (..., l) x, the first the
     largest: r slices their C-order index, rows views as many as fit
     BUDGET_BYTES at ``row_bytes`` each, of all rows when x's leading axes
-    merge in a view, else of one signal at a time, so no batch is copied."""
+    merge in a view, else of one signal at a time, so no batch is copied.
+    Rows that all fit one chunk come as a one-item tuple, with no generator
+    or slice list to walk: the case of a single signal, whose fixed cost
+    this is."""
     if x.flags.c_contiguous or x.ndim < 3 or 1 in x.shape[:2] or \
             x.strides[0] == x.shape[1] * x.strides[1]:
         rows = x.reshape(-1, x.shape[-1])  # a view
-        return ((r, rows[r]) for r in chunk_slices(len(rows), row_bytes))
+        slices = chunk_slices(len(rows), row_bytes)
+        if len(slices) == 1:
+            return ((slices[0], rows),)
+        return ((r, rows[r]) for r in slices)
     c = x.shape[1]
     return ((slice(n * c + r.start, n * c + min(r.stop, c)), signal[r])
             for n, signal in enumerate(x) for r in chunk_slices(c, row_bytes))
@@ -286,7 +307,7 @@ def psd_floor(p: np.ndarray) -> np.ndarray:
     signal scaled by a has its floor scaled by a^2.  No floor is below the
     smallest normal float, which an all-zero PSD (a constant signal)
     takes."""
-    return 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=_FLOOR_PEAK)
+    return 1e-10 * np.maximum.reduce(p, (-2, -1), keepdims=True, initial=_FLOOR_PEAK)
 
 
 def floored(p: np.ndarray) -> np.ndarray:
@@ -330,31 +351,33 @@ def _segments(rows: np.ndarray, start: int, count: int, step: int,
     the columns they cover when they are contiguous (step == f, as for
     every Gram-form class at an even f's default stride), which is cheaper
     to make than a strided view and has its strides."""
-    head = rows[:, start:]
     if step != f:
+        head = rows[:, start:]
         return as_strided(head, (len(head), count, f),
                           (head.strides[0], step * head.strides[1], head.strides[1]),
                           writeable=False)
-    view = head[:, :count * f].reshape(len(head), count, f)
+    view = rows[:, start:start + count * f].reshape(len(rows), count, f)
     view.flags.writeable = False
     return view
 
 
-def _quadratic_bins(gram: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The (R, k) sums v' C v over the cosine and the sine column v of each
-    bin of the (n, 2k) ``vectors``, with the k = f//2 + 1 cosine columns
-    first, as ``_welch_basis`` lays them out, for each (n, n) matrix C of
-    the (R, n, n) ``gram``: one product, multiplied in place, so that no
-    second temporary of its size is held."""
+def _quadratic_bins(gram: np.ndarray, vectors: np.ndarray, out: np.ndarray) -> None:
+    """Write into the (R, k) out the sums v' C v over the cosine and the
+    sine column v of each bin of the (n, 2k) ``vectors``, with the
+    k = f//2 + 1 cosine columns first, as ``_welch_basis`` lays them out,
+    for each (n, n) matrix C of the (R, n, n) ``gram``: one product,
+    multiplied in place, so that no second temporary of its size is held."""
     product = gram @ vectors
     product *= vectors
-    power = product.sum(axis=1)
+    power = np.add.reduce(product, 1)
     k = vectors.shape[-1] // 2
-    return power[:, :k] + power[:, k:]
+    np.add(power[:, :k], power[:, k:], out=out)
 
 
 def _two_sided(half: np.ndarray, f: int) -> np.ndarray:
-    """The f bins of (R, f//2 + 1) one-sided bins: bin f - k copies bin k."""
+    """The f bins of (R, f//2 + 1) one-sided bins: bin f - k copies bin k.
+    Made after the Welch sums, so that no chunk's temporaries meet the
+    upper bins."""
     return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1)
 
 
@@ -389,7 +412,10 @@ def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     counts if need be.  The caller has found x finite (``check_finite``), or
     made it from rows that ``finite_mean`` found finite (a centred copy).
     Centring can still overflow to Inf, so each row's power is checked
-    ("input power"), and so are the trailing samples that no segment reads."""
+    ("input power"), and so are the trailing samples that no segment reads.
+    The Gram sum starts as the first residue class's product, which is what
+    a sum from zeros holds after it, and each chunk's bins 0..f//2 are
+    summed, checked and scaled in place in the one-sided output."""
     f, stride = cfg.filter_size, cfg.stride
     length = x.shape[-1]
     n_seg = n_segments(length, cfg)
@@ -412,19 +438,23 @@ def _welch_raw(x: np.ndarray, cfg: WelchConfig) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for r, rows in _row_chunks(x, row_bytes + copied):
             chunk = np.ascontiguousarray(rows)
+            bins = half[r]
             if gram_form:
-                gram = np.zeros((len(chunk), f, f))
                 for j in range(q):
                     segs = _segments(chunk, j * stride, -(-(n_seg - j) // q),
                                      q * stride, f)
-                    gram += segs.transpose(0, 2, 1) @ segs
-                acc = _quadratic_bins(gram, basis)
+                    if j:
+                        gram += segs.transpose(0, 2, 1) @ segs
+                    else:
+                        gram = segs.transpose(0, 2, 1) @ segs
+                _quadratic_bins(gram, basis, bins)
             else:
-                acc = np.zeros(half[r].shape)
+                bins[:] = 0.0
                 for s in range(0, n_seg, block):
                     segs = _segments(chunk, s * stride, min(block, n_seg - s), stride, f)
-                    acc += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
-            half[r] = check_finite(acc, "input power") / n_seg
+                    bins += np.sum(np.abs(np.fft.rfft(segs * w, axis=2)) ** 2, axis=1)
+            check_finite(bins, "input power")
+            bins /= n_seg
             del chunk, segs  # a row copy, which the next one must not meet
     return _two_sided(half, f).reshape(x.shape[:-1] + (f,))
 

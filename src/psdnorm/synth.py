@@ -124,7 +124,14 @@ class DomainSpec:
         forward's taps from ``centered_psds(welch)``, its filter in place on
         a centred copy, and one Welch pass over it.  Computed on the first
         call with each (welch, target) and kept read-only for the life of
-        the spec, so a spec that no method maps holds none."""
+        the spec, so a spec that no method maps holds none.  A target of
+        another shape than (channels, welch.filter_size) raises
+        ShapeMismatchError before the cache is read: its bytes alone could
+        match a kept target's."""
+        shape = (self.psd.shape[0], welch.filter_size)
+        if target.shape != shape:
+            raise ShapeMismatchError(f"target PSD shape {target.shape} is not the"
+                                     f" spec's (channels, filter_size) {shape}")
         cache = self.__dict__.setdefault("_mapped", {})
         key = welch, target.tobytes()
         if key not in cache:

@@ -8,6 +8,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import numpy as np
+
 from conftest import FORMS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,6 +148,8 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
     elapsed = time.perf_counter() - t
 
     [row] = doc["grid"]
+    assert row["identical"] is doc["stack"]["identical"] is True
+    assert doc["evaluate_alignment"]["identical"] is True
     timed = ["calls_per_sample", "before_ms", "after_ms", "again_ms",
              "after_over_before", "after_over_again"]
     assert shapes and set(shapes) == {((2, 1, 4), (1, 4))}
@@ -157,15 +161,17 @@ def test_forward_rows_on_one_tiny_shape(monkeypatch):
         assert set(row[peak]) == {"before", "after"}
         assert all(mib > 0 for mib in row[peak].values())
     layers = [f"layer_{i}" for i in range(1, len(bench.STACK_FS) + 1)]
-    assert [k for k in doc["stack"] if k not in ("shape", "fs")] == [
+    assert [k for k in doc["stack"] if k not in ("shape", "fs", "identical")] == [
         *layers, "stack_train", "stack_eval", "instancenorm", "train_peak_mib"]
     assert set(doc["stack"]["train_peak_mib"]) == {"before", "after"}
     assert all(mib > 0 for mib in doc["stack"]["train_peak_mib"].values())
     methods = libs[1].synth.METHODS
     assert set(evaluated) == {(2, (1, 1, 64), m) for m in methods}
     # The unit call and the per-method rows each evaluate every method in
-    # each copy's warm-up call, the calibration call and every round.
-    calls = len(libs) + 1 + len(libs) * bench.AB_PAIRS
+    # each copy's warm-up call, the calibration call and every round, and
+    # in one untimed call of the before and after copies, which the
+    # ``identical`` field compares.
+    calls = len(libs) + 1 + len(libs) * bench.AB_PAIRS + 2
     assert len(evaluated) == 2 * len(methods) * calls
     # One sample per unit call, and one per copy for the per-method rows,
     # whose every call takes fresh copies of that copy's kept specs.
@@ -190,10 +196,39 @@ def test_align_row_on_tiny_files(monkeypatch, tmp_path):
     doc = bench.align_row([psdnorm] * 3, tmp_path)
 
     assert doc["files"] == bench.ALIGN_FILES
+    assert doc["identical"] is True
     assert len(list(tmp_path.glob("rec*.psdn"))) == bench.ALIGN_FILES
     assert all((tmp_path / side).is_dir() for side in bench.COPIES)
     assert doc["call"]["after_ms"] > 0
     assert all(peak > 0 for peak in doc["peak_mib"].values())
+
+
+def test_a_perturbed_filter_reads_as_not_identical(monkeypatch, tmp_path):
+    # Two copies of one tree read identical above; here the after copy's
+    # Toeplitz products, which every tiny shape's filter takes at f = 4 or
+    # f = 8, move each output by one ulp.
+    bench = load_tool()
+    libs = [bench.load_copy(ROOT, f"psdnorm_{side}") for side in bench.COPIES]
+    for name, value in [("GRID", [(2, 1, 64, 4)]), ("STACK_SHAPE", (2, 1, 64)),
+                        ("CORPUS", {"domains": 2, "signals": 1, "channels": 1,
+                                    "length": 64, "f": 4}),
+                        ("ALIGN_SHAPE", (2, 256)), ("ALIGN_F", 8),
+                        ("AB_PAIRS", 2), ("MIN_SAMPLE_S", 0.0)]:
+        monkeypatch.setattr(bench, name, value)
+    monge = importlib.import_module(f"{libs[1].__name__}.monge")
+
+    def perturbed(block, matrices, out, product=monge._tiled_product):
+        product(block, matrices, out)
+        np.nextafter(out, np.inf, out=out)
+
+    monkeypatch.setattr(monge, "_tiled_product", perturbed)
+
+    doc = bench.forward_rows(libs)
+    align = bench.align_row(libs, tmp_path)
+
+    assert [row["identical"] for row in doc["grid"]] == [False]
+    assert doc["stack"]["identical"] is doc["evaluate_alignment"]["identical"] is False
+    assert align["identical"] is False
 
 
 def test_grid_reaches_both_welch_forms_and_each_filter_form_and_mode(kernel_spy):

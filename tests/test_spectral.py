@@ -18,9 +18,13 @@ from psdnorm import (
     welch_psd,
 )
 from psdnorm import spectral
+from psdnorm.monge import _centred
 from psdnorm.spectral import (
+    _FLOOR_PEAK,
     BUDGET_BYTES,
+    _welch_raw,
     check_finite,
+    finite_mean,
     floored,
     n_segments,
     psd_floor,
@@ -29,6 +33,12 @@ from psdnorm.spectral import (
 
 from conftest import LAYOUTS as SIGNAL_LAYOUTS, peak_bytes
 from oracles import fourier_matrix
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the draws need the test extra
+    given = None
 
 
 def direct_welch(x, f, stride, window):
@@ -450,3 +460,95 @@ def test_welch_keeps_to_the_byte_budget():
             welch_psd_raw(y, cfg)
             copied = 0 if layout == "C" else 8 * shape[-1]
             assert peak_bytes(lambda: welch_psd_raw(y, cfg)) <= copied + 3 * BUDGET_BYTES
+
+
+# ---------------------------------------------------------------------------
+# The helpers that skip numpy's Python wrappers keep numpy's bits
+# ---------------------------------------------------------------------------
+
+def draws(examples=100, **strategies):
+    """``given(**strategies)``, each a function of the strategies module, with
+    ``examples`` examples, or a skip."""
+    if given is None:
+        return pytest.mark.skip(reason="hypothesis is not installed")
+    return lambda test: settings(max_examples=examples)(
+        given(**{name: make(st) for name, make in strategies.items()})(test))
+
+
+def seeds(st):
+    return st.integers(0, 2 ** 32 - 1)
+
+
+@draws(n=lambda st: st.integers(1, 4), c=lambda st: st.integers(1, 3),
+       l=lambda st: st.integers(0, 12).flatmap(lambda e: st.integers(2 ** e >> 1 or 1, 2 ** e)),
+       log_a=lambda st: st.floats(-300, 290), shift=lambda st: st.floats(-1e3, 1e3),
+       axis=lambda st: st.sampled_from([-1, 2, 0, (1, 2), (0, 2), (-3, -1), (0, 1, 2)]),
+       layout=lambda st: st.sampled_from(sorted(SIGNAL_LAYOUTS)), seed=seeds)
+def test_finite_mean_keeps_the_bits_of_numpys_mean(n, c, l, log_a, shift, axis, layout, seed):
+    # np.add.reduce divided in place by the count is x.mean's own arithmetic
+    x = 10.0 ** log_a * (np.random.default_rng(seed).standard_normal((n, c, l)) + shift)
+    x = SIGNAL_LAYOUTS[layout](x)
+    mean, expected = finite_mean(x, axis), x.mean(axis=axis, keepdims=True)
+    assert mean.shape == expected.shape and mean.tobytes() == expected.tobytes()
+
+
+@draws(shape=lambda st: st.sampled_from([(1, 1), (2, 8), (1, 2, 5), (3, 4, 17), (2, 1, 1)]),
+       log_a=lambda st: st.floats(-330, 300), zeros=lambda st: st.booleans(),
+       fortran=lambda st: st.booleans(), seed=seeds)
+def test_psd_floor_keeps_the_bits_of_numpys_max(shape, log_a, zeros, fortran, seed):
+    # below 1e-298 a peak takes the floor of _FLOOR_PEAK, the initial value
+    rng = np.random.default_rng(seed)
+    p = 10.0 ** log_a * rng.random(shape) * (rng.random(shape) < 0.5 if zeros else 1.0)
+    p = np.asfortranarray(p) if fortran else p
+    expected = 1e-10 * np.max(p, axis=(-2, -1), keepdims=True, initial=_FLOOR_PEAK)
+    assert psd_floor(p).tobytes() == expected.tobytes()
+
+
+@draws(r=lambda st: st.integers(1, 3), l=lambda st: st.integers(1, 40),
+       width=lambda st: st.integers(1, 150), lo=lambda st: st.integers(-100, 100),
+       centre=lambda st: st.booleans(), seed=seeds)
+def test_centred_buffer_reads_the_rows_around_their_ends(r, l, width, lo, centre, seed):
+    # the first piece up to the row's end, then whole rows from column 0
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((r, l))
+    means = rng.standard_normal((r, 1)) if centre else None
+    out = np.full((r, width), np.nan)
+    _centred(rows, means, lo, out)
+    expected = rows.take(range(lo, lo + width), axis=1, mode="wrap")
+    if centre:
+        expected = expected - means
+    assert out.tobytes() == expected.tobytes()
+
+
+def zero_started_welch(x, cfg):
+    """Welch's Gram form as it was summed from zeros, whole bins joined by
+    np.concatenate: the arithmetic that ``_welch_raw`` keeps when it takes
+    the first residue class's product as the sum and mirrors the bins in
+    place.  x is C-ordered, and every row fits one chunk."""
+    f, stride = cfg.filter_size, cfg.stride
+    rows = x.reshape(-1, x.shape[-1])
+    n_seg, q = n_segments(rows.shape[1], cfg), -(-f // stride)
+    gram = np.zeros((len(rows), f, f))
+    for j in range(q):
+        segs = spectral._segments(rows, j * stride, -(-(n_seg - j) // q), q * stride, f)
+        gram += segs.transpose(0, 2, 1) @ segs
+    basis = spectral._welch_basis(cfg.window_kind, f)
+    product = gram @ basis
+    product *= basis
+    power, k = product.sum(axis=1), f // 2 + 1
+    half = (power[:, :k] + power[:, k:]) / n_seg
+    return np.concatenate([half, half[:, (f - 1) // 2:0:-1]], axis=1).reshape(
+        x.shape[:-1] + (f,))
+
+
+@draws(n=lambda st: st.integers(1, 3), c=lambda st: st.integers(1, 3),
+       f=lambda st: st.integers(1, 24), stride=lambda st: st.integers(0, 24),
+       extra=lambda st: st.integers(0, 300), window=lambda st: st.sampled_from(("hann", "boxcar")),
+       log_a=lambda st: st.floats(-150, 150), seed=seeds)
+def test_welch_gram_form_keeps_the_bits_of_a_sum_from_zeros(n, c, f, stride, extra, window,
+                                                            log_a, seed):
+    cfg = WelchConfig(f, min(stride, f), window)
+    length = f + (2 * f - 1) * cfg.stride + extra  # 2f segments: the Gram form
+    x = 10.0 ** log_a * np.random.default_rng(seed).standard_normal((n, c, length))
+    assert len(x.reshape(-1, length)) * 8 * f * (f + 2) <= BUDGET_BYTES  # one chunk
+    assert _welch_raw(x, cfg).tobytes() == zero_started_welch(x, cfg).tobytes()

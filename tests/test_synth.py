@@ -213,6 +213,18 @@ class TestDomainPsds:
             assert len(calls) == 2 and other is not p and fresh is not p
             assert fresh.tobytes() == p.tobytes()
 
+    def test_mapped_psds_refuse_a_target_of_another_shape(self):
+        # (4, 4) holds as many bytes as the (2, 8) target: on a fresh spec it
+        # must not reach the filter's broadcast, nor after that target the cache
+        spec, cfg = flat_spec(c=2, n=1, length=256), WelchConfig(8)
+        message = r"target PSD shape \(4, 4\) is not the spec's .* \(2, 8\)"
+        with pytest.raises(ShapeMismatchError, match=message):
+            spec.raw_mapped_psds(cfg, np.ones((4, 4)))
+        kept = spec.raw_mapped_psds(cfg, np.ones((2, 8)))
+        with pytest.raises(ShapeMismatchError, match=message):
+            spec.raw_mapped_psds(cfg, np.ones((4, 4)))
+        assert spec.raw_mapped_psds(cfg, np.ones((2, 8))) is kept
+
     def test_replaced_spec_estimates_afresh(self, monkeypatch):
         spec = flat_spec(n=2, length=256, seed=6)
         p = spec.centered_psds(self.CFG)

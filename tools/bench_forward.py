@@ -29,6 +29,11 @@ rows also hold each tree's tracemalloc peak of a train forward, of a
 ``welch_psd`` call and of an InstanceNorm call, the stack that of a
 train-mode stack, and ``align`` that of a call, each the median of
 PEAK_CALLS calls.
+Each grid row, the stack, the ``domain_corpus`` calls and ``align`` also
+read ``identical``: whether one untimed call of each of their calls in the
+before and after copies returned the same bits, every output array,
+barycenter, report distance and ratio, and every byte of ``align``'s output
+files.  A change that claims to keep its bits shows it there.
 With ``--before``, ``--pairs`` pairs of perfbench runs (``--seconds`` each,
 ``--seed``) then alternate which tree runs first; the file keeps every run,
 each side's median and quartiles, and how many pairs the change won.
@@ -92,7 +97,11 @@ PEAK_CALLS = 3
 
 def load_copy(tree: Path, name: str):
     """The psdnorm package of ``tree``, imported as ``name``.  Its modules
-    import each other relatively, so copies share no module or state."""
+    import each other relatively, so copies share no module or state, nor
+    does a copy share any with an earlier one of its name, whose modules it
+    drops first."""
+    for key in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[key]
     package = tree / "src" / "psdnorm"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)])
@@ -232,6 +241,31 @@ def corpus_calls(lib) -> dict:
                for m in lib.synth.METHODS}}
 
 
+def result_bytes(value) -> list:
+    """The arrays and numbers of a call's result as (dtype, shape, bytes),
+    in order: a sequence's items, a layer's barycenter, and an
+    ``AlignmentReport``'s distances and ratio."""
+    import numpy as np
+
+    if isinstance(value, (list, tuple)):
+        return [item for v in value for item in result_bytes(v)]
+    if hasattr(value, "barycenter"):  # a PSDNorm layer
+        return result_bytes(value.barycenter)
+    if hasattr(value, "post_distances"):  # an AlignmentReport
+        return result_bytes([value.pre_distances, value.post_distances,
+                             value.reduction_ratio])
+    a = np.asarray(value)
+    return [(a.dtype.str, a.shape, a.tobytes())]
+
+
+def identical(calls: list[dict]) -> bool:
+    """Whether one untimed call of each named call of the before and after
+    copies' ``calls`` returns the same bits (``result_bytes``)."""
+    before, after = calls[:2]
+    return all(result_bytes(before[name]()) == result_bytes(after[name]())
+               for name in before)
+
+
 def timed(calls: list[dict]) -> dict:
     """Each named call of the before, after and again copies' ``calls``,
     compared."""
@@ -248,7 +282,8 @@ def forward_rows(libs) -> dict:
         rows = timed(calls)
         stages = {name: rows.pop(name) for name in STAGES}
         grid.append({
-            "shape": f"{n}x{c}x{l}", "f": f, "stages": stages, **rows,
+            "shape": f"{n}x{c}x{l}", "f": f, "identical": identical(calls),
+            "stages": stages, **rows,
             "train_peak_mib": {side: peak_mib(copy["train"])
                                for side, copy in zip(COPIES, calls[:2])},
             "welch_peak_mib": {side: peak_mib(lambda lib=lib: lib.welch_psd(
@@ -259,14 +294,28 @@ def forward_rows(libs) -> dict:
         })
     b = batch(STACK_SHAPE)
     stack = [stack_calls(lib, b) for lib in libs]
-    corpus = timed([corpus_calls(lib) for lib in libs])
+    corpus = [corpus_calls(lib) for lib in libs]
+    corpus_identical, corpus = identical(corpus), timed(corpus)
     return {"grid": grid,
             "stack": {"shape": "x".join(map(str, STACK_SHAPE)), "fs": list(STACK_FS),
-                      **timed(stack),
+                      "identical": identical(stack), **timed(stack),
                       "train_peak_mib": {side: peak_mib(copy["stack_train"])
                                          for side, copy in zip(COPIES, stack[:2])}},
             "evaluate_alignment": {**CORPUS, "methods": list(libs[1].synth.METHODS),
+                                   "identical": corpus_identical,
                                    "unit": corpus.pop("unit"), "per_method": corpus}}
+
+
+def same_outputs(a: Path, b: Path) -> bool:
+    """Whether two ``align`` output directories hold the same signal files,
+    byte for byte, and reports of the same distances."""
+    names = sorted(path.name for path in a.glob("*.psdn"))
+    if not names or names != sorted(path.name for path in b.glob("*.psdn")):
+        return False
+    distances = [[(r["pre_distance"], r["post_distance"]) for r in
+                  json.loads((d / "report.json").read_text())["signals"]] for d in (a, b)]
+    return distances[0] == distances[1] and all(
+        (a / name).read_bytes() == (b / name).read_bytes() for name in names)
 
 
 def align_row(libs, directory: Path) -> dict:
@@ -293,7 +342,10 @@ def align_row(libs, directory: Path) -> dict:
         return {"call": align}
 
     calls = [align_calls(lib, side) for lib, side in zip(libs, COPIES)]
+    for side_calls in calls[:2]:
+        side_calls["call"]()
     return {"files": len(paths), "shape": list(ALIGN_SHAPE), "f": ALIGN_F,
+            "identical": same_outputs(directory / COPIES[0], directory / COPIES[1]),
             **timed(calls),
             "peak_mib": {side: peak_mib(copy["call"])
                          for side, copy in zip(COPIES, calls[:2])}}
